@@ -49,17 +49,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="run the pruned (p, q, t) search")
     p_search.add_argument("--p-min", type=int, default=1)
     p_search.add_argument("--p-max", type=int, required=True)
-    p_search.add_argument("--mode", choices=("scan", "divisor"), default="scan")
     p_search.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p_search.add_argument("--checkpoint", default=None)
     p_search.add_argument("--out", required=True)
     p_search.add_argument(
-        "--sieve-moduli", default=",".join(map(str, search.DEFAULT_SIEVE_MODULI)),
-        help="comma-separated residue-filter moduli; empty string disables",
-    )
-    p_search.add_argument(
         "--faithful", action="store_true",
-        help="iterate the literal t < 61 p^2 range (audit mode, much slower)",
+        help="use the literal t < 61 p^2 range instead of the exact bound (audit mode)",
     )
 
     p_roots = sub.add_parser("roots", help="five certified root intervals for one pair")
@@ -83,14 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_search(args) -> int:
     try:
-        moduli = tuple(
-            int(m) for m in args.sieve_moduli.split(",") if m.strip()
-        )
         config = search.SearchConfig(
             p_min=args.p_min,
             p_max=args.p_max,
-            mode=args.mode,
-            sieve_moduli=moduli,
             worker_count=args.threads,
             checkpoint_path=args.checkpoint,
             output_path=args.out,
@@ -100,8 +90,12 @@ def cmd_search(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS
 
-    def progress(p, pairs, evals, hits):
-        print(f"p={p} pairs={pairs} evals={evals} hits={hits}", file=sys.stderr)
+    def progress(p, pairs, nonempty, evaluated, hits):
+        print(
+            f"p={p} pairs={pairs} nonempty={nonempty} evaluated={evaluated} "
+            f"hits={hits}",
+            file=sys.stderr,
+        )
 
     try:
         report = search.run_search(config, progress=progress)
@@ -112,8 +106,8 @@ def cmd_search(args) -> int:
         print(f"error: {exc.strerror or exc} ({exc.filename})", file=sys.stderr)
         return EXIT_IO
     print(
-        f"pairs={report.pairs_examined} evals={report.t_values_tested} "
-        f"sieve_rejections={report.sieve_rejections} hits={len(report.hits)} "
+        f"pairs={report.pairs_examined} nonempty={report.pairs_nonempty} "
+        f"evaluated={report.candidates_evaluated} hits={len(report.hits)} "
         f"wall={report.wall_time:.2f}s",
         file=sys.stderr,
     )

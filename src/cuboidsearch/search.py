@@ -1,12 +1,35 @@
-"""Optimized exhaustive search for perfect cuboids in the p != q family.
+"""Exhaustive search for perfect cuboids in the p != q family.
 
 For q >= 59 p the root-interval analysis rules out every candidate, so the
-search only walks q < 59 p.  For each admissible pair the candidate t range
+search covers the pairs with q < 59 p.  For each pair the candidate t range
 is bounded below by max(p^2, pq, q^2) + 1 and above by both t < 61 p^2 and
-the exact integer version of t < (p^2 + pq)/2 + p sqrt(p^2 + 6pq + q^2)/2;
-the minimum of the two is always at least as tight.  Candidates are pruned
-by modular residue sieves, then evaluated exactly.  Runs are checkpointed
-per completed p and deterministic regardless of worker count.
+the exact integer version of t < r(q) = (p^2 + pq + p sqrt(p^2 + 6pq + q^2))/2,
+the root of the search inequality (p^2 + t)(pq + t) > 2 t^2.
+
+Two proved cuts leave only a handful of candidates, each evaluated exactly.
+
+q cap.  For q > p the range is nonempty exactly when q^2 + 1 < r(q).  The
+function f(q) = r(q) - q^2 - 1 is concave in q (the square root of the
+quadratic h = p^2 + 6pq + q^2 has second derivative -32 p^2 / (4 h^(3/2)))
+and f(p) = sqrt(2) p^2 - 1 > 0, so once f(q) <= 0 at some q > p it stays
+<= 0 for every larger q.  The walk over q therefore stops at the first
+q > p where the inequality fails at t = q^2 + 1, an exact integer test; in
+practice q < 1.84 p (the real root of c^3 = c^2 + c + 1).  Under
+`faithful` the range is max(p^2, pq, q^2) < t < 61 p^2 and the walk stops
+at the first q > p with q^2 + 1 > 61 p^2 - 1.  Every pair with q < p has a
+nonempty range too, so the walk visits exactly the nonempty pairs.
+
+Valuation candidates.  Q is monic with constant term -p^10 q^10, so an
+integer root t divides (pq)^10.  Let l^e exactly divide pq.  The
+coefficients of t^0, t^2, t^4, t^6, t^10 have l-adic valuations 10e,
+>= 6e, 2e, 0, 0 and that of t^8 is >= 0, so the lower Newton polygon has
+vertices (0, 10e), (4, 2e), (6, 0), (10, 0) and slopes -2e, -e, 0.  The
+valuation of any root is minus a slope: v_l(t) is 0, e or 2e.  The
+candidates are therefore the products of one factor from {1, l^e, l^(2e)}
+per prime l | pq, 3^omega(pq) numbers in all, clipped to the range.
+
+Runs are checkpointed per completed p, with the summary counters, and the
+output is deterministic regardless of worker count or interruption.
 """
 
 from __future__ import annotations
@@ -18,7 +41,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cuboid_eqs import (
     CaseTag,
@@ -28,20 +51,18 @@ from .cuboid_eqs import (
     reconstruct_cuboid,
 )
 
-CHECKPOINT_VERSION = 1
-DEFAULT_SIEVE_MODULI = (64, 81, 25, 7, 11, 13)
+CHECKPOINT_VERSION = 2
 
 
 class ResumeMismatch(RuntimeError):
-    """Checkpoint digest does not match the running configuration."""
+    """Checkpoint or output file does not fit the running configuration, or
+    is damaged."""
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     p_min: int
     p_max: int
-    mode: str = "scan"  # "scan" or "divisor"
-    sieve_moduli: tuple = DEFAULT_SIEVE_MODULI
     worker_count: int = 1
     checkpoint_path: Optional[str] = None
     output_path: str = "cuboids.jsonl"
@@ -50,22 +71,25 @@ class SearchConfig:
     def __post_init__(self):
         if self.p_min < 1 or self.p_min > self.p_max:
             raise ValueError("need 1 <= p_min <= p_max")
-        if self.mode not in ("scan", "divisor"):
-            raise ValueError("mode must be 'scan' or 'divisor'")
-        if any(m <= 1 for m in self.sieve_moduli):
-            raise ValueError("sieve moduli must exceed 1")
         if self.worker_count < 1:
             raise ValueError("worker_count must be positive")
 
     def digest(self) -> str:
-        """Digest of the search semantics: p range, mode, sieves, bound
-        choice.  Worker count and file paths deliberately excluded; they do
-        not affect the result."""
-        key = repr((
-            CHECKPOINT_VERSION, self.p_min, self.p_max, self.mode,
-            tuple(self.sieve_moduli), self.faithful,
-        ))
+        """Digest of the search semantics: p range and bound choice.
+        Worker count and file paths deliberately excluded; they do not
+        affect the result."""
+        key = repr((CHECKPOINT_VERSION, self.p_min, self.p_max, self.faithful))
         return hashlib.sha256(key.encode()).hexdigest()[:16]
+
+
+def _read_lines(path: str) -> List[str]:
+    """All lines of a text file the search wrote; bytes that are not UTF-8
+    mean the file is damaged."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ResumeMismatch(f"{path} is damaged: {exc.reason}") from None
 
 
 @dataclass(frozen=True)
@@ -74,6 +98,9 @@ class SearchCheckpoint:
     config_digest: str
     last_completed_p: int
     candidates_found: int
+    pairs_examined: int
+    pairs_nonempty: int
+    candidates_evaluated: int
     elapsed_seconds: float
 
     def write(self, path: str) -> None:
@@ -83,32 +110,51 @@ class SearchCheckpoint:
             fh.write(f"config_digest={self.config_digest}\n")
             fh.write(f"last_completed_p={self.last_completed_p}\n")
             fh.write(f"candidates_found={self.candidates_found}\n")
+            fh.write(f"pairs_examined={self.pairs_examined}\n")
+            fh.write(f"pairs_nonempty={self.pairs_nonempty}\n")
+            fh.write(f"candidates_evaluated={self.candidates_evaluated}\n")
             fh.write(f"elapsed_seconds={self.elapsed_seconds}\n")
         os.replace(tmp, path)
 
     @staticmethod
     def read(path: str) -> "SearchCheckpoint":
+        """Parse a checkpoint of the current version; a missing or
+        malformed field, or another version, raises ResumeMismatch."""
         fields: Dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    key, _, value = line.partition("=")
-                    fields[key] = value
-        return SearchCheckpoint(
-            version=int(fields["version"]),
-            config_digest=fields["config_digest"],
-            last_completed_p=int(fields["last_completed_p"]),
-            candidates_found=int(fields["candidates_found"]),
-            elapsed_seconds=float(fields["elapsed_seconds"]),
-        )
+        for line in _read_lines(path):
+            line = line.strip()
+            if line:
+                key, _, value = line.partition("=")
+                fields[key] = value
+        if fields.get("version") != str(CHECKPOINT_VERSION):
+            raise ResumeMismatch(
+                f"checkpoint {path} has version {fields.get('version')}, "
+                f"expected {CHECKPOINT_VERSION}"
+            )
+        try:
+            return SearchCheckpoint(
+                version=CHECKPOINT_VERSION,
+                config_digest=fields["config_digest"],
+                last_completed_p=int(fields["last_completed_p"]),
+                candidates_found=int(fields["candidates_found"]),
+                pairs_examined=int(fields["pairs_examined"]),
+                pairs_nonempty=int(fields["pairs_nonempty"]),
+                candidates_evaluated=int(fields["candidates_evaluated"]),
+                elapsed_seconds=float(fields["elapsed_seconds"]),
+            )
+        except KeyError as exc:
+            raise ResumeMismatch(
+                f"checkpoint {path} is damaged: missing field {exc}"
+            ) from None
+        except ValueError as exc:
+            raise ResumeMismatch(f"checkpoint {path} is damaged: {exc}") from None
 
 
 @dataclass
 class SearchReport:
     pairs_examined: int = 0
-    t_values_tested: int = 0
-    sieve_rejections: int = 0
+    pairs_nonempty: int = 0
+    candidates_evaluated: int = 0
     hits: List[CuboidWitness] = field(default_factory=list)
     wall_time: float = 0.0
 
@@ -136,8 +182,7 @@ def t_bounds(pair: PQPair) -> Optional[Tuple[int, int]]:
     """Inclusive candidate range for t, or None when empty.
 
     lo = max(p^2, pq, q^2) + 1; hi = min(61 p^2 - 1, exact square-root
-    bound).  Empty for most pairs: the effective q range is far smaller
-    than 59 p."""
+    bound)."""
     p, q = pair.p, pair.q
     lo = max(p * p, p * q, q * q) + 1
     hi = min(61 * p * p - 1, eq83_upper(pair))
@@ -146,13 +191,27 @@ def t_bounds(pair: PQPair) -> Optional[Tuple[int, int]]:
     return lo, hi
 
 
-def modular_sieve(pair: PQPair, m: int) -> FrozenSet[int]:
-    """Residues rho mod m with Q(rho) = 0 mod m; any t outside them cannot
-    be an integer root."""
-    if m <= 1:
-        raise ValueError("modulus must exceed 1")
-    poly = build_qpq(pair)
-    return frozenset(r for r in range(m) if poly.eval_mod(r, m) == 0)
+def faithful_t_bounds(pair: PQPair) -> Optional[Tuple[int, int]]:
+    """The paper's literal range max(p^2, pq, q^2) < t < 61 p^2, or None."""
+    p, q = pair.p, pair.q
+    lo = max(p * p, p * q, q * q) + 1
+    hi = 61 * p * p - 1
+    return (lo, hi) if lo <= hi else None
+
+
+def q_cap(p: int, faithful: bool = False) -> int:
+    """First q > p whose t range is empty; every larger q has an empty
+    range too (see the module docstring), so the walk covers q < q_cap."""
+    q = p + 1
+    if faithful:
+        while q * q + 2 <= 61 * p * p:
+            q += 1
+        return q
+    while True:
+        t = q * q + 1
+        if (p * p + t) * (p * q + t) <= 2 * t * t:
+            return q
+        q += 1
 
 
 def _prime_factors(n: int) -> Dict[int, int]:
@@ -168,81 +227,67 @@ def _prime_factors(n: int) -> Dict[int, int]:
     return out
 
 
-def _divisors_of_tenth_power(n: int, limit: int) -> List[int]:
-    """Sorted divisors of n^10 not exceeding limit."""
-    divs = [1]
-    for prime, exp in _prime_factors(n).items():
-        new = []
-        for d in divs:
-            v = d
-            for _ in range(10 * exp + 1):
-                if v > limit:
-                    break
-                new.append(v)
-                v *= prime
-        divs = new
-    return sorted(divs)
+def exact_prime_powers(n: int) -> List[int]:
+    """The prime powers l^e with l^e exactly dividing n, in increasing l."""
+    return [prime**exp for prime, exp in _prime_factors(n).items()]
 
 
-def divisor_candidates(pair: PQPair, lo: int, hi: int) -> List[int]:
-    """Integer-root candidates in [lo, hi] by divisor pruning: the
-    polynomial is monic with constant term -p^10 q^10, so integer roots
-    divide p^10 q^10 = d1 * d2 with d1 | p^10 and d2 | q^10."""
-    p_divs = _divisors_of_tenth_power(pair.p, hi)
-    q_divs = _divisors_of_tenth_power(pair.q, hi)
-    out = set()
-    for d1 in p_divs:
-        for d2 in q_divs:
-            t = d1 * d2
-            if t > hi:
-                break
-            if t >= lo:
-                out.add(t)
-    return sorted(out)
+def valuation_candidates(prime_powers: Sequence[int], lo: int, hi: int) -> List[int]:
+    """Sorted t in [lo, hi] that are products of one factor from
+    {1, l^e, l^(2e)} for each l^e in `prime_powers`: the only possible
+    positive integer roots of Q when the l^e are the exact prime powers of
+    pq (see the module docstring)."""
+    products = [1]
+    for step in prime_powers:
+        products = [
+            c * f for c in products for f in (1, step, step * step) if c * f <= hi
+        ]
+    return sorted(t for t in products if t >= lo)
+
+
+def pairs_for_p(p: int) -> List[PQPair]:
+    """All admissible q for a fixed p: 1 <= q <= 59p - 1, q != p, coprime.
+    The specification of the covered pair set; the search walks only the
+    q < q_cap(p) part of it, where a t range can be nonempty."""
+    return [
+        PQPair(p, q)
+        for q in range(1, 59 * p)
+        if q != p and math.gcd(p, q) == 1
+    ]
+
+
+def pair_count(p: int) -> int:
+    """len(pairs_for_p(p)) in closed form: 59 phi(p), or 57 for p = 1."""
+    if p == 1:
+        return 57
+    phi = p
+    for prime in _prime_factors(p):
+        phi -= phi // prime
+    return 59 * phi
 
 
 @dataclass(frozen=True)
 class PairScan:
-    t_tested: int
-    sieve_rejections: int
+    nonempty: bool
+    candidates_evaluated: int
     hits: tuple
 
 
-def scan_pair(pair: PQPair, config: SearchConfig, evaluate: bool = True) -> PairScan:
-    """Scan one pair for cuboid candidates.
-
-    SCAN mode walks the whole t range; DIVISOR mode tests only divisors of
-    p^10 q^10 in range.  Both modes apply the sieve first and produce
-    identical hit lists.  With evaluate=False only the counters are
-    produced (used for exact stat reconstruction on resume; any hits in the
-    replayed region are already on disk).
-    """
-    p, q = pair.p, pair.q
-    if config.faithful:
-        lo = max(p * p, p * q, q * q) + 1
-        hi = 61 * p * p - 1
-        bounds = (lo, hi) if lo <= hi else None
-    else:
-        bounds = t_bounds(pair)
+def scan_pair(pair: PQPair, config: SearchConfig) -> PairScan:
+    """Evaluate Q exactly at every valuation candidate in the pair's t
+    range and reconstruct a cuboid from each admissible root."""
+    bounds = faithful_t_bounds(pair) if config.faithful else t_bounds(pair)
     if bounds is None:
-        return PairScan(0, 0, ())
-    lo, hi = bounds
-    sieves = [(m, modular_sieve(pair, m)) for m in config.sieve_moduli]
-    if config.mode == "divisor":
-        candidates = divisor_candidates(pair, lo, hi)
-    else:
-        candidates = range(lo, hi + 1)
+        return PairScan(False, 0, ())
+    p, q = pair.p, pair.q
+    candidates = valuation_candidates(
+        exact_prime_powers(p) + exact_prime_powers(q), *bounds
+    )
+    if not candidates:
+        return PairScan(True, 0, ())
     poly = build_qpq(pair)
-    tested = 0
-    rejected = 0
     hits = []
     for t in candidates:
-        if any(t % m not in residues for m, residues in sieves):
-            rejected += 1
-            continue
-        tested += 1
-        if not evaluate:
-            continue
         if poly.eval_int(t) != 0:
             continue
         if t <= p * p or t <= p * q or t <= q * q:
@@ -251,72 +296,75 @@ def scan_pair(pair: PQPair, config: SearchConfig, evaluate: bool = True) -> Pair
             continue
         for tag in CaseTag:
             hits.append(reconstruct_cuboid(p, q, t, tag))
-    return PairScan(tested, rejected, tuple(hits))
-
-
-def pairs_for_p(p: int) -> List[PQPair]:
-    """All admissible q for a fixed p: 1 <= q <= 59p - 1, q != p, coprime."""
-    return [
-        PQPair(p, q)
-        for q in range(1, 59 * p)
-        if q != p and math.gcd(p, q) == 1
-    ]
+    return PairScan(True, len(candidates), tuple(hits))
 
 
 def _scan_p(args) -> Tuple[int, int, int, int, tuple]:
-    """Worker: scan every pair for one p.  Returns (p, pairs, tested,
-    rejected, hits)."""
-    p, config, evaluate = args
-    pairs = tested = rejected = 0
+    """Worker: scan every pair for one p below its q cap.  Returns (p,
+    pairs_examined, pairs_nonempty, candidates_evaluated, hits)."""
+    p, config = args
+    nonempty = evaluated = 0
     hits: List[CuboidWitness] = []
-    for pair in pairs_for_p(p):
-        pairs += 1
-        result = scan_pair(pair, config, evaluate=evaluate)
-        tested += result.t_tested
-        rejected += result.sieve_rejections
+    for q in range(1, q_cap(p, config.faithful)):
+        if q == p or math.gcd(p, q) != 1:
+            continue
+        result = scan_pair(PQPair(p, q), config)
+        nonempty += result.nonempty
+        evaluated += result.candidates_evaluated
         hits.extend(result.hits)
     hits.sort(key=lambda w: (w.p, w.q, w.t, w.case_tag.value))
-    return p, pairs, tested, rejected, tuple(hits)
+    return p, pair_count(p), nonempty, evaluated, tuple(hits)
 
 
 def _json_line(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-def _load_resume_state(config: SearchConfig) -> Tuple[int, int, float, List[str]]:
+def _load_resume_state(config: SearchConfig) -> Tuple[SearchCheckpoint, List[str]]:
     """Validate the checkpoint and salvage output lines for completed p.
 
-    Returns (last_completed_p, candidates_found, prior_elapsed, kept_lines).
-    Lines for p beyond the checkpoint (interrupted mid-p) and any stale
-    summary line are dropped so the final file is byte-identical to an
-    uninterrupted run.
+    Returns the checkpoint and the hit lines to keep.  Lines for p beyond
+    the checkpoint (interrupted mid-p), any stale summary line and an
+    unparsable final line (torn by the interruption) are dropped, so the
+    final file is byte-identical to an uninterrupted run.
     """
     ckpt = SearchCheckpoint.read(config.checkpoint_path)
-    if ckpt.version != CHECKPOINT_VERSION or ckpt.config_digest != config.digest():
+    if ckpt.config_digest != config.digest():
         raise ResumeMismatch(
             f"checkpoint digest {ckpt.config_digest} does not match "
             f"configuration digest {config.digest()}"
         )
     kept = []
     if os.path.exists(config.output_path):
-        with open(config.output_path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
+        lines = _read_lines(config.output_path)
+        for number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
                 obj = json.loads(line)
-                if "summary" in obj:
+            except ValueError:
+                if number == len(lines):
                     continue
-                if obj["p"] <= ckpt.last_completed_p:
-                    kept.append(line if line.endswith("\n") else line + "\n")
+                raise ResumeMismatch(
+                    f"output {config.output_path} line {number} is not JSON"
+                ) from None
+            if isinstance(obj, dict) and "summary" in obj:
+                continue
+            if not isinstance(obj, dict) or not isinstance(obj.get("p"), int):
+                raise ResumeMismatch(
+                    f"output {config.output_path} line {number} is not a hit record"
+                )
+            if obj["p"] <= ckpt.last_completed_p:
+                kept.append(line if line.endswith("\n") else line + "\n")
     if len(kept) != ckpt.candidates_found:
         raise ResumeMismatch(
             f"output holds {len(kept)} hits for p <= {ckpt.last_completed_p} "
             f"but checkpoint recorded {ckpt.candidates_found}"
         )
-    return ckpt.last_completed_p, ckpt.candidates_found, ckpt.elapsed_seconds, kept
+    return ckpt, kept
 
 
-ProgressFn = Callable[[int, int, int, int], None]
+ProgressFn = Callable[[int, int, int, int, int], None]
 
 
 def run_search(
@@ -326,11 +374,13 @@ def run_search(
 ) -> SearchReport:
     """Run the full search over [p_min, p_max].
 
-    Results are merged in p order, the checkpoint is rewritten atomically
-    after each completed p, and the JSONL output (hit lines plus one final
-    summary line of counters) is deterministic for any worker count.
-    `abort_after_p` simulates an interruption right after that p completes
-    (test hook for the resume contract).
+    Results are merged in p order, the checkpoint (with the summary
+    counters so far) is rewritten atomically after each completed p, and
+    the JSONL output (hit lines plus one final summary line of counters) is
+    deterministic for any worker count.  `progress(p, pairs, nonempty,
+    evaluated, hits)` is called per completed p.  `abort_after_p` simulates
+    an interruption right after that p completes (test hook for the resume
+    contract).
     """
     start = time.monotonic()
     report = SearchReport()
@@ -340,15 +390,13 @@ def run_search(
 
     resuming = config.checkpoint_path and os.path.exists(config.checkpoint_path)
     if resuming:
-        last_p, found, prior_elapsed, kept_lines = _load_resume_state(config)
-        resume_from = max(config.p_min, last_p + 1)
-        # replay counters for the completed prefix without re-evaluating
-        for p in range(config.p_min, resume_from):
-            _, pairs, tested, rejected, _ = _scan_p((p, config, False))
-            report.pairs_examined += pairs
-            report.t_values_tested += tested
-            report.sieve_rejections += rejected
-        report.hits = []  # witnesses for the prefix live in kept_lines
+        ckpt, kept_lines = _load_resume_state(config)
+        resume_from = max(config.p_min, ckpt.last_completed_p + 1)
+        prior_elapsed = ckpt.elapsed_seconds
+        report.pairs_examined = ckpt.pairs_examined
+        report.pairs_nonempty = ckpt.pairs_nonempty
+        report.candidates_evaluated = ckpt.candidates_evaluated
+        # witnesses for the completed prefix live in kept_lines
 
     out = open(config.output_path, "w", encoding="utf-8")
     try:
@@ -359,15 +407,15 @@ def run_search(
         todo = list(range(resume_from, config.p_max + 1))
         if config.worker_count > 1 and len(todo) > 1:
             executor = ProcessPoolExecutor(max_workers=config.worker_count)
-            results = executor.map(_scan_p, [(p, config, True) for p in todo])
+            results = executor.map(_scan_p, [(p, config) for p in todo])
         else:
             executor = None
-            results = map(_scan_p, ((p, config, True) for p in todo))
+            results = map(_scan_p, ((p, config) for p in todo))
         try:
-            for p, pairs, tested, rejected, hits in results:
+            for p, pairs, nonempty, evaluated, hits in results:
                 report.pairs_examined += pairs
-                report.t_values_tested += tested
-                report.sieve_rejections += rejected
+                report.pairs_nonempty += nonempty
+                report.candidates_evaluated += evaluated
                 for witness in hits:
                     report.hits.append(witness)
                     out.write(_json_line(witness.to_json_dict()))
@@ -379,10 +427,13 @@ def run_search(
                         config_digest=config.digest(),
                         last_completed_p=p,
                         candidates_found=hit_count,
+                        pairs_examined=report.pairs_examined,
+                        pairs_nonempty=report.pairs_nonempty,
+                        candidates_evaluated=report.candidates_evaluated,
                         elapsed_seconds=prior_elapsed + time.monotonic() - start,
                     ).write(config.checkpoint_path)
                 if progress:
-                    progress(p, pairs, tested, len(hits))
+                    progress(p, pairs, nonempty, evaluated, len(hits))
                 if abort_after_p is not None and p >= abort_after_p:
                     raise KeyboardInterrupt("simulated interruption")
         finally:
@@ -392,8 +443,8 @@ def run_search(
         out.write(_json_line({
             "summary": True,
             "pairs_examined": report.pairs_examined,
-            "t_values_tested": report.t_values_tested,
-            "sieve_rejections": report.sieve_rejections,
+            "pairs_nonempty": report.pairs_nonempty,
+            "candidates_evaluated": report.candidates_evaluated,
             "hits": hit_count,
         }))
     finally:

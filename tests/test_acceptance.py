@@ -38,6 +38,7 @@ from cuboidsearch.search import (
     run_search,
     scan_pair,
 )
+from oracles import oracle_hits
 
 
 def _sample_pairs():
@@ -124,22 +125,26 @@ def test_criterion_5_exhaustive_search_small_range(tmp_path):
     assert report.pairs_examined == expected_pairs
     print(
         f"criterion 5 (search p <= 25: {report.pairs_examined} pairs, "
-        f"{report.t_values_tested} exact evaluations, 0 hits): PASS"
+        f"{report.candidates_evaluated} exact evaluations, 0 hits): PASS"
     )
 
 
 def test_criterion_6_mode_and_sieve_equivalence():
-    base = SearchConfig(p_min=1, p_max=5)
-    divisor = SearchConfig(p_min=1, p_max=5, mode="divisor")
-    nosieve = SearchConfig(p_min=1, p_max=5, sieve_moduli=(2,))
+    # the valuation pipeline against the old scan and divisor paths, with
+    # and without their residue sieves (tests/oracles.py)
+    config = SearchConfig(p_min=1, p_max=5)
     pairs = 0
     for p in range(1, 6):
         for pair in pairs_for_p(p):
             pairs += 1
-            hits = scan_pair(pair, base).hits
-            assert scan_pair(pair, divisor).hits == hits
-            assert scan_pair(pair, nosieve).hits == hits
-    print(f"criterion 6 (scan/divisor/sieve equivalence, {pairs} pairs): PASS")
+            hits = scan_pair(pair, config).hits
+            assert oracle_hits(pair, "scan") == hits
+            assert oracle_hits(pair, "divisor") == hits
+            assert oracle_hits(pair, "scan", ()) == hits
+    print(
+        f"criterion 6 (pipeline = scan/divisor oracles with and without "
+        f"sieves, {pairs} pairs): PASS"
+    )
 
 
 def test_criterion_7_parametrization_identities():

@@ -25,7 +25,7 @@ class TestSearchCommand:
         assert progress[0].startswith("p=1 pairs=")
         for line in progress:
             parts = dict(kv.split("=") for kv in line.split())
-            assert set(parts) == {"p", "pairs", "evals", "hits"}
+            assert set(parts) == {"p", "pairs", "nonempty", "evaluated", "hits"}
         summary = json.loads(out.read_text().splitlines()[-1])
         assert summary["summary"] is True
         assert summary["hits"] == 0
@@ -40,12 +40,14 @@ class TestSearchCommand:
         assert "error" in err
 
     def test_bad_mode_rejected_by_parser(self, tmp_path, capsys):
-        code, _, _ = run_cli(
-            capsys,
-            "search", "--p-max", "3", "--mode", "turbo",
-            "--out", str(tmp_path / "x.jsonl"),
-        )
-        assert code == cli.EXIT_BAD_FLAGS
+        # one pipeline: --mode is gone, so even its old values are refused
+        for mode in ("turbo", "scan", "divisor"):
+            code, _, _ = run_cli(
+                capsys,
+                "search", "--p-max", "3", "--mode", mode,
+                "--out", str(tmp_path / "x.jsonl"),
+            )
+            assert code == cli.EXIT_BAD_FLAGS
 
     def test_resume_mismatch(self, tmp_path, capsys):
         out = str(tmp_path / "r.jsonl")
@@ -73,13 +75,45 @@ class TestSearchCommand:
         assert code == cli.EXIT_IO
         assert "error" in err
 
-    def test_empty_sieve_allowed(self, tmp_path, capsys):
-        code, _, _ = run_cli(
-            capsys,
-            "search", "--p-max", "2", "--out", str(tmp_path / "n.jsonl"),
-            "--sieve-moduli", "", "--threads", "1",
+    def test_sieve_moduli_flag_removed(self, tmp_path, capsys):
+        for moduli in ("", "64,81"):
+            code, _, _ = run_cli(
+                capsys,
+                "search", "--p-max", "2", "--out", str(tmp_path / "n.jsonl"),
+                "--sieve-moduli", moduli, "--threads", "1",
+            )
+            assert code == cli.EXIT_BAD_FLAGS
+
+    def test_damaged_checkpoint(self, tmp_path, capsys):
+        out = str(tmp_path / "d.jsonl")
+        ckpt = tmp_path / "d.ckpt"
+        argv = ("search", "--p-max", "3", "--out", out, "--checkpoint", str(ckpt),
+                "--threads", "1")
+        assert run_cli(capsys, *argv)[0] == cli.EXIT_OK
+        ckpt.write_text(
+            "".join(l for l in ckpt.read_text().splitlines(keepends=True)
+                    if not l.startswith("last_completed_p="))
         )
-        assert code == cli.EXIT_OK
+        code, _, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_RESUME_MISMATCH
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "last_completed_p" in err
+
+    def test_torn_output_line(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        argv = ("search", "--p-max", "3", "--out", str(out), "--checkpoint",
+                str(tmp_path / "t.ckpt"), "--threads", "1")
+        assert run_cli(capsys, *argv)[0] == cli.EXIT_OK
+        clean = out.read_bytes()
+        # a torn final line is dropped and the run completes byte-identically
+        out.write_bytes(clean[:-9])
+        assert run_cli(capsys, *argv)[0] == cli.EXIT_OK
+        assert out.read_bytes() == clean
+        # an unparsable line before the last one is refused
+        out.write_bytes(b'{"p":1,"q"\n' + clean)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_RESUME_MISMATCH
+        assert err.count("\n") == 1 and "line 1" in err
 
 
 class TestRootsCommand:

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from cuboidsearch import search
 from cuboidsearch.cuboid_eqs import PQPair, build_qpq
 from cuboidsearch.exact_arith import IntPoly
 from cuboidsearch.search import (
@@ -9,13 +11,23 @@ from cuboidsearch.search import (
     ResumeMismatch,
     SearchCheckpoint,
     SearchConfig,
-    divisor_candidates,
     eq83_upper,
-    modular_sieve,
+    exact_prime_powers,
+    faithful_t_bounds,
+    pair_count,
     pairs_for_p,
+    q_cap,
     run_search,
     scan_pair,
     t_bounds,
+    valuation_candidates,
+)
+from oracles import (
+    divisor_candidates,
+    modular_sieve,
+    oracle_candidates,
+    oracle_hits,
+    oracle_roots,
 )
 
 
@@ -28,6 +40,24 @@ def make_config(tmp_path, name="a", **kw):
     )
     defaults.update(kw)
     return SearchConfig(**defaults)
+
+
+def valuation(n, prime):
+    """v_prime(n) for n != 0."""
+    v = 0
+    while n % prime == 0:
+        n //= prime
+        v += 1
+    return v
+
+
+def capped_pairs(p, faithful=False):
+    """The coprime pairs the search walks for p: q < q_cap(p), q != p."""
+    return [
+        PQPair(p, q)
+        for q in range(1, q_cap(p, faithful))
+        if q != p and math.gcd(p, q) == 1
+    ]
 
 
 class TestBounds:
@@ -58,6 +88,8 @@ class TestBounds:
 
 
 class TestSieve:
+    """The residue sieves survive as a test oracle (tests/oracles.py)."""
+
     def test_mod2(self):
         assert modular_sieve(PQPair(1, 2), 2) == frozenset({0, 1})
 
@@ -82,6 +114,8 @@ class TestSieve:
 
 
 class TestDivisorCandidates:
+    """The divisor generator survives as a test oracle (tests/oracles.py)."""
+
     def test_p3_q2_range(self):
         assert divisor_candidates(PQPair(3, 2), 10, 17) == [12, 16]
 
@@ -92,38 +126,197 @@ class TestDivisorCandidates:
         assert divisor_candidates(PQPair(p, q), 30, 199) == expected
 
 
+class TestValuationCandidates:
+    def test_exact_prime_powers(self):
+        assert exact_prime_powers(1) == []
+        assert exact_prime_powers(360) == [8, 9, 5]
+
+    def test_p3_q2_range(self):
+        # 6 = 2 * 3: products of {1, 2, 4} and {1, 3, 9} in [10, 17]
+        assert valuation_candidates(exact_prime_powers(6), 10, 17) == [12]
+
+    def test_divisors_with_admissible_valuations(self):
+        # exactly the divisors of (pq)^10 in range whose l-adic valuation
+        # is 0, e or 2e for every l^e exactly dividing pq
+        for p in range(1, 31):
+            for pair in capped_pairs(p):
+                lo, hi = faithful_t_bounds(pair)
+                factors = search._prime_factors(pair.p * pair.q)
+                expected = [
+                    t for t in divisor_candidates(pair, lo, hi)
+                    if all(
+                        valuation(t, prime) in (0, e, 2 * e)
+                        for prime, e in factors.items()
+                    )
+                ]
+                parts = exact_prime_powers(pair.p * pair.q)
+                assert valuation_candidates(parts, lo, hi) == expected
+
+    def test_other_divisors_provably_not_roots(self):
+        # For a divisor t of (pq)^10 with v_l(t) outside {0, e, 2e}, the
+        # smallest valuation among the terms c_i t^i is attained once, so
+        # v_l(Q(t)) equals it and Q(t) != 0.  Checked on every such divisor.
+        checked = 0
+        for p in range(1, 21):
+            for pair in capped_pairs(p):
+                lo, hi = t_bounds(pair)
+                coeffs = build_qpq(pair).coeffs
+                keep = set(valuation_candidates(
+                    exact_prime_powers(pair.p * pair.q), lo, hi
+                ))
+                for t in divisor_candidates(pair, lo, hi):
+                    if t in keep:
+                        continue
+                    factors = search._prime_factors(pair.p * pair.q)
+                    prime = next(
+                        l for l, e in factors.items()
+                        if valuation(t, l) not in (0, e, 2 * e)
+                    )
+                    terms = [
+                        valuation(c, prime) + i * valuation(t, prime)
+                        for i, c in enumerate(coeffs) if c
+                    ]
+                    least = min(terms)
+                    assert terms.count(least) == 1
+                    assert valuation(build_qpq(pair).eval_int(t), prime) == least
+                    checked += 1
+        assert checked > 100
+
+
+class TestNewtonHull:
+    def test_coefficient_valuations_p_le_200(self):
+        # exact v_l(c_i) for every walked pair with p <= 200 and every prime
+        # l | pq, and their lower hull: vertices (0, 10e), (4, 2e), (6, 0),
+        # (10, 0), slopes -2e, -e, 0
+        hulls = 0
+        for p in range(1, 201):
+            for pair in capped_pairs(p):
+                c = build_qpq(pair).coeffs
+                for prime, e in search._prime_factors(pair.p * pair.q).items():
+                    in_p = pair.p % prime == 0
+                    v = {i: valuation(c[i], prime) for i in range(0, 11, 2)}
+                    assert v == {
+                        0: 10 * e,
+                        2: 6 * e + (prime == 2) + (prime == 3 and not in_p),
+                        4: 2 * e,
+                        6: 0,
+                        8: (prime == 2) + (prime == 3 and in_p),
+                        10: 0,
+                    }
+                    hull = {0: 10 * e, 2: 6 * e, 4: 2 * e, 6: 0, 8: 0, 10: 0}
+                    assert all(v[i] >= hull[i] for i in v)
+                    hulls += 1
+        assert hulls > 40000
+
+
+class TestQCap:
+    def test_same_nonempty_pairs_as_full_walk(self):
+        for p in range(1, 121):
+            full = [pair for pair in pairs_for_p(p) if t_bounds(pair)]
+            capped = [pair for pair in capped_pairs(p) if t_bounds(pair)]
+            assert capped == full
+            assert q_cap(p) < 59 * p
+
+    def test_faithful_same_nonempty_pairs_as_full_walk(self):
+        for p in range(1, 41):
+            full = [pair for pair in pairs_for_p(p) if faithful_t_bounds(pair)]
+            capped = [pair for pair in capped_pairs(p, True) if faithful_t_bounds(pair)]
+            assert capped == full
+
+    def test_tribonacci_ratio(self):
+        # q_cap / p approaches the real root 1.8393 of c^3 = c^2 + c + 1
+        assert all(q_cap(p) <= 1.84 * p + 1 for p in range(1, 400))
+        assert q_cap(1000) == 1840
+
+
+class TestPairCount:
+    def test_closed_form(self):
+        for p in range(1, 201):
+            assert pair_count(p) == len(pairs_for_p(p))
+
+
 class TestScanPair:
     def test_empty_pair(self):
         config = SearchConfig(p_min=1, p_max=1)
         result = scan_pair(PQPair(1, 2), config)
-        assert (result.t_tested, result.sieve_rejections, result.hits) == (0, 0, ())
+        assert (result.nonempty, result.candidates_evaluated, result.hits) == (
+            False, 0, ()
+        )
 
-    def test_counts_add_up(self):
-        config = SearchConfig(p_min=3, p_max=3)
-        pair = PQPair(3, 2)
-        result = scan_pair(pair, config)
-        lo, hi = t_bounds(pair)
-        assert result.t_tested + result.sieve_rejections == hi - lo + 1
-        assert result.hits == ()
+    def test_counts_add_up(self, tmp_path):
+        # the capped walk's counters equal those of the full pairs_for_p walk
+        report = run_search(make_config(tmp_path, p_max=12))
+        scans = [
+            scan_pair(pair, SearchConfig(p_min=1, p_max=12))
+            for p in range(1, 13)
+            for pair in pairs_for_p(p)
+        ]
+        assert report.pairs_examined == len(scans)
+        assert report.pairs_nonempty == sum(s.nonempty for s in scans)
+        assert report.candidates_evaluated == sum(
+            s.candidates_evaluated for s in scans
+        )
+        assert report.candidates_evaluated == sum(
+            len(valuation_candidates(exact_prime_powers(pair.p * pair.q), *t_bounds(pair)))
+            for p in range(1, 13)
+            for pair in capped_pairs(p)
+        )
 
     def test_mode_equivalence_small(self):
+        # pipeline against the old scan and divisor paths, sieved
+        config = SearchConfig(p_min=1, p_max=5)
         for p in range(1, 6):
             for pair in pairs_for_p(p):
-                scan = scan_pair(pair, SearchConfig(p_min=1, p_max=5, mode="scan"))
-                div = scan_pair(
-                    pair, SearchConfig(p_min=1, p_max=5, mode="divisor")
-                )
-                assert scan.hits == div.hits
+                hits = scan_pair(pair, config).hits
+                assert oracle_hits(pair, "scan") == hits
+                assert oracle_hits(pair, "divisor") == hits
 
     def test_sieve_soundness_small(self):
-        # disabling the sieve must not change the hit list
+        # the sieves drop no root, and sieved candidates stay a superset of
+        # the pipeline's roots
         for p in range(1, 5):
             for pair in pairs_for_p(p):
-                with_sieve = scan_pair(pair, SearchConfig(p_min=1, p_max=4))
-                without = scan_pair(
-                    pair, SearchConfig(p_min=1, p_max=4, sieve_moduli=(2,))
-                )
-                assert with_sieve.hits == without.hits
+                assert oracle_roots(pair, "scan") == oracle_roots(pair, "scan", ())
+                bounds = t_bounds(pair)
+                if bounds is None:
+                    continue
+                sieved = set(oracle_candidates(pair, "scan"))
+                poly = build_qpq(pair)
+                roots = [
+                    t for t in valuation_candidates(
+                        exact_prime_powers(pair.p * pair.q), *bounds
+                    )
+                    if poly.eval_int(t) == 0
+                ]
+                assert sieved.issuperset(roots)
+
+
+class TestOracleEquivalence:
+    def test_divisor_oracle_p_le_50(self, tmp_path):
+        report = run_search(make_config(tmp_path, p_max=50))
+        expected = []
+        pairs = 0
+        for p in range(1, 51):
+            for pair in pairs_for_p(p):
+                pairs += 1
+                expected.extend(oracle_hits(pair, "divisor", ()))
+        assert report.pairs_examined == pairs
+        assert report.hits == expected
+
+    def test_scan_oracle_p_le_15(self, tmp_path):
+        for faithful in (False, True):
+            p_max = 15 if not faithful else 4
+            report = run_search(make_config(
+                tmp_path, f"f{faithful}", p_max=p_max, faithful=faithful
+            ))
+            expected = []
+            pairs = 0
+            for p in range(1, p_max + 1):
+                for pair in pairs_for_p(p):
+                    pairs += 1
+                    expected.extend(oracle_hits(pair, "scan", (), faithful))
+            assert report.pairs_examined == pairs
+            assert report.hits == expected
 
 
 class TestPairsForP:
@@ -146,11 +339,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(p_min=5, p_max=3)
         with pytest.raises(ValueError):
-            SearchConfig(p_min=1, p_max=3, mode="turbo")
-        with pytest.raises(ValueError):
-            SearchConfig(p_min=1, p_max=3, sieve_moduli=(1,))
-        with pytest.raises(ValueError):
             SearchConfig(p_min=1, p_max=3, worker_count=0)
+        # the mode and sieve settings are gone with the one pipeline
+        with pytest.raises(TypeError):
+            SearchConfig(p_min=1, p_max=3, mode="divisor")
+        with pytest.raises(TypeError):
+            SearchConfig(p_min=1, p_max=3, sieve_moduli=(7,))
 
     def test_digest_ignores_workers_and_paths(self):
         a = SearchConfig(p_min=1, p_max=5)
@@ -162,11 +356,8 @@ class TestConfig:
     def test_digest_tracks_semantics(self):
         a = SearchConfig(p_min=1, p_max=5)
         assert a.digest() != SearchConfig(p_min=1, p_max=6).digest()
-        assert a.digest() != SearchConfig(p_min=1, p_max=5, mode="divisor").digest()
-        assert (
-            a.digest()
-            != SearchConfig(p_min=1, p_max=5, sieve_moduli=(7,)).digest()
-        )
+        assert a.digest() != SearchConfig(p_min=2, p_max=5).digest()
+        assert a.digest() != SearchConfig(p_min=1, p_max=5, faithful=True).digest()
 
 
 class TestRunSearch:
@@ -183,14 +374,14 @@ class TestRunSearch:
         assert summary == {
             "summary": True,
             "pairs_examined": report.pairs_examined,
-            "t_values_tested": report.t_values_tested,
-            "sieve_rejections": report.sieve_rejections,
+            "pairs_nonempty": report.pairs_nonempty,
+            "candidates_evaluated": report.candidates_evaluated,
             "hits": 0,
         }
 
     def test_checkpoint_file_format(self, tmp_path):
         config = make_config(tmp_path)
-        run_search(config)
+        report = run_search(config)
         text = (tmp_path / "a.ckpt").read_text()
         keys = [line.split("=")[0] for line in text.strip().splitlines()]
         assert keys == [
@@ -198,6 +389,9 @@ class TestRunSearch:
             "config_digest",
             "last_completed_p",
             "candidates_found",
+            "pairs_examined",
+            "pairs_nonempty",
+            "candidates_evaluated",
             "elapsed_seconds",
         ]
         ckpt = SearchCheckpoint.read(str(tmp_path / "a.ckpt"))
@@ -205,16 +399,19 @@ class TestRunSearch:
         assert ckpt.config_digest == config.digest()
         assert ckpt.last_completed_p == 5
         assert ckpt.candidates_found == 0
+        assert (ckpt.pairs_examined, ckpt.pairs_nonempty, ckpt.candidates_evaluated) == (
+            report.pairs_examined, report.pairs_nonempty, report.candidates_evaluated
+        )
 
     def test_worker_count_irrelevant(self, tmp_path):
         one = make_config(tmp_path, "one", worker_count=1)
         four = make_config(tmp_path, "four", worker_count=4)
         r1 = run_search(one)
         r4 = run_search(four)
-        assert (r1.pairs_examined, r1.t_values_tested, r1.sieve_rejections) == (
+        assert (r1.pairs_examined, r1.pairs_nonempty, r1.candidates_evaluated) == (
             r4.pairs_examined,
-            r4.t_values_tested,
-            r4.sieve_rejections,
+            r4.pairs_nonempty,
+            r4.candidates_evaluated,
         )
         assert (tmp_path / "one.jsonl").read_bytes() == (
             tmp_path / "four.jsonl"
@@ -236,8 +433,25 @@ class TestRunSearch:
             tmp_path / "base.jsonl"
         ).read_bytes()
         assert resumed.pairs_examined == full.pairs_examined
-        assert resumed.t_values_tested == full.t_values_tested
-        assert resumed.sieve_rejections == full.sieve_rejections
+        assert resumed.pairs_nonempty == full.pairs_nonempty
+        assert resumed.candidates_evaluated == full.candidates_evaluated
+
+    def test_resume_scans_only_the_rest(self, tmp_path, monkeypatch):
+        # the completed prefix's counters come from the checkpoint
+        config = make_config(tmp_path, p_max=6)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(config, abort_after_p=4)
+        scanned = []
+        real = search._scan_p
+
+        def recording(args):
+            scanned.append(args[0])
+            return real(args)
+
+        monkeypatch.setattr(search, "_scan_p", recording)
+        resumed = run_search(config)
+        assert scanned == [5, 6]
+        assert resumed.pairs_examined == sum(pair_count(p) for p in range(1, 7))
 
     def test_resume_mismatch(self, tmp_path):
         config = make_config(tmp_path)
@@ -258,6 +472,41 @@ class TestRunSearch:
             run_search(config, abort_after_p=2)
         with open(config.output_path, "a", encoding="utf-8") as fh:
             fh.write('{"p":1,"q":2,"t":5,"case":"BU_EQ_A2"}\n')
+        with pytest.raises(ResumeMismatch):
+            run_search(config)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("last_completed_p=2\n", ""),
+        lambda text: text.replace("pairs_nonempty=", "pairs_nonempty=x"),
+        lambda text: text.replace(f"version={CHECKPOINT_VERSION}", "version=1"),
+        lambda text: "",
+        lambda text: "\udcff" + text,
+    ], ids=["missing-field", "bad-number", "old-version", "empty", "not-utf8"])
+    def test_damaged_checkpoint(self, tmp_path, edit):
+        config = make_config(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(config, abort_after_p=2)
+        path = tmp_path / "a.ckpt"
+        path.write_bytes(edit(path.read_text()).encode("utf-8", "surrogateescape"))
+        with pytest.raises(ResumeMismatch):
+            run_search(config)
+
+    def test_torn_final_line_dropped(self, tmp_path):
+        baseline = make_config(tmp_path, "base")
+        run_search(baseline)
+        config = make_config(tmp_path)
+        run_search(config)
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(path.read_bytes()[:-7])
+        run_search(config)
+        assert path.read_bytes() == (tmp_path / "base.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("line", ['{"p":1,', "[1]", '{"q":2}'])
+    def test_unparsable_inner_line_refused(self, tmp_path, line):
+        config = make_config(tmp_path)
+        run_search(config)
+        path = tmp_path / "a.jsonl"
+        path.write_text(line + "\n" + path.read_text())
         with pytest.raises(ResumeMismatch):
             run_search(config)
 
