@@ -28,8 +28,10 @@ valuation of any root is minus a slope: v_l(t) is 0, e or 2e.  The
 candidates are therefore the products of one factor from {1, l^e, l^(2e)}
 per prime l | pq, 3^omega(pq) numbers in all, clipped to the range.
 
-Runs are checkpointed per completed p, with the summary counters, and the
-output is deterministic regardless of worker count or interruption.
+Runs are checkpointed with the summary counters (see `run_search` for when),
+and the output is deterministic regardless of worker count or interruption.  A
+range too small to repay the start-up of worker processes is searched
+in-process whatever the worker count (`use_pool`).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -52,6 +53,21 @@ from .cuboid_eqs import (
 )
 
 CHECKPOINT_VERSION = 2
+
+# Below this much work, the sum of the p still to search, the search runs
+# in-process.  A p costs roughly in proportion to p, and starting two worker
+# processes costs about as much as searching p's summing to 1,300 (2-vCPU
+# host, Python 3.11: p 61..80 took 60 ms in-process, 50 ms on two workers;
+# p 27..40 took 15 ms in-process, 28 ms on two workers).  The margin above
+# that covers the pool's import, which only a pool run pays.
+POOL_MIN_WORK = 2000
+
+# Work merged between two checkpoint writes, in the same units: about half
+# a second on one core of that host.  Each write replaces the file, which on
+# ext4 took 0.5-0.7 ms in the median and up to 40 ms; written after every p,
+# the checkpoint took 40% of a resumed p 27..40 run (14 of 36 ms) and most
+# of its spread.
+CHECKPOINT_MIN_WORK = 10_000
 
 
 class ResumeMismatch(RuntimeError):
@@ -316,6 +332,12 @@ def _scan_p(args) -> Tuple[int, int, int, int, tuple]:
     return p, pair_count(p), nonempty, evaluated, tuple(hits)
 
 
+def use_pool(worker_count: int, todo: Sequence[int]) -> bool:
+    """Whether to search the values of p in `todo` on a worker pool: only
+    with several workers, several p and at least POOL_MIN_WORK work."""
+    return worker_count > 1 and len(todo) > 1 and sum(todo) >= POOL_MIN_WORK
+
+
 def _json_line(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
@@ -374,10 +396,12 @@ def run_search(
 ) -> SearchReport:
     """Run the full search over [p_min, p_max].
 
-    Results are merged in p order, the checkpoint (with the summary
-    counters so far) is rewritten atomically after each completed p, and
-    the JSONL output (hit lines plus one final summary line of counters) is
-    deterministic for any worker count.  `progress(p, pairs, nonempty,
+    Results are merged in p order and the JSONL output (hit lines plus one
+    final summary line of counters) is deterministic for any worker count.
+    The checkpoint, with the summary counters so far, is rewritten
+    atomically after the p that brings the work merged since its last write
+    to CHECKPOINT_MIN_WORK, after the last p, and when the run is
+    interrupted or fails.  `progress(p, pairs, nonempty,
     evaluated, hits)` is called per completed p.  `abort_after_p` simulates
     an interruption right after that p completes (test hook for the resume
     contract).
@@ -405,12 +429,18 @@ def run_search(
         hit_count = len(kept_lines)
 
         todo = list(range(resume_from, config.p_max + 1))
-        if config.worker_count > 1 and len(todo) > 1:
+        if use_pool(config.worker_count, todo):
+            # imported here: only pool runs need it, and it takes about a
+            # third of the CLI's import time
+            from concurrent.futures import ProcessPoolExecutor
+
             executor = ProcessPoolExecutor(max_workers=config.worker_count)
             results = executor.map(_scan_p, [(p, config) for p in todo])
         else:
             executor = None
             results = map(_scan_p, ((p, config) for p in todo))
+        last = None  # checkpoint for the last merged p
+        unsaved = 0  # work merged since `last` was written
         try:
             for p, pairs, nonempty, evaluated, hits in results:
                 report.pairs_examined += pairs
@@ -422,7 +452,7 @@ def run_search(
                 hit_count += len(hits)
                 out.flush()
                 if config.checkpoint_path:
-                    SearchCheckpoint(
+                    last = SearchCheckpoint(
                         version=CHECKPOINT_VERSION,
                         config_digest=config.digest(),
                         last_completed_p=p,
@@ -431,14 +461,24 @@ def run_search(
                         pairs_nonempty=report.pairs_nonempty,
                         candidates_evaluated=report.candidates_evaluated,
                         elapsed_seconds=prior_elapsed + time.monotonic() - start,
-                    ).write(config.checkpoint_path)
+                    )
+                    unsaved += p
+                    if unsaved >= CHECKPOINT_MIN_WORK:
+                        last.write(config.checkpoint_path)
+                        unsaved = 0
                 if progress:
                     progress(p, pairs, nonempty, evaluated, len(hits))
                 if abort_after_p is not None and p >= abort_after_p:
                     raise KeyboardInterrupt("simulated interruption")
+        except BaseException:
+            if unsaved:
+                last.write(config.checkpoint_path)
+            raise
         finally:
             if executor is not None:
                 executor.shutdown(cancel_futures=True)
+        if unsaved:
+            last.write(config.checkpoint_path)
 
         out.write(_json_line({
             "summary": True,

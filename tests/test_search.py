@@ -20,6 +20,7 @@ from cuboidsearch.search import (
     run_search,
     scan_pair,
     t_bounds,
+    use_pool,
     valuation_candidates,
 )
 from oracles import (
@@ -415,6 +416,72 @@ class TestRunSearch:
         )
         assert (tmp_path / "one.jsonl").read_bytes() == (
             tmp_path / "four.jsonl"
+        ).read_bytes()
+
+    def test_use_pool(self):
+        big = list(range(81, 111))
+        assert sum(big) >= search.POOL_MIN_WORK
+        assert use_pool(2, big)
+        assert not use_pool(1, big)
+        assert not use_pool(2, [search.POOL_MIN_WORK])
+        assert not use_pool(4, list(range(27, 41)))
+
+    def test_pool_output_matches_in_process(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        started = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        def recording(*args, **kwargs):
+            started.append(kwargs)
+            return real(*args, **kwargs)
+
+        serial = make_config(tmp_path, "serial", p_max=8, worker_count=2)
+        run_search(serial)
+        assert started == []
+        monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        pooled = make_config(tmp_path, "pooled", p_max=8, worker_count=2)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(pooled, abort_after_p=4)
+        run_search(pooled)
+        assert started == [{"max_workers": 2}, {"max_workers": 2}]
+        assert (tmp_path / "pooled.jsonl").read_bytes() == (
+            tmp_path / "serial.jsonl"
+        ).read_bytes()
+
+    def test_checkpoint_written_by_work(self, tmp_path, monkeypatch):
+        written = []
+        real = SearchCheckpoint.write
+
+        def recording(self, path):
+            written.append(self.last_completed_p)
+            real(self, path)
+
+        monkeypatch.setattr(SearchCheckpoint, "write", recording)
+        run_search(make_config(tmp_path, "short"))
+        assert written == [5]
+        written.clear()
+        monkeypatch.setattr(search, "CHECKPOINT_MIN_WORK", 6)
+        run_search(make_config(tmp_path, "long"))
+        # work merged 1, 3, 6 (write), 4, 9 (write); nothing left at the end
+        assert written == [3, 5]
+
+    def test_failure_writes_checkpoint(self, tmp_path):
+        config = make_config(tmp_path, p_max=6)
+
+        def failing(p, *counts):
+            if p == 4:
+                raise RuntimeError("progress sink failed")
+
+        with pytest.raises(RuntimeError):
+            run_search(config, progress=failing)
+        assert SearchCheckpoint.read(str(tmp_path / "a.ckpt")).last_completed_p == 4
+        run_search(config)
+        baseline = make_config(tmp_path, "base", p_max=6)
+        run_search(baseline)
+        assert (tmp_path / "a.jsonl").read_bytes() == (
+            tmp_path / "base.jsonl"
         ).read_bytes()
 
     def test_interrupt_and_resume(self, tmp_path):
