@@ -64,9 +64,6 @@ class NewtonNode:
     r: int
     coeff_p: tuple  # index = power of p
 
-    def coeff_at(self, p: int) -> int:
-        return sum(c * p**i for i, c in enumerate(self.coeff_p))
-
     def monomial(self) -> Tuple[int, int]:
         """(coefficient, p-power) if the coefficient is a single monomial."""
         nonzero = [(i, c) for i, c in enumerate(self.coeff_p) if c != 0]
@@ -307,7 +304,6 @@ def asymptotic_intervals(pair: PQPair) -> List[AsymptoticInterval]:
 @dataclass(frozen=True)
 class DisjointnessReport:
     ok: bool
-    origin_margins: dict  # label -> lo (must be > 0)
     real_gap: QuadRational  # T3.lo - T2.hi (must be > 0)
     adjacency_ok: bool  # T1.hi == T2.lo == p^2, open so disjoint
     imaginary_gap: QuadRational  # T4.lo - T5.hi (must be > 0)
@@ -316,8 +312,7 @@ class DisjointnessReport:
 def check_disjoint(intervals: List[AsymptoticInterval]) -> DisjointnessReport:
     """Exact pairwise disjointness of the five intervals, with margins."""
     by = {iv.label: iv for iv in intervals}
-    origin = {iv.label.value: iv.lo for iv in intervals}
-    positive = all(quad_sign(lo) > 0 for lo in origin.values())
+    positive = all(quad_sign(iv.lo) > 0 for iv in intervals)
     adjacency_ok = by[IntervalLabel.T1].hi == by[IntervalLabel.T2].lo
     real_gap = by[IntervalLabel.T3].lo - by[IntervalLabel.T2].hi
     imaginary_gap = by[IntervalLabel.T4].lo - by[IntervalLabel.T5].hi
@@ -329,7 +324,6 @@ def check_disjoint(intervals: List[AsymptoticInterval]) -> DisjointnessReport:
     )
     return DisjointnessReport(
         ok=ok,
-        origin_margins=origin,
         real_gap=real_gap,
         adjacency_ok=adjacency_ok,
         imaginary_gap=imaginary_gap,

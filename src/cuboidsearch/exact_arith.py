@@ -77,9 +77,6 @@ class QuadRational:
     def __truediv__(self, other: RatLike) -> "QuadRational":
         return QuadRational(self.a / other, self.b / other)
 
-    def sign(self) -> int:
-        return quad_sign(self)
-
     def __lt__(self, other: "QuadRational") -> bool:
         return quad_sign(self - other) < 0
 
@@ -91,9 +88,6 @@ class QuadRational:
 
     def __ge__(self, other: "QuadRational") -> bool:
         return quad_sign(self - other) >= 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def to_fraction(self) -> Fraction:
         if self.b != 0:
@@ -114,7 +108,6 @@ class QuadRational:
 
 
 QUAD_ZERO = QuadRational(Fraction(0), Fraction(0))
-QUAD_SQRT2 = QuadRational(Fraction(0), Fraction(1))
 
 
 def quad_sign(x: QuadRational) -> int:
@@ -324,35 +317,19 @@ def _sign_variations(seq: Sequence[IntPoly], x: Fraction) -> int:
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
-def sturm_count(
-    P: IntPoly,
-    lo: RatLike,
-    hi: RatLike,
-    endpoint_shift: Optional[Fraction] = None,
-) -> int:
+def sturm_count(P: IntPoly, lo: RatLike, hi: RatLike) -> int:
     """Number of distinct real roots of P in the open interval (lo, hi).
 
-    Requires P(lo) != 0 and P(hi) != 0.  If an endpoint is a root the call
-    fails with EndpointIsRoot unless `endpoint_shift` is given, in which case
-    the offending endpoints are moved outward by that amount (a typical
-    choice is (hi - lo) / 10**9) and re-checked once.
+    Requires P(lo) != 0 and P(hi) != 0; an endpoint that is a root fails
+    with EndpointIsRoot.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if P.is_zero():
         raise ValueError("zero polynomial")
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if eval_poly(P, lo) == 0:
-        if endpoint_shift is None:
-            raise EndpointIsRoot(f"P({lo}) = 0")
-        lo -= endpoint_shift
-        if eval_poly(P, lo) == 0:
-            raise EndpointIsRoot("left endpoint still a root after shift")
-    if eval_poly(P, hi) == 0:
-        if endpoint_shift is None:
-            raise EndpointIsRoot(f"P({hi}) = 0")
-        hi += endpoint_shift
-        if eval_poly(P, hi) == 0:
-            raise EndpointIsRoot("right endpoint still a root after shift")
+    for end in (lo, hi):
+        if eval_poly(P, end) == 0:
+            raise EndpointIsRoot(f"P({end}) = 0")
     seq = sturm_sequence(P)
     return _sign_variations(seq, lo) - _sign_variations(seq, hi)

@@ -1,23 +1,23 @@
 """Exhaustive search for perfect cuboids in the p != q family.
 
 For q >= 59 p the root-interval analysis rules out every candidate, so the
-search covers the pairs with q < 59 p.  For each pair the candidate t range
-is bounded below by max(p^2, pq, q^2) + 1 and above by both t < 61 p^2 and
-the exact integer version of t < r(q) = (p^2 + pq + p sqrt(p^2 + 6pq + q^2))/2,
-the root of the search inequality (p^2 + t)(pq + t) > 2 t^2.
+search covers the pairs with q < 59 p.  A pair's candidate t range is
+max(p^2, pq, q^2) < t < r(q), where r(q) = (p^2 + pq + p sqrt(p^2 + 6pq +
+q^2))/2 is the positive root of the search inequality (p^2 + t)(pq + t) >
+2 t^2; under `faithful` it is the paper's literal max(p^2, pq, q^2) < t <
+61 p^2.  `t_bounds` computes it exactly, and every other use of the range
+derives from that function.
 
 Two proved cuts leave only a handful of candidates, each evaluated exactly.
 
-q cap.  For q > p the range is nonempty exactly when q^2 + 1 < r(q).  The
-function f(q) = r(q) - q^2 - 1 is concave in q (the square root of the
-quadratic h = p^2 + 6pq + q^2 has second derivative -32 p^2 / (4 h^(3/2)))
-and f(p) = sqrt(2) p^2 - 1 > 0, so once f(q) <= 0 at some q > p it stays
-<= 0 for every larger q.  The walk over q therefore stops at the first
-q > p where the inequality fails at t = q^2 + 1, an exact integer test; in
-practice q < 1.84 p (the real root of c^3 = c^2 + c + 1).  Under
-`faithful` the range is max(p^2, pq, q^2) < t < 61 p^2 and the walk stops
-at the first q > p with q^2 + 1 > 61 p^2 - 1.  Every pair with q < p has a
-nonempty range too, so the walk visits exactly the nonempty pairs.
+q cap.  The walk over q stops at the first q > p whose range is empty.  For
+q > p the range is nonempty exactly when f(q) = r(q) - q^2 - 1 > 0.  f is
+concave in q (the square root of the quadratic h = p^2 + 6pq + q^2 has
+second derivative -32 p^2 / (4 h^(3/2))) and f(p) = sqrt(2) p^2 - 1 > 0, so
+once f(q) <= 0 at some q > p it stays <= 0 for every larger q; in practice
+q < 1.84 p (the real root of c^3 = c^2 + c + 1).  Under `faithful` the
+range shrinks as q grows, so the same rule applies.  Every pair with q < p
+has a nonempty range too, so the walk visits exactly the nonempty pairs.
 
 Valuation candidates.  Q is monic with constant term -p^10 q^10, so an
 integer root t divides (pq)^10.  Let l^e exactly divide pq.  The
@@ -82,7 +82,7 @@ class SearchConfig:
     worker_count: int = 1
     checkpoint_path: Optional[str] = None
     output_path: str = "cuboids.jsonl"
-    faithful: bool = False  # literal t upper bound 61 p^2 - 1 only
+    faithful: bool = False  # the paper's literal t range (see t_bounds)
 
     def __post_init__(self):
         if self.p_min < 1 or self.p_min > self.p_max:
@@ -175,43 +175,26 @@ class SearchReport:
     wall_time: float = 0.0
 
 
-def eq83_upper(pair: PQPair) -> int:
-    """Largest integer t with 2t - p^2 - pq < p*sqrt(p^2 + 6pq + q^2),
-    computed exactly via integer square roots."""
-    p, q = pair.p, pair.q
-    A = p * p + p * q
-    D = p * p * (p * p + 6 * p * q + q * q)
+def t_bounds(p: int, q: int, faithful: bool = False) -> Optional[Tuple[int, int]]:
+    """Inclusive candidate range (lo, hi) for t, or None when it is empty.
 
-    def ok(t: int) -> bool:
-        lhs = 2 * t - A
-        return lhs < 0 or lhs * lhs < D
+    lo = max(p^2, pq, q^2) + 1.  Under `faithful`, hi = 61 p^2 - 1.
+    Otherwise hi is the largest t < r(q), that is with x = 2t - A < sqrt(D)
+    for A = p^2 + pq and D = p^2 (p^2 + 6pq + q^2) >= 1.  For integer
+    x >= 0, x^2 < D exactly when x <= isqrt(D - 1), so
+    hi = (A + isqrt(D - 1)) // 2.
 
-    t = (A + math.isqrt(D)) // 2
-    while not ok(t):
-        t -= 1
-    while ok(t + 1):
-        t += 1
-    return t
-
-
-def t_bounds(pair: PQPair) -> Optional[Tuple[int, int]]:
-    """Inclusive candidate range for t, or None when empty.
-
-    lo = max(p^2, pq, q^2) + 1; hi = min(61 p^2 - 1, exact square-root
-    bound)."""
-    p, q = pair.p, pair.q
+    The literal bound 61 p^2 - 1 never binds outside `faithful`.  r grows
+    with p, so for q >= 2p it is at most its value at p = q/2,
+    (3 + sqrt(17))/8 q^2 < q^2, and the range is empty.  A nonempty range
+    therefore has q < 2p and hi < r(2p) = (3 + sqrt(17))/2 p^2 < 61 p^2 - 1.
+    """
     lo = max(p * p, p * q, q * q) + 1
-    hi = min(61 * p * p - 1, eq83_upper(pair))
-    if lo > hi:
-        return None
-    return lo, hi
-
-
-def faithful_t_bounds(pair: PQPair) -> Optional[Tuple[int, int]]:
-    """The paper's literal range max(p^2, pq, q^2) < t < 61 p^2, or None."""
-    p, q = pair.p, pair.q
-    lo = max(p * p, p * q, q * q) + 1
-    hi = 61 * p * p - 1
+    if faithful:
+        hi = 61 * p * p - 1
+    else:
+        D = p * p * (p * p + 6 * p * q + q * q)
+        hi = (p * p + p * q + math.isqrt(D - 1)) // 2
     return (lo, hi) if lo <= hi else None
 
 
@@ -219,15 +202,9 @@ def q_cap(p: int, faithful: bool = False) -> int:
     """First q > p whose t range is empty; every larger q has an empty
     range too (see the module docstring), so the walk covers q < q_cap."""
     q = p + 1
-    if faithful:
-        while q * q + 2 <= 61 * p * p:
-            q += 1
-        return q
-    while True:
-        t = q * q + 1
-        if (p * p + t) * (p * q + t) <= 2 * t * t:
-            return q
+    while t_bounds(p, q, faithful) is not None:
         q += 1
+    return q
 
 
 def _prime_factors(n: int) -> Dict[int, int]:
@@ -292,10 +269,10 @@ class PairScan:
 def scan_pair(pair: PQPair, config: SearchConfig) -> PairScan:
     """Evaluate Q exactly at every valuation candidate in the pair's t
     range and reconstruct a cuboid from each admissible root."""
-    bounds = faithful_t_bounds(pair) if config.faithful else t_bounds(pair)
+    p, q = pair.p, pair.q
+    bounds = t_bounds(p, q, config.faithful)
     if bounds is None:
         return PairScan(False, 0, ())
-    p, q = pair.p, pair.q
     candidates = valuation_candidates(
         exact_prime_powers(p) + exact_prime_powers(q), *bounds
     )
@@ -305,8 +282,6 @@ def scan_pair(pair: PQPair, config: SearchConfig) -> PairScan:
     hits = []
     for t in candidates:
         if poly.eval_int(t) != 0:
-            continue
-        if t <= p * p or t <= p * q or t <= q * q:
             continue
         if (p * p + t) * (p * q + t) <= 2 * t * t:
             continue
@@ -342,13 +317,29 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-def _load_resume_state(config: SearchConfig) -> Tuple[SearchCheckpoint, List[str]]:
-    """Validate the checkpoint and salvage output lines for completed p.
+def _kept_witness(obj: dict, line: str, where: str) -> CuboidWitness:
+    """Rebuild and verify the witness of a hit line from the completed
+    prefix; the line must be exactly that witness's serialisation."""
+    try:
+        tag = CaseTag(obj["case"])
+        witness = reconstruct_cuboid(obj["p"], obj["q"], obj["t"], tag)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ResumeMismatch(f"{where} is not a verified hit: {exc}") from None
+    if _json_line(witness.to_json_dict()) != line.rstrip("\n") + "\n":
+        raise ResumeMismatch(f"{where} differs from the hit it records")
+    return witness
 
-    Returns the checkpoint and the hit lines to keep.  Lines for p beyond
-    the checkpoint (interrupted mid-p), any stale summary line and an
-    unparsable final line (torn by the interruption) are dropped, so the
-    final file is byte-identical to an uninterrupted run.
+
+def _load_resume_state(
+    config: SearchConfig,
+) -> Tuple[SearchCheckpoint, List[CuboidWitness]]:
+    """Validate the checkpoint and salvage the hits of completed p.
+
+    Returns the checkpoint and the witnesses of the hit lines kept, each
+    rebuilt from its (p, q, t, case) and checked against its line.  Lines
+    for p beyond the checkpoint (interrupted mid-p), any stale summary line
+    and an unparsable final line (torn by the interruption) are dropped, so
+    the final file is byte-identical to an uninterrupted run.
     """
     ckpt = SearchCheckpoint.read(config.checkpoint_path)
     if ckpt.config_digest != config.digest():
@@ -362,22 +353,19 @@ def _load_resume_state(config: SearchConfig) -> Tuple[SearchCheckpoint, List[str
         for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
+            where = f"output {config.output_path} line {number}"
             try:
                 obj = json.loads(line)
             except ValueError:
                 if number == len(lines):
                     continue
-                raise ResumeMismatch(
-                    f"output {config.output_path} line {number} is not JSON"
-                ) from None
+                raise ResumeMismatch(f"{where} is not JSON") from None
             if isinstance(obj, dict) and "summary" in obj:
                 continue
             if not isinstance(obj, dict) or not isinstance(obj.get("p"), int):
-                raise ResumeMismatch(
-                    f"output {config.output_path} line {number} is not a hit record"
-                )
+                raise ResumeMismatch(f"{where} is not a hit record")
             if obj["p"] <= ckpt.last_completed_p:
-                kept.append(line if line.endswith("\n") else line + "\n")
+                kept.append(_kept_witness(obj, line, where))
     if len(kept) != ckpt.candidates_found:
         raise ResumeMismatch(
             f"output holds {len(kept)} hits for p <= {ckpt.last_completed_p} "
@@ -410,23 +398,20 @@ def run_search(
     report = SearchReport()
     prior_elapsed = 0.0
     resume_from = config.p_min
-    kept_lines: List[str] = []
 
     resuming = config.checkpoint_path and os.path.exists(config.checkpoint_path)
     if resuming:
-        ckpt, kept_lines = _load_resume_state(config)
+        ckpt, report.hits = _load_resume_state(config)
         resume_from = max(config.p_min, ckpt.last_completed_p + 1)
         prior_elapsed = ckpt.elapsed_seconds
         report.pairs_examined = ckpt.pairs_examined
         report.pairs_nonempty = ckpt.pairs_nonempty
         report.candidates_evaluated = ckpt.candidates_evaluated
-        # witnesses for the completed prefix live in kept_lines
 
     out = open(config.output_path, "w", encoding="utf-8")
     try:
-        out.writelines(kept_lines)
+        out.writelines(_json_line(w.to_json_dict()) for w in report.hits)
         out.flush()
-        hit_count = len(kept_lines)
 
         todo = list(range(resume_from, config.p_max + 1))
         if use_pool(config.worker_count, todo):
@@ -449,14 +434,13 @@ def run_search(
                 for witness in hits:
                     report.hits.append(witness)
                     out.write(_json_line(witness.to_json_dict()))
-                hit_count += len(hits)
                 out.flush()
                 if config.checkpoint_path:
                     last = SearchCheckpoint(
                         version=CHECKPOINT_VERSION,
                         config_digest=config.digest(),
                         last_completed_p=p,
-                        candidates_found=hit_count,
+                        candidates_found=len(report.hits),
                         pairs_examined=report.pairs_examined,
                         pairs_nonempty=report.pairs_nonempty,
                         candidates_evaluated=report.candidates_evaluated,
@@ -470,22 +454,19 @@ def run_search(
                     progress(p, pairs, nonempty, evaluated, len(hits))
                 if abort_after_p is not None and p >= abort_after_p:
                     raise KeyboardInterrupt("simulated interruption")
-        except BaseException:
+        finally:
+            # on completion, interruption or failure alike
             if unsaved:
                 last.write(config.checkpoint_path)
-            raise
-        finally:
             if executor is not None:
                 executor.shutdown(cancel_futures=True)
-        if unsaved:
-            last.write(config.checkpoint_path)
 
         out.write(_json_line({
             "summary": True,
             "pairs_examined": report.pairs_examined,
             "pairs_nonempty": report.pairs_nonempty,
             "candidates_evaluated": report.candidates_evaluated,
-            "hits": hit_count,
+            "hits": len(report.hits),
         }))
     finally:
         out.close()

@@ -11,7 +11,7 @@ as oracles.
 from typing import FrozenSet, List
 
 from cuboidsearch.cuboid_eqs import CaseTag, PQPair, build_qpq, reconstruct_cuboid
-from cuboidsearch.search import _prime_factors, faithful_t_bounds, t_bounds
+from cuboidsearch.search import _prime_factors, t_bounds
 
 SIEVE_MODULI = (64, 81, 25, 7, 11, 13)
 
@@ -62,7 +62,7 @@ def oracle_candidates(pair: PQPair, mode: str, sieve_moduli=SIEVE_MODULI,
                       faithful: bool = False) -> List[int]:
     """The t values the old search evaluated: the whole range ("scan") or
     its divisors of p^10 q^10 ("divisor"), minus those a sieve rejects."""
-    bounds = faithful_t_bounds(pair) if faithful else t_bounds(pair)
+    bounds = t_bounds(pair.p, pair.q, faithful)
     if bounds is None:
         return []
     lo, hi = bounds

@@ -3,17 +3,15 @@ import math
 
 import pytest
 
-from cuboidsearch import search
-from cuboidsearch.cuboid_eqs import PQPair, build_qpq
+from cuboidsearch import cli, search
+from cuboidsearch.cuboid_eqs import CaseTag, CuboidWitness, PQPair, build_qpq
 from cuboidsearch.exact_arith import IntPoly
 from cuboidsearch.search import (
     CHECKPOINT_VERSION,
     ResumeMismatch,
     SearchCheckpoint,
     SearchConfig,
-    eq83_upper,
     exact_prime_powers,
-    faithful_t_bounds,
     pair_count,
     pairs_for_p,
     q_cap,
@@ -63,17 +61,16 @@ def capped_pairs(p, faithful=False):
 
 class TestBounds:
     def test_empty_range(self):
-        assert t_bounds(PQPair(1, 2)) is None
-        assert t_bounds(PQPair(1, 8)) is None
+        assert t_bounds(1, 2) is None
+        assert t_bounds(1, 8) is None
 
     def test_p3_q2(self):
-        assert t_bounds(PQPair(3, 2)) == (10, 17)
+        assert t_bounds(3, 2) == (10, 17)
 
     def test_upper_bound_exact(self):
         # largest t with (2t - p^2 - pq)^2 < p^2 (p^2 + 6pq + q^2)
-        pair = PQPair(3, 2)
-        hi = eq83_upper(pair)
-        p, q = pair.p, pair.q
+        p, q = 3, 2
+        _, hi = t_bounds(p, q)
         D = p * p * (p * p + 6 * p * q + q * q)
 
         def strict(t):
@@ -83,9 +80,49 @@ class TestBounds:
         assert strict(hi) and not strict(hi + 1)
 
     def test_lower_bound_dominates(self):
-        lo, hi = t_bounds(PQPair(5, 4))
+        lo, hi = t_bounds(5, 4)
         assert lo == 26
         assert hi <= 61 * 25 - 1
+
+    def test_closed_form_matches_definition_p_le_60(self):
+        # lo = max(p^2, pq, q^2) + 1 and hi the largest t with
+        # 2t - A < 0 or (2t - A)^2 < D; strict() is monotone in t, so a
+        # None range means it already fails at lo.  For (2, 3),
+        # p^2 + 6pq + q^2 = 49: (A + isqrt(D)) // 2 = 12 would admit t = 12,
+        # where (2t - A)^2 = D.
+        assert t_bounds(2, 3) == (10, 11)
+        for p in range(1, 61):
+            for pair in pairs_for_p(p):
+                q = pair.q
+                A = p * p + p * q
+                D = p * p * (p * p + 6 * p * q + q * q)
+
+                def strict(t):
+                    return 2 * t - A < 0 or (2 * t - A) ** 2 < D
+
+                lo = max(p * p, p * q, q * q) + 1
+                bounds = t_bounds(p, q)
+                if bounds is None:
+                    assert not strict(lo)
+                else:
+                    assert bounds[0] == lo
+                    assert strict(bounds[1]) and not strict(bounds[1] + 1)
+
+    def test_faithful_is_literal_range(self):
+        for p in range(1, 31):
+            for pair in pairs_for_p(p):
+                lo = max(p * p, p * pair.q, pair.q ** 2) + 1
+                hi = 61 * p * p - 1
+                expected = (lo, hi) if lo <= hi else None
+                assert t_bounds(p, pair.q, True) == expected
+
+    def test_literal_bound_never_binds_p_le_200(self):
+        # every walked pair has q < 2p and hi <= 61 p^2 - 1
+        for p in range(1, 201):
+            for pair in capped_pairs(p):
+                lo, hi = t_bounds(pair.p, pair.q)
+                assert pair.q < 2 * p
+                assert hi <= 61 * p * p - 1
 
 
 class TestSieve:
@@ -141,7 +178,7 @@ class TestValuationCandidates:
         # is 0, e or 2e for every l^e exactly dividing pq
         for p in range(1, 31):
             for pair in capped_pairs(p):
-                lo, hi = faithful_t_bounds(pair)
+                lo, hi = t_bounds(pair.p, pair.q, True)
                 factors = search._prime_factors(pair.p * pair.q)
                 expected = [
                     t for t in divisor_candidates(pair, lo, hi)
@@ -160,7 +197,7 @@ class TestValuationCandidates:
         checked = 0
         for p in range(1, 21):
             for pair in capped_pairs(p):
-                lo, hi = t_bounds(pair)
+                lo, hi = t_bounds(pair.p, pair.q)
                 coeffs = build_qpq(pair).coeffs
                 keep = set(valuation_candidates(
                     exact_prime_powers(pair.p * pair.q), lo, hi
@@ -213,15 +250,17 @@ class TestNewtonHull:
 class TestQCap:
     def test_same_nonempty_pairs_as_full_walk(self):
         for p in range(1, 121):
-            full = [pair for pair in pairs_for_p(p) if t_bounds(pair)]
-            capped = [pair for pair in capped_pairs(p) if t_bounds(pair)]
+            full = [pair for pair in pairs_for_p(p) if t_bounds(pair.p, pair.q)]
+            capped = [pair for pair in capped_pairs(p) if t_bounds(pair.p, pair.q)]
             assert capped == full
             assert q_cap(p) < 59 * p
 
     def test_faithful_same_nonempty_pairs_as_full_walk(self):
         for p in range(1, 41):
-            full = [pair for pair in pairs_for_p(p) if faithful_t_bounds(pair)]
-            capped = [pair for pair in capped_pairs(p, True) if faithful_t_bounds(pair)]
+            full = [pair for pair in pairs_for_p(p) if t_bounds(pair.p, pair.q, True)]
+            capped = [
+                pair for pair in capped_pairs(p, True) if t_bounds(pair.p, pair.q, True)
+            ]
             assert capped == full
 
     def test_tribonacci_ratio(self):
@@ -258,7 +297,9 @@ class TestScanPair:
             s.candidates_evaluated for s in scans
         )
         assert report.candidates_evaluated == sum(
-            len(valuation_candidates(exact_prime_powers(pair.p * pair.q), *t_bounds(pair)))
+            len(valuation_candidates(
+                exact_prime_powers(pair.p * pair.q), *t_bounds(pair.p, pair.q)
+            ))
             for p in range(1, 13)
             for pair in capped_pairs(p)
         )
@@ -278,7 +319,7 @@ class TestScanPair:
         for p in range(1, 5):
             for pair in pairs_for_p(p):
                 assert oracle_roots(pair, "scan") == oracle_roots(pair, "scan", ())
-                bounds = t_bounds(pair)
+                bounds = t_bounds(pair.p, pair.q)
                 if bounds is None:
                     continue
                 sieved = set(oracle_candidates(pair, "scan"))
@@ -585,3 +626,84 @@ class TestRunSearch:
         assert [w.septuple() for w in r_fast.hits] == [
             w.septuple() for w in r_slow.hits
         ]
+
+
+@pytest.fixture
+def planted(monkeypatch):
+    """Plant an integer root t = 12 for the pair (3, 2), the only valuation
+    candidate of its range (10, 17), and a witness for it in each case."""
+    real_build, real_reconstruct = search.build_qpq, search.reconstruct_cuboid
+
+    def build(pair):
+        return IntPoly.of([-12, 1]) if pair == PQPair(3, 2) else real_build(pair)
+
+    def reconstruct(p, q, t, tag):
+        if (p, q, t) != (3, 2, 12):
+            return real_reconstruct(p, q, t, tag)
+        return CuboidWitness(p, q, t, tag, 1, 2, 3, 4, 5, 6, 7, verified=True)
+
+    monkeypatch.setattr(search, "build_qpq", build)
+    monkeypatch.setattr(search, "reconstruct_cuboid", reconstruct)
+
+
+class TestPlantedRoot:
+    """The hit path end to end, on a root planted through monkeypatch."""
+
+    @pytest.fixture(params=["in-process", "pool"])
+    def workers(self, request, monkeypatch):
+        if request.param == "pool":
+            monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
+            return 2
+        return 1
+
+    def test_fresh_run(self, tmp_path, planted, workers, capsys):
+        config = make_config(tmp_path, p_max=6, worker_count=workers)
+        report = run_search(config)
+        text = (tmp_path / "a.jsonl").read_text()
+        lines = [json.loads(line) for line in text.splitlines()]
+        assert [(h["p"], h["q"], h["t"], h["case"]) for h in lines[:-1]] == sorted(
+            (3, 2, 12, tag.value) for tag in CaseTag
+        )
+        assert lines[-1]["hits"] == len(report.hits) == 2
+        code = cli.main([
+            "search", "--p-max", "6", "--threads", str(workers),
+            "--out", str(tmp_path / "cli.jsonl"),
+        ])
+        assert code == cli.EXIT_CUBOID_FOUND
+        assert (tmp_path / "cli.jsonl").read_bytes() == (
+            tmp_path / "a.jsonl"
+        ).read_bytes()
+
+    def test_interrupted_then_resumed(self, tmp_path, planted, workers, capsys):
+        fresh = make_config(tmp_path, "fresh", p_max=6)
+        run_search(fresh)
+        for name in ("lib", "cli"):
+            config = make_config(tmp_path, name, p_max=6, worker_count=workers)
+            with pytest.raises(KeyboardInterrupt):
+                run_search(config, abort_after_p=4)
+            ckpt = SearchCheckpoint.read(config.checkpoint_path)
+            assert (ckpt.last_completed_p, ckpt.candidates_found) == (4, 2)
+        report = run_search(make_config(tmp_path, "lib", p_max=6, worker_count=workers))
+        summary = json.loads((tmp_path / "lib.jsonl").read_text().splitlines()[-1])
+        assert len(report.hits) == summary["hits"] == 2
+        assert [w.t for w in report.hits] == [12, 12]
+        code = cli.main([
+            "search", "--p-max", "6", "--threads", str(workers),
+            "--out", str(tmp_path / "cli.jsonl"),
+            "--checkpoint", str(tmp_path / "cli.ckpt"),
+        ])
+        assert code == cli.EXIT_CUBOID_FOUND
+        assert "hits=2 " in capsys.readouterr().err
+        for name in ("lib", "cli"):
+            assert (tmp_path / f"{name}.jsonl").read_bytes() == (
+                tmp_path / "fresh.jsonl"
+            ).read_bytes()
+
+    def test_altered_hit_line_refused(self, tmp_path, planted):
+        config = make_config(tmp_path, p_max=6)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(config, abort_after_p=4)
+        path = tmp_path / "a.jsonl"
+        path.write_text(path.read_text().replace('"x1":1', '"x1":9', 1))
+        with pytest.raises(ResumeMismatch):
+            run_search(config)
