@@ -21,12 +21,13 @@ from typing import Dict, List, Optional, Tuple
 from .exact_arith import (
     IntPoly,
     QuadRational,
-    eval_poly,
-    eval_poly_quad,
     quad_sign,
     quad_sqrt,
     rational_sqrt,
+    sign_at,
+    sign_at_quad,
     sturm_count,
+    sturm_sequence,
 )
 from .cuboid_eqs import PQPair, QPQ_TERMS, build_qpq
 
@@ -353,27 +354,36 @@ class RootCertificate:
     passed: bool
 
 
-def certify_roots(pair: PQPair) -> List[RootCertificate]:
+def certify_roots(
+    pair: PQPair,
+    intervals: Optional[List[AsymptoticInterval]] = None,
+    sturm: Optional[List[IntPoly]] = None,
+) -> List[RootCertificate]:
     """Certify one root per interval by exact endpoint signs.
 
-    Real intervals additionally get a Sturm count of exactly 1.  Imaginary
-    intervals use the imaginary-axis restriction, whose values at the
-    sqrt(2)-field endpoints have exactly decidable sign.  Raises
-    CertificationFailed naming the interval and check if anything fails.
+    Real intervals additionally get a Sturm count of exactly 1, all three
+    from one Sturm sequence of Q.  Imaginary intervals use the
+    imaginary-axis restriction, whose values at the sqrt(2)-field endpoints
+    have exactly decidable sign.  `intervals` and `sturm` are the pair's
+    asymptotic_intervals and the sturm_sequence of its Q, for a caller that
+    has built them already.  Raises CertificationFailed naming the interval
+    and check if anything fails.
     """
-    qpoly = build_qpq(pair)
+    if intervals is None:
+        intervals = asymptotic_intervals(pair)
+    if sturm is None:
+        sturm = sturm_sequence(build_qpq(pair))
+    qpoly = sturm[0]  # Q's primitive part: Q itself, which is monic
     ipoly = imaginary_axis_poly(qpoly)
     certs = []
     failures = []
-    for iv in asymptotic_intervals(pair):
+    for iv in intervals:
         if iv.axis is Axis.REAL:
             lo, hi = iv.lo.to_fraction(), iv.hi.to_fraction()
-            v_lo, v_hi = eval_poly(qpoly, lo), eval_poly(qpoly, hi)
-            s_lo = (v_lo > 0) - (v_lo < 0)
-            s_hi = (v_hi > 0) - (v_hi < 0)
+            s_lo, s_hi = sign_at(qpoly, lo), sign_at(qpoly, hi)
             count = None
             if s_lo != 0 and s_hi != 0:
-                count = sturm_count(qpoly, lo, hi)
+                count = sturm_count(qpoly, lo, hi, sturm)
             passed = s_lo * s_hi == -1 and count == 1
             if not passed:
                 failures.append(
@@ -381,8 +391,8 @@ def certify_roots(pair: PQPair) -> List[RootCertificate]:
                 )
             certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, count, passed))
         else:
-            s_lo = quad_sign(eval_poly_quad(ipoly, iv.lo))
-            s_hi = quad_sign(eval_poly_quad(ipoly, iv.hi))
+            s_lo = sign_at_quad(ipoly, iv.lo)
+            s_hi = sign_at_quad(ipoly, iv.hi)
             passed = s_lo * s_hi == -1
             if not passed:
                 failures.append(f"{iv.label.value}: sign({s_lo},{s_hi})")
@@ -450,7 +460,6 @@ def integer_point_report(pair: PQPair) -> IntegerPointReport:
 
 def refine_interval(
     poly: IntPoly,
-    axis: Axis,
     lo: QuadRational,
     hi: QuadRational,
     rel_width: Fraction,
@@ -458,12 +467,12 @@ def refine_interval(
     """Bisect a certified sign-change interval until its width falls below
     rel_width times the midpoint; returns the midpoint.  `poly` must already
     be the axis-appropriate real polynomial."""
-    s_lo = quad_sign(eval_poly_quad(poly, lo))
+    s_lo = sign_at_quad(poly, lo)
     if s_lo == 0:
         return lo
     while quad_sign((hi - lo) - rel_width * ((lo + hi) / 2)) > 0:
         mid = (lo + hi) / 2
-        s_mid = quad_sign(eval_poly_quad(poly, mid))
+        s_mid = sign_at_quad(poly, mid)
         if s_mid == 0:
             return mid
         if s_mid == s_lo:

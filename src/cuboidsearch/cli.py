@@ -13,13 +13,13 @@ import argparse
 import math
 import os
 import sys
-from decimal import Decimal, getcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from . import asymptotics, cuboid_eqs, search
 from .asymptotics import Axis
 from .cuboid_eqs import PQPair
-from .exact_arith import QuadRational, sturm_count
+from .exact_arith import QuadRational, sturm_count, sturm_sequence
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -32,10 +32,15 @@ APPROX_DIGITS = 30
 
 
 def approx_str(x: QuadRational) -> str:
-    """Decimal rendering, 30 significant digits, always tagged approximate."""
-    getcontext().prec = APPROX_DIGITS
+    """Decimal rendering, 30 significant digits, always tagged approximate.
+
+    The division runs in its own decimal context, so the caller's decimal
+    precision is left as it was.
+    """
     frac = x.approx(digits=50)
-    value = Decimal(frac.numerator) / Decimal(frac.denominator)
+    value = Context(prec=APPROX_DIGITS).divide(
+        Decimal(frac.numerator), Decimal(frac.denominator)
+    )
     return f"approx {value}"
 
 
@@ -127,6 +132,8 @@ def cmd_roots(args) -> int:
         )
         return EXIT_BAD_FLAGS
     intervals = asymptotics.asymptotic_intervals(pair)
+    qpoly = cuboid_eqs.build_qpq(pair)
+    seq = sturm_sequence(qpoly)
     disjoint = asymptotics.check_disjoint(intervals)
     print(f"Root intervals for p={pair.p}, q={pair.q}:")
     for iv in intervals:
@@ -137,7 +144,7 @@ def cmd_roots(args) -> int:
     print(f"  real gap T3.lo - T2.hi = {disjoint.real_gap}")
     print(f"  imaginary gap T4.lo - T5.hi = {disjoint.imaginary_gap}")
     try:
-        certs = asymptotics.certify_roots(pair)
+        certs = asymptotics.certify_roots(pair, intervals, seq)
     except asymptotics.CertificationFailed as exc:
         print(f"certification FAILED: {exc}")
         return EXIT_CHECK_FAILED
@@ -146,11 +153,10 @@ def cmd_roots(args) -> int:
         print(
             f"  {cert.label.value}: PASS (signs {cert.sign_lo}/{cert.sign_hi}{extra})"
         )
-    qpoly = cuboid_eqs.build_qpq(pair)
     t3_hi = intervals[2].hi.to_fraction()
     bound = Fraction(math.ceil(t3_hi) + 1)
-    pos = sturm_count(qpoly, Fraction(0), bound)
-    total = sturm_count(qpoly, -bound, bound)
+    pos = sturm_count(qpoly, Fraction(0), bound, seq)
+    total = sturm_count(qpoly, -bound, bound, seq)
     print(f"real roots in (0, {bound}): {pos}; in (-{bound}, {bound}): {total}")
     return EXIT_OK if disjoint.ok else EXIT_CHECK_FAILED
 

@@ -2,10 +2,12 @@
 
 Rationals (stdlib Fraction: always reduced, positive denominator), the real
 quadratic field of numbers a + b*sqrt(2), univariate integer polynomials, and
-Sturm-sequence real-root counting.  Everything here is an immutable value and
-every operation is a pure function, so all of it is safe to use from parallel
-workers.  No floating point is used in any decision procedure; decimal
-approximations exist only for display and for oracle cross-checks.
+Sturm-sequence real-root counting.  Polynomial signs at rational and
+sqrt(2)-field points, and Sturm sequences, are computed in integers only.
+Everything here is an immutable value and every operation is a pure
+function, so all of it is safe to use from parallel workers.  No floating
+point is used in any decision procedure; decimal approximations exist only
+for display and for oracle cross-checks.
 """
 
 from __future__ import annotations
@@ -116,7 +118,11 @@ def quad_sign(x: QuadRational) -> int:
     Compares a^2 against 2 b^2 with a case split on the signs of a and b;
     sqrt(2) is never approximated.
     """
-    a, b = x.a, x.b
+    return _sqrt2_sign(x.a, x.b)
+
+
+def _sqrt2_sign(a: RatLike, b: RatLike) -> int:
+    """quad_sign for a + b*sqrt(2) given as two integers or rationals."""
     if b == 0:
         return (a > 0) - (a < 0)
     if a == 0:
@@ -236,92 +242,114 @@ class IntPoly:
         return acc
 
 
-def eval_poly(P: IntPoly, x: RatLike) -> Fraction:
-    """Exact P(x) by Horner's scheme over the rationals."""
-    acc = Fraction(0)
+def sign_at(P: IntPoly, x: RatLike) -> int:
+    """Exact sign of P(x) for rational x = n/d, in integers only.
+
+    With d > 0 and k = deg P, P(n/d) has the sign of
+    d^k P(n/d) = sum c_i n^i d^(k-i), which one homogeneous Horner pass
+    computes without a single division.
+    """
+    n, d = x.numerator, x.denominator
+    acc = 0
+    d_pow = 1
     for c in reversed(P.coeffs):
-        acc = acc * x + c
-    return acc
+        acc = acc * n + c * d_pow
+        d_pow *= d
+    return (acc > 0) - (acc < 0)
 
 
-def eval_poly_quad(P: IntPoly, x: QuadRational) -> QuadRational:
-    """Exact P(x) for x in the sqrt(2) field, by Horner's scheme."""
-    acc = QUAD_ZERO
+def sign_at_quad(P: IntPoly, x: QuadRational) -> int:
+    """Exact sign of P(x) for x = (A + B*sqrt(2))/D in the sqrt(2) field.
+
+    With D > 0 the common denominator of x.a and x.b, the homogeneous
+    Horner pass of sign_at runs over integer pairs (u, v) standing for
+    u + v*sqrt(2); the sign of the final pair is decided as in quad_sign.
+    """
+    a, b = x.a, x.b
+    D = math.lcm(a.denominator, b.denominator)
+    A = a.numerator * (D // a.denominator)
+    B = b.numerator * (D // b.denominator)
+    u = v = 0
+    d_pow = 1
     for c in reversed(P.coeffs):
-        acc = acc * x + QuadRational.of(c)
-    return acc
+        u, v = u * A + 2 * v * B + c * d_pow, u * B + v * A
+        d_pow *= D
+    return _sqrt2_sign(u, v)
 
 
-def _primitive(coeffs: Sequence[Fraction]) -> IntPoly:
-    """Scale by a positive rational to primitive integer coefficients.
+def _primitive(coeffs: Sequence[int]) -> IntPoly:
+    """Divide by the positive content, giving primitive integer coefficients.
 
     The positive scale preserves signs everywhere, which Sturm's theorem
     relies on; it also keeps coefficient growth under control along the
     remainder sequence.
     """
-    fracs = [Fraction(c) for c in coeffs]
-    while fracs and fracs[-1] == 0:
-        fracs.pop()
-    if not fracs:
-        return IntPoly(())
-    den = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * den) for f in fracs]
-    g = math.gcd(*ints)
-    return IntPoly(tuple(c // g for c in ints))
+    g = math.gcd(*coeffs)
+    return IntPoly.of(c // g for c in coeffs) if g else IntPoly(())
 
 
-def _frac_rem(f: Sequence[Fraction], g: Sequence[Fraction]) -> list:
-    """Remainder of f by g over the rationals (dense coefficient lists)."""
-    r = [Fraction(c) for c in f]
+def _neg_pseudo_rem(f: Sequence[int], g: Sequence[int]) -> list:
+    """A positive multiple of -rem(f, g), in integer arithmetic.
+
+    Each elimination step replaces r by (lc(g)/h) r - (lc(r)/h) t^k g with
+    h = gcd(lc(g), lc(r)) > 0, which scales the remainder by lc(g)/h; the
+    signs of those scales are multiplied up so that the result is a
+    *positive* multiple of the rational remainder, negated.
+    """
+    r = list(f)
     dg = len(g) - 1
     lg = g[-1]
-    while len(r) - 1 >= dg and any(c != 0 for c in r):
+    sign = -1
+    while len(r) - 1 >= dg:
+        lr = r.pop()
+        h = math.gcd(lg, lr)
+        mg, mr = lg // h, lr // h
+        k = len(r) - dg
+        r = [mg * c for c in r]
+        for i in range(dg):
+            r[k + i] -= mr * g[i]
+        if mg < 0:
+            sign = -sign
         while r and r[-1] == 0:
             r.pop()
-        if len(r) - 1 < dg:
-            break
-        k = len(r) - 1 - dg
-        factor = r[-1] / lg
-        for i in range(dg + 1):
-            r[k + i] -= factor * g[i]
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return r
+    return [sign * c for c in r]
 
 
 def sturm_sequence(P: IntPoly) -> list:
-    """Signed remainder sequence of P, with primitive-part reduction."""
-    seq = [_primitive([Fraction(c) for c in P.coeffs])]
+    """Signed remainder sequence of P, with primitive-part reduction.
+
+    Each term is the primitive integer polynomial that is a positive
+    multiple of the negated remainder of the two before it, computed as an
+    integer pseudo-remainder (Collins; Brown and Traub), so no rational
+    arithmetic is needed and every term keeps the signs Sturm's theorem
+    counts.
+    """
+    seq = [_primitive(P.coeffs)]
     d = P.derivative()
     if d.is_zero():
         return seq
-    seq.append(_primitive([Fraction(c) for c in d.coeffs]))
+    seq.append(_primitive(d.coeffs))
     while seq[-1].degree > 0:
-        rem = _frac_rem(
-            [Fraction(c) for c in seq[-2].coeffs],
-            [Fraction(c) for c in seq[-1].coeffs],
-        )
+        rem = _neg_pseudo_rem(seq[-2].coeffs, seq[-1].coeffs)
         if not rem:
             break
-        seq.append(_primitive([-c for c in rem]))
+        seq.append(_primitive(rem))
     return seq
 
 
 def _sign_variations(seq: Sequence[IntPoly], x: Fraction) -> int:
-    signs = []
-    for poly in seq:
-        v = eval_poly(poly, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (sign_at(poly, x) for poly in seq) if s]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
-def sturm_count(P: IntPoly, lo: RatLike, hi: RatLike) -> int:
+def sturm_count(
+    P: IntPoly, lo: RatLike, hi: RatLike, seq: Optional[Sequence[IntPoly]] = None
+) -> int:
     """Number of distinct real roots of P in the open interval (lo, hi).
 
     Requires P(lo) != 0 and P(hi) != 0; an endpoint that is a root fails
-    with EndpointIsRoot.
+    with EndpointIsRoot.  `seq` is P's sturm_sequence when the caller has
+    built it already, so that several intervals share one sequence.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if P.is_zero():
@@ -329,7 +357,8 @@ def sturm_count(P: IntPoly, lo: RatLike, hi: RatLike) -> int:
     if not lo < hi:
         raise ValueError("need lo < hi")
     for end in (lo, hi):
-        if eval_poly(P, end) == 0:
+        if sign_at(P, end) == 0:
             raise EndpointIsRoot(f"P({end}) = 0")
-    seq = sturm_sequence(P)
+    if seq is None:
+        seq = sturm_sequence(P)
     return _sign_variations(seq, lo) - _sign_variations(seq, hi)

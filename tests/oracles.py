@@ -1,17 +1,86 @@
-"""Reference search paths that the tests compare the production pipeline
-against.
+"""Reference paths that the tests compare the production code against.
 
 These are the search's earlier candidate generators, kept unchanged in
 substance: the full scan of every t in range, the divisors of p^10 q^10 in
-range, and the residue sieves that pruned either.  They are slow, which is
-why the production path replaced them, and simple, which is why they stay
-as oracles.
+range, and the residue sieves that pruned either.  Beside them stand the
+certificate's earlier arithmetic: Horner evaluation over Fraction and over
+the sqrt(2) field, and the Sturm sequence built from Fraction remainders.
+They are slow, which is why the production path replaced them, and simple,
+which is why they stay as oracles.
 """
 
-from typing import FrozenSet, List
+import math
+from fractions import Fraction
+from typing import FrozenSet, List, Sequence
 
 from cuboidsearch.cuboid_eqs import CaseTag, PQPair, build_qpq, reconstruct_cuboid
+from cuboidsearch.exact_arith import IntPoly, QuadRational, QUAD_ZERO
 from cuboidsearch.search import _prime_factors, t_bounds
+
+
+def eval_poly(P: IntPoly, x) -> Fraction:
+    """Exact P(x) by Horner's scheme over the rationals."""
+    acc = Fraction(0)
+    for c in reversed(P.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def eval_poly_quad(P: IntPoly, x: QuadRational) -> QuadRational:
+    """Exact P(x) for x in the sqrt(2) field, by Horner's scheme."""
+    acc = QUAD_ZERO
+    for c in reversed(P.coeffs):
+        acc = acc * x + QuadRational.of(c)
+    return acc
+
+
+def _frac_primitive(coeffs: Sequence[Fraction]) -> IntPoly:
+    """Scale by a positive rational to primitive integer coefficients."""
+    fracs = [Fraction(c) for c in coeffs]
+    while fracs and fracs[-1] == 0:
+        fracs.pop()
+    if not fracs:
+        return IntPoly(())
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = [int(f * den) for f in fracs]
+    g = math.gcd(*ints)
+    return IntPoly(tuple(c // g for c in ints))
+
+
+def _frac_rem(f: Sequence[Fraction], g: Sequence[Fraction]) -> list:
+    """Remainder of f by g over the rationals (dense coefficient lists)."""
+    r = [Fraction(c) for c in f]
+    dg = len(g) - 1
+    lg = g[-1]
+    while len(r) - 1 >= dg and any(c != 0 for c in r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) - 1 < dg:
+            break
+        k = len(r) - 1 - dg
+        factor = r[-1] / lg
+        for i in range(dg + 1):
+            r[k + i] -= factor * g[i]
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def fraction_sturm_sequence(P: IntPoly) -> list:
+    """Signed remainder sequence of P from Fraction remainders, each term
+    scaled to a primitive integer polynomial by a positive rational."""
+    seq = [_frac_primitive(P.coeffs)]
+    d = P.derivative()
+    if d.is_zero():
+        return seq
+    seq.append(_frac_primitive(d.coeffs))
+    while seq[-1].degree > 0:
+        rem = _frac_rem(seq[-2].coeffs, seq[-1].coeffs)
+        if not rem:
+            break
+        seq.append(_frac_primitive([-c for c in rem]))
+    return seq
 
 SIEVE_MODULI = (64, 81, 25, 7, 11, 13)
 

@@ -174,9 +174,7 @@ def test_criterion_8_root_product():
         product = QuadRational.of(1)
         for iv in asymptotic_intervals(pair):
             poly = qpoly if iv.axis is Axis.REAL else ipoly
-            product = product * refine_interval(
-                poly, iv.axis, iv.lo, iv.hi, rel_width
-            )
+            product = product * refine_interval(poly, iv.lo, iv.hi, rel_width)
         expected = Fraction(p**5 * q**5)
         rel_err = abs(product.approx(digits=50) - expected) / expected
         assert rel_err < tolerance

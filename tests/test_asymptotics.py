@@ -265,10 +265,10 @@ class TestRefine:
             for iv in asymptotic_intervals(pair)
             if iv.label is IntervalLabel.T3
         )
-        mid = refine_interval(poly, Axis.REAL, t3.lo, t3.hi, Fraction(1, 10**12))
+        mid = refine_interval(poly, t3.lo, t3.hi, Fraction(1, 10**12))
         width_bound = Fraction(1, 10**12) * mid.to_fraction()
         # value changes sign within width_bound of the returned midpoint
-        from cuboidsearch.exact_arith import eval_poly
+        from oracles import eval_poly
 
         m = mid.to_fraction()
         assert eval_poly(poly, m - width_bound) * eval_poly(

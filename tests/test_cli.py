@@ -1,6 +1,12 @@
 import json
+from decimal import getcontext
+from pathlib import Path
 
-from cuboidsearch import cli
+import pytest
+
+from cuboidsearch import asymptotics, cli, exact_arith
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +147,39 @@ class TestRootsCommand:
         assert len(totals) == 1
         assert ": 3; " in totals[0]
         assert totals[0].rstrip().endswith("6")
+
+    @pytest.mark.parametrize("p, q", [(1, 59), (7, 500), (13, 1000), (50, 5901)])
+    def test_golden_stdout(self, capsys, p, q):
+        # the full output, byte for byte: certificate signs, Sturm counts,
+        # real-root totals and the decimal renderings
+        golden = (GOLDEN_DIR / f"roots_p{p}_q{q}.txt").read_text()
+        code, out, _ = run_cli(capsys, "roots", "--p", str(p), "--q", str(q))
+        assert code == cli.EXIT_OK
+        assert out == golden
+
+    def test_decimal_context_untouched(self, capsys):
+        before = getcontext().prec
+        getcontext().prec = 11
+        try:
+            run_cli(capsys, "roots", "--p", "1", "--q", "59")
+            assert getcontext().prec == 11
+        finally:
+            getcontext().prec = before
+
+    def test_one_sturm_sequence_per_call(self, capsys, monkeypatch):
+        built = []
+        original = exact_arith.sturm_sequence
+
+        def counting(P):
+            built.append(P)
+            return original(P)
+
+        for module in (exact_arith, asymptotics, cli):
+            if hasattr(module, "sturm_sequence"):
+                monkeypatch.setattr(module, "sturm_sequence", counting)
+        code, _, _ = run_cli(capsys, "roots", "--p", "7", "--q", "500")
+        assert code == cli.EXIT_OK
+        assert len(built) == 1
 
 
 class TestNewtonCommand:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,15 +10,17 @@ from cuboidsearch.exact_arith import (
     EndpointIsRoot,
     IntPoly,
     QuadRational,
-    eval_poly,
-    eval_poly_quad,
     quad_sign,
     quad_sqrt,
     rational_sqrt,
+    sign_at,
+    sign_at_quad,
     sqrt2_approx,
     sturm_count,
+    sturm_sequence,
 )
 from cuboidsearch.cuboid_eqs import PQPair, build_qpq
+from oracles import eval_poly, eval_poly_quad, fraction_sturm_sequence
 
 
 def naive_eval(P: IntPoly, x: Fraction) -> Fraction:
@@ -145,6 +148,22 @@ class TestSturm:
         with pytest.raises(EndpointIsRoot):
             sturm_count(IntPoly.of([-1, 0, 1]), 1, 2)
 
+    def test_rational_endpoint_root_refused_with_shared_sequence(self):
+        # (3t - 2)(7t + 5), one sequence for both counts
+        P = IntPoly.of([-10, 1, 21])
+        seq = sturm_sequence(P)
+        assert sturm_count(P, -1, 1, seq) == 2
+        with pytest.raises(EndpointIsRoot):
+            sturm_count(P, Fraction(2, 3), 1, seq)
+        with pytest.raises(EndpointIsRoot):
+            sturm_count(P, -1, Fraction(-5, 7), seq)
+
+    def test_shared_sequence_gives_same_counts(self):
+        P = build_qpq(PQPair(3, 178))
+        seq = sturm_sequence(P)
+        for lo, hi in ((0, 10**7), (-(10**7), 10**7), (Fraction(1, 3), 9)):
+            assert sturm_count(P, lo, hi, seq) == sturm_count(P, lo, hi)
+
     def test_additivity(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -164,6 +183,111 @@ class TestSturm:
         P = IntPoly.of([2, -3, 0, 1])
         assert sturm_count(P, 0, 5) == 1
         assert sturm_count(P, -5, 5) == 2
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+# zeros are drawn often, so that sparse polynomials, whose remainder
+# sequences skip degrees, are common
+int_polys = st.lists(
+    st.one_of(st.just(0), st.integers(-1000, 1000)), min_size=1, max_size=12
+).map(IntPoly.of).filter(lambda P: not P.is_zero())
+
+
+class TestIntegerSturmSequence:
+    """The integer pseudo-remainder sequence equals the Fraction one."""
+
+    # t^5 + t + 1: the remainder by 5t^4 + 1 drops from degree 4 to 1.
+    # -t^3 + t: negative leading coefficients along the whole sequence.
+    # (t - 1)^2 (t + 2) and (t^2 - 2)^2 t: not squarefree.
+    SPECIAL = (
+        IntPoly.of([1, 1, 0, 0, 0, 1]),
+        IntPoly.of([0, 1, 0, -1]),
+        IntPoly.of([-7, 0, 3, 0, -2, 0, -5]),
+        IntPoly.of([2, -3, 0, 1]),
+        IntPoly.of([0, 4, 0, -4, 0, 1]),
+    )
+
+    def test_special_cases(self):
+        drops = negative_divisor = 0
+        for P in self.SPECIAL:
+            seq = sturm_sequence(P)
+            assert seq == fraction_sturm_sequence(P)
+            degrees = [f.degree for f in seq]
+            drops += any(a - b > 1 for a, b in zip(degrees, degrees[1:]))
+            negative_divisor += any(f.leading() < 0 for f in seq[1:-1])
+        # the cases above do exercise what they are there for
+        assert drops and negative_divisor
+
+    def test_non_squarefree_ends_in_gcd(self):
+        # the last term is the gcd of P and P', up to a positive scale
+        seq = sturm_sequence(IntPoly.of([2, -3, 0, 1]))
+        assert seq[-1] == IntPoly.of([-1, 1])
+
+    @settings(max_examples=200)
+    @given(int_polys)
+    def test_matches_fraction_sequence(self, P):
+        assert sturm_sequence(P) == fraction_sturm_sequence(P)
+
+    def test_matches_on_cuboid_polynomials(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            p = rng.randint(1, 50)
+            q = rng.randint(59 * p, 118 * p)
+            if math.gcd(p, q) == 1:
+                P = build_qpq(PQPair(p, q))
+                assert sturm_sequence(P) == fraction_sturm_sequence(P)
+
+
+class TestSignAt:
+    @settings(max_examples=200)
+    @given(
+        int_polys,
+        st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+    )
+    def test_rational_matches_eval(self, P, x):
+        assert sign_at(P, x) == _sign(eval_poly(P, x))
+
+    def test_rational_roots_are_zero(self):
+        # (3t - 2)(7t + 5)
+        P = IntPoly.of([-10, 1, 21])
+        assert sign_at(P, Fraction(2, 3)) == 0
+        assert sign_at(P, Fraction(-5, 7)) == 0
+        assert sign_at(P, 0) == -1
+
+    def test_integer_argument(self):
+        assert sign_at(IntPoly.of([-1, 0, 1]), 3) == 1
+        assert sign_at(IntPoly.of([5]), -4) == 1
+        assert sign_at(IntPoly.of([]), 2) == 0
+
+    @settings(max_examples=200)
+    @given(
+        int_polys,
+        st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+        st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+    )
+    def test_quad_matches_eval(self, P, a, b):
+        x = QuadRational(a, b)
+        assert sign_at_quad(P, x) == quad_sign(eval_poly_quad(P, x))
+
+    def test_quad_roots_are_zero(self):
+        assert sign_at_quad(IntPoly.of([-2, 0, 1]), QuadRational.of(0, 1)) == 0
+        # t^2 - 2t - 1 has the root 1 + sqrt(2)
+        P = IntPoly.of([-1, -2, 1])
+        assert sign_at_quad(P, QuadRational.of(1, 1)) == 0
+        assert sign_at_quad(P, QuadRational.of(1, -1)) == 0
+        assert sign_at_quad(P, QuadRational.of(Fraction(5, 2), 0)) == 1
+
+    def test_quad_on_cuboid_intervals(self):
+        from cuboidsearch.asymptotics import asymptotic_intervals, imaginary_axis_poly
+
+        pair = PQPair(7, 500)
+        ipoly = imaginary_axis_poly(build_qpq(pair))
+        for iv in asymptotic_intervals(pair)[3:]:
+            for end in (iv.lo, iv.hi):
+                assert sign_at_quad(ipoly, end) == quad_sign(eval_poly_quad(ipoly, end))
 
 
 class TestQpqEvenness:
