@@ -252,10 +252,17 @@ def cmd_identity_check(args) -> int:
     return EXIT_OK
 
 
+# The parser, built by the first main() call and reused by later ones (a
+# build costs about as much as the rest of a `roots` call).
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_FLAGS if exc.code else EXIT_OK
     handlers = {

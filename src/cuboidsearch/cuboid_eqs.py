@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 from .exact_arith import IntPoly
 
@@ -80,7 +80,8 @@ class CaseTag(Enum):
 # Fully expanded coefficient grid of the degree-10 polynomial:
 # power of t -> list of (power of p, power of q, integer coefficient).
 # This is the single source for the Newton-polygon node set; build_qpq uses
-# the factored coefficient formulas and the tests check both agree.
+# the factored coefficient formulas (qpq_coefficients) and the tests check
+# both agree.
 QPQ_TERMS = {
     10: [(0, 0, 1)],
     8: [(0, 4, 6), (2, 2, -1), (4, 0, -2)],
@@ -91,19 +92,31 @@ QPQ_TERMS = {
 }
 
 
+def qpq_coefficients(p: int, q: int) -> Tuple[int, int, int, int, int]:
+    """Coefficients (c0, c2, c4, c6, c8) of the polynomial for (p, q):
+    Q(t) = t^10 + c8 t^8 + c6 t^6 + c4 t^4 + c2 t^2 + c0, that is
+    Q(t) = R(t^2) with R(u) = u^5 + c8 u^4 + c6 u^3 + c4 u^2 + c2 u + c0.
+
+    The single source of the factored coefficient formulas; c0 = -p^10 q^10.
+    """
+    p2, q2 = p * p, q * q
+    p4, q4, m = p2 * p2, q2 * q2, p2 * q2
+    m2 = m * m
+    c8 = (2 * q2 + p2) * (3 * q2 - 2 * p2)
+    c6 = q4 * q4 + 10 * m * q4 + 4 * m2 - 14 * m * p4 + p4 * p4
+    c4 = -m * (q4 * q4 - 14 * m * q4 + 4 * m2 + 10 * m * p4 + p4 * p4)
+    c2 = -m * m2 * (q2 + 2 * p2) * (3 * p2 - 2 * q2)
+    c0 = -m2 * m2 * m
+    return c0, c2, c4, c6, c8
+
+
 def build_qpq(pair: PQPair) -> IntPoly:
     """The even, monic, degree-10 polynomial in t for the pair (p, q).
 
     Its constant coefficient is -p^10 q^10, so any integer root divides
     p^10 q^10.
     """
-    p, q = pair.p, pair.q
-    p2, q2 = p * p, q * q
-    c8 = (2 * q2 + p2) * (3 * q2 - 2 * p2)
-    c6 = q2**4 + 10 * p2 * q2**3 + 4 * p2**2 * q2**2 - 14 * p2**3 * q2 + p2**4
-    c4 = -p2 * q2 * (q2**4 - 14 * p2 * q2**3 + 4 * p2**2 * q2**2 + 10 * p2**3 * q2 + p2**4)
-    c2 = -(p2**3) * q2**3 * (q2 + 2 * p2) * (3 * p2 - 2 * q2)
-    c0 = -(p2**5) * q2**5
+    c0, c2, c4, c6, c8 = qpq_coefficients(pair.p, pair.q)
     return IntPoly.of([c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, 1])
 
 

@@ -10,14 +10,16 @@ derives from that function.
 
 Two proved cuts leave only a handful of candidates, each evaluated exactly.
 
-q cap.  The walk over q stops at the first q > p whose range is empty.  For
+q cap.  The walk over q stops at the first coprime q > p whose range is
+empty, calling `t_bounds` once per pair.  For
 q > p the range is nonempty exactly when f(q) = r(q) - q^2 - 1 > 0.  f is
 concave in q (the square root of the quadratic h = p^2 + 6pq + q^2 has
 second derivative -32 p^2 / (4 h^(3/2))) and f(p) = sqrt(2) p^2 - 1 > 0, so
 once f(q) <= 0 at some q > p it stays <= 0 for every larger q; in practice
 q < 1.84 p (the real root of c^3 = c^2 + c + 1).  Under `faithful` the
 range shrinks as q grows, so the same rule applies.  Every pair with q < p
-has a nonempty range too, so the walk visits exactly the nonempty pairs.
+has a nonempty range too, so the walk visits exactly the nonempty coprime
+pairs and the one pair that ends it.
 
 Valuation candidates.  Q is monic with constant term -p^10 q^10, so an
 integer root t divides (pq)^10.  Let l^e exactly divide pq.  The
@@ -28,6 +30,15 @@ valuation of any root is minus a slope: v_l(t) is 0, e or 2e.  The
 candidates are therefore the products of one factor from {1, l^e, l^(2e)}
 per prime l | pq, 3^omega(pq) numbers in all, clipped to the range.
 
+The kernel (`_scan_p`) builds them without ever forming a product outside
+the range.  `factor_list(n)` is the sorted tuple of products of one factor
+from {1, l^e, l^(2e)} per l^e exactly dividing n, computed once per n and
+process.  As gcd(p, q) = 1, the candidates of a pair are the products a * b
+with a in factor_list(p) and b in factor_list(q), and `clipped_products`
+finds the b for each a by bisection.  Each candidate is tested as
+Q(t) = R(t^2), by Horner's scheme on R's five integer coefficients
+(`cuboid_eqs.qpq_coefficients`).
+
 Runs are checkpointed with the summary counters (see `run_search` for when),
 and the output is deterministic regardless of worker count or interruption.  A
 range too small to repay the start-up of worker processes is searched
@@ -37,10 +48,12 @@ in-process whatever the worker count (`use_pool`).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,7 +61,7 @@ from .cuboid_eqs import (
     CaseTag,
     CuboidWitness,
     PQPair,
-    build_qpq,
+    qpq_coefficients,
     reconstruct_cuboid,
 )
 
@@ -198,15 +211,6 @@ def t_bounds(p: int, q: int, faithful: bool = False) -> Optional[Tuple[int, int]
     return (lo, hi) if lo <= hi else None
 
 
-def q_cap(p: int, faithful: bool = False) -> int:
-    """First q > p whose t range is empty; every larger q has an empty
-    range too (see the module docstring), so the walk covers q < q_cap."""
-    q = p + 1
-    while t_bounds(p, q, faithful) is not None:
-        q += 1
-    return q
-
-
 def _prime_factors(n: int) -> Dict[int, int]:
     out: Dict[int, int] = {}
     d = 2
@@ -220,28 +224,48 @@ def _prime_factors(n: int) -> Dict[int, int]:
     return out
 
 
-def exact_prime_powers(n: int) -> List[int]:
-    """The prime powers l^e with l^e exactly dividing n, in increasing l."""
-    return [prime**exp for prime, exp in _prime_factors(n).items()]
+_FACTOR_LISTS: Dict[int, Tuple[int, ...]] = {}
 
 
-def valuation_candidates(prime_powers: Sequence[int], lo: int, hi: int) -> List[int]:
-    """Sorted t in [lo, hi] that are products of one factor from
-    {1, l^e, l^(2e)} for each l^e in `prime_powers`: the only possible
-    positive integer roots of Q when the l^e are the exact prime powers of
-    pq (see the module docstring)."""
-    products = [1]
-    for step in prime_powers:
-        products = [
-            c * f for c in products for f in (1, step, step * step) if c * f <= hi
-        ]
-    return sorted(t for t in products if t >= lo)
+def factor_list(n: int) -> Tuple[int, ...]:
+    """Sorted products of one factor from {1, l^e, l^(2e)} per l^e exactly
+    dividing n, 3^omega(n) numbers.  Memoized per process: a search up to
+    p_max uses every n below about 1.84 p_max, each for every larger p."""
+    products = _FACTOR_LISTS.get(n)
+    if products is None:
+        out = [1]
+        for prime, exp in _prime_factors(n).items():
+            step = prime**exp
+            out = [c * f for c in out for f in (1, step, step * step)]
+        products = _FACTOR_LISTS[n] = tuple(sorted(out))
+    return products
+
+
+def clipped_products(
+    fa: Sequence[int], fb: Sequence[int], lo: int, hi: int
+) -> List[int]:
+    """The products a * b in [lo, hi] with a in fa and b in fb, both sorted
+    and positive.  With factor_list(p) and factor_list(q) for a coprime
+    pair they are its valuation candidates, each once, unsorted.
+
+    The loop runs over the shorter list and only over the a with
+    lo <= a * max(fb) and a <= hi; the b for each a are found by bisection,
+    so no product outside [lo, hi] is formed."""
+    if len(fa) > len(fb):
+        fa, fb = fb, fa
+    below = lo - 1
+    out: List[int] = []
+    for a in fa[bisect_right(fa, below // fb[-1]):bisect_right(fa, hi)]:
+        i = bisect_right(fb, below // a)
+        for b in fb[i:bisect_right(fb, hi // a, i)]:
+            out.append(a * b)
+    return out
 
 
 def pairs_for_p(p: int) -> List[PQPair]:
     """All admissible q for a fixed p: 1 <= q <= 59p - 1, q != p, coprime.
     The specification of the covered pair set; the search walks only the
-    q < q_cap(p) part of it, where a t range can be nonempty."""
+    part of it below the q cap, where a t range can be nonempty."""
     return [
         PQPair(p, q)
         for q in range(1, 59 * p)
@@ -259,50 +283,37 @@ def pair_count(p: int) -> int:
     return 59 * phi
 
 
-@dataclass(frozen=True)
-class PairScan:
-    nonempty: bool
-    candidates_evaluated: int
-    hits: tuple
-
-
-def scan_pair(pair: PQPair, config: SearchConfig) -> PairScan:
-    """Evaluate Q exactly at every valuation candidate in the pair's t
-    range and reconstruct a cuboid from each admissible root."""
-    p, q = pair.p, pair.q
-    bounds = t_bounds(p, q, config.faithful)
-    if bounds is None:
-        return PairScan(False, 0, ())
-    candidates = valuation_candidates(
-        exact_prime_powers(p) + exact_prime_powers(q), *bounds
-    )
-    if not candidates:
-        return PairScan(True, 0, ())
-    poly = build_qpq(pair)
-    hits = []
-    for t in candidates:
-        if poly.eval_int(t) != 0:
-            continue
-        if (p * p + t) * (p * q + t) <= 2 * t * t:
-            continue
-        for tag in CaseTag:
-            hits.append(reconstruct_cuboid(p, q, t, tag))
-    return PairScan(True, len(candidates), tuple(hits))
-
-
 def _scan_p(args) -> Tuple[int, int, int, int, tuple]:
-    """Worker: scan every pair for one p below its q cap.  Returns (p,
-    pairs_examined, pairs_nonempty, candidates_evaluated, hits)."""
+    """Worker: search every pair for one p, walking q upward until the first
+    coprime q > p with an empty range.  Returns (p, pairs_examined,
+    pairs_nonempty, candidates_evaluated, hits)."""
     p, config = args
+    faithful = config.faithful
+    fp = factor_list(p)
     nonempty = evaluated = 0
     hits: List[CuboidWitness] = []
-    for q in range(1, q_cap(p, config.faithful)):
+    for q in itertools.count(1):
         if q == p or math.gcd(p, q) != 1:
             continue
-        result = scan_pair(PQPair(p, q), config)
-        nonempty += result.nonempty
-        evaluated += result.candidates_evaluated
-        hits.extend(result.hits)
+        bounds = t_bounds(p, q, faithful)
+        if bounds is None:
+            if q > p:
+                break
+            continue
+        nonempty += 1
+        candidates = clipped_products(fp, factor_list(q), *bounds)
+        if not candidates:
+            continue
+        evaluated += len(candidates)
+        c0, c2, c4, c6, c8 = qpq_coefficients(p, q)
+        for t in candidates:
+            u = t * t
+            if ((((u + c8) * u + c6) * u + c4) * u + c2) * u + c0:
+                continue
+            if (p * p + t) * (p * q + t) <= 2 * t * t:
+                continue
+            for tag in CaseTag:
+                hits.append(reconstruct_cuboid(p, q, t, tag))
     hits.sort(key=lambda w: (w.p, w.q, w.t, w.case_tag.value))
     return p, pair_count(p), nonempty, evaluated, tuple(hits)
 

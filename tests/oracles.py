@@ -1,21 +1,83 @@
 """Reference paths that the tests compare the production code against.
 
 These are the search's earlier candidate generators, kept unchanged in
-substance: the full scan of every t in range, the divisors of p^10 q^10 in
-range, and the residue sieves that pruned either.  Beside them stand the
-certificate's earlier arithmetic: Horner evaluation over Fraction and over
-the sqrt(2) field, and the Sturm sequence built from Fraction remainders.
-They are slow, which is why the production path replaced them, and simple,
-which is why they stay as oracles.
+substance: the per-pair pipeline (`scan_pair`, with the separate `q_cap`
+walk and `valuation_candidates` built from trial-divided prime powers), the
+full scan of every t in range, the divisors of p^10 q^10 in range, and the
+residue sieves that pruned either.  Beside them stand the certificate's
+earlier arithmetic: Horner evaluation over Fraction and over the sqrt(2)
+field, and the Sturm sequence built from Fraction remainders.  They are
+slow, which is why the production path replaced them, and simple, which is
+why they stay as oracles.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Sequence
 
 from cuboidsearch.cuboid_eqs import CaseTag, PQPair, build_qpq, reconstruct_cuboid
 from cuboidsearch.exact_arith import IntPoly, QuadRational, QUAD_ZERO
-from cuboidsearch.search import _prime_factors, t_bounds
+from cuboidsearch.search import SearchConfig, _prime_factors, t_bounds
+
+
+def q_cap(p: int, faithful: bool = False) -> int:
+    """First q > p whose t range is empty; every larger q has an empty
+    range too (see the search module docstring), so the walk covers
+    q < q_cap."""
+    q = p + 1
+    while t_bounds(p, q, faithful) is not None:
+        q += 1
+    return q
+
+
+def exact_prime_powers(n: int) -> List[int]:
+    """The prime powers l^e with l^e exactly dividing n, in increasing l."""
+    return [prime**exp for prime, exp in _prime_factors(n).items()]
+
+
+def valuation_candidates(prime_powers: Sequence[int], lo: int, hi: int) -> List[int]:
+    """Sorted t in [lo, hi] that are products of one factor from
+    {1, l^e, l^(2e)} for each l^e in `prime_powers`: the only possible
+    positive integer roots of Q when the l^e are the exact prime powers of
+    pq (see the search module docstring)."""
+    products = [1]
+    for step in prime_powers:
+        products = [
+            c * f for c in products for f in (1, step, step * step) if c * f <= hi
+        ]
+    return sorted(t for t in products if t >= lo)
+
+
+@dataclass(frozen=True)
+class PairScan:
+    nonempty: bool
+    candidates_evaluated: int
+    hits: tuple
+
+
+def scan_pair(pair: PQPair, config: SearchConfig) -> PairScan:
+    """Evaluate Q exactly at every valuation candidate in the pair's t
+    range and reconstruct a cuboid from each admissible root."""
+    p, q = pair.p, pair.q
+    bounds = t_bounds(p, q, config.faithful)
+    if bounds is None:
+        return PairScan(False, 0, ())
+    candidates = valuation_candidates(
+        exact_prime_powers(p) + exact_prime_powers(q), *bounds
+    )
+    if not candidates:
+        return PairScan(True, 0, ())
+    poly = build_qpq(pair)
+    hits = []
+    for t in candidates:
+        if poly.eval_int(t) != 0:
+            continue
+        if (p * p + t) * (p * q + t) <= 2 * t * t:
+            continue
+        for tag in CaseTag:
+            hits.append(reconstruct_cuboid(p, q, t, tag))
+    return PairScan(True, len(candidates), tuple(hits))
 
 
 def eval_poly(P: IntPoly, x) -> Fraction:

@@ -32,13 +32,13 @@ from cuboidsearch.cuboid_eqs import (
     param_ratios,
 )
 from cuboidsearch.exact_arith import QuadRational, sturm_count
+from cuboidsearch import search
 from cuboidsearch.search import (
     SearchConfig,
     pairs_for_p,
     run_search,
-    scan_pair,
 )
-from oracles import oracle_hits
+from oracles import oracle_hits, scan_pair
 
 
 def _sample_pairs():
@@ -130,20 +130,25 @@ def test_criterion_5_exhaustive_search_small_range(tmp_path):
 
 
 def test_criterion_6_mode_and_sieve_equivalence():
-    # the valuation pipeline against the old scan and divisor paths, with
-    # and without their residue sieves (tests/oracles.py)
+    # the search kernel and the per-pair valuation pipeline against the old
+    # scan and divisor paths, with and without their residue sieves
+    # (tests/oracles.py)
     config = SearchConfig(p_min=1, p_max=5)
     pairs = 0
     for p in range(1, 6):
+        expected = []
         for pair in pairs_for_p(p):
             pairs += 1
             hits = scan_pair(pair, config).hits
             assert oracle_hits(pair, "scan") == hits
             assert oracle_hits(pair, "divisor") == hits
             assert oracle_hits(pair, "scan", ()) == hits
+            expected.extend(hits)
+        expected.sort(key=lambda w: (w.p, w.q, w.t, w.case_tag.value))
+        assert search._scan_p((p, config))[4] == tuple(expected)
     print(
-        f"criterion 6 (pipeline = scan/divisor oracles with and without "
-        f"sieves, {pairs} pairs): PASS"
+        f"criterion 6 (kernel = pipeline = scan/divisor oracles with and "
+        f"without sieves, {pairs} pairs): PASS"
     )
 
 

@@ -243,3 +243,27 @@ class TestParser:
 
     def test_help_is_ok(self, capsys):
         assert cli.main(["--help"]) == cli.EXIT_OK
+
+    def test_bad_flag_then_good_call(self, capsys):
+        # the reused parser keeps no state from a refused call
+        assert cli.main(["roots", "--p", "1", "--q", "59", "--bogus"]) == (
+            cli.EXIT_BAD_FLAGS
+        )
+        code, out, _ = run_cli(capsys, "roots", "--p", "1", "--q", "59")
+        assert code == cli.EXIT_OK
+        assert out == (GOLDEN_DIR / "roots_p1_q59.txt").read_text()
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        builds = []
+        real = cli._build_parser
+
+        def counting():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        assert cli.main(["newton"]) == cli.EXIT_OK
+        assert cli.main(["verify", "--p", "1", "--q", "2", "--t", "5"]) == cli.EXIT_OK
+        assert cli.main(["newton", "--bogus"]) == cli.EXIT_BAD_FLAGS
+        assert builds == [1]

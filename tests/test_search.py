@@ -11,22 +11,24 @@ from cuboidsearch.search import (
     ResumeMismatch,
     SearchCheckpoint,
     SearchConfig,
-    exact_prime_powers,
+    clipped_products,
+    factor_list,
     pair_count,
     pairs_for_p,
-    q_cap,
     run_search,
-    scan_pair,
     t_bounds,
     use_pool,
-    valuation_candidates,
 )
 from oracles import (
     divisor_candidates,
+    exact_prime_powers,
     modular_sieve,
     oracle_candidates,
     oracle_hits,
     oracle_roots,
+    q_cap,
+    scan_pair,
+    valuation_candidates,
 )
 
 
@@ -48,6 +50,16 @@ def valuation(n, prime):
         n //= prime
         v += 1
     return v
+
+
+def hit_key(w):
+    return (w.p, w.q, w.t, w.case_tag.value)
+
+
+def kernel_counts(p, faithful=False):
+    """(pairs_examined, pairs_nonempty, candidates_evaluated, hits) of the
+    search kernel for one p."""
+    return search._scan_p((p, SearchConfig(p_min=p, p_max=p, faithful=faithful)))[1:]
 
 
 def capped_pairs(p, faithful=False):
@@ -221,6 +233,53 @@ class TestValuationCandidates:
         assert checked > 100
 
 
+class TestKernel:
+    def test_factor_list(self):
+        assert factor_list(1) == (1,)
+        # 12 = 2^2 * 3: products of {1, 4, 16} and {1, 3, 9}
+        assert factor_list(12) == (1, 3, 4, 9, 12, 16, 36, 48, 144)
+        assert factor_list(360) == tuple(valuation_candidates([8, 9, 5], 1, 360**2))
+        assert factor_list(360) is factor_list(360)
+
+    def test_clipped_products(self):
+        assert clipped_products((1, 4, 16), (1, 3, 9), 10, 17) == [12, 16]
+        assert clipped_products((1,), (1,), 2, 5) == []
+        assert clipped_products((1, 2), (1, 5, 25), 1, 50) == [1, 5, 25, 2, 10, 50]
+
+    def test_candidates_match_oracle_p_le_120(self):
+        # F(p) x F(q) clipped to the range equals the per-pair generator on
+        # every coprime pair with p <= 120, both range choices
+        for faithful in (False, True):
+            nonempty = 0
+            for p in range(1, 121):
+                fp = factor_list(p)
+                for q in range(1, 59 * p):
+                    if q == p or math.gcd(p, q) != 1:
+                        continue
+                    bounds = t_bounds(p, q, faithful)
+                    if bounds is None:
+                        continue
+                    nonempty += 1
+                    got = clipped_products(fp, factor_list(q), *bounds)
+                    assert sorted(got) == valuation_candidates(
+                        exact_prime_powers(p) + exact_prime_powers(q), *bounds
+                    )
+            assert nonempty > 8000
+
+    def test_recorded_counters(self, tmp_path):
+        for faithful, p_max, expected in (
+            (False, 200, (721_686, 22_496, 42_826, 0)),
+            (True, 30, (16_400, 2_170, 9_224, 0)),
+        ):
+            report = run_search(make_config(
+                tmp_path, f"f{faithful}", p_max=p_max, faithful=faithful
+            ))
+            assert (
+                report.pairs_examined, report.pairs_nonempty,
+                report.candidates_evaluated, len(report.hits),
+            ) == expected
+
+
 class TestNewtonHull:
     def test_coefficient_valuations_p_le_200(self):
         # exact v_l(c_i) for every walked pair with p <= 200 and every prime
@@ -254,6 +313,7 @@ class TestQCap:
             capped = [pair for pair in capped_pairs(p) if t_bounds(pair.p, pair.q)]
             assert capped == full
             assert q_cap(p) < 59 * p
+            assert kernel_counts(p)[1] == len(full)
 
     def test_faithful_same_nonempty_pairs_as_full_walk(self):
         for p in range(1, 41):
@@ -262,6 +322,7 @@ class TestQCap:
                 pair for pair in capped_pairs(p, True) if t_bounds(pair.p, pair.q, True)
             ]
             assert capped == full
+            assert kernel_counts(p, True)[1] == len(full)
 
     def test_tribonacci_ratio(self):
         # q_cap / p approaches the real root 1.8393 of c^3 = c^2 + c + 1
@@ -305,13 +366,17 @@ class TestScanPair:
         )
 
     def test_mode_equivalence_small(self):
-        # pipeline against the old scan and divisor paths, sieved
+        # kernel and per-pair pipeline against the old scan and divisor
+        # paths, sieved
         config = SearchConfig(p_min=1, p_max=5)
         for p in range(1, 6):
+            expected = []
             for pair in pairs_for_p(p):
                 hits = scan_pair(pair, config).hits
                 assert oracle_hits(pair, "scan") == hits
                 assert oracle_hits(pair, "divisor") == hits
+                expected.extend(hits)
+            assert kernel_counts(p)[3] == tuple(sorted(expected, key=hit_key))
 
     def test_sieve_soundness_small(self):
         # the sieves drop no root, and sieved candidates stay a superset of
@@ -631,18 +696,24 @@ class TestRunSearch:
 @pytest.fixture
 def planted(monkeypatch):
     """Plant an integer root t = 12 for the pair (3, 2), the only valuation
-    candidate of its range (10, 17), and a witness for it in each case."""
-    real_build, real_reconstruct = search.build_qpq, search.reconstruct_cuboid
+    candidate of its range (10, 17), and a witness for it in each case.
+    The search kernel evaluates Q(t) = R(t^2) from R's coefficients; for
+    (3, 2) they become those of R(u) = (u - 144)(u + 1)^4, none of them
+    zero, so a Horner step taken out of order would miss the root."""
+    real_coefficients = search.qpq_coefficients
+    real_reconstruct = search.reconstruct_cuboid
 
-    def build(pair):
-        return IntPoly.of([-12, 1]) if pair == PQPair(3, 2) else real_build(pair)
+    def coefficients(p, q):
+        if (p, q) == (3, 2):
+            return (-144, -575, -860, -570, -140)
+        return real_coefficients(p, q)
 
     def reconstruct(p, q, t, tag):
         if (p, q, t) != (3, 2, 12):
             return real_reconstruct(p, q, t, tag)
         return CuboidWitness(p, q, t, tag, 1, 2, 3, 4, 5, 6, 7, verified=True)
 
-    monkeypatch.setattr(search, "build_qpq", build)
+    monkeypatch.setattr(search, "qpq_coefficients", coefficients)
     monkeypatch.setattr(search, "reconstruct_cuboid", reconstruct)
 
 
