@@ -132,17 +132,6 @@ def upper_hull(nodes) -> NewtonPolygon:
     )
 
 
-def node_dominance_holds(polygon: NewtonPolygon) -> bool:
-    """Every node lies on or below the upper hull (checked segment-wise)."""
-    for (m1, r1), (m2, r2) in zip(polygon.upper_hull, polygon.upper_hull[1:]):
-        for n in polygon.nodes:
-            if m1 <= n.m <= m2:
-                # r <= r1 + k (m - m1), cleared of denominators
-                if (n.r - r1) * (m2 - m1) > (n.m - m1) * (r2 - r1):
-                    return False
-    return True
-
-
 @dataclass(frozen=True)
 class LeadingTerm:
     """Leading factor of one root expansion: magnitude * p^p_power * q^exponent,
@@ -269,12 +258,6 @@ class AsymptoticInterval:
     axis: Axis
     lo: QuadRational
     hi: QuadRational
-
-    def width(self) -> QuadRational:
-        return self.hi - self.lo
-
-    def midpoint(self) -> QuadRational:
-        return (self.lo + self.hi) / 2
 
 
 def asymptotic_intervals(pair: PQPair) -> List[AsymptoticInterval]:
@@ -456,27 +439,3 @@ def integer_point_report(pair: PQPair) -> IntegerPointReport:
         t3_in_unit_bracket=bracket,
         conclusion="SEARCH_SKIP",
     )
-
-
-def refine_interval(
-    poly: IntPoly,
-    lo: QuadRational,
-    hi: QuadRational,
-    rel_width: Fraction,
-) -> QuadRational:
-    """Bisect a certified sign-change interval until its width falls below
-    rel_width times the midpoint; returns the midpoint.  `poly` must already
-    be the axis-appropriate real polynomial."""
-    s_lo = sign_at_quad(poly, lo)
-    if s_lo == 0:
-        return lo
-    while quad_sign((hi - lo) - rel_width * ((lo + hi) / 2)) > 0:
-        mid = (lo + hi) / 2
-        s_mid = sign_at_quad(poly, mid)
-        if s_mid == 0:
-            return mid
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import asymptotics, cuboid_eqs, search
 from .asymptotics import Axis
 from .cuboid_eqs import PQPair
-from .exact_arith import QuadRational, sturm_count, sturm_sequence
+from .exact_arith import QuadRational, sqrt2_approx, sturm_count, sturm_sequence
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -30,16 +30,24 @@ EXIT_CUBOID_FOUND = 10
 
 APPROX_DIGITS = 30
 
+# sqrt(2) to 50 decimals, built once; the display rounds to 30 digits.
+_SQRT2 = sqrt2_approx(50)
+
 
 def approx_str(x: QuadRational) -> str:
     """Decimal rendering, 30 significant digits, always tagged approximate.
 
-    The division runs in its own decimal context, so the caller's decimal
-    precision is left as it was.
+    a + b*sqrt(2) becomes one integer numerator over one integer
+    denominator, divided once.  Decimal division is correctly rounded and
+    has ideal exponent 0 for integer operands, so the text does not depend
+    on whether that fraction is reduced.  The division runs in its own
+    decimal context, so the caller's decimal precision is left as it was.
     """
-    frac = x.approx(digits=50)
+    a, b, s = x.a, x.b, _SQRT2
+    bs_den = b.denominator * s.denominator
+    num = a.numerator * bs_den + b.numerator * s.numerator * a.denominator
     value = Context(prec=APPROX_DIGITS).divide(
-        Decimal(frac.numerator), Decimal(frac.denominator)
+        Decimal(num), Decimal(a.denominator * bs_den)
     )
     return f"approx {value}"
 

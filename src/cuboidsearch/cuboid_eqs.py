@@ -120,40 +120,51 @@ def build_qpq(pair: PQPair) -> IntPoly:
     return IntPoly.of([c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, 1])
 
 
-def build_qpq_from_grid(pair: PQPair) -> IntPoly:
-    """Same polynomial, summed directly from the expanded term grid."""
-    p, q = pair.p, pair.q
-    coeffs = [0] * 11
-    for m, terms in QPQ_TERMS.items():
-        coeffs[m] = sum(c * p**i * q**j for i, j, c in terms)
-    return IntPoly.of(coeffs)
+def full_eq_coefficients(a: int, b: int, u: int) -> Tuple[int, ...]:
+    """Coefficients (e0, e2, ..., e12) of the even, monic, degree-12
+    equation for parameters (a, b, u).
+
+    The single source of its coefficient formulas.  They depend on a and b
+    only through s = a^2 + b^2 and ab = a^2 b^2, so swapping a and b gives
+    the same polynomial.
+    """
+    a2, b2, u2 = a * a, b * b, u * u
+    s, ab, u4 = a2 + b2, a2 * b2, u2 * u2
+    s2 = s * s
+    return (
+        u4 * ab * ab,
+        6 * u2 * ab * ab - 2 * u4 * ab * s,
+        4 * u2 * ab * s + u4 * s2 - 14 * u4 * ab + ab * ab,
+        6 * u2 * s2 - 20 * u2 * ab - 2 * u4 * s - 2 * ab * s,
+        u4 + s2 - 14 * ab + 4 * u2 * s,
+        6 * u2 - 2 * s,
+        1,
+    )
 
 
 def build_full_eq(params: FullEqParams) -> IntPoly:
     """The even, monic, degree-12 polynomial in t for parameters (a, b, u)."""
-    a2, b2, u2 = params.a**2, params.b**2, params.u**2
-    a4, b4, u4 = a2 * a2, b2 * b2, u2 * u2
-    c10 = 6 * u2 - 2 * a2 - 2 * b2
-    c8 = u4 + b4 + a4 + 4 * a2 * u2 + 4 * b2 * u2 - 12 * b2 * a2
-    c6 = (
-        6 * a4 * u2 + 6 * u2 * b4 - 8 * a2 * b2 * u2
-        - 2 * u4 * a2 - 2 * u4 * b2 - 2 * a4 * b2 - 2 * b4 * a2
-    )
-    c4 = 4 * u2 * b4 * a2 + 4 * a4 * u2 * b2 - 12 * u4 * a2 * b2 + u4 * a4 + u4 * b4 + a4 * b4
-    c2 = 6 * a4 * u2 * b4 - 2 * u4 * a4 * b2 - 2 * u4 * a2 * b4
-    c0 = u4 * a4 * b4
-    return IntPoly.of([c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, c10, 0, 1])
+    coeffs = [0] * 13
+    coeffs[::2] = full_eq_coefficients(params.a, params.b, params.u)
+    return IntPoly.of(coeffs)
 
 
 def factorization_check(pair: PQPair) -> bool:
     """Check that (t - pq)(t + pq) times the degree-10 polynomial equals the
-    degree-12 equation under both parameter substitutions, coefficient-wise."""
+    degree-12 equation under both parameter substitutions, coefficient-wise.
+
+    With m = p^2 q^2 the product's even coefficients are, in closed form,
+    (-m c0, c0 - m c2, c2 - m c4, c4 - m c6, c6 - m c8, c8 - m, 1).
+    """
     p, q = pair.p, pair.q
-    qpq = build_qpq(pair)
-    linear = IntPoly.of([-((p * q) ** 2), 0, 1])
-    product = linear * qpq
-    return all(
-        product == build_full_eq(tag.params(p, q)) for tag in CaseTag
+    pq, p2, q2 = p * q, p * p, q * q
+    m = pq * pq
+    c0, c2, c4, c6, c8 = qpq_coefficients(p, q)
+    product = (-m * c0, c0 - m * c2, c2 - m * c4, c4 - m * c6, c6 - m * c8, c8 - m, 1)
+    # the CaseTag substitutions (a, b, u): BU_EQ_A2 and AU_EQ_B2
+    return (
+        product == full_eq_coefficients(pq, p2, q2)
+        and product == full_eq_coefficients(p2, pq, q2)
     )
 
 
@@ -231,13 +242,11 @@ class CuboidWitness:
     def septuple(self) -> tuple:
         return (self.x1, self.x2, self.x3, self.d1, self.d2, self.d3, self.L)
 
-    def primitive_gcd(self) -> int:
-        return math.gcd(*self.septuple())
-
     def reduced(self) -> tuple:
         """The gcd-reduced (primitive) septuple; reported, not required."""
-        g = self.primitive_gcd()
-        return tuple(v // g for v in self.septuple())
+        septuple = self.septuple()
+        g = math.gcd(*septuple)
+        return tuple(v // g for v in septuple)
 
     def to_json_dict(self) -> dict:
         return {

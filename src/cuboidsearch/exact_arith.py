@@ -96,10 +96,6 @@ class QuadRational:
             raise ValueError("value has a nonzero sqrt(2) part")
         return self.a
 
-    def approx(self, digits: int = 50) -> Fraction:
-        """Rational approximation, for display and oracles only."""
-        return self.a + self.b * sqrt2_approx(digits)
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)

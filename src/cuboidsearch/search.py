@@ -60,7 +60,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .cuboid_eqs import (
     CaseTag,
     CuboidWitness,
-    PQPair,
     qpq_coefficients,
     reconstruct_cuboid,
 )
@@ -262,19 +261,10 @@ def clipped_products(
     return out
 
 
-def pairs_for_p(p: int) -> List[PQPair]:
-    """All admissible q for a fixed p: 1 <= q <= 59p - 1, q != p, coprime.
-    The specification of the covered pair set; the search walks only the
-    part of it below the q cap, where a t range can be nonempty."""
-    return [
-        PQPair(p, q)
-        for q in range(1, 59 * p)
-        if q != p and math.gcd(p, q) == 1
-    ]
-
-
 def pair_count(p: int) -> int:
-    """len(pairs_for_p(p)) in closed form: 59 phi(p), or 57 for p = 1."""
+    """The number of admissible pairs for p, in closed form: q runs over
+    1 <= q <= 59p - 1 with q != p and q coprime to p, so there are
+    59 phi(p) of them, or 57 for p = 1."""
     if p == 1:
         return 57
     phi = p

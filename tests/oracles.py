@@ -6,19 +6,52 @@ walk and `valuation_candidates` built from trial-divided prime powers), the
 full scan of every t in range, the divisors of p^10 q^10 in range, and the
 residue sieves that pruned either.  Beside them stand the certificate's
 earlier arithmetic: Horner evaluation over Fraction and over the sqrt(2)
-field, and the Sturm sequence built from Fraction remainders.  They are
-slow, which is why the production path replaced them, and simple, which is
-why they stay as oracles.
+field, and the Sturm sequence built from Fraction remainders.  Then the
+audit path's earlier forms: the degree-12 identity checked as an IntPoly
+product against the literal expansion of the degree-12 equation, and the
+decimal display computed through Fraction.  Last come names that only the
+tests use: the expanded-grid build of Q, the covered pair set, the hull
+dominance check, interval bisection and interval width and midpoint.  They
+are slow, which is why the production path replaced them, and simple, which
+is why they stay as oracles.
 """
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import FrozenSet, List, Sequence
 
-from cuboidsearch.cuboid_eqs import CaseTag, PQPair, build_qpq, reconstruct_cuboid
-from cuboidsearch.exact_arith import IntPoly, QuadRational, QUAD_ZERO
+from cuboidsearch.asymptotics import AsymptoticInterval, NewtonPolygon
+from cuboidsearch.cli import APPROX_DIGITS
+from cuboidsearch.cuboid_eqs import (
+    QPQ_TERMS,
+    CaseTag,
+    FullEqParams,
+    PQPair,
+    build_qpq,
+    reconstruct_cuboid,
+)
+from cuboidsearch.exact_arith import (
+    IntPoly,
+    QuadRational,
+    QUAD_ZERO,
+    quad_sign,
+    sign_at_quad,
+    sqrt2_approx,
+)
 from cuboidsearch.search import SearchConfig, _prime_factors, t_bounds
+
+
+def pairs_for_p(p: int) -> List[PQPair]:
+    """All admissible q for a fixed p: 1 <= q <= 59p - 1, q != p, coprime.
+    The specification of the covered pair set; the search walks only the
+    part of it below the q cap, where a t range can be nonempty."""
+    return [
+        PQPair(p, q)
+        for q in range(1, 59 * p)
+        if q != p and math.gcd(p, q) == 1
+    ]
 
 
 def q_cap(p: int, faithful: bool = False) -> int:
@@ -230,3 +263,92 @@ def oracle_hits(pair: PQPair, mode: str, sieve_moduli=SIEVE_MODULI,
         for tag in CaseTag:
             hits.append(reconstruct_cuboid(p, q, t, tag))
     return tuple(hits)
+
+
+def build_qpq_from_grid(pair: PQPair) -> IntPoly:
+    """Q for the pair, summed directly from the expanded term grid."""
+    p, q = pair.p, pair.q
+    coeffs = [0] * 11
+    for m, terms in QPQ_TERMS.items():
+        coeffs[m] = sum(c * p**i * q**j for i, j, c in terms)
+    return IntPoly.of(coeffs)
+
+
+def literal_full_eq(params: FullEqParams) -> IntPoly:
+    """The degree-12 equation for (a, b, u), term by term as expanded in
+    a, b and u separately."""
+    a2, b2, u2 = params.a**2, params.b**2, params.u**2
+    a4, b4, u4 = a2 * a2, b2 * b2, u2 * u2
+    c10 = 6 * u2 - 2 * a2 - 2 * b2
+    c8 = u4 + b4 + a4 + 4 * a2 * u2 + 4 * b2 * u2 - 12 * b2 * a2
+    c6 = (
+        6 * a4 * u2 + 6 * u2 * b4 - 8 * a2 * b2 * u2
+        - 2 * u4 * a2 - 2 * u4 * b2 - 2 * a4 * b2 - 2 * b4 * a2
+    )
+    c4 = 4 * u2 * b4 * a2 + 4 * a4 * u2 * b2 - 12 * u4 * a2 * b2 + u4 * a4 + u4 * b4 + a4 * b4
+    c2 = 6 * a4 * u2 * b4 - 2 * u4 * a4 * b2 - 2 * u4 * a2 * b4
+    c0 = u4 * a4 * b4
+    return IntPoly.of([c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, c10, 0, 1])
+
+
+def intpoly_factorization_check(pair: PQPair) -> bool:
+    """(t - pq)(t + pq) Q(t) as an IntPoly product, compared with the
+    literal degree-12 equation under both CaseTag substitutions."""
+    p, q = pair.p, pair.q
+    product = IntPoly.of([-((p * q) ** 2), 0, 1]) * build_qpq(pair)
+    return all(
+        product == literal_full_eq(tag.params(p, q)) for tag in CaseTag
+    )
+
+
+def fraction_approx_str(x: QuadRational) -> str:
+    """The decimal display through Fraction: a + b * sqrt2_approx(50),
+    normalised, then one division to 30 significant digits."""
+    frac = x.a + x.b * sqrt2_approx(50)
+    value = Context(prec=APPROX_DIGITS).divide(
+        Decimal(frac.numerator), Decimal(frac.denominator)
+    )
+    return f"approx {value}"
+
+
+def node_dominance_holds(polygon: NewtonPolygon) -> bool:
+    """Every node lies on or below the upper hull (checked segment-wise)."""
+    for (m1, r1), (m2, r2) in zip(polygon.upper_hull, polygon.upper_hull[1:]):
+        for n in polygon.nodes:
+            if m1 <= n.m <= m2:
+                # r <= r1 + k (m - m1), cleared of denominators
+                if (n.r - r1) * (m2 - m1) > (n.m - m1) * (r2 - r1):
+                    return False
+    return True
+
+
+def interval_width(iv: AsymptoticInterval) -> QuadRational:
+    return iv.hi - iv.lo
+
+
+def interval_midpoint(iv: AsymptoticInterval) -> QuadRational:
+    return (iv.lo + iv.hi) / 2
+
+
+def refine_interval(
+    poly: IntPoly,
+    lo: QuadRational,
+    hi: QuadRational,
+    rel_width: Fraction,
+) -> QuadRational:
+    """Bisect a certified sign-change interval until its width falls below
+    rel_width times the midpoint; returns the midpoint.  `poly` must already
+    be the axis-appropriate real polynomial."""
+    s_lo = sign_at_quad(poly, lo)
+    if s_lo == 0:
+        return lo
+    while quad_sign((hi - lo) - rel_width * ((lo + hi) / 2)) > 0:
+        mid = (lo + hi) / 2
+        s_mid = sign_at_quad(poly, mid)
+        if s_mid == 0:
+            return mid
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2

@@ -20,7 +20,6 @@ from cuboidsearch.asymptotics import (
     imaginary_axis_poly,
     integer_point_report,
     leading_coefficients,
-    refine_interval,
     upper_hull,
 )
 from cuboidsearch.cli import GOLDEN_HULL, GOLDEN_EXPONENTS, _golden_leading_terms
@@ -31,14 +30,13 @@ from cuboidsearch.cuboid_eqs import (
     factorization_check,
     param_ratios,
 )
-from cuboidsearch.exact_arith import QuadRational, sturm_count
+from cuboidsearch.exact_arith import QuadRational, sqrt2_approx, sturm_count
 from cuboidsearch import search
 from cuboidsearch.search import (
     SearchConfig,
-    pairs_for_p,
     run_search,
 )
-from oracles import oracle_hits, scan_pair
+from oracles import oracle_hits, pairs_for_p, refine_interval, scan_pair
 
 
 def _sample_pairs():
@@ -181,7 +179,8 @@ def test_criterion_8_root_product():
             poly = qpoly if iv.axis is Axis.REAL else ipoly
             product = product * refine_interval(poly, iv.lo, iv.hi, rel_width)
         expected = Fraction(p**5 * q**5)
-        rel_err = abs(product.approx(digits=50) - expected) / expected
+        approx = product.a + product.b * sqrt2_approx(50)
+        rel_err = abs(approx - expected) / expected
         assert rel_err < tolerance
     print(
         f"criterion 8 (five-root product = p^5 q^5 within 1e-9, "

@@ -1,10 +1,16 @@
 import json
+import math
+import random
 from decimal import getcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cuboidsearch import asymptotics, cli, exact_arith
+from cuboidsearch.cuboid_eqs import PQPair
+from cuboidsearch.exact_arith import QuadRational
+from oracles import fraction_approx_str
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -182,6 +188,34 @@ class TestRootsCommand:
         assert len(built) == 1
 
 
+class TestApproxStr:
+    def test_matches_fraction_oracle_on_endpoints(self):
+        # every endpoint of 200 seeded pairs in the benchmark's audit range
+        rng = random.Random(1202)
+        checked = 0
+        while checked < 200:
+            p = rng.randint(1, 50)
+            q = rng.randint(59 * p, 118 * p)
+            if math.gcd(p, q) != 1:
+                continue
+            for iv in asymptotics.asymptotic_intervals(PQPair(p, q)):
+                for x in (iv.lo, iv.hi):
+                    assert cli.approx_str(x) == fraction_approx_str(x)
+            checked += 1
+
+    @pytest.mark.parametrize("a, b, text", [
+        (0, 0, "approx 0"),
+        (169, 0, "approx 169"),
+        (Fraction(-31603, 200), 0, "approx -158.015"),
+        (3, -2, "approx 0.171572875253809902396622551581"),
+        (0, 1, "approx 1.41421356237309504880168872421"),
+        (0, Fraction(-7, 3), "approx -3.29983164553722178053727368982"),
+    ])
+    def test_hand_cases(self, a, b, text):
+        x = QuadRational.of(a, b)
+        assert cli.approx_str(x) == fraction_approx_str(x) == text
+
+
 class TestNewtonCommand:
     def test_golden(self, capsys):
         code, out, _ = run_cli(capsys, "newton")
@@ -235,6 +269,20 @@ class TestIdentityCheckCommand:
         code, out, _ = run_cli(capsys, "identity-check", "--max-pq", "5")
         assert code == cli.EXIT_CHECK_FAILED
         assert "(p=2, q=3)" in out
+
+    def test_altered_qpq_coefficient_fails(self, capsys, monkeypatch):
+        from cuboidsearch import cuboid_eqs
+
+        real = cuboid_eqs.qpq_coefficients
+
+        def altered(p, q):
+            c0, c2, c4, c6, c8 = real(p, q)
+            return c0, c2, c4 + 1, c6, c8
+
+        monkeypatch.setattr(cuboid_eqs, "qpq_coefficients", altered)
+        code, out, _ = run_cli(capsys, "identity-check", "--max-pq", "5")
+        assert code == cli.EXIT_CHECK_FAILED
+        assert "(p=1, q=2)" in out
 
 
 class TestParser:

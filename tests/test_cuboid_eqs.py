@@ -1,23 +1,30 @@
+import math
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cuboidsearch import cuboid_eqs
 from cuboidsearch.cuboid_eqs import (
     QPQ_TERMS,
     CaseTag,
     DegenerateDenominator,
+    FullEqParams,
     NotARoot,
     PQPair,
     build_full_eq,
     build_qpq,
-    build_qpq_from_grid,
     compute_z,
     cuboid_predicate,
     factorization_check,
+    full_eq_coefficients,
     param_ratios,
     reconstruct_cuboid,
 )
+from oracles import build_qpq_from_grid, intpoly_factorization_check, literal_full_eq
 
 
 class TestPQPair:
@@ -75,29 +82,72 @@ class TestBuildQpq:
 
 class TestFullEq:
     def test_monic_even_degree_twelve(self):
-        from cuboidsearch.cuboid_eqs import FullEqParams
-
         P = build_full_eq(FullEqParams(2, 3, 5))
         assert P.degree == 12
         assert P.coeffs[12] == 1
         assert P.is_even()
 
     def test_constant_term(self):
-        from cuboidsearch.cuboid_eqs import FullEqParams
-
         assert build_full_eq(FullEqParams(2, 1, 4)).coeffs[0] == (2 * 1 * 4) ** 4
 
     def test_unit_parameters(self):
-        from cuboidsearch.cuboid_eqs import FullEqParams
-
         P = build_full_eq(FullEqParams(1, 1, 1))
         assert P.coeffs == (1, 0, 2, 0, -1, 0, -4, 0, -1, 0, 2, 0, 1)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+        st.booleans(),
+    )
+    def test_coefficients_match_literal_expansion(self, a, b, u, equal):
+        if equal:
+            b = a
+        coeffs = full_eq_coefficients(a, b, u)
+        literal = literal_full_eq(FullEqParams(a, b, u))
+        assert coeffs == literal.coeffs[::2]
+        assert build_full_eq(FullEqParams(a, b, u)) == literal
+        # a and b enter only through a^2 + b^2 and a^2 b^2
+        assert full_eq_coefficients(b, a, u) == coeffs
+
+    def test_case_substitutions_give_one_polynomial(self):
+        for p, q in ((1, 2), (2, 3), (3, 178), (41, 60)):
+            polys = {full_eq_coefficients(*astuple(tag.params(p, q))) for tag in CaseTag}
+            assert len(polys) == 1
 
 
 class TestFactorization:
     def test_small_pairs(self):
         for p, q in ((1, 2), (2, 3), (1, 59), (3, 178)):
             assert factorization_check(PQPair(p, q))
+
+    def test_equals_intpoly_oracle(self):
+        pairs = [
+            PQPair(p, q)
+            for q in range(2, 61) for p in range(1, q) if math.gcd(p, q) == 1
+        ]
+        assert len(pairs) == 1101
+        rng = random.Random(707)
+        while len(pairs) < 1101 + 200:
+            p, q = rng.randint(1, 10**4), rng.randint(1, 10**4)
+            if p != q and math.gcd(p, q) == 1:
+                pairs.append(PQPair(p, q))
+        for pair in pairs:
+            assert factorization_check(pair) is intpoly_factorization_check(pair) is True
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_altered_coefficient_detected(self, monkeypatch, index):
+        real = cuboid_eqs.qpq_coefficients
+
+        def altered(p, q):
+            coeffs = list(real(p, q))
+            coeffs[index] += 1
+            return tuple(coeffs)
+
+        monkeypatch.setattr(cuboid_eqs, "qpq_coefficients", altered)
+        assert not factorization_check(PQPair(1, 2))
+        assert not intpoly_factorization_check(PQPair(1, 2))
 
     def test_both_cases_used(self):
         p, q = 2, 5

@@ -14,7 +14,6 @@ from cuboidsearch.search import (
     clipped_products,
     factor_list,
     pair_count,
-    pairs_for_p,
     run_search,
     t_bounds,
     use_pool,
@@ -26,6 +25,7 @@ from oracles import (
     oracle_candidates,
     oracle_hits,
     oracle_roots,
+    pairs_for_p,
     q_cap,
     scan_pair,
     valuation_candidates,
