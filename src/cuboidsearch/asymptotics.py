@@ -6,8 +6,9 @@ For q >= 59 p the five roots in the upper half plane (three real, two purely
 imaginary) lie in five explicit disjoint open intervals with endpoints in
 the rationals or in the sqrt(2) field; each interval is certified to hold
 exactly one root by exact endpoint sign evaluation (plus a Sturm count on
-the real axis), and the real intervals are shown to contain no integer
-satisfying the search inequalities.
+the real axis), done on the degree-5 R with Q(t) = R(t^2), and the real
+intervals are shown to contain no integer satisfying the search
+inequalities.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from .exact_arith import (
     quad_sign,
     quad_sqrt,
     rational_sqrt,
-    sign_at,
-    sign_at_quad,
-    sturm_count,
+    sign_at_sqrt2,
+    sign_variations,
+    sign_vector,
     sturm_sequence,
 )
-from .cuboid_eqs import PQPair, QPQ_TERMS, build_qpq
+from .cuboid_eqs import PQPair, QPQ_TERMS, build_rpq
 
 
 class PreconditionViolated(ValueError):
@@ -314,19 +315,6 @@ def check_disjoint(intervals: List[AsymptoticInterval]) -> DisjointnessReport:
     )
 
 
-def imaginary_axis_poly(P: IntPoly) -> IntPoly:
-    """P restricted to the imaginary axis: for even P, the real polynomial
-    whose value at y equals P(i*y).  Maps the t^(2k) coefficient to
-    (-1)^k y^(2k)."""
-    if not P.is_even():
-        raise ValueError("imaginary-axis restriction needs an even polynomial")
-    coeffs = list(P.coeffs)
-    for k in range(0, len(coeffs), 2):
-        if (k // 2) % 2 == 1:
-            coeffs[k] = -coeffs[k]
-    return IntPoly.of(coeffs)
-
-
 @dataclass(frozen=True)
 class RootCertificate:
     label: IntervalLabel
@@ -337,6 +325,12 @@ class RootCertificate:
     passed: bool
 
 
+def _sign_on_imaginary_axis(rpoly: IntPoly, y: QuadRational) -> int:
+    """Sign of Q(iy) = R(-y^2), with y squared in integers."""
+    A, B, D = y.over_common_denominator()
+    return sign_at_sqrt2(rpoly, -(A * A + 2 * B * B), -2 * A * B, D * D)
+
+
 def certify_roots(
     pair: PQPair,
     intervals: Optional[List[AsymptoticInterval]] = None,
@@ -344,29 +338,50 @@ def certify_roots(
 ) -> List[RootCertificate]:
     """Certify one root per interval by exact endpoint signs.
 
-    Real intervals additionally get a Sturm count of exactly 1, all three
-    from one Sturm sequence of Q.  Imaginary intervals use the
-    imaginary-axis restriction, whose values at the sqrt(2)-field endpoints
-    have exactly decidable sign.  `intervals` and `sturm` are the pair's
-    asymptotic_intervals and the sturm_sequence of its Q, for a caller that
-    has built them already.  Raises CertificationFailed naming the interval
-    and check if anything fails.
+    Every check runs on the degree-5 R with Q(t) = R(t^2) (build_rpq).
+    t -> t^2 is strictly increasing on t >= 0, so for a real interval
+    (lo, hi) with lo >= 0, Q has the signs of R at lo^2 and hi^2 and as
+    many roots in (lo, hi) as R has in (lo^2, hi^2); a real interval with
+    lo < 0 is refused.  Real intervals additionally get a Sturm count of
+    exactly 1, all three from one Sturm sequence of R, whose sign vector is
+    evaluated once per distinct squared endpoint (T1.hi = T2.lo = p^2).  On
+    the imaginary axis Q(iy) = R(-y^2), and for y = (A + B sqrt(2))/D,
+    -y^2 = (-(A^2 + 2B^2) - 2AB sqrt(2))/D^2 has an exactly decidable sign.
+    `intervals` and `sturm` are the pair's asymptotic_intervals and the
+    sturm_sequence of its R, for a caller that has built them already.
+    Raises CertificationFailed naming the interval and check if anything
+    fails.
     """
     if intervals is None:
         intervals = asymptotic_intervals(pair)
     if sturm is None:
-        sturm = sturm_sequence(build_qpq(pair))
-    qpoly = sturm[0]  # Q's primitive part: Q itself, which is monic
-    ipoly = imaginary_axis_poly(qpoly)
+        sturm = sturm_sequence(build_rpq(pair))
+    rpoly = sturm[0]  # R's primitive part: R itself, which is monic
+    if rpoly.degree != 5:
+        raise ValueError("sturm must be the Sturm sequence of the degree-5 R")
+    vectors = {}  # (numerator, denominator) of a real endpoint -> sign vector
+
+    def signs_at_square(x: Fraction) -> list:
+        key = (x.numerator, x.denominator)
+        signs = vectors.get(key)
+        if signs is None:
+            n, d = key
+            signs = vectors[key] = sign_vector(sturm, n * n, d * d)
+        return signs
+
     certs = []
     failures = []
     for iv in intervals:
         if iv.axis is Axis.REAL:
             lo, hi = iv.lo.to_fraction(), iv.hi.to_fraction()
-            s_lo, s_hi = sign_at(qpoly, lo), sign_at(qpoly, hi)
+            if lo < 0:
+                failures.append(f"{iv.label.value}: lo = {lo} < 0")
+                continue
+            v_lo, v_hi = signs_at_square(lo), signs_at_square(hi)
+            s_lo, s_hi = v_lo[0], v_hi[0]
             count = None
             if s_lo != 0 and s_hi != 0:
-                count = sturm_count(qpoly, lo, hi, sturm)
+                count = sign_variations(v_lo) - sign_variations(v_hi)
             passed = s_lo * s_hi == -1 and count == 1
             if not passed:
                 failures.append(
@@ -374,8 +389,8 @@ def certify_roots(
                 )
             certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, count, passed))
         else:
-            s_lo = sign_at_quad(ipoly, iv.lo)
-            s_hi = sign_at_quad(ipoly, iv.hi)
+            s_lo = _sign_on_imaginary_axis(rpoly, iv.lo)
+            s_hi = _sign_on_imaginary_axis(rpoly, iv.hi)
             passed = s_lo * s_hi == -1
             if not passed:
                 failures.append(f"{iv.label.value}: sign({s_lo},{s_hi})")

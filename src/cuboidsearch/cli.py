@@ -140,8 +140,8 @@ def cmd_roots(args) -> int:
         )
         return EXIT_BAD_FLAGS
     intervals = asymptotics.asymptotic_intervals(pair)
-    qpoly = cuboid_eqs.build_qpq(pair)
-    seq = sturm_sequence(qpoly)
+    rpoly = cuboid_eqs.build_rpq(pair)
+    seq = sturm_sequence(rpoly)
     disjoint = asymptotics.check_disjoint(intervals)
     print(f"Root intervals for p={pair.p}, q={pair.q}:")
     for iv in intervals:
@@ -161,11 +161,12 @@ def cmd_roots(args) -> int:
         print(
             f"  {cert.label.value}: PASS (signs {cert.sign_lo}/{cert.sign_hi}{extra})"
         )
-    t3_hi = intervals[2].hi.to_fraction()
-    bound = Fraction(math.ceil(t3_hi) + 1)
-    pos = sturm_count(qpoly, Fraction(0), bound, seq)
-    total = sturm_count(qpoly, -bound, bound, seq)
-    print(f"real roots in (0, {bound}): {pos}; in (-{bound}, {bound}): {total}")
+    bound = math.ceil(intervals[2].hi.to_fraction()) + 1
+    # Q(t) = R(t^2) maps (0, B) onto (0, B^2) one to one.  Q is even and
+    # Q(0) = -p^10 q^10 != 0, so its real roots in (-B, B) are those in
+    # (0, B) and their negatives: twice as many.
+    pos = sturm_count(rpoly, 0, bound * bound, seq)
+    print(f"real roots in (0, {bound}): {pos}; in (-{bound}, {bound}): {2 * pos}")
     return EXIT_OK if disjoint.ok else EXIT_CHECK_FAILED
 
 
@@ -253,7 +254,8 @@ def cmd_identity_check(args) -> int:
             if math.gcd(p, q) != 1:
                 continue
             checked += 1
-            if not cuboid_eqs.factorization_check(PQPair(p, q)):
+            # 1 <= p < q and coprime: the pair is valid as it stands
+            if not cuboid_eqs.factorization_check(PQPair.prevalidated(p, q)):
                 print(f"FAIL: factorization identity broken at (p={p}, q={q})")
                 return EXIT_CHECK_FAILED
     print(f"identity holds for all {checked} coprime pairs with p < q <= {args.max_pq}")

@@ -51,6 +51,15 @@ class PQPair:
         if math.gcd(self.p, self.q) != 1:
             raise ValueError("p and q must be coprime")
 
+    @classmethod
+    def prevalidated(cls, p: int, q: int) -> "PQPair":
+        """The pair for p and q that the caller has already checked to be
+        positive, distinct and coprime, built without checking them again."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "p", p)
+        object.__setattr__(pair, "q", q)
+        return pair
+
 
 @dataclass(frozen=True)
 class FullEqParams:
@@ -120,6 +129,12 @@ def build_qpq(pair: PQPair) -> IntPoly:
     return IntPoly.of([c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, 1])
 
 
+def build_rpq(pair: PQPair) -> IntPoly:
+    """The monic degree-5 polynomial R with Q(t) = R(t^2) for the pair:
+    R(u) = u^5 + c8 u^4 + c6 u^3 + c4 u^2 + c2 u + c0."""
+    return IntPoly.of(qpq_coefficients(pair.p, pair.q) + (1,))
+
+
 def full_eq_coefficients(a: int, b: int, u: int) -> Tuple[int, ...]:
     """Coefficients (e0, e2, ..., e12) of the even, monic, degree-12
     equation for parameters (a, b, u).
@@ -154,18 +169,18 @@ def factorization_check(pair: PQPair) -> bool:
     degree-12 equation under both parameter substitutions, coefficient-wise.
 
     With m = p^2 q^2 the product's even coefficients are, in closed form,
-    (-m c0, c0 - m c2, c2 - m c4, c4 - m c6, c6 - m c8, c8 - m, 1).
+    (-m c0, c0 - m c2, c2 - m c4, c4 - m c6, c6 - m c8, c8 - m, 1).  The
+    substitutions (a, b, u) = (pq, p^2, q^2) and (p^2, pq, q^2) differ only
+    by swapping a and b, and full_eq_coefficients depends on a and b only
+    through a^2 + b^2 and a^2 b^2, so both give one tuple and one
+    comparison checks both.
     """
     p, q = pair.p, pair.q
-    pq, p2, q2 = p * q, p * p, q * q
+    pq, q2 = p * q, q * q
     m = pq * pq
     c0, c2, c4, c6, c8 = qpq_coefficients(p, q)
     product = (-m * c0, c0 - m * c2, c2 - m * c4, c4 - m * c6, c6 - m * c8, c8 - m, 1)
-    # the CaseTag substitutions (a, b, u): BU_EQ_A2 and AU_EQ_B2
-    return (
-        product == full_eq_coefficients(pq, p2, q2)
-        and product == full_eq_coefficients(p2, pq, q2)
-    )
+    return product == full_eq_coefficients(pq, p * p, q2)
 
 
 class RatioSet(NamedTuple):

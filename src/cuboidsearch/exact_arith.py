@@ -96,6 +96,13 @@ class QuadRational:
             raise ValueError("value has a nonzero sqrt(2) part")
         return self.a
 
+    def over_common_denominator(self) -> tuple:
+        """Integers (A, B, D) with D > 0 the least common denominator of a
+        and b, so that the number is (A + B*sqrt(2))/D."""
+        a, b = self.a, self.b
+        D = math.lcm(a.denominator, b.denominator)
+        return a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
+
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
@@ -109,16 +116,18 @@ QUAD_ZERO = QuadRational(Fraction(0), Fraction(0))
 
 
 def quad_sign(x: QuadRational) -> int:
-    """Exact sign of a + b*sqrt(2), by rational comparisons only.
+    """Exact sign of a + b*sqrt(2), by integer comparisons only.
 
-    Compares a^2 against 2 b^2 with a case split on the signs of a and b;
-    sqrt(2) is never approximated.
+    Scaling by the positive product of the denominators leaves integers
+    A + B*sqrt(2) of the same sign.  Compares A^2 against 2 B^2 with a case
+    split on the signs of A and B; sqrt(2) is never approximated.
     """
-    return _sqrt2_sign(x.a, x.b)
+    a, b = x.a, x.b
+    return _sqrt2_sign(a.numerator * b.denominator, b.numerator * a.denominator)
 
 
-def _sqrt2_sign(a: RatLike, b: RatLike) -> int:
-    """quad_sign for a + b*sqrt(2) given as two integers or rationals."""
+def _sqrt2_sign(a: int, b: int) -> int:
+    """quad_sign for a + b*sqrt(2) given as two integers."""
     if b == 0:
         return (a > 0) - (a < 0)
     if a == 0:
@@ -239,32 +248,22 @@ class IntPoly:
 
 
 def sign_at(P: IntPoly, x: RatLike) -> int:
-    """Exact sign of P(x) for rational x = n/d, in integers only.
-
-    With d > 0 and k = deg P, P(n/d) has the sign of
-    d^k P(n/d) = sum c_i n^i d^(k-i), which one homogeneous Horner pass
-    computes without a single division.
-    """
-    n, d = x.numerator, x.denominator
-    acc = 0
-    d_pow = 1
-    for c in reversed(P.coeffs):
-        acc = acc * n + c * d_pow
-        d_pow *= d
-    return (acc > 0) - (acc < 0)
+    """Exact sign of P(x) for rational x, in integers only (sign_vector)."""
+    return sign_vector((P,), x.numerator, x.denominator)[0]
 
 
 def sign_at_quad(P: IntPoly, x: QuadRational) -> int:
-    """Exact sign of P(x) for x = (A + B*sqrt(2))/D in the sqrt(2) field.
+    """Exact sign of P(x) for x in the sqrt(2) field; see sign_at_sqrt2."""
+    return sign_at_sqrt2(P, *x.over_common_denominator())
 
-    With D > 0 the common denominator of x.a and x.b, the homogeneous
-    Horner pass of sign_at runs over integer pairs (u, v) standing for
-    u + v*sqrt(2); the sign of the final pair is decided as in quad_sign.
+
+def sign_at_sqrt2(P: IntPoly, A: int, B: int, D: int) -> int:
+    """Exact sign of P((A + B*sqrt(2))/D) for integers A, B and D > 0.
+
+    The homogeneous Horner pass of sign_vector runs over integer pairs (u, v)
+    standing for u + v*sqrt(2); the sign of the final pair is decided as in
+    quad_sign.
     """
-    a, b = x.a, x.b
-    D = math.lcm(a.denominator, b.denominator)
-    A = a.numerator * (D // a.denominator)
-    B = b.numerator * (D // b.denominator)
     u = v = 0
     d_pow = 1
     for c in reversed(P.coeffs):
@@ -333,9 +332,36 @@ def sturm_sequence(P: IntPoly) -> list:
     return seq
 
 
-def _sign_variations(seq: Sequence[IntPoly], x: Fraction) -> int:
-    signs = [s for s in (sign_at(poly, x) for poly in seq) if s]
-    return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+def sign_vector(seq: Sequence[IntPoly], n: int, d: int) -> list:
+    """Signs of every polynomial of `seq` at n/d, for integers n and d > 0.
+
+    With k = deg P, P(n/d) has the sign of d^k P(n/d) = sum c_i n^i d^(k-i),
+    which one homogeneous Horner pass computes without a single division.
+    The powers of d are built once, for the first polynomial, which has the
+    highest degree in a Sturm sequence, and shared by the rest.
+    """
+    d_pows = [1]
+    for _ in range(len(seq[0].coeffs) - 1):
+        d_pows.append(d_pows[-1] * d)
+    signs = []
+    for poly in seq:
+        acc = 0
+        for c, d_pow in zip(reversed(poly.coeffs), d_pows):
+            acc = acc * n + c * d_pow
+        signs.append((acc > 0) - (acc < 0))
+    return signs
+
+
+def sign_variations(signs: Sequence[int]) -> int:
+    """Sign changes along a sign vector, zeros skipped."""
+    changes = 0
+    last = 0
+    for s in signs:
+        if s:
+            if last and s != last:
+                changes += 1
+            last = s
+    return changes
 
 
 def sturm_count(
@@ -345,16 +371,19 @@ def sturm_count(
 
     Requires P(lo) != 0 and P(hi) != 0; an endpoint that is a root fails
     with EndpointIsRoot.  `seq` is P's sturm_sequence when the caller has
-    built it already, so that several intervals share one sequence.
+    built it already, so that several intervals share one sequence.  Its
+    first term is P's primitive part, a positive multiple of P, so the
+    first entry of an endpoint's sign vector is the sign of P there.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
     if P.is_zero():
         raise ValueError("zero polynomial")
     if not lo < hi:
         raise ValueError("need lo < hi")
-    for end in (lo, hi):
-        if sign_at(P, end) == 0:
-            raise EndpointIsRoot(f"P({end}) = 0")
     if seq is None:
         seq = sturm_sequence(P)
-    return _sign_variations(seq, lo) - _sign_variations(seq, hi)
+    v_lo = sign_vector(seq, lo.numerator, lo.denominator)
+    v_hi = sign_vector(seq, hi.numerator, hi.denominator)
+    for end, signs in ((lo, v_lo), (hi, v_hi)):
+        if signs[0] == 0:
+            raise EndpointIsRoot(f"P({end}) = 0")
+    return sign_variations(v_lo) - sign_variations(v_hi)

@@ -8,12 +8,13 @@ residue sieves that pruned either.  Beside them stand the certificate's
 earlier arithmetic: Horner evaluation over Fraction and over the sqrt(2)
 field, and the Sturm sequence built from Fraction remainders.  Then the
 audit path's earlier forms: the degree-12 identity checked as an IntPoly
-product against the literal expansion of the degree-12 equation, and the
-decimal display computed through Fraction.  Last come names that only the
-tests use: the expanded-grid build of Q, the covered pair set, the hull
-dominance check, interval bisection and interval width and midpoint.  They
-are slow, which is why the production path replaced them, and simple, which
-is why they stay as oracles.
+product against the literal expansion of the degree-12 equation, the
+decimal display computed through Fraction, and the root certificate
+computed on the degree-10 Q and its imaginary-axis restriction.  Last come
+names that only the tests use: the expanded-grid build of Q, the covered
+pair set, the hull dominance check, interval bisection and interval width
+and midpoint.  They are slow, which is why the production path replaced
+them, and simple, which is why they stay as oracles.
 """
 
 import math
@@ -22,7 +23,14 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import FrozenSet, List, Sequence
 
-from cuboidsearch.asymptotics import AsymptoticInterval, NewtonPolygon
+from cuboidsearch.asymptotics import (
+    AsymptoticInterval,
+    Axis,
+    CertificationFailed,
+    NewtonPolygon,
+    RootCertificate,
+    asymptotic_intervals,
+)
 from cuboidsearch.cli import APPROX_DIGITS
 from cuboidsearch.cuboid_eqs import (
     QPQ_TERMS,
@@ -37,8 +45,11 @@ from cuboidsearch.exact_arith import (
     QuadRational,
     QUAD_ZERO,
     quad_sign,
+    sign_at,
     sign_at_quad,
     sqrt2_approx,
+    sturm_count,
+    sturm_sequence,
 )
 from cuboidsearch.search import SearchConfig, _prime_factors, t_bounds
 
@@ -352,3 +363,55 @@ def refine_interval(
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def imaginary_axis_poly(P: IntPoly) -> IntPoly:
+    """P restricted to the imaginary axis: for even P, the real polynomial
+    whose value at y equals P(i*y).  Maps the t^(2k) coefficient to
+    (-1)^k y^(2k)."""
+    if not P.is_even():
+        raise ValueError("imaginary-axis restriction needs an even polynomial")
+    coeffs = list(P.coeffs)
+    for k in range(0, len(coeffs), 2):
+        if (k // 2) % 2 == 1:
+            coeffs[k] = -coeffs[k]
+    return IntPoly.of(coeffs)
+
+
+def q_certify_roots(pair: PQPair, intervals=None) -> List[RootCertificate]:
+    """The root certificate computed on the degree-10 Q itself: endpoint
+    signs of Q on the real axis, a Sturm count from one Sturm sequence of
+    Q, and signs of the imaginary-axis restriction of Q for T4 and T5.
+    Raises CertificationFailed in the same words as certify_roots."""
+    if intervals is None:
+        intervals = asymptotic_intervals(pair)
+    qpoly = build_qpq(pair)
+    sturm = sturm_sequence(qpoly)
+    ipoly = imaginary_axis_poly(qpoly)
+    certs = []
+    failures = []
+    for iv in intervals:
+        if iv.axis is Axis.REAL:
+            lo, hi = iv.lo.to_fraction(), iv.hi.to_fraction()
+            s_lo, s_hi = sign_at(qpoly, lo), sign_at(qpoly, hi)
+            count = None
+            if s_lo != 0 and s_hi != 0:
+                count = sturm_count(qpoly, lo, hi, sturm)
+            passed = s_lo * s_hi == -1 and count == 1
+            if not passed:
+                failures.append(
+                    f"{iv.label.value}: sign({s_lo},{s_hi}), sturm={count}"
+                )
+            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, count, passed))
+        else:
+            s_lo = sign_at_quad(ipoly, iv.lo)
+            s_hi = sign_at_quad(ipoly, iv.hi)
+            passed = s_lo * s_hi == -1
+            if not passed:
+                failures.append(f"{iv.label.value}: sign({s_lo},{s_hi})")
+            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, None, passed))
+    if failures:
+        raise CertificationFailed(
+            f"(p={pair.p}, q={pair.q}): " + "; ".join(failures)
+        )
+    return certs

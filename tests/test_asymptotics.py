@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from cuboidsearch.asymptotics import (
     AsymptoticInterval,
     Axis,
+    CertificationFailed,
     DegenerateHull,
     IntervalLabel,
     NewtonNode,
@@ -13,18 +16,19 @@ from cuboidsearch.asymptotics import (
     build_newton_grid,
     certify_roots,
     check_disjoint,
-    imaginary_axis_poly,
     integer_point_report,
     integers_in_open_interval,
     leading_coefficients,
     upper_hull,
 )
 from cuboidsearch.cuboid_eqs import PQPair, build_qpq
-from cuboidsearch.exact_arith import IntPoly, QuadRational, quad_sign
+from cuboidsearch.exact_arith import IntPoly, QuadRational, quad_sign, sturm_sequence
 from oracles import (
+    imaginary_axis_poly,
     interval_midpoint,
     interval_width,
     node_dominance_holds,
+    q_certify_roots,
     refine_interval,
 )
 
@@ -234,6 +238,72 @@ class TestCertificates:
         B = 10**6
         assert sturm_count(P, 0, B) == 3
         assert sturm_count(P, -B, B) == 6
+
+
+def _audit_range_pairs(count, seed):
+    """`count` seeded coprime pairs with p <= 50 and 59p <= q <= 118p."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        p = rng.randint(1, 50)
+        q = rng.randint(59 * p, 118 * p)
+        if math.gcd(p, q) == 1:
+            pairs.append(PQPair(p, q))
+    return pairs
+
+
+def _replaced(intervals, label, lo, hi):
+    return [
+        AsymptoticInterval(iv.label, iv.axis, lo, hi) if iv.label is label else iv
+        for iv in intervals
+    ]
+
+
+class TestCertificateOnR:
+    """certify_roots runs on R(u) with Q(t) = R(t^2); the oracle runs on Q."""
+
+    def test_equals_q_oracle(self):
+        # q = 59p is coprime to p only for p = 1; for p > 1 the smallest
+        # admissible q is 59p + 1
+        boundary = [PQPair(1, 59)] + [PQPair(p, 59 * p + 1) for p in range(2, 51)]
+        for pair in _audit_range_pairs(200, 808) + boundary:
+            intervals = asymptotic_intervals(pair)
+            certs = certify_roots(pair, intervals)
+            assert certs == q_certify_roots(pair, intervals)
+            assert all(c.passed for c in certs)
+
+    @pytest.mark.parametrize("p, q", [(1, 59), (7, 500), (13, 1000), (50, 5901)])
+    def test_shifted_intervals_fail_alike(self, p, q):
+        pair = PQPair(p, q)
+        ivs = asymptotic_intervals(pair)
+        t1, t2, t3, _, t5 = ivs
+        shifted = [
+            # T1 and T2 merged: both roots near p^2
+            (_replaced(ivs, IntervalLabel.T1, t1.lo, t2.hi), "T1: sign(-1,-1), sturm=2"),
+            # T3 moved up by its width, past its root
+            (_replaced(ivs, IntervalLabel.T3, t3.hi, t3.hi * 2 - t3.lo), "T3: sign(1,1), sturm=0"),
+            # T5 moved down, below its root
+            (_replaced(ivs, IntervalLabel.T5, t5.lo / 2, t5.lo), "T5: sign(-1,-1)"),
+        ]
+        for intervals, failure in shifted:
+            with pytest.raises(CertificationFailed) as on_r:
+                certify_roots(pair, intervals)
+            with pytest.raises(CertificationFailed) as on_q:
+                q_certify_roots(pair, intervals)
+            assert str(on_r.value) == str(on_q.value) == f"(p={p}, q={q}): {failure}"
+
+    def test_sequence_of_q_rejected(self):
+        pair = PQPair(1, 59)
+        with pytest.raises(ValueError, match="degree-5 R"):
+            certify_roots(pair, None, sturm_sequence(build_qpq(pair)))
+
+    def test_negative_real_lower_end_refused(self):
+        pair = PQPair(1, 59)
+        ivs = asymptotic_intervals(pair)
+        for lo in (QuadRational.of(-1), QuadRational.of(Fraction(-1, 3))):
+            bad = _replaced(ivs, IntervalLabel.T1, lo, ivs[0].hi)
+            with pytest.raises(CertificationFailed, match=r"T1: lo = -1(/3)? < 0"):
+                certify_roots(pair, bad)
 
 
 class TestIntegerPoints:

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from cuboidsearch import asymptotics, cli, exact_arith
-from cuboidsearch.cuboid_eqs import PQPair
-from cuboidsearch.exact_arith import QuadRational
+from cuboidsearch.cuboid_eqs import PQPair, build_qpq, build_rpq
+from cuboidsearch.exact_arith import QuadRational, sturm_count
 from oracles import fraction_approx_str
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -187,6 +187,40 @@ class TestRootsCommand:
         assert code == cli.EXIT_OK
         assert len(built) == 1
 
+    def test_the_one_sequence_is_of_r(self, capsys, monkeypatch):
+        built = []
+        original = exact_arith.sturm_sequence
+
+        def recording(P):
+            built.append(P)
+            return original(P)
+
+        monkeypatch.setattr(cli, "sturm_sequence", recording)
+        code, _, _ = run_cli(capsys, "roots", "--p", "7", "--q", "500")
+        assert code == cli.EXIT_OK
+        assert built == [build_rpq(PQPair(7, 500))]
+        assert built[0].degree == 5
+
+    def test_totals_equal_sturm_counts_on_q(self, capsys):
+        # the printed totals come from R on (0, B^2), doubled by evenness;
+        # here they are recounted on Q itself over (0, B) and (-B, B)
+        rng = random.Random(4242)
+        checked = 0
+        while checked < 50:
+            p = rng.randint(1, 50)
+            q = rng.randint(59 * p, 118 * p)
+            if math.gcd(p, q) != 1:
+                continue
+            code, out, _ = run_cli(capsys, "roots", "--p", str(p), "--q", str(q))
+            assert code == cli.EXIT_OK
+            line = next(l for l in out.splitlines() if l.startswith("real roots"))
+            t3_hi = asymptotics.asymptotic_intervals(PQPair(p, q))[2].hi.to_fraction()
+            B = math.ceil(t3_hi) + 1
+            qpoly = build_qpq(PQPair(p, q))
+            pos, total = sturm_count(qpoly, 0, B), sturm_count(qpoly, -B, B)
+            assert line == f"real roots in (0, {B}): {pos}; in (-{B}, {B}): {total}"
+            checked += 1
+
 
 class TestApproxStr:
     def test_matches_fraction_oracle_on_endpoints(self):
@@ -250,6 +284,11 @@ class TestIdentityCheckCommand:
         code, out, _ = run_cli(capsys, "identity-check", "--max-pq", "10")
         assert code == cli.EXIT_OK
         assert "identity holds for all 31 coprime pairs" in out
+
+    def test_audit_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "identity-check", "--max-pq", "120")
+        assert code == cli.EXIT_OK
+        assert out == "identity holds for all 4385 coprime pairs with p < q <= 120\n"
 
     def test_bad_bound(self, capsys):
         code, _, _ = run_cli(capsys, "identity-check", "--max-pq", "1")

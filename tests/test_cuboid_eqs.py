@@ -17,6 +17,7 @@ from cuboidsearch.cuboid_eqs import (
     PQPair,
     build_full_eq,
     build_qpq,
+    build_rpq,
     compute_z,
     cuboid_predicate,
     factorization_check,
@@ -42,6 +43,12 @@ class TestPQPair:
         with pytest.raises(ValueError):
             PQPair(3, 177)
 
+    def test_prevalidated_equals_checked(self):
+        for p, q in ((1, 2), (2, 3), (7, 500)):
+            pair = PQPair.prevalidated(p, q)
+            assert pair == PQPair(p, q)
+            assert hash(pair) == hash(PQPair(p, q))
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             PQPair(0, 5)
@@ -66,6 +73,14 @@ class TestBuildQpq:
     def test_constant_term(self):
         for p, q in ((1, 2), (3, 4), (5, 8)):
             assert build_qpq(PQPair(p, q)).coeffs[0] == -(p**10) * q**10
+
+    def test_r_of_t_squared(self):
+        for p, q in ((1, 2), (5, 7), (3, 178), (50, 5901)):
+            P, R = build_qpq(PQPair(p, q)), build_rpq(PQPair(p, q))
+            assert R.degree == 5
+            assert R.coeffs == P.coeffs[::2]
+            for t in (1, 3, p * q):
+                assert R.eval_int(t * t) == P.eval_int(t)
 
     def test_grid_cross_check(self):
         for p, q in ((1, 2), (2, 3), (3, 178), (7, 415)):

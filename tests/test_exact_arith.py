@@ -158,6 +158,21 @@ class TestSturm:
         with pytest.raises(EndpointIsRoot):
             sturm_count(P, -1, Fraction(-5, 7), seq)
 
+    def test_even_polynomial_rational_root_refused_with_shared_sequence(self):
+        # (4t^2 - 9)(t^2 + 1): the root 3/2 is planted in an even polynomial;
+        # the endpoint check reads the first entry of the shared sign vector
+        P = IntPoly.of([-9, 0, -5, 0, 4])
+        seq = sturm_sequence(P)
+        assert sturm_count(P, 0, 2, seq) == 1
+        assert sturm_count(P, -2, 2, seq) == 2
+        for lo, hi in ((Fraction(3, 2), 2), (-2, Fraction(-3, 2)), (0, Fraction(3, 2))):
+            with pytest.raises(EndpointIsRoot, match="3/2"):
+                sturm_count(P, lo, hi, seq)
+        # the same root as u = 9/4 of R(u) = (4u - 9)(u + 1), with Q(t) = R(t^2)
+        R = IntPoly.of([-9, -5, 4])
+        with pytest.raises(EndpointIsRoot, match="9/4"):
+            sturm_count(R, Fraction(9, 4), 4, sturm_sequence(R))
+
     def test_shared_sequence_gives_same_counts(self):
         P = build_qpq(PQPair(3, 178))
         seq = sturm_sequence(P)
@@ -281,7 +296,8 @@ class TestSignAt:
         assert sign_at_quad(P, QuadRational.of(Fraction(5, 2), 0)) == 1
 
     def test_quad_on_cuboid_intervals(self):
-        from cuboidsearch.asymptotics import asymptotic_intervals, imaginary_axis_poly
+        from cuboidsearch.asymptotics import asymptotic_intervals
+        from oracles import imaginary_axis_poly
 
         pair = PQPair(7, 500)
         ipoly = imaginary_axis_poly(build_qpq(pair))
