@@ -14,10 +14,9 @@ inequalities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact_arith import (
     IntPoly,
@@ -58,8 +57,7 @@ class IntervalLabel(Enum):
     T5 = "T5"
 
 
-@dataclass(frozen=True)
-class NewtonNode:
+class NewtonNode(NamedTuple):
     """Grid node (m, r) with its coefficient, a polynomial in p."""
 
     m: int
@@ -75,8 +73,7 @@ class NewtonNode:
         return c, i
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     nodes: tuple  # all NewtonNode, sorted by (m, r)
     upper_hull: tuple  # ordered (m, r) vertices, increasing m
     segment_slopes: tuple  # Fraction slope per hull segment
@@ -133,8 +130,7 @@ def upper_hull(nodes) -> NewtonPolygon:
     )
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
+class LeadingTerm(NamedTuple):
     """Leading factor of one root expansion: magnitude * p^p_power * q^exponent,
     on the real or imaginary axis."""
 
@@ -250,8 +246,7 @@ def leading_coefficients(polygon: NewtonPolygon, exponent: Fraction) -> List[Lea
     return terms
 
 
-@dataclass(frozen=True)
-class AsymptoticInterval:
+class AsymptoticInterval(NamedTuple):
     """Exact open interval certified to contain one root (or, for the
     imaginary axis, one root's imaginary part)."""
 
@@ -262,32 +257,44 @@ class AsymptoticInterval:
 
 
 def asymptotic_intervals(pair: PQPair) -> List[AsymptoticInterval]:
-    """The five exact root intervals, valid only for q >= 59 p."""
+    """The five exact root intervals, valid only for q >= 59 p.
+
+    Each endpoint is one Fraction built from a closed-form integer
+    numerator: T1 and T2 are p^2 -+ 5p^3/q, T3 is pq - 16p^3/q -+ 5p^4/q^2,
+    and T4 and T5 are their centres (q^2 - 2p^2) + (q^2 + p^2) sqrt(2) and
+    (2p^2 - q^2) + (q^2 + p^2) sqrt(2) -+ 5p^3/q.
+    """
     p, q = pair.p, pair.q
     if q < 59 * p:
         raise PreconditionViolated(f"need q >= 59p, got p={p}, q={q}")
-    p2 = Fraction(p * p)
-    q2 = Fraction(q * q)
-    half1 = Fraction(5 * p**3, q)
-    t3_center = Fraction(p * q) - Fraction(16 * p**3, q)
-    half3 = Fraction(5 * p**4, q * q)
-    r = QuadRational.of
-    t4_center = QuadRational(q2 - 2 * p2, q2 + p2)  # (sqrt2+1) q^2 + (sqrt2-2) p^2
-    t5_center = QuadRational(-q2 + 2 * p2, q2 + p2)  # (sqrt2-1) q^2 + (sqrt2+2) p^2
-    h = r(half1)
+    p2, q2 = p * p, q * q
+    h = 5 * p2 * p  # half-width 5p^3/q of T1, T2, T4 and T5, times q
+    h3 = h * p  # half-width 5p^4/q^2 of T3, times q^2
+    c3 = p * q * q2 - 16 * p2 * p * q  # centre of T3, times q^2
+    c4 = (q2 - 2 * p2) * q  # rational part of the T4 centre, times q; T5's is -c4
+    zero = Fraction(0)
+    s45 = Fraction(q2 + p2)  # sqrt(2) part of the T4 and T5 centres
+
+    def real(num: int, den: int) -> QuadRational:
+        return QuadRational(Fraction(num, den), zero)
+
+    square = real(p2, 1)
     return [
-        AsymptoticInterval(IntervalLabel.T1, Axis.REAL, r(p2 - half1), r(p2)),
-        AsymptoticInterval(IntervalLabel.T2, Axis.REAL, r(p2), r(p2 + half1)),
+        AsymptoticInterval(IntervalLabel.T1, Axis.REAL, real(p2 * q - h, q), square),
+        AsymptoticInterval(IntervalLabel.T2, Axis.REAL, square, real(p2 * q + h, q)),
+        AsymptoticInterval(IntervalLabel.T3, Axis.REAL, real(c3 - h3, q2), real(c3 + h3, q2)),
         AsymptoticInterval(
-            IntervalLabel.T3, Axis.REAL, r(t3_center - half3), r(t3_center + half3)
+            IntervalLabel.T4, Axis.IMAGINARY,
+            QuadRational(Fraction(c4 - h, q), s45), QuadRational(Fraction(c4 + h, q), s45),
         ),
-        AsymptoticInterval(IntervalLabel.T4, Axis.IMAGINARY, t4_center - h, t4_center + h),
-        AsymptoticInterval(IntervalLabel.T5, Axis.IMAGINARY, t5_center - h, t5_center + h),
+        AsymptoticInterval(
+            IntervalLabel.T5, Axis.IMAGINARY,
+            QuadRational(Fraction(-c4 - h, q), s45), QuadRational(Fraction(-c4 + h, q), s45),
+        ),
     ]
 
 
-@dataclass(frozen=True)
-class DisjointnessReport:
+class DisjointnessReport(NamedTuple):
     ok: bool
     real_gap: QuadRational  # T3.lo - T2.hi (must be > 0)
     adjacency_ok: bool  # T1.hi == T2.lo == p^2, open so disjoint
@@ -315,8 +322,7 @@ def check_disjoint(intervals: List[AsymptoticInterval]) -> DisjointnessReport:
     )
 
 
-@dataclass(frozen=True)
-class RootCertificate:
+class RootCertificate(NamedTuple):
     label: IntervalLabel
     axis: Axis
     sign_lo: int
@@ -408,8 +414,7 @@ def integers_in_open_interval(lo: Fraction, hi: Fraction) -> List[int]:
     return list(range(first, last + 1))
 
 
-@dataclass(frozen=True)
-class IntegerPointReport:
+class IntegerPointReport(NamedTuple):
     """Integer-point exclusion for the real intervals of one pair."""
 
     pair: PQPair

@@ -11,7 +11,6 @@ the reconstruction of an integer cuboid from a candidate root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Tuple
@@ -36,42 +35,49 @@ class VerificationFailed(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class PQPair:
-    """Coprime positive integers p != q selecting one polynomial instance."""
-
+# A NamedTuple class may not define __new__, so each record that checks its
+# values is a subclass of its fields' NamedTuple, with the checks in __new__.
+class _PQPairFields(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+
+class PQPair(_PQPairFields):
+    """Coprime positive integers p != q selecting one polynomial instance."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> "PQPair":
+        if p < 1 or q < 1:
             raise ValueError("p and q must be positive")
-        if self.p == self.q:
+        if p == q:
             raise ValueError("p and q must differ")
-        if math.gcd(self.p, self.q) != 1:
+        if math.gcd(p, q) != 1:
             raise ValueError("p and q must be coprime")
+        return tuple.__new__(cls, (p, q))
 
     @classmethod
     def prevalidated(cls, p: int, q: int) -> "PQPair":
         """The pair for p and q that the caller has already checked to be
         positive, distinct and coprime, built without checking them again."""
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "p", p)
-        object.__setattr__(pair, "q", q)
-        return pair
+        return tuple.__new__(cls, (p, q))
 
 
-@dataclass(frozen=True)
-class FullEqParams:
-    """Positive parameters (a, b, u) of the ambient degree-12 equation."""
-
+class _FullEqParamsFields(NamedTuple):
     a: int
     b: int
     u: int
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1 or self.u < 1:
+
+class FullEqParams(_FullEqParamsFields):
+    """Positive parameters (a, b, u) of the ambient degree-12 equation."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, u: int) -> "FullEqParams":
+        if a < 1 or b < 1 or u < 1:
             raise ValueError("a, b, u must be positive")
+        return tuple.__new__(cls, (a, b, u))
 
 
 class CaseTag(Enum):
@@ -237,8 +243,7 @@ def cuboid_predicate(p: int, q: int, t: int) -> bool:
     return build_qpq(pair).eval_int(t) == 0
 
 
-@dataclass(frozen=True)
-class CuboidWitness:
+class CuboidWitness(NamedTuple):
     """A verified integer cuboid reconstructed from a root candidate."""
 
     p: int

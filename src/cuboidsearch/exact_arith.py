@@ -13,9 +13,8 @@ for display and for oracle cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 RatLike = Union[int, Fraction]
 
@@ -42,12 +41,13 @@ def sqrt2_approx(digits: int = 50) -> Fraction:
     return Fraction(math.isqrt(2 * scale * scale), scale)
 
 
-@dataclass(frozen=True)
-class QuadRational:
+class QuadRational(NamedTuple):
     """The number a + b*sqrt(2) with rational a, b.
 
     The representation is unique because sqrt(2) is irrational, so equality
-    is field-wise and the dataclass __eq__ is exact.
+    is field-wise and the tuple __eq__ is exact.  The arithmetic operators
+    are the field's own; none falls through to tuple concatenation or
+    repetition.
     """
 
     a: Fraction
@@ -179,9 +179,11 @@ def quad_sqrt(x: QuadRational) -> Optional[QuadRational]:
     return None
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    """Univariate integer polynomial; coeffs[i] is the coefficient of t^i."""
+class IntPoly(NamedTuple):
+    """Univariate integer polynomial; coeffs[i] is the coefficient of t^i.
+
+    Arithmetic is between polynomials only: 2 * P and P * 2 are TypeErrors,
+    never tuple repetition."""
 
     coeffs: tuple
 
@@ -205,9 +207,6 @@ class IntPoly:
     def leading(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    def is_even(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1::2])
-
     def derivative(self) -> "IntPoly":
         return IntPoly.of(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
@@ -224,6 +223,8 @@ class IntPoly:
         return IntPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return IntPoly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -233,6 +234,9 @@ class IntPoly:
             for j, cj in enumerate(other.coeffs):
                 out[i + j] += ci * cj
         return IntPoly.of(out)
+
+    def __rmul__(self, other):
+        return NotImplemented
 
     def eval_int(self, x: int) -> int:
         acc = 0
@@ -245,16 +249,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % m
         return acc
-
-
-def sign_at(P: IntPoly, x: RatLike) -> int:
-    """Exact sign of P(x) for rational x, in integers only (sign_vector)."""
-    return sign_vector((P,), x.numerator, x.denominator)[0]
-
-
-def sign_at_quad(P: IntPoly, x: QuadRational) -> int:
-    """Exact sign of P(x) for x in the sqrt(2) field; see sign_at_sqrt2."""
-    return sign_at_sqrt2(P, *x.over_common_denominator())
 
 
 def sign_at_sqrt2(P: IntPoly, A: int, B: int, D: int) -> int:

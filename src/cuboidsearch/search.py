@@ -54,8 +54,7 @@ import math
 import os
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cuboid_eqs import (
     CaseTag,
@@ -87,20 +86,34 @@ class ResumeMismatch(RuntimeError):
     is damaged."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _SearchConfigFields(NamedTuple):
     p_min: int
     p_max: int
-    worker_count: int = 1
-    checkpoint_path: Optional[str] = None
-    output_path: str = "cuboids.jsonl"
-    faithful: bool = False  # the paper's literal t range (see t_bounds)
+    worker_count: int
+    checkpoint_path: Optional[str]
+    output_path: str
+    faithful: bool  # the paper's literal t range (see t_bounds)
 
-    def __post_init__(self):
-        if self.p_min < 1 or self.p_min > self.p_max:
+
+class SearchConfig(_SearchConfigFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        p_min: int,
+        p_max: int,
+        worker_count: int = 1,
+        checkpoint_path: Optional[str] = None,
+        output_path: str = "cuboids.jsonl",
+        faithful: bool = False,
+    ) -> "SearchConfig":
+        if p_min < 1 or p_min > p_max:
             raise ValueError("need 1 <= p_min <= p_max")
-        if self.worker_count < 1:
+        if worker_count < 1:
             raise ValueError("worker_count must be positive")
+        return tuple.__new__(
+            cls, (p_min, p_max, worker_count, checkpoint_path, output_path, faithful)
+        )
 
     def digest(self) -> str:
         """Digest of the search semantics: p range and bound choice.
@@ -120,8 +133,7 @@ def _read_lines(path: str) -> List[str]:
             raise ResumeMismatch(f"{path} is damaged: {exc.reason}") from None
 
 
-@dataclass(frozen=True)
-class SearchCheckpoint:
+class SearchCheckpoint(NamedTuple):
     version: int
     config_digest: str
     last_completed_p: int
@@ -178,13 +190,15 @@ class SearchCheckpoint:
             raise ResumeMismatch(f"checkpoint {path} is damaged: {exc}") from None
 
 
-@dataclass
 class SearchReport:
-    pairs_examined: int = 0
-    pairs_nonempty: int = 0
-    candidates_evaluated: int = 0
-    hits: List[CuboidWitness] = field(default_factory=list)
-    wall_time: float = 0.0
+    """Counters, hits and wall time of one run_search call."""
+
+    def __init__(self) -> None:
+        self.pairs_examined = 0
+        self.pairs_nonempty = 0
+        self.candidates_evaluated = 0
+        self.hits: List[CuboidWitness] = []
+        self.wall_time = 0.0
 
 
 def t_bounds(p: int, q: int, faithful: bool = False) -> Optional[Tuple[int, int]]:

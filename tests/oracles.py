@@ -9,12 +9,14 @@ earlier arithmetic: Horner evaluation over Fraction and over the sqrt(2)
 field, and the Sturm sequence built from Fraction remainders.  Then the
 audit path's earlier forms: the degree-12 identity checked as an IntPoly
 product against the literal expansion of the degree-12 equation, the
-decimal display computed through Fraction, and the root certificate
-computed on the degree-10 Q and its imaginary-axis restriction.  Last come
-names that only the tests use: the expanded-grid build of Q, the covered
-pair set, the hull dominance check, interval bisection and interval width
-and midpoint.  They are slow, which is why the production path replaced
-them, and simple, which is why they stay as oracles.
+decimal display computed through Fraction, the root certificate computed
+on the degree-10 Q and its imaginary-axis restriction, and the root
+intervals with endpoints built as Fraction sums.  They are slow, which is
+why the production path replaced them, and simple, which is why they stay
+as oracles.  Last come names that only the tests use: the expanded-grid
+build of Q, the covered pair set, the hull dominance check, interval
+bisection, interval width and midpoint, the evenness test, and the signs of
+one polynomial at a rational or sqrt(2)-field point.
 """
 
 import math
@@ -27,7 +29,9 @@ from cuboidsearch.asymptotics import (
     AsymptoticInterval,
     Axis,
     CertificationFailed,
+    IntervalLabel,
     NewtonPolygon,
+    PreconditionViolated,
     RootCertificate,
     asymptotic_intervals,
 )
@@ -44,9 +48,10 @@ from cuboidsearch.exact_arith import (
     IntPoly,
     QuadRational,
     QUAD_ZERO,
+    RatLike,
     quad_sign,
-    sign_at,
-    sign_at_quad,
+    sign_at_sqrt2,
+    sign_vector,
     sqrt2_approx,
     sturm_count,
     sturm_sequence,
@@ -122,6 +127,21 @@ def scan_pair(pair: PQPair, config: SearchConfig) -> PairScan:
         for tag in CaseTag:
             hits.append(reconstruct_cuboid(p, q, t, tag))
     return PairScan(True, len(candidates), tuple(hits))
+
+
+def is_even(P: IntPoly) -> bool:
+    """Whether P has only even powers of t."""
+    return all(c == 0 for c in P.coeffs[1::2])
+
+
+def sign_at(P: IntPoly, x: RatLike) -> int:
+    """Exact sign of P(x) for rational x, in integers only (sign_vector)."""
+    return sign_vector((P,), x.numerator, x.denominator)[0]
+
+
+def sign_at_quad(P: IntPoly, x: QuadRational) -> int:
+    """Exact sign of P(x) for x in the sqrt(2) field; see sign_at_sqrt2."""
+    return sign_at_sqrt2(P, *x.over_common_denominator())
 
 
 def eval_poly(P: IntPoly, x) -> Fraction:
@@ -369,13 +389,40 @@ def imaginary_axis_poly(P: IntPoly) -> IntPoly:
     """P restricted to the imaginary axis: for even P, the real polynomial
     whose value at y equals P(i*y).  Maps the t^(2k) coefficient to
     (-1)^k y^(2k)."""
-    if not P.is_even():
+    if not is_even(P):
         raise ValueError("imaginary-axis restriction needs an even polynomial")
     coeffs = list(P.coeffs)
     for k in range(0, len(coeffs), 2):
         if (k // 2) % 2 == 1:
             coeffs[k] = -coeffs[k]
     return IntPoly.of(coeffs)
+
+
+def asymptotic_intervals_by_sums(pair: PQPair) -> List[AsymptoticInterval]:
+    """The five root intervals with each endpoint a sum of Fraction centre
+    and half-width, as asymptotic_intervals built them before its closed
+    forms."""
+    p, q = pair.p, pair.q
+    if q < 59 * p:
+        raise PreconditionViolated(f"need q >= 59p, got p={p}, q={q}")
+    p2 = Fraction(p * p)
+    q2 = Fraction(q * q)
+    half1 = Fraction(5 * p**3, q)
+    t3_center = Fraction(p * q) - Fraction(16 * p**3, q)
+    half3 = Fraction(5 * p**4, q * q)
+    r = QuadRational.of
+    t4_center = QuadRational(q2 - 2 * p2, q2 + p2)  # (sqrt2+1) q^2 + (sqrt2-2) p^2
+    t5_center = QuadRational(-q2 + 2 * p2, q2 + p2)  # (sqrt2-1) q^2 + (sqrt2+2) p^2
+    h = r(half1)
+    return [
+        AsymptoticInterval(IntervalLabel.T1, Axis.REAL, r(p2 - half1), r(p2)),
+        AsymptoticInterval(IntervalLabel.T2, Axis.REAL, r(p2), r(p2 + half1)),
+        AsymptoticInterval(
+            IntervalLabel.T3, Axis.REAL, r(t3_center - half3), r(t3_center + half3)
+        ),
+        AsymptoticInterval(IntervalLabel.T4, Axis.IMAGINARY, t4_center - h, t4_center + h),
+        AsymptoticInterval(IntervalLabel.T5, Axis.IMAGINARY, t5_center - h, t5_center + h),
+    ]
 
 
 def q_certify_roots(pair: PQPair, intervals=None) -> List[RootCertificate]:

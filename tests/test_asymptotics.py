@@ -24,6 +24,7 @@ from cuboidsearch.asymptotics import (
 from cuboidsearch.cuboid_eqs import PQPair, build_qpq
 from cuboidsearch.exact_arith import IntPoly, QuadRational, quad_sign, sturm_sequence
 from oracles import (
+    asymptotic_intervals_by_sums,
     imaginary_axis_poly,
     interval_midpoint,
     interval_width,
@@ -146,6 +147,20 @@ class TestIntervals:
         with pytest.raises(PreconditionViolated):
             asymptotic_intervals(PQPair(1, 58))
         assert len(asymptotic_intervals(PQPair(1, 59))) == 5
+
+    def test_closed_forms_equal_fraction_sums(self):
+        rng = random.Random(909)
+        large = []  # p beyond the audit range, q up to 10^6 p
+        while len(large) < 100:
+            p = rng.randint(51, 10**4)
+            q = rng.randint(59 * p, 10**6 * p)
+            if math.gcd(p, q) == 1:
+                large.append(PQPair(p, q))
+        for pair in [PQPair(1, 59)] + _audit_range_pairs(200, 909) + large:
+            intervals = asymptotic_intervals(pair)
+            assert intervals == asymptotic_intervals_by_sums(pair)
+            for iv in intervals:
+                assert all(type(x) is Fraction for x in (iv.lo.a, iv.lo.b, iv.hi.a, iv.hi.b))
 
     def test_margin_invariants(self):
         # frozen lower bounds on positions and separations, scaled by p^2

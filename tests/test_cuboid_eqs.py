@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -25,7 +24,7 @@ from cuboidsearch.cuboid_eqs import (
     param_ratios,
     reconstruct_cuboid,
 )
-from oracles import build_qpq_from_grid, intpoly_factorization_check, literal_full_eq
+from oracles import build_qpq_from_grid, intpoly_factorization_check, is_even, literal_full_eq
 
 
 class TestPQPair:
@@ -46,6 +45,7 @@ class TestPQPair:
     def test_prevalidated_equals_checked(self):
         for p, q in ((1, 2), (2, 3), (7, 500)):
             pair = PQPair.prevalidated(p, q)
+            assert type(pair) is PQPair
             assert pair == PQPair(p, q)
             assert hash(pair) == hash(PQPair(p, q))
 
@@ -68,7 +68,7 @@ class TestBuildQpq:
         P = build_qpq(PQPair(5, 7))
         assert P.degree == 10
         assert P.coeffs[10] == 1
-        assert P.is_even()
+        assert is_even(P)
 
     def test_constant_term(self):
         for p, q in ((1, 2), (3, 4), (5, 8)):
@@ -100,7 +100,7 @@ class TestFullEq:
         P = build_full_eq(FullEqParams(2, 3, 5))
         assert P.degree == 12
         assert P.coeffs[12] == 1
-        assert P.is_even()
+        assert is_even(P)
 
     def test_constant_term(self):
         assert build_full_eq(FullEqParams(2, 1, 4)).coeffs[0] == (2 * 1 * 4) ** 4
@@ -128,7 +128,7 @@ class TestFullEq:
 
     def test_case_substitutions_give_one_polynomial(self):
         for p, q in ((1, 2), (2, 3), (3, 178), (41, 60)):
-            polys = {full_eq_coefficients(*astuple(tag.params(p, q))) for tag in CaseTag}
+            polys = {full_eq_coefficients(*tag.params(p, q)) for tag in CaseTag}
             assert len(polys) == 1
 
 

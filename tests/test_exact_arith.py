@@ -13,14 +13,19 @@ from cuboidsearch.exact_arith import (
     quad_sign,
     quad_sqrt,
     rational_sqrt,
-    sign_at,
-    sign_at_quad,
     sqrt2_approx,
     sturm_count,
     sturm_sequence,
 )
 from cuboidsearch.cuboid_eqs import PQPair, build_qpq
-from oracles import eval_poly, eval_poly_quad, fraction_sturm_sequence
+from oracles import (
+    eval_poly,
+    eval_poly_quad,
+    fraction_sturm_sequence,
+    is_even,
+    sign_at,
+    sign_at_quad,
+)
 
 
 def naive_eval(P: IntPoly, x: Fraction) -> Fraction:
@@ -313,4 +318,4 @@ class TestQpqEvenness:
             assert eval_poly(P, x) == eval_poly(P, -x)
 
     def test_odd_coefficients_zero(self):
-        assert build_qpq(PQPair(4, 9)).is_even()
+        assert is_even(build_qpq(PQPair(4, 9)))
