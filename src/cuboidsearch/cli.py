@@ -65,10 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p_search.add_argument("--checkpoint", default=None)
     p_search.add_argument("--out", required=True)
-    p_search.add_argument(
-        "--faithful", action="store_true",
-        help="use the literal t < 61 p^2 range instead of the exact bound (audit mode)",
-    )
 
     p_roots = sub.add_parser("roots", help="five certified root intervals for one pair")
     p_roots.add_argument("--p", type=int, required=True)
@@ -97,7 +93,6 @@ def cmd_search(args) -> int:
             worker_count=args.threads,
             checkpoint_path=args.checkpoint,
             output_path=args.out,
-            faithful=args.faithful,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

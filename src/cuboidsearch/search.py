@@ -4,9 +4,9 @@ For q >= 59 p the root-interval analysis rules out every candidate, so the
 search covers the pairs with q < 59 p.  A pair's candidate t range is
 max(p^2, pq, q^2) < t < r(q), where r(q) = (p^2 + pq + p sqrt(p^2 + 6pq +
 q^2))/2 is the positive root of the search inequality (p^2 + t)(pq + t) >
-2 t^2; under `faithful` it is the paper's literal max(p^2, pq, q^2) < t <
-61 p^2.  `t_bounds` computes it exactly, and every other use of the range
-derives from that function.
+2 t^2.  The paper's literal upper bound t < 61 p^2 never binds (see
+`t_bounds`), so the search does not apply it.  `t_bounds` computes the range
+exactly, and every other use of the range derives from that function.
 
 Two proved cuts leave only a handful of candidates, each evaluated exactly.
 
@@ -16,8 +16,7 @@ q > p the range is nonempty exactly when f(q) = r(q) - q^2 - 1 > 0.  f is
 concave in q (the square root of the quadratic h = p^2 + 6pq + q^2 has
 second derivative -32 p^2 / (4 h^(3/2))) and f(p) = sqrt(2) p^2 - 1 > 0, so
 once f(q) <= 0 at some q > p it stays <= 0 for every larger q; in practice
-q < 1.84 p (the real root of c^3 = c^2 + c + 1).  Under `faithful` the
-range shrinks as q grows, so the same rule applies.  Every pair with q < p
+q < 1.84 p (the real root of c^3 = c^2 + c + 1).  Every pair with q < p
 has a nonempty range too, so the walk visits exactly the nonempty coprime
 pairs and the one pair that ends it.
 
@@ -63,7 +62,7 @@ from .cuboid_eqs import (
     reconstruct_cuboid,
 )
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Below this much work, the sum of the p still to search, the search runs
 # in-process.  A p costs roughly in proportion to p, and starting two worker
@@ -92,7 +91,6 @@ class _SearchConfigFields(NamedTuple):
     worker_count: int
     checkpoint_path: Optional[str]
     output_path: str
-    faithful: bool  # the paper's literal t range (see t_bounds)
 
 
 class SearchConfig(_SearchConfigFields):
@@ -105,21 +103,19 @@ class SearchConfig(_SearchConfigFields):
         worker_count: int = 1,
         checkpoint_path: Optional[str] = None,
         output_path: str = "cuboids.jsonl",
-        faithful: bool = False,
     ) -> "SearchConfig":
         if p_min < 1 or p_min > p_max:
             raise ValueError("need 1 <= p_min <= p_max")
         if worker_count < 1:
             raise ValueError("worker_count must be positive")
         return tuple.__new__(
-            cls, (p_min, p_max, worker_count, checkpoint_path, output_path, faithful)
+            cls, (p_min, p_max, worker_count, checkpoint_path, output_path)
         )
 
     def digest(self) -> str:
-        """Digest of the search semantics: p range and bound choice.
-        Worker count and file paths deliberately excluded; they do not
-        affect the result."""
-        key = repr((CHECKPOINT_VERSION, self.p_min, self.p_max, self.faithful))
+        """Digest of the search semantics: the p range.  Worker count and
+        file paths deliberately excluded; they do not affect the result."""
+        key = repr((CHECKPOINT_VERSION, self.p_min, self.p_max))
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
@@ -201,26 +197,23 @@ class SearchReport:
         self.wall_time = 0.0
 
 
-def t_bounds(p: int, q: int, faithful: bool = False) -> Optional[Tuple[int, int]]:
+def t_bounds(p: int, q: int) -> Optional[Tuple[int, int]]:
     """Inclusive candidate range (lo, hi) for t, or None when it is empty.
 
-    lo = max(p^2, pq, q^2) + 1.  Under `faithful`, hi = 61 p^2 - 1.
-    Otherwise hi is the largest t < r(q), that is with x = 2t - A < sqrt(D)
-    for A = p^2 + pq and D = p^2 (p^2 + 6pq + q^2) >= 1.  For integer
-    x >= 0, x^2 < D exactly when x <= isqrt(D - 1), so
+    lo = max(p^2, pq, q^2) + 1 and hi is the largest t < r(q), that is with
+    x = 2t - A < sqrt(D) for A = p^2 + pq and D = p^2 (p^2 + 6pq + q^2)
+    >= 1.  For integer x >= 0, x^2 < D exactly when x <= isqrt(D - 1), so
     hi = (A + isqrt(D - 1)) // 2.
 
-    The literal bound 61 p^2 - 1 never binds outside `faithful`.  r grows
-    with p, so for q >= 2p it is at most its value at p = q/2,
-    (3 + sqrt(17))/8 q^2 < q^2, and the range is empty.  A nonempty range
-    therefore has q < 2p and hi < r(2p) = (3 + sqrt(17))/2 p^2 < 61 p^2 - 1.
+    The paper's literal bound t < 61 p^2 is not applied because it never
+    binds.  r grows with p, so for q >= 2p it is at most its value at
+    p = q/2, (3 + sqrt(17))/8 q^2 < q^2, and the range is empty.  A nonempty
+    range therefore has q < 2p and hi < r(2p) = (3 + sqrt(17))/2 p^2
+    < 61 p^2 - 1.
     """
     lo = max(p * p, p * q, q * q) + 1
-    if faithful:
-        hi = 61 * p * p - 1
-    else:
-        D = p * p * (p * p + 6 * p * q + q * q)
-        hi = (p * p + p * q + math.isqrt(D - 1)) // 2
+    D = p * p * (p * p + 6 * p * q + q * q)
+    hi = (p * p + p * q + math.isqrt(D - 1)) // 2
     return (lo, hi) if lo <= hi else None
 
 
@@ -243,7 +236,8 @@ _FACTOR_LISTS: Dict[int, Tuple[int, ...]] = {}
 def factor_list(n: int) -> Tuple[int, ...]:
     """Sorted products of one factor from {1, l^e, l^(2e)} per l^e exactly
     dividing n, 3^omega(n) numbers.  Memoized per process: a search up to
-    p_max uses every n below about 1.84 p_max, each for every larger p."""
+    p_max uses only the n below about 1.84 p_max (the q cap), each for
+    every larger p."""
     products = _FACTOR_LISTS.get(n)
     if products is None:
         out = [1]
@@ -287,19 +281,21 @@ def pair_count(p: int) -> int:
     return 59 * phi
 
 
-def _scan_p(args) -> Tuple[int, int, int, int, tuple]:
+def _scan_p(p: int) -> Tuple[int, int, int, int, tuple]:
     """Worker: search every pair for one p, walking q upward until the first
     coprime q > p with an empty range.  Returns (p, pairs_examined,
-    pairs_nonempty, candidates_evaluated, hits)."""
-    p, config = args
-    faithful = config.faithful
+    pairs_nonempty, candidates_evaluated, hits).
+
+    A root goes straight to `reconstruct_cuboid`: the search inequality
+    (p^2 + t)(pq + t) > 2 t^2 holds exactly for t between its negative root
+    and r(q), and every candidate is positive and at most hi < r(q)."""
     fp = factor_list(p)
     nonempty = evaluated = 0
     hits: List[CuboidWitness] = []
     for q in itertools.count(1):
         if q == p or math.gcd(p, q) != 1:
             continue
-        bounds = t_bounds(p, q, faithful)
+        bounds = t_bounds(p, q)
         if bounds is None:
             if q > p:
                 break
@@ -313,8 +309,6 @@ def _scan_p(args) -> Tuple[int, int, int, int, tuple]:
         for t in candidates:
             u = t * t
             if ((((u + c8) * u + c6) * u + c4) * u + c2) * u + c0:
-                continue
-            if (p * p + t) * (p * q + t) <= 2 * t * t:
                 continue
             for tag in CaseTag:
                 hits.append(reconstruct_cuboid(p, q, t, tag))
@@ -435,10 +429,10 @@ def run_search(
             from concurrent.futures import ProcessPoolExecutor
 
             executor = ProcessPoolExecutor(max_workers=config.worker_count)
-            results = executor.map(_scan_p, [(p, config) for p in todo])
+            results = executor.map(_scan_p, todo)
         else:
             executor = None
-            results = map(_scan_p, ((p, config) for p in todo))
+            results = map(_scan_p, todo)
         last = None  # checkpoint for the last merged p
         unsaved = 0  # work merged since `last` was written
         try:

@@ -1,9 +1,10 @@
 """Reference paths that the tests compare the production code against.
 
 These are the search's earlier candidate generators, kept unchanged in
-substance: the per-pair pipeline (`scan_pair`, with the separate `q_cap`
-walk and `valuation_candidates` built from trial-divided prime powers), the
-full scan of every t in range, the divisors of p^10 q^10 in range, and the
+substance: the paper's literal t range (`literal_t_bounds`), the per-pair
+pipeline (`scan_pair`, with the separate `q_cap` walk and
+`valuation_candidates` built from trial-divided prime powers), the full
+scan of every t in range, the divisors of p^10 q^10 in range, and the
 residue sieves that pruned either.  Beside them stand the certificate's
 earlier arithmetic: Horner evaluation over Fraction and over the sqrt(2)
 field, and the Sturm sequence built from Fraction remainders.  Then the
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import FrozenSet, List, Sequence
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from cuboidsearch.asymptotics import (
     AsymptoticInterval,
@@ -56,7 +57,7 @@ from cuboidsearch.exact_arith import (
     sturm_count,
     sturm_sequence,
 )
-from cuboidsearch.search import SearchConfig, _prime_factors, t_bounds
+from cuboidsearch.search import _prime_factors, t_bounds
 
 
 def pairs_for_p(p: int) -> List[PQPair]:
@@ -70,12 +71,21 @@ def pairs_for_p(p: int) -> List[PQPair]:
     ]
 
 
-def q_cap(p: int, faithful: bool = False) -> int:
+def literal_t_bounds(p: int, q: int) -> Optional[Tuple[int, int]]:
+    """The paper's literal t range max(p^2, pq, q^2) < t < 61 p^2, as an
+    inclusive (lo, hi), or None when it is empty.  It contains the range of
+    `t_bounds`, and its t beyond that range fail the search inequality."""
+    lo = max(p * p, p * q, q * q) + 1
+    hi = 61 * p * p - 1
+    return (lo, hi) if lo <= hi else None
+
+
+def q_cap(p: int) -> int:
     """First q > p whose t range is empty; every larger q has an empty
     range too (see the search module docstring), so the walk covers
     q < q_cap."""
     q = p + 1
-    while t_bounds(p, q, faithful) is not None:
+    while t_bounds(p, q) is not None:
         q += 1
     return q
 
@@ -105,11 +115,11 @@ class PairScan:
     hits: tuple
 
 
-def scan_pair(pair: PQPair, config: SearchConfig) -> PairScan:
+def scan_pair(pair: PQPair) -> PairScan:
     """Evaluate Q exactly at every valuation candidate in the pair's t
     range and reconstruct a cuboid from each admissible root."""
     p, q = pair.p, pair.q
-    bounds = t_bounds(p, q, config.faithful)
+    bounds = t_bounds(p, q)
     if bounds is None:
         return PairScan(False, 0, ())
     candidates = valuation_candidates(
@@ -253,11 +263,11 @@ def divisor_candidates(pair: PQPair, lo: int, hi: int) -> List[int]:
     return sorted(out)
 
 
-def oracle_candidates(pair: PQPair, mode: str, sieve_moduli=SIEVE_MODULI,
-                      faithful: bool = False) -> List[int]:
+def oracle_candidates(pair: PQPair, mode: str,
+                      sieve_moduli=SIEVE_MODULI) -> List[int]:
     """The t values the old search evaluated: the whole range ("scan") or
     its divisors of p^10 q^10 ("divisor"), minus those a sieve rejects."""
-    bounds = t_bounds(pair.p, pair.q, faithful)
+    bounds = t_bounds(pair.p, pair.q)
     if bounds is None:
         return []
     lo, hi = bounds
@@ -271,22 +281,27 @@ def oracle_candidates(pair: PQPair, mode: str, sieve_moduli=SIEVE_MODULI,
     return [t for t in candidates if all(t % m in rs for m, rs in sieves)]
 
 
-def oracle_roots(pair: PQPair, mode: str, sieve_moduli=SIEVE_MODULI,
-                 faithful: bool = False) -> List[int]:
+def oracle_roots(pair: PQPair, mode: str,
+                 sieve_moduli=SIEVE_MODULI) -> List[int]:
     """Integer roots of Q among the oracle's candidates."""
     poly = build_qpq(pair)
     return [
-        t for t in oracle_candidates(pair, mode, sieve_moduli, faithful)
+        t for t in oracle_candidates(pair, mode, sieve_moduli)
         if poly.eval_int(t) == 0
     ]
 
 
-def oracle_hits(pair: PQPair, mode: str, sieve_moduli=SIEVE_MODULI,
-                faithful: bool = False) -> tuple:
+def oracle_hits(pair: PQPair, mode: str, sieve_moduli=SIEVE_MODULI) -> tuple:
     """Verified witnesses the old search produced for one pair."""
+    return admissible_hits(pair, oracle_roots(pair, mode, sieve_moduli))
+
+
+def admissible_hits(pair: PQPair, roots: Sequence[int]) -> tuple:
+    """Verified witnesses for the roots t of Q with t > max(p^2, pq, q^2)
+    that satisfy the search inequality (p^2 + t)(pq + t) > 2 t^2."""
     p, q = pair.p, pair.q
     hits = []
-    for t in oracle_roots(pair, mode, sieve_moduli, faithful):
+    for t in roots:
         if t <= p * p or t <= p * q or t <= q * q:
             continue
         if (p * p + t) * (p * q + t) <= 2 * t * t:

@@ -130,19 +130,18 @@ def test_criterion_6_mode_and_sieve_equivalence():
     # the search kernel and the per-pair valuation pipeline against the old
     # scan and divisor paths, with and without their residue sieves
     # (tests/oracles.py)
-    config = SearchConfig(p_min=1, p_max=5)
     pairs = 0
     for p in range(1, 6):
         expected = []
         for pair in pairs_for_p(p):
             pairs += 1
-            hits = scan_pair(pair, config).hits
+            hits = scan_pair(pair).hits
             assert oracle_hits(pair, "scan") == hits
             assert oracle_hits(pair, "divisor") == hits
             assert oracle_hits(pair, "scan", ()) == hits
             expected.extend(hits)
         expected.sort(key=lambda w: (w.p, w.q, w.t, w.case_tag.value))
-        assert search._scan_p((p, config))[4] == tuple(expected)
+        assert search._scan_p(p)[4] == tuple(expected)
     print(
         f"criterion 6 (kernel = pipeline = scan/divisor oracles with and "
         f"without sieves, {pairs} pairs): PASS"

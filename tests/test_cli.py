@@ -88,11 +88,13 @@ class TestSearchCommand:
         assert "error" in err
 
     def test_sieve_moduli_flag_removed(self, tmp_path, capsys):
-        for moduli in ("", "64,81"):
+        # --faithful, the literal t range, is gone like --sieve-moduli
+        for flag in (["--sieve-moduli", ""], ["--sieve-moduli", "64,81"],
+                     ["--faithful"]):
             code, _, _ = run_cli(
                 capsys,
                 "search", "--p-max", "2", "--out", str(tmp_path / "n.jsonl"),
-                "--sieve-moduli", moduli, "--threads", "1",
+                *flag, "--threads", "1",
             )
             assert code == cli.EXIT_BAD_FLAGS
 

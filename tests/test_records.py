@@ -65,7 +65,7 @@ class TestValidatingRecords:
         (lambda: FullEqParams(a=1, b=1, u=0), "a, b, u must be positive"),
         (lambda: SearchConfig(0, 5), "need 1 <= p_min <= p_max"),
         (lambda: SearchConfig(1, 5, 0), "worker_count must be positive"),
-        (lambda: SearchConfig(1, 5, faithful=True, worker_count=-1), "worker_count must be positive"),
+        (lambda: SearchConfig(1, 5, worker_count=-1), "worker_count must be positive"),
     ])
     def test_invalid_values_raise(self, build, message):
         with pytest.raises(ValueError, match=message):
@@ -75,7 +75,7 @@ class TestValidatingRecords:
         config = SearchConfig(2, 5)
         assert config == SearchConfig(
             p_min=2, p_max=5, worker_count=1, checkpoint_path=None,
-            output_path="cuboids.jsonl", faithful=False,
+            output_path="cuboids.jsonl",
         )
 
     @pytest.mark.parametrize("record", [PQPair(1, 2), FullEqParams(1, 2, 3), SearchConfig(1, 2)])
@@ -99,7 +99,7 @@ WITNESS = CuboidWitness(
 
 
 @pytest.mark.parametrize("record", [
-    SearchConfig(1, 40, 2, "run.ckpt", "out.jsonl", True),
+    SearchConfig(1, 40, 2, "run.ckpt", "out.jsonl"),
     PQPair(7, 500),
     WITNESS,
 ])
@@ -109,13 +109,15 @@ def test_pickle_round_trip(record):
     assert copy == record
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+def test_cli_import_loads_no_startup_heavy_module():
     """Importing the CLI builds its records without the dataclasses module
-    and what it imports: each process pays that import at start-up."""
+    and what it imports, and leaves the worker pool's module to pool runs:
+    each process pays these imports at start-up."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cuboidsearch.__file__)))
+    heavy = {"dataclasses", "inspect", "ast", "dis", "concurrent.futures"}
     code = (
         "import sys, cuboidsearch.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"print(sorted({heavy!r} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],

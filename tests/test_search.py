@@ -19,8 +19,10 @@ from cuboidsearch.search import (
     use_pool,
 )
 from oracles import (
+    admissible_hits,
     divisor_candidates,
     exact_prime_powers,
+    literal_t_bounds,
     modular_sieve,
     oracle_candidates,
     oracle_hits,
@@ -56,17 +58,17 @@ def hit_key(w):
     return (w.p, w.q, w.t, w.case_tag.value)
 
 
-def kernel_counts(p, faithful=False):
+def kernel_counts(p):
     """(pairs_examined, pairs_nonempty, candidates_evaluated, hits) of the
     search kernel for one p."""
-    return search._scan_p((p, SearchConfig(p_min=p, p_max=p, faithful=faithful)))[1:]
+    return search._scan_p(p)[1:]
 
 
-def capped_pairs(p, faithful=False):
+def capped_pairs(p):
     """The coprime pairs the search walks for p: q < q_cap(p), q != p."""
     return [
         PQPair(p, q)
-        for q in range(1, q_cap(p, faithful))
+        for q in range(1, q_cap(p))
         if q != p and math.gcd(p, q) == 1
     ]
 
@@ -120,21 +122,20 @@ class TestBounds:
                     assert bounds[0] == lo
                     assert strict(bounds[1]) and not strict(bounds[1] + 1)
 
-    def test_faithful_is_literal_range(self):
-        for p in range(1, 31):
-            for pair in pairs_for_p(p):
-                lo = max(p * p, p * pair.q, pair.q ** 2) + 1
-                hi = 61 * p * p - 1
-                expected = (lo, hi) if lo <= hi else None
-                assert t_bounds(p, pair.q, True) == expected
-
     def test_literal_bound_never_binds_p_le_200(self):
-        # every walked pair has q < 2p and hi <= 61 p^2 - 1
+        # every walked pair has q < 2p and a range inside the paper's
+        # literal one, and the search inequality holds at both ends of the
+        # range.  It holds exactly on (r_-, r(q)) with r_- < 0, so it holds
+        # on the whole range and the kernel does not re-check it.
         for p in range(1, 201):
             for pair in capped_pairs(p):
-                lo, hi = t_bounds(pair.p, pair.q)
-                assert pair.q < 2 * p
-                assert hi <= 61 * p * p - 1
+                q = pair.q
+                lo, hi = t_bounds(p, q)
+                assert q < 2 * p
+                literal_lo, literal_hi = literal_t_bounds(p, q)
+                assert literal_lo == lo and hi <= literal_hi
+                for t in (lo, hi):
+                    assert (p * p + t) * (p * q + t) > 2 * t * t
 
 
 class TestSieve:
@@ -190,7 +191,7 @@ class TestValuationCandidates:
         # is 0, e or 2e for every l^e exactly dividing pq
         for p in range(1, 31):
             for pair in capped_pairs(p):
-                lo, hi = t_bounds(pair.p, pair.q, True)
+                lo, hi = literal_t_bounds(pair.p, pair.q)
                 factors = search._prime_factors(pair.p * pair.q)
                 expected = [
                     t for t in divisor_candidates(pair, lo, hi)
@@ -248,36 +249,29 @@ class TestKernel:
 
     def test_candidates_match_oracle_p_le_120(self):
         # F(p) x F(q) clipped to the range equals the per-pair generator on
-        # every coprime pair with p <= 120, both range choices
-        for faithful in (False, True):
-            nonempty = 0
-            for p in range(1, 121):
-                fp = factor_list(p)
-                for q in range(1, 59 * p):
-                    if q == p or math.gcd(p, q) != 1:
-                        continue
-                    bounds = t_bounds(p, q, faithful)
-                    if bounds is None:
-                        continue
-                    nonempty += 1
-                    got = clipped_products(fp, factor_list(q), *bounds)
-                    assert sorted(got) == valuation_candidates(
-                        exact_prime_powers(p) + exact_prime_powers(q), *bounds
-                    )
-            assert nonempty > 8000
+        # every coprime pair with p <= 120
+        nonempty = 0
+        for p in range(1, 121):
+            fp = factor_list(p)
+            for q in range(1, 59 * p):
+                if q == p or math.gcd(p, q) != 1:
+                    continue
+                bounds = t_bounds(p, q)
+                if bounds is None:
+                    continue
+                nonempty += 1
+                got = clipped_products(fp, factor_list(q), *bounds)
+                assert sorted(got) == valuation_candidates(
+                    exact_prime_powers(p) + exact_prime_powers(q), *bounds
+                )
+        assert nonempty > 8000
 
     def test_recorded_counters(self, tmp_path):
-        for faithful, p_max, expected in (
-            (False, 200, (721_686, 22_496, 42_826, 0)),
-            (True, 30, (16_400, 2_170, 9_224, 0)),
-        ):
-            report = run_search(make_config(
-                tmp_path, f"f{faithful}", p_max=p_max, faithful=faithful
-            ))
-            assert (
-                report.pairs_examined, report.pairs_nonempty,
-                report.candidates_evaluated, len(report.hits),
-            ) == expected
+        report = run_search(make_config(tmp_path, p_max=200))
+        assert (
+            report.pairs_examined, report.pairs_nonempty,
+            report.candidates_evaluated, len(report.hits),
+        ) == (721_686, 22_496, 42_826, 0)
 
 
 class TestNewtonHull:
@@ -315,15 +309,6 @@ class TestQCap:
             assert q_cap(p) < 59 * p
             assert kernel_counts(p)[1] == len(full)
 
-    def test_faithful_same_nonempty_pairs_as_full_walk(self):
-        for p in range(1, 41):
-            full = [pair for pair in pairs_for_p(p) if t_bounds(pair.p, pair.q, True)]
-            capped = [
-                pair for pair in capped_pairs(p, True) if t_bounds(pair.p, pair.q, True)
-            ]
-            assert capped == full
-            assert kernel_counts(p, True)[1] == len(full)
-
     def test_tribonacci_ratio(self):
         # q_cap / p approaches the real root 1.8393 of c^3 = c^2 + c + 1
         assert all(q_cap(p) <= 1.84 * p + 1 for p in range(1, 400))
@@ -338,8 +323,7 @@ class TestPairCount:
 
 class TestScanPair:
     def test_empty_pair(self):
-        config = SearchConfig(p_min=1, p_max=1)
-        result = scan_pair(PQPair(1, 2), config)
+        result = scan_pair(PQPair(1, 2))
         assert (result.nonempty, result.candidates_evaluated, result.hits) == (
             False, 0, ()
         )
@@ -348,7 +332,7 @@ class TestScanPair:
         # the capped walk's counters equal those of the full pairs_for_p walk
         report = run_search(make_config(tmp_path, p_max=12))
         scans = [
-            scan_pair(pair, SearchConfig(p_min=1, p_max=12))
+            scan_pair(pair)
             for p in range(1, 13)
             for pair in pairs_for_p(p)
         ]
@@ -368,11 +352,10 @@ class TestScanPair:
     def test_mode_equivalence_small(self):
         # kernel and per-pair pipeline against the old scan and divisor
         # paths, sieved
-        config = SearchConfig(p_min=1, p_max=5)
         for p in range(1, 6):
             expected = []
             for pair in pairs_for_p(p):
-                hits = scan_pair(pair, config).hits
+                hits = scan_pair(pair).hits
                 assert oracle_hits(pair, "scan") == hits
                 assert oracle_hits(pair, "divisor") == hits
                 expected.extend(hits)
@@ -411,19 +394,15 @@ class TestOracleEquivalence:
         assert report.hits == expected
 
     def test_scan_oracle_p_le_15(self, tmp_path):
-        for faithful in (False, True):
-            p_max = 15 if not faithful else 4
-            report = run_search(make_config(
-                tmp_path, f"f{faithful}", p_max=p_max, faithful=faithful
-            ))
-            expected = []
-            pairs = 0
-            for p in range(1, p_max + 1):
-                for pair in pairs_for_p(p):
-                    pairs += 1
-                    expected.extend(oracle_hits(pair, "scan", (), faithful))
-            assert report.pairs_examined == pairs
-            assert report.hits == expected
+        report = run_search(make_config(tmp_path, p_max=15))
+        expected = []
+        pairs = 0
+        for p in range(1, 16):
+            for pair in pairs_for_p(p):
+                pairs += 1
+                expected.extend(oracle_hits(pair, "scan", ()))
+        assert report.pairs_examined == pairs
+        assert report.hits == expected
 
 
 class TestPairsForP:
@@ -447,11 +426,13 @@ class TestConfig:
             SearchConfig(p_min=5, p_max=3)
         with pytest.raises(ValueError):
             SearchConfig(p_min=1, p_max=3, worker_count=0)
-        # the mode and sieve settings are gone with the one pipeline
+        # the mode, sieve and range settings are gone with the one pipeline
         with pytest.raises(TypeError):
             SearchConfig(p_min=1, p_max=3, mode="divisor")
         with pytest.raises(TypeError):
             SearchConfig(p_min=1, p_max=3, sieve_moduli=(7,))
+        with pytest.raises(TypeError):
+            SearchConfig(p_min=1, p_max=3, faithful=True)
 
     def test_digest_ignores_workers_and_paths(self):
         a = SearchConfig(p_min=1, p_max=5)
@@ -464,7 +445,6 @@ class TestConfig:
         a = SearchConfig(p_min=1, p_max=5)
         assert a.digest() != SearchConfig(p_min=1, p_max=6).digest()
         assert a.digest() != SearchConfig(p_min=2, p_max=5).digest()
-        assert a.digest() != SearchConfig(p_min=1, p_max=5, faithful=True).digest()
 
 
 class TestRunSearch:
@@ -509,6 +489,24 @@ class TestRunSearch:
         assert (ckpt.pairs_examined, ckpt.pairs_nonempty, ckpt.candidates_evaluated) == (
             report.pairs_examined, report.pairs_nonempty, report.candidates_evaluated
         )
+
+    def test_faithful_mode_same_hits(self, tmp_path):
+        # every t of the paper's literal range for p <= 4, filtered by the
+        # oracle's own inequality check, gives the production run's hits
+        report = run_search(make_config(tmp_path, p_max=4))
+        literal = []
+        for p in range(1, 5):
+            for pair in pairs_for_p(p):
+                bounds = literal_t_bounds(pair.p, pair.q)
+                if bounds is None:
+                    continue
+                poly = build_qpq(pair)
+                roots = [
+                    t for t in range(bounds[0], bounds[1] + 1)
+                    if poly.eval_int(t) == 0
+                ]
+                literal.extend(admissible_hits(pair, roots))
+        assert report.hits == literal
 
     def test_worker_count_irrelevant(self, tmp_path):
         one = make_config(tmp_path, "one", worker_count=1)
@@ -617,9 +615,9 @@ class TestRunSearch:
         scanned = []
         real = search._scan_p
 
-        def recording(args):
-            scanned.append(args[0])
-            return real(args)
+        def recording(p):
+            scanned.append(p)
+            return real(p)
 
         monkeypatch.setattr(search, "_scan_p", recording)
         resumed = run_search(config)
@@ -652,9 +650,11 @@ class TestRunSearch:
         lambda text: text.replace("last_completed_p=2\n", ""),
         lambda text: text.replace("pairs_nonempty=", "pairs_nonempty=x"),
         lambda text: text.replace(f"version={CHECKPOINT_VERSION}", "version=1"),
+        lambda text: text.replace(f"version={CHECKPOINT_VERSION}", "version=2"),
         lambda text: "",
         lambda text: "\udcff" + text,
-    ], ids=["missing-field", "bad-number", "old-version", "empty", "not-utf8"])
+    ], ids=["missing-field", "bad-number", "old-version", "version-2", "empty",
+            "not-utf8"])
     def test_damaged_checkpoint(self, tmp_path, edit):
         config = make_config(tmp_path)
         with pytest.raises(KeyboardInterrupt):
@@ -682,15 +682,6 @@ class TestRunSearch:
         path.write_text(line + "\n" + path.read_text())
         with pytest.raises(ResumeMismatch):
             run_search(config)
-
-    def test_faithful_mode_same_hits(self, tmp_path):
-        fast = make_config(tmp_path, "fast", p_max=3)
-        slow = make_config(tmp_path, "slow", p_max=3, faithful=True)
-        r_fast = run_search(fast)
-        r_slow = run_search(slow)
-        assert [w.septuple() for w in r_fast.hits] == [
-            w.septuple() for w in r_slow.hits
-        ]
 
 
 @pytest.fixture
