@@ -6,14 +6,11 @@ For q >= 59 p the five roots in the upper half plane (three real, two purely
 imaginary) lie in five explicit disjoint open intervals with endpoints in
 the rationals or in the sqrt(2) field; each interval is certified to hold
 exactly one root by exact endpoint sign evaluation (plus a Sturm count on
-the real axis), done on the degree-5 R with Q(t) = R(t^2), and the real
-intervals are shown to contain no integer satisfying the search
-inequalities.
+the real axis), done on the degree-5 R with Q(t) = R(t^2).
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -406,56 +403,3 @@ def certify_roots(
             f"(p={pair.p}, q={pair.q}): " + "; ".join(failures)
         )
     return certs
-
-
-def integers_in_open_interval(lo: Fraction, hi: Fraction) -> List[int]:
-    first = math.floor(lo) + 1
-    last = math.ceil(hi) - 1
-    return list(range(first, last + 1))
-
-
-class IntegerPointReport(NamedTuple):
-    """Integer-point exclusion for the real intervals of one pair."""
-
-    pair: PQPair
-    narrow_hypothesis: bool  # q > 5 p^3: T1 and T2 provably integer-free
-    at_most_one_hypothesis: bool  # q^2 > 10 p^4: T3 has at most one integer
-    t3_empty_hypothesis: bool  # 16 q >= 256 p^3 + 5 p: T3 provably integer-free
-    integers_inside: dict  # label -> list of integers strictly inside
-    search_candidates: dict  # label -> integers that also pass the lower bounds
-    t3_in_unit_bracket: Optional[bool]  # T3 within (pq - 1, pq), when applicable
-    conclusion: str  # SEARCH_SKIP: no candidate survives for q >= 59 p
-
-
-def integer_point_report(pair: PQPair) -> IntegerPointReport:
-    """Evaluate the narrowness hypotheses and, independently, enumerate all
-    integers inside the real intervals, checking each against the lower
-    bounds t > p^2, t > pq, t > q^2."""
-    p, q = pair.p, pair.q
-    intervals = asymptotic_intervals(pair)
-    inside = {}
-    candidates = {}
-    for iv in intervals:
-        if iv.axis is not Axis.REAL:
-            continue
-        pts = integers_in_open_interval(iv.lo.to_fraction(), iv.hi.to_fraction())
-        inside[iv.label.value] = pts
-        candidates[iv.label.value] = [
-            t for t in pts if t > p * p and t > p * q and t > q * q
-        ]
-    t3_empty = 16 * q >= 256 * p**3 + 5 * p
-    bracket = None
-    if t3_empty:
-        t3 = next(iv for iv in intervals if iv.label is IntervalLabel.T3)
-        lo, hi = t3.lo.to_fraction(), t3.hi.to_fraction()
-        bracket = Fraction(p * q - 1) < lo and hi < Fraction(p * q)
-    return IntegerPointReport(
-        pair=pair,
-        narrow_hypothesis=q > 5 * p**3,
-        at_most_one_hypothesis=q * q > 10 * p**4,
-        t3_empty_hypothesis=t3_empty,
-        integers_inside=inside,
-        search_candidates=candidates,
-        t3_in_unit_bracket=bracket,
-        conclusion="SEARCH_SKIP",
-    )

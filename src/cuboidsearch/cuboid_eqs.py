@@ -163,13 +163,6 @@ def full_eq_coefficients(a: int, b: int, u: int) -> Tuple[int, ...]:
     )
 
 
-def build_full_eq(params: FullEqParams) -> IntPoly:
-    """The even, monic, degree-12 polynomial in t for parameters (a, b, u)."""
-    coeffs = [0] * 13
-    coeffs[::2] = full_eq_coefficients(params.a, params.b, params.u)
-    return IntPoly.of(coeffs)
-
-
 def factorization_check(pair: PQPair) -> bool:
     """Check that (t - pq)(t + pq) times the degree-10 polynomial equals the
     degree-12 equation under both parameter substitutions, coefficient-wise.

@@ -20,8 +20,7 @@ RatLike = Union[int, Fraction]
 
 
 class EndpointIsRoot(ValueError):
-    """An interval endpoint annihilates the polynomial and the caller did not
-    permit perturbation."""
+    """An interval endpoint is a root of the polynomial."""
 
 
 def rational_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -242,12 +241,6 @@ class IntPoly(NamedTuple):
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_mod(self, x: int, m: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % m
         return acc
 
 

@@ -38,15 +38,14 @@ finds the b for each a by bisection.  Each candidate is tested as
 Q(t) = R(t^2), by Horner's scheme on R's five integer coefficients
 (`cuboid_eqs.qpq_coefficients`).
 
-Runs are checkpointed with the summary counters (see `run_search` for when),
-and the output is deterministic regardless of worker count or interruption.  A
-range too small to repay the start-up of worker processes is searched
-in-process whatever the worker count (`use_pool`).
+Runs are checkpointed with their p range and the summary counters (see
+`run_search` for when), and the output is deterministic regardless of worker
+count or interruption.  A range too small to repay the start-up of worker
+processes is searched in-process whatever the worker count (`use_pool`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -62,7 +61,7 @@ from .cuboid_eqs import (
     reconstruct_cuboid,
 )
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # Below this much work, the sum of the p still to search, the search runs
 # in-process.  A p costs roughly in proportion to p, and starting two worker
@@ -112,12 +111,6 @@ class SearchConfig(_SearchConfigFields):
             cls, (p_min, p_max, worker_count, checkpoint_path, output_path)
         )
 
-    def digest(self) -> str:
-        """Digest of the search semantics: the p range.  Worker count and
-        file paths deliberately excluded; they do not affect the result."""
-        key = repr((CHECKPOINT_VERSION, self.p_min, self.p_max))
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
-
 
 def _read_lines(path: str) -> List[str]:
     """All lines of a text file the search wrote; bytes that are not UTF-8
@@ -130,38 +123,34 @@ def _read_lines(path: str) -> List[str]:
 
 
 class SearchCheckpoint(NamedTuple):
+    """The state of a run after its last merged p: its p range and the
+    summary counters so far.  The file holds one `field=value` line per
+    field, in this order, so equal states give equal bytes.  Worker count
+    and file paths are left out; they do not affect the result."""
+
     version: int
-    config_digest: str
+    p_min: int
+    p_max: int
     last_completed_p: int
     candidates_found: int
     pairs_examined: int
     pairs_nonempty: int
     candidates_evaluated: int
-    elapsed_seconds: float
 
     def write(self, path: str) -> None:
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"version={self.version}\n")
-            fh.write(f"config_digest={self.config_digest}\n")
-            fh.write(f"last_completed_p={self.last_completed_p}\n")
-            fh.write(f"candidates_found={self.candidates_found}\n")
-            fh.write(f"pairs_examined={self.pairs_examined}\n")
-            fh.write(f"pairs_nonempty={self.pairs_nonempty}\n")
-            fh.write(f"candidates_evaluated={self.candidates_evaluated}\n")
-            fh.write(f"elapsed_seconds={self.elapsed_seconds}\n")
+            fh.writelines(f"{k}={v}\n" for k, v in zip(self._fields, self))
         os.replace(tmp, path)
 
     @staticmethod
     def read(path: str) -> "SearchCheckpoint":
-        """Parse a checkpoint of the current version; a missing or
-        malformed field, or another version, raises ResumeMismatch."""
+        """Parse a checkpoint of the current version; another version, or a
+        missing or non-integer field, raises ResumeMismatch."""
         fields: Dict[str, str] = {}
         for line in _read_lines(path):
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                fields[key] = value
+            key, _, value = line.strip().partition("=")
+            fields[key] = value
         if fields.get("version") != str(CHECKPOINT_VERSION):
             raise ResumeMismatch(
                 f"checkpoint {path} has version {fields.get('version')}, "
@@ -169,14 +158,7 @@ class SearchCheckpoint(NamedTuple):
             )
         try:
             return SearchCheckpoint(
-                version=CHECKPOINT_VERSION,
-                config_digest=fields["config_digest"],
-                last_completed_p=int(fields["last_completed_p"]),
-                candidates_found=int(fields["candidates_found"]),
-                pairs_examined=int(fields["pairs_examined"]),
-                pairs_nonempty=int(fields["pairs_nonempty"]),
-                candidates_evaluated=int(fields["candidates_evaluated"]),
-                elapsed_seconds=float(fields["elapsed_seconds"]),
+                *(int(fields[name]) for name in SearchCheckpoint._fields)
             )
         except KeyError as exc:
             raise ResumeMismatch(
@@ -344,17 +326,25 @@ def _load_resume_state(
 ) -> Tuple[SearchCheckpoint, List[CuboidWitness]]:
     """Validate the checkpoint and salvage the hits of completed p.
 
-    Returns the checkpoint and the witnesses of the hit lines kept, each
-    rebuilt from its (p, q, t, case) and checked against its line.  Lines
-    for p beyond the checkpoint (interrupted mid-p), any stale summary line
-    and an unparsable final line (torn by the interruption) are dropped, so
-    the final file is byte-identical to an uninterrupted run.
+    The checkpoint must be for the configured p range, and its last
+    completed p must lie in that range.  Returns the checkpoint and the
+    witnesses of the hit lines kept, each rebuilt from its (p, q, t, case)
+    and checked against its line.  Lines for p beyond the checkpoint
+    (interrupted mid-p), any stale summary line and an unparsable final line
+    (torn by the interruption) are dropped, so the final file is
+    byte-identical to an uninterrupted run.
     """
-    ckpt = SearchCheckpoint.read(config.checkpoint_path)
-    if ckpt.config_digest != config.digest():
+    path = config.checkpoint_path
+    ckpt = SearchCheckpoint.read(path)
+    if (ckpt.p_min, ckpt.p_max) != (config.p_min, config.p_max):
         raise ResumeMismatch(
-            f"checkpoint digest {ckpt.config_digest} does not match "
-            f"configuration digest {config.digest()}"
+            f"checkpoint {path} is for p {ckpt.p_min}..{ckpt.p_max}, "
+            f"not the configured p {config.p_min}..{config.p_max}"
+        )
+    if not ckpt.p_min <= ckpt.last_completed_p <= ckpt.p_max:
+        raise ResumeMismatch(
+            f"checkpoint {path} is damaged: last_completed_p="
+            f"{ckpt.last_completed_p} lies outside p {ckpt.p_min}..{ckpt.p_max}"
         )
     kept = []
     if os.path.exists(config.output_path):
@@ -395,24 +385,23 @@ def run_search(
 
     Results are merged in p order and the JSONL output (hit lines plus one
     final summary line of counters) is deterministic for any worker count.
-    The checkpoint, with the summary counters so far, is rewritten
-    atomically after the p that brings the work merged since its last write
-    to CHECKPOINT_MIN_WORK, after the last p, and when the run is
-    interrupted or fails.  `progress(p, pairs, nonempty,
-    evaluated, hits)` is called per completed p.  `abort_after_p` simulates
-    an interruption right after that p completes (test hook for the resume
-    contract).
+    The checkpoint, a snapshot of the p range and the summary counters taken
+    right after each p is merged and flushed, is rewritten atomically after
+    the p that brings the work merged since its last write to
+    CHECKPOINT_MIN_WORK, after the last p, and when the run is interrupted
+    or fails.  The report's wall time is that of this call alone.
+    `progress(p, pairs, nonempty, evaluated, hits)` is called per completed
+    p.  `abort_after_p` simulates an interruption right after that p
+    completes (test hook for the resume contract).
     """
     start = time.monotonic()
     report = SearchReport()
-    prior_elapsed = 0.0
     resume_from = config.p_min
 
     resuming = config.checkpoint_path and os.path.exists(config.checkpoint_path)
     if resuming:
         ckpt, report.hits = _load_resume_state(config)
-        resume_from = max(config.p_min, ckpt.last_completed_p + 1)
-        prior_elapsed = ckpt.elapsed_seconds
+        resume_from = ckpt.last_completed_p + 1
         report.pairs_examined = ckpt.pairs_examined
         report.pairs_nonempty = ckpt.pairs_nonempty
         report.candidates_evaluated = ckpt.candidates_evaluated
@@ -428,7 +417,10 @@ def run_search(
             # third of the CLI's import time
             from concurrent.futures import ProcessPoolExecutor
 
-            executor = ProcessPoolExecutor(max_workers=config.worker_count)
+            # a fork-started pool forks all its workers up front
+            executor = ProcessPoolExecutor(
+                max_workers=min(config.worker_count, len(todo))
+            )
             results = executor.map(_scan_p, todo)
         else:
             executor = None
@@ -447,13 +439,13 @@ def run_search(
                 if config.checkpoint_path:
                     last = SearchCheckpoint(
                         version=CHECKPOINT_VERSION,
-                        config_digest=config.digest(),
+                        p_min=config.p_min,
+                        p_max=config.p_max,
                         last_completed_p=p,
                         candidates_found=len(report.hits),
                         pairs_examined=report.pairs_examined,
                         pairs_nonempty=report.pairs_nonempty,
                         candidates_evaluated=report.candidates_evaluated,
-                        elapsed_seconds=prior_elapsed + time.monotonic() - start,
                     )
                     unsaved += p
                     if unsaved >= CHECKPOINT_MIN_WORK:
@@ -479,5 +471,5 @@ def run_search(
         }))
     finally:
         out.close()
-    report.wall_time = prior_elapsed + time.monotonic() - start
+    report.wall_time = time.monotonic() - start
     return report

@@ -15,16 +15,19 @@ on the degree-10 Q and its imaginary-axis restriction, and the root
 intervals with endpoints built as Fraction sums.  They are slow, which is
 why the production path replaced them, and simple, which is why they stay
 as oracles.  Last come names that only the tests use: the expanded-grid
-build of Q, the covered pair set, the hull dominance check, interval
-bisection, interval width and midpoint, the evenness test, and the signs of
-one polynomial at a rational or sqrt(2)-field point.
+build of Q, the degree-12 polynomial built from its closed-form
+coefficients, modular Horner evaluation, the covered pair set, the hull
+dominance check, interval bisection, interval width and midpoint, the
+evenness test, the signs of one polynomial at a rational or sqrt(2)-field
+point, and the integer-point exclusion report for the real root
+intervals.
 """
 
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from cuboidsearch.asymptotics import (
     AsymptoticInterval,
@@ -43,6 +46,7 @@ from cuboidsearch.cuboid_eqs import (
     FullEqParams,
     PQPair,
     build_qpq,
+    full_eq_coefficients,
     reconstruct_cuboid,
 )
 from cuboidsearch.exact_arith import (
@@ -218,6 +222,15 @@ def fraction_sturm_sequence(P: IntPoly) -> list:
         seq.append(_frac_primitive([-c for c in rem]))
     return seq
 
+
+def eval_mod(P: IntPoly, x: int, m: int) -> int:
+    """P(x) mod m by Horner's scheme, reducing after every step."""
+    acc = 0
+    for c in reversed(P.coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
 SIEVE_MODULI = (64, 81, 25, 7, 11, 13)
 
 
@@ -227,7 +240,7 @@ def modular_sieve(pair: PQPair, m: int) -> FrozenSet[int]:
     if m <= 1:
         raise ValueError("modulus must exceed 1")
     poly = build_qpq(pair)
-    return frozenset(r for r in range(m) if poly.eval_mod(r, m) == 0)
+    return frozenset(r for r in range(m) if eval_mod(poly, r, m) == 0)
 
 
 def _divisors_of_tenth_power(n: int, limit: int) -> List[int]:
@@ -317,6 +330,13 @@ def build_qpq_from_grid(pair: PQPair) -> IntPoly:
     coeffs = [0] * 11
     for m, terms in QPQ_TERMS.items():
         coeffs[m] = sum(c * p**i * q**j for i, j, c in terms)
+    return IntPoly.of(coeffs)
+
+
+def build_full_eq(params: FullEqParams) -> IntPoly:
+    """The even, monic, degree-12 polynomial in t for parameters (a, b, u)."""
+    coeffs = [0] * 13
+    coeffs[::2] = full_eq_coefficients(params.a, params.b, params.u)
     return IntPoly.of(coeffs)
 
 
@@ -477,3 +497,56 @@ def q_certify_roots(pair: PQPair, intervals=None) -> List[RootCertificate]:
             f"(p={pair.p}, q={pair.q}): " + "; ".join(failures)
         )
     return certs
+
+
+def integers_in_open_interval(lo: Fraction, hi: Fraction) -> List[int]:
+    first = math.floor(lo) + 1
+    last = math.ceil(hi) - 1
+    return list(range(first, last + 1))
+
+
+class IntegerPointReport(NamedTuple):
+    """Integer-point exclusion for the real intervals of one pair."""
+
+    pair: PQPair
+    narrow_hypothesis: bool  # q > 5 p^3: T1 and T2 provably integer-free
+    at_most_one_hypothesis: bool  # q^2 > 10 p^4: T3 has at most one integer
+    t3_empty_hypothesis: bool  # 16 q >= 256 p^3 + 5 p: T3 provably integer-free
+    integers_inside: dict  # label -> list of integers strictly inside
+    search_candidates: dict  # label -> integers that also pass the lower bounds
+    t3_in_unit_bracket: Optional[bool]  # T3 within (pq - 1, pq), when applicable
+    conclusion: str  # SEARCH_SKIP: no candidate survives for q >= 59 p
+
+
+def integer_point_report(pair: PQPair) -> IntegerPointReport:
+    """Evaluate the narrowness hypotheses and, independently, enumerate all
+    integers inside the real intervals, checking each against the lower
+    bounds t > p^2, t > pq, t > q^2."""
+    p, q = pair.p, pair.q
+    intervals = asymptotic_intervals(pair)
+    inside = {}
+    candidates = {}
+    for iv in intervals:
+        if iv.axis is not Axis.REAL:
+            continue
+        pts = integers_in_open_interval(iv.lo.to_fraction(), iv.hi.to_fraction())
+        inside[iv.label.value] = pts
+        candidates[iv.label.value] = [
+            t for t in pts if t > p * p and t > p * q and t > q * q
+        ]
+    t3_empty = 16 * q >= 256 * p**3 + 5 * p
+    bracket = None
+    if t3_empty:
+        t3 = next(iv for iv in intervals if iv.label is IntervalLabel.T3)
+        lo, hi = t3.lo.to_fraction(), t3.hi.to_fraction()
+        bracket = Fraction(p * q - 1) < lo and hi < Fraction(p * q)
+    return IntegerPointReport(
+        pair=pair,
+        narrow_hypothesis=q > 5 * p**3,
+        at_most_one_hypothesis=q * q > 10 * p**4,
+        t3_empty_hypothesis=t3_empty,
+        integers_inside=inside,
+        search_candidates=candidates,
+        t3_in_unit_bracket=bracket,
+        conclusion="SEARCH_SKIP",
+    )

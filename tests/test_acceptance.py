@@ -17,7 +17,6 @@ from cuboidsearch.asymptotics import (
     build_newton_grid,
     certify_roots,
     check_disjoint,
-    integer_point_report,
     leading_coefficients,
     upper_hull,
 )
@@ -35,7 +34,14 @@ from cuboidsearch.search import (
     SearchConfig,
     run_search,
 )
-from oracles import imaginary_axis_poly, oracle_hits, pairs_for_p, refine_interval, scan_pair
+from oracles import (
+    imaginary_axis_poly,
+    integer_point_report,
+    oracle_hits,
+    pairs_for_p,
+    refine_interval,
+    scan_pair,
+)
 
 
 def _sample_pairs():

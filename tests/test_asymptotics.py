@@ -16,8 +16,6 @@ from cuboidsearch.asymptotics import (
     build_newton_grid,
     certify_roots,
     check_disjoint,
-    integer_point_report,
-    integers_in_open_interval,
     leading_coefficients,
     upper_hull,
 )
@@ -26,6 +24,8 @@ from cuboidsearch.exact_arith import IntPoly, QuadRational, quad_sign, sturm_seq
 from oracles import (
     asymptotic_intervals_by_sums,
     imaginary_axis_poly,
+    integer_point_report,
+    integers_in_open_interval,
     interval_midpoint,
     interval_width,
     node_dominance_holds,

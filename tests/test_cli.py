@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cuboidsearch import asymptotics, cli, exact_arith
+from cuboidsearch import asymptotics, cli, exact_arith, search
 from cuboidsearch.cuboid_eqs import PQPair, build_qpq, build_rpq
 from cuboidsearch.exact_arith import QuadRational, sturm_count
 from oracles import fraction_approx_str
@@ -76,7 +76,8 @@ class TestSearchCommand:
             "--threads", "1",
         )
         assert code == cli.EXIT_RESUME_MISMATCH
-        assert "error" in err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "p 1..3" in err and "p 1..4" in err
 
     def test_unwritable_output(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -112,6 +113,25 @@ class TestSearchCommand:
         assert code == cli.EXIT_RESUME_MISMATCH
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "last_completed_p" in err
+
+    @pytest.mark.parametrize("last", [0, 41, 400])
+    def test_last_completed_p_outside_range(self, tmp_path, capsys, last):
+        # a last_completed_p outside the range would skip or repeat p
+        out = str(tmp_path / "o.jsonl")
+        ckpt = tmp_path / "o.ckpt"
+        config = search.SearchConfig(1, 40, 1, str(ckpt), out)
+        with pytest.raises(KeyboardInterrupt):
+            search.run_search(config, abort_after_p=10)
+        ckpt.write_text(ckpt.read_text().replace(
+            "last_completed_p=10\n", f"last_completed_p={last}\n"
+        ))
+        code, _, err = run_cli(
+            capsys, "search", "--p-max", "40", "--out", out,
+            "--checkpoint", str(ckpt), "--threads", "1",
+        )
+        assert code == cli.EXIT_RESUME_MISMATCH
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and f"last_completed_p={last} " in err
 
     def test_torn_output_line(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"

@@ -14,7 +14,6 @@ from cuboidsearch.cuboid_eqs import (
     FullEqParams,
     NotARoot,
     PQPair,
-    build_full_eq,
     build_qpq,
     build_rpq,
     compute_z,
@@ -24,7 +23,13 @@ from cuboidsearch.cuboid_eqs import (
     param_ratios,
     reconstruct_cuboid,
 )
-from oracles import build_qpq_from_grid, intpoly_factorization_check, is_even, literal_full_eq
+from oracles import (
+    build_full_eq,
+    build_qpq_from_grid,
+    intpoly_factorization_check,
+    is_even,
+    literal_full_eq,
+)
 
 
 class TestPQPair:

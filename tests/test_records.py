@@ -114,7 +114,7 @@ def test_cli_import_loads_no_startup_heavy_module():
     and what it imports, and leaves the worker pool's module to pool runs:
     each process pays these imports at start-up."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cuboidsearch.__file__)))
-    heavy = {"dataclasses", "inspect", "ast", "dis", "concurrent.futures"}
+    heavy = {"dataclasses", "inspect", "ast", "dis", "concurrent.futures", "hashlib"}
     code = (
         "import sys, cuboidsearch.cli; "
         f"print(sorted({heavy!r} & set(sys.modules)))"

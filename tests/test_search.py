@@ -21,6 +21,7 @@ from cuboidsearch.search import (
 from oracles import (
     admissible_hits,
     divisor_candidates,
+    eval_mod,
     exact_prime_powers,
     literal_t_bounds,
     modular_sieve,
@@ -155,7 +156,7 @@ class TestSieve:
         assert shifted.eval_int(12) == 0
         for m in (7, 11, 64):
             residues = frozenset(
-                r for r in range(m) if shifted.eval_mod(r, m) == 0
+                r for r in range(m) if eval_mod(shifted, r, m) == 0
             )
             assert 12 % m in residues
 
@@ -434,17 +435,29 @@ class TestConfig:
         with pytest.raises(TypeError):
             SearchConfig(p_min=1, p_max=3, faithful=True)
 
-    def test_digest_ignores_workers_and_paths(self):
-        a = SearchConfig(p_min=1, p_max=5)
-        b = SearchConfig(
-            p_min=1, p_max=5, worker_count=8, output_path="elsewhere.jsonl"
-        )
-        assert a.digest() == b.digest()
+    def test_checkpoint_ignores_workers_and_paths(self, tmp_path, monkeypatch):
+        # the checkpoint holds the p range and the counters after the last
+        # merged p, so an interrupted run leaves the same bytes in-process,
+        # at four workers and on a pool of two
+        def interrupted(name, workers):
+            config = make_config(tmp_path, name, p_max=6, worker_count=workers)
+            with pytest.raises(KeyboardInterrupt):
+                run_search(config, abort_after_p=3)
+            return (tmp_path / f"{name}.ckpt").read_bytes()
 
-    def test_digest_tracks_semantics(self):
-        a = SearchConfig(p_min=1, p_max=5)
-        assert a.digest() != SearchConfig(p_min=1, p_max=6).digest()
-        assert a.digest() != SearchConfig(p_min=2, p_max=5).digest()
+        one = interrupted("one", 1)
+        assert interrupted("four", 4) == one
+        monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
+        assert interrupted("pool", 2) == one
+
+    def test_checkpoint_tracks_range(self, tmp_path):
+        for name, p_min, p_max in (("a", 1, 5), ("b", 1, 6), ("c", 2, 5)):
+            config = make_config(tmp_path, name, p_min=p_min, p_max=p_max)
+            run_search(config)
+            ckpt = SearchCheckpoint.read(config.checkpoint_path)
+            assert (ckpt.p_min, ckpt.p_max, ckpt.last_completed_p) == (
+                p_min, p_max, p_max
+            )
 
 
 class TestRunSearch:
@@ -469,26 +482,16 @@ class TestRunSearch:
     def test_checkpoint_file_format(self, tmp_path):
         config = make_config(tmp_path)
         report = run_search(config)
-        text = (tmp_path / "a.ckpt").read_text()
-        keys = [line.split("=")[0] for line in text.strip().splitlines()]
-        assert keys == [
-            "version",
-            "config_digest",
-            "last_completed_p",
-            "candidates_found",
-            "pairs_examined",
-            "pairs_nonempty",
-            "candidates_evaluated",
-            "elapsed_seconds",
-        ]
-        ckpt = SearchCheckpoint.read(str(tmp_path / "a.ckpt"))
-        assert ckpt.version == CHECKPOINT_VERSION
-        assert ckpt.config_digest == config.digest()
-        assert ckpt.last_completed_p == 5
-        assert ckpt.candidates_found == 0
-        assert (ckpt.pairs_examined, ckpt.pairs_nonempty, ckpt.candidates_evaluated) == (
+        counters = (
             report.pairs_examined, report.pairs_nonempty, report.candidates_evaluated
         )
+        assert (tmp_path / "a.ckpt").read_text() == (
+            "version=4\np_min=1\np_max=5\nlast_completed_p=5\n"
+            "candidates_found=0\npairs_examined=%d\npairs_nonempty=%d\n"
+            "candidates_evaluated=%d\n" % counters
+        )
+        ckpt = SearchCheckpoint.read(config.checkpoint_path)
+        assert ckpt == (CHECKPOINT_VERSION, 1, 5, 5, 0, *counters)
 
     def test_faithful_mode_same_hits(self, tmp_path):
         # every t of the paper's literal range for p <= 4, filtered by the
@@ -553,6 +556,39 @@ class TestRunSearch:
         assert (tmp_path / "pooled.jsonl").read_bytes() == (
             tmp_path / "serial.jsonl"
         ).read_bytes()
+
+    def test_pool_size_capped_by_p_left(self, tmp_path, monkeypatch):
+        # a fork-started pool forks all its workers at once, so it gets no
+        # more workers than there are p left; the fake maps in-process
+        import concurrent.futures
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        serial = make_config(tmp_path, "serial", p_max=8)
+        run_search(serial)
+        monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        run_search(make_config(tmp_path, "few", p_max=3, worker_count=64))
+        run_search(make_config(tmp_path, "two", p_max=8, worker_count=2))
+        resumed = make_config(tmp_path, "resumed", p_max=8, worker_count=64)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(resumed, abort_after_p=5)
+        run_search(resumed)
+        assert sizes == [3, 2, 8, 3]
+        for name in ("two", "resumed"):
+            assert (tmp_path / f"{name}.jsonl").read_bytes() == (
+                tmp_path / "serial.jsonl"
+            ).read_bytes()
 
     def test_checkpoint_written_by_work(self, tmp_path, monkeypatch):
         written = []
@@ -634,8 +670,10 @@ class TestRunSearch:
             checkpoint_path=config.checkpoint_path,
             output_path=config.output_path,
         )
-        with pytest.raises(ResumeMismatch):
+        with pytest.raises(ResumeMismatch, match=r"p 1\.\.5, not the configured p 1\.\.9"):
             run_search(altered)
+        with pytest.raises(ResumeMismatch, match=r"p 1\.\.5, not the configured p 2\.\.5"):
+            run_search(altered._replace(p_min=2, p_max=5))
 
     def test_resume_detects_tampered_output(self, tmp_path):
         config = make_config(tmp_path)
@@ -646,22 +684,34 @@ class TestRunSearch:
         with pytest.raises(ResumeMismatch):
             run_search(config)
 
-    @pytest.mark.parametrize("edit", [
-        lambda text: text.replace("last_completed_p=2\n", ""),
-        lambda text: text.replace("pairs_nonempty=", "pairs_nonempty=x"),
-        lambda text: text.replace(f"version={CHECKPOINT_VERSION}", "version=1"),
-        lambda text: text.replace(f"version={CHECKPOINT_VERSION}", "version=2"),
-        lambda text: "",
-        lambda text: "\udcff" + text,
-    ], ids=["missing-field", "bad-number", "old-version", "version-2", "empty",
-            "not-utf8"])
-    def test_damaged_checkpoint(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("last_completed_p=2\n", ""),
+         "missing field 'last_completed_p'"),
+        (lambda text: text.replace("pairs_nonempty=", "pairs_nonempty=x"),
+         "invalid literal"),
+        (lambda text: text.replace(f"version={CHECKPOINT_VERSION}", "version=1"),
+         "has version 1"),
+        (lambda text: text.replace(f"version={CHECKPOINT_VERSION}", "version=2"),
+         "has version 2"),
+        (lambda text: text.replace(f"version={CHECKPOINT_VERSION}", "version=3"),
+         "has version 3, expected 4"),
+        (lambda text: text.replace("last_completed_p=2", "last_completed_p=0"),
+         r"last_completed_p=0 lies outside p 1\.\.5"),
+        (lambda text: text.replace("last_completed_p=2", "last_completed_p=6"),
+         r"last_completed_p=6 lies outside p 1\.\.5"),
+        (lambda text: text.replace("last_completed_p=2", "last_completed_p=400"),
+         r"last_completed_p=400 lies outside p 1\.\.5"),
+        (lambda text: "", "has version None"),
+        (lambda text: "\udcff" + text, "damaged"),
+    ], ids=["missing-field", "bad-number", "old-version", "version-2", "version-3",
+            "last-p-0", "last-p-past-range", "last-p-400", "empty", "not-utf8"])
+    def test_damaged_checkpoint(self, tmp_path, edit, message):
         config = make_config(tmp_path)
         with pytest.raises(KeyboardInterrupt):
             run_search(config, abort_after_p=2)
         path = tmp_path / "a.ckpt"
         path.write_bytes(edit(path.read_text()).encode("utf-8", "surrogateescape"))
-        with pytest.raises(ResumeMismatch):
+        with pytest.raises(ResumeMismatch, match=message):
             run_search(config)
 
     def test_torn_final_line_dropped(self, tmp_path):
