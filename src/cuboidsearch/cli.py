@@ -98,10 +98,10 @@ def cmd_search(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS
 
-    def progress(p, pairs, nonempty, evaluated, hits):
+    def progress(p, pairs, nonempty, obstructed, evaluated, hits):
         print(
-            f"p={p} pairs={pairs} nonempty={nonempty} evaluated={evaluated} "
-            f"hits={hits}",
+            f"p={p} pairs={pairs} nonempty={nonempty} obstructed={obstructed} "
+            f"evaluated={evaluated} hits={hits}",
             file=sys.stderr,
         )
 
@@ -115,6 +115,7 @@ def cmd_search(args) -> int:
         return EXIT_IO
     print(
         f"pairs={report.pairs_examined} nonempty={report.pairs_nonempty} "
+        f"obstructed={report.pairs_obstructed} "
         f"evaluated={report.candidates_evaluated} hits={len(report.hits)} "
         f"wall={report.wall_time:.2f}s",
         file=sys.stderr,

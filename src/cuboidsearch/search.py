@@ -8,17 +8,36 @@ q^2))/2 is the positive root of the search inequality (p^2 + t)(pq + t) >
 `t_bounds`), so the search does not apply it.  `t_bounds` computes the range
 exactly, and every other use of the range derives from that function.
 
-Two proved cuts leave only a handful of candidates, each evaluated exactly.
+Each p goes through four stages: the nonempty pairs, the obstruction sieve,
+the valuation candidates of the pairs it leaves, and exact evaluation.
+Every cut is a proved fact.
 
-q cap.  The walk over q stops at the first coprime q > p whose range is
-empty, calling `t_bounds` once per pair.  For
-q > p the range is nonempty exactly when f(q) = r(q) - q^2 - 1 > 0.  f is
-concave in q (the square root of the quadratic h = p^2 + 6pq + q^2 has
-second derivative -32 p^2 / (4 h^(3/2))) and f(p) = sqrt(2) p^2 - 1 > 0, so
-once f(q) <= 0 at some q > p it stays <= 0 for every larger q; in practice
-q < 1.84 p (the real root of c^3 = c^2 + c + 1).  Every pair with q < p
-has a nonempty range too, so the walk visits exactly the nonempty coprime
-pairs and the one pair that ends it.
+Nonempty pairs.  For q > p the range is nonempty exactly when
+f(q) = r(q) - q^2 - 1 > 0.  f is concave in q (the square root of the
+quadratic h = p^2 + 6pq + q^2 has second derivative -32 p^2 / (4 h^(3/2)))
+and f(p) = sqrt(2) p^2 - 1 > 0, so the q > p with a nonempty range run up
+to a cap, and `t_bounds` shows that q >= 2p gives an empty range.
+`q_limit` finds the cap by bisection on `t_bounds` over (p, 2p), in
+integers; in practice it is about 1.84 p (the real root of
+c^3 = c^2 + c + 1).  Every pair with q < p has a nonempty range too, so the
+nonempty pairs of p are the coprime q <= q_limit(p) with q != p.
+
+Obstruction.  If Q(t) = 0 for an integer t, then Q has a root mod every
+prime l, so one prime for which Q has no root mod l rules out the whole
+pair.  The coefficient of t^(2k) in Q has degree 20 - 4k in (p, q), so
+Q(p^2 tau; p, p x) = p^20 Q(tau; 1, x).  For an odd prime l not dividing p,
+put x = q / p mod l; as tau -> p^2 tau is a bijection mod l, Q(t; p, q) has
+a root mod l exactly when Q(tau; 1, x) has one.  `ratio_table(l)` is the
+set B_l of the x in 1..l-1 for which it has none: Q(tau; 1, x) =
+R(tau^2; 1, x) and R(0; 1, x) = -x^10 is not 0 mod l, so these are the x
+for which R has no root among the nonzero squares mod l.  (For l | q, x = 0
+and t = 0 is a root, so l proves nothing; 0 is never in B_l.)  The sieve
+(`sieve_pairs`) marks the nonempty q of p in a bytearray and, for each l in
+OBSTRUCTION_PRIMES that does not divide p, clears the classes q = x p mod l
+with x in B_l, one slice assignment each, until no q is left.  It cannot
+rule out every pair in principle, since some polynomials have a root mod
+every prime (Berend and Bilu); the pairs it leaves go on to the
+candidates.  Up to p = 3000 it leaves none.
 
 Valuation candidates.  Q is monic with constant term -p^10 q^10, so an
 integer root t divides (pq)^10.  Let l^e exactly divide pq.  The
@@ -46,7 +65,6 @@ processes is searched in-process whatever the worker count (`use_pool`).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -61,22 +79,39 @@ from .cuboid_eqs import (
     reconstruct_cuboid,
 )
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
+
+# The moduli of the obstruction sieve, the odd primes below 200, tried in
+# this order.  Set to () the search sends every nonempty pair to the
+# valuation candidates.
+OBSTRUCTION_PRIMES = (
+    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
+    157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
+)
 
 # Below this much work, the sum of the p still to search, the search runs
-# in-process.  A p costs roughly in proportion to p, and starting two worker
-# processes costs about as much as searching p's summing to 1,300 (2-vCPU
-# host, Python 3.11: p 61..80 took 60 ms in-process, 50 ms on two workers;
-# p 27..40 took 15 ms in-process, 28 ms on two workers).  The margin above
-# that covers the pool's import, which only a pool run pays.
-POOL_MIN_WORK = 2000
+# in-process.  With the obstruction sieve a p costs about 60 us plus 40 ns
+# times p, and two workers only pay off from about here (2-vCPU host,
+# Python 3.11, run_search wall time in fresh processes, medians of three:
+# p 1..1500 took 170 ms in-process and 174 ms on two workers, p 1..2000
+# 276 and 203 ms, p 1..3000 462 and 321 ms, p 4001..4500 142 and 150 ms).
+# Starting two workers costs about 50 ms, and each builds its own ratio
+# tables.
+POOL_MIN_WORK = 2_000_000
+
+# A pool gets the p in runs of consecutive values, about four runs per
+# worker and at most this many p each.  One p per task costs more in
+# inter-process traffic than most p cost to search: p 1..3000 took 1.3 s on
+# two workers that way, against 0.32 s in runs of up to 128.
+POOL_CHUNK = 128
 
 # Work merged between two checkpoint writes, in the same units: about half
-# a second on one core of that host.  Each write replaces the file, which on
-# ext4 took 0.5-0.7 ms in the median and up to 40 ms; written after every p,
-# the checkpoint took 40% of a resumed p 27..40 run (14 of 36 ms) and most
-# of its spread.
-CHECKPOINT_MIN_WORK = 10_000
+# a second on one core of that host (p 1..3000 took 0.38-0.48 s).  Each
+# write replaces the file, which on ext4 took 0.5-0.7 ms in the median and
+# up to 40 ms; written after every p, the checkpoint once took 40% of a
+# resumed p 27..40 run (14 of 36 ms) and most of its spread.
+CHECKPOINT_MIN_WORK = 5_000_000
 
 
 class ResumeMismatch(RuntimeError):
@@ -135,6 +170,7 @@ class SearchCheckpoint(NamedTuple):
     candidates_found: int
     pairs_examined: int
     pairs_nonempty: int
+    pairs_obstructed: int
     candidates_evaluated: int
 
     def write(self, path: str) -> None:
@@ -174,6 +210,7 @@ class SearchReport:
     def __init__(self) -> None:
         self.pairs_examined = 0
         self.pairs_nonempty = 0
+        self.pairs_obstructed = 0
         self.candidates_evaluated = 0
         self.hits: List[CuboidWitness] = []
         self.wall_time = 0.0
@@ -263,27 +300,92 @@ def pair_count(p: int) -> int:
     return 59 * phi
 
 
-def _scan_p(p: int) -> Tuple[int, int, int, int, tuple]:
-    """Worker: search every pair for one p, walking q upward until the first
-    coprime q > p with an empty range.  Returns (p, pairs_examined,
-    pairs_nonempty, candidates_evaluated, hits).
+def q_limit(p: int) -> int:
+    """The largest q with a nonempty t range for p, or p when no q > p has
+    one: bisection on `t_bounds` over (p, 2p).  The range is nonempty at
+    q = p and empty at q = 2p, and the q > p with a nonempty range are an
+    interval (see the module docstring)."""
+    lo, hi = p, 2 * p
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if t_bounds(p, mid) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
-    A root goes straight to `reconstruct_cuboid`: the search inequality
+
+_RATIO_TABLES: Dict[int, Tuple[int, ...]] = {}
+
+
+def ratio_table(l: int) -> Tuple[int, ...]:
+    """B_l for an odd prime l: the x in 1..l-1, ascending, for which
+    R(u; 1, x) has no root among the nonzero squares u mod l, that is
+    Q(tau; 1, x) has no root mod l.  Built on first use, once per l and
+    process."""
+    table = _RATIO_TABLES.get(l)
+    if table is None:
+        squares = [u * u % l for u in range(1, (l + 1) // 2)]
+        out = []
+        for x in range(1, l):
+            c0, c2, c4, c6, c8 = (c % l for c in qpq_coefficients(1, x))
+            if all(
+                (((((u + c8) * u + c6) * u + c4) * u + c2) * u + c0) % l
+                for u in squares
+            ):
+                out.append(x)
+        table = _RATIO_TABLES[l] = tuple(out)
+    return table
+
+
+def sieve_pairs(p: int) -> Tuple[int, List[int]]:
+    """(n, survivors): the number n of coprime q != p with a nonempty t
+    range, and those of them, ascending, that no prime in
+    OBSTRUCTION_PRIMES rules out.
+
+    live[q] is 1 while q may still have a root.  The class q = x p mod l
+    of live has (cap - r) // l + 1 members from its least one r, that is
+    cap // l + 1 when r <= cap % l and cap // l otherwise."""
+    cap = q_limit(p)
+    live = bytearray(b"\x01") * (cap + 1)
+    live[0] = live[p] = 0
+    for prime in _prime_factors(p):
+        live[::prime] = bytes(cap // prime + 1)
+    nonempty = left = live.count(1)
+    for l in OBSTRUCTION_PRIMES:
+        if not left:
+            break
+        if p % l == 0:
+            continue
+        edge = cap % l
+        long, short = bytes(cap // l + 1), bytes(cap // l)
+        for x in ratio_table(l):
+            r = x * p % l
+            live[r::l] = long if r <= edge else short
+        left = live.count(1)
+    survivors = []
+    q = live.find(1)
+    while q >= 0:
+        survivors.append(q)
+        q = live.find(1, q + 1)
+    return nonempty, survivors
+
+
+def _scan_p(p: int) -> Tuple[int, int, int, int, int, tuple]:
+    """Worker: search every pair for one p.  Returns (p, pairs_examined,
+    pairs_nonempty, pairs_obstructed, candidates_evaluated, hits).
+
+    Only the pairs `sieve_pairs` leaves get valuation candidates.  A root
+    goes straight to `reconstruct_cuboid`: the search inequality
     (p^2 + t)(pq + t) > 2 t^2 holds exactly for t between its negative root
     and r(q), and every candidate is positive and at most hi < r(q)."""
-    fp = factor_list(p)
-    nonempty = evaluated = 0
+    nonempty, survivors = sieve_pairs(p)
+    evaluated = 0
     hits: List[CuboidWitness] = []
-    for q in itertools.count(1):
-        if q == p or math.gcd(p, q) != 1:
-            continue
-        bounds = t_bounds(p, q)
-        if bounds is None:
-            if q > p:
-                break
-            continue
-        nonempty += 1
-        candidates = clipped_products(fp, factor_list(q), *bounds)
+    if survivors:
+        fp = factor_list(p)
+    for q in survivors:
+        candidates = clipped_products(fp, factor_list(q), *t_bounds(p, q))
         if not candidates:
             continue
         evaluated += len(candidates)
@@ -295,7 +397,10 @@ def _scan_p(p: int) -> Tuple[int, int, int, int, tuple]:
             for tag in CaseTag:
                 hits.append(reconstruct_cuboid(p, q, t, tag))
     hits.sort(key=lambda w: (w.p, w.q, w.t, w.case_tag.value))
-    return p, pair_count(p), nonempty, evaluated, tuple(hits)
+    return (
+        p, pair_count(p), nonempty, nonempty - len(survivors), evaluated,
+        tuple(hits),
+    )
 
 
 def use_pool(worker_count: int, todo: Sequence[int]) -> bool:
@@ -346,6 +451,13 @@ def _load_resume_state(
             f"checkpoint {path} is damaged: last_completed_p="
             f"{ckpt.last_completed_p} lies outside p {ckpt.p_min}..{ckpt.p_max}"
         )
+    pairs = sum(map(pair_count, range(ckpt.p_min, ckpt.last_completed_p + 1)))
+    if ckpt.pairs_examined != pairs:
+        raise ResumeMismatch(
+            f"checkpoint {path} is damaged: pairs_examined="
+            f"{ckpt.pairs_examined}, but p {ckpt.p_min}..{ckpt.last_completed_p} "
+            f"has {pairs} pairs"
+        )
     kept = []
     if os.path.exists(config.output_path):
         lines = _read_lines(config.output_path)
@@ -373,7 +485,7 @@ def _load_resume_state(
     return ckpt, kept
 
 
-ProgressFn = Callable[[int, int, int, int, int], None]
+ProgressFn = Callable[[int, int, int, int, int, int], None]
 
 
 def run_search(
@@ -390,9 +502,9 @@ def run_search(
     the p that brings the work merged since its last write to
     CHECKPOINT_MIN_WORK, after the last p, and when the run is interrupted
     or fails.  The report's wall time is that of this call alone.
-    `progress(p, pairs, nonempty, evaluated, hits)` is called per completed
-    p.  `abort_after_p` simulates an interruption right after that p
-    completes (test hook for the resume contract).
+    `progress(p, pairs, nonempty, obstructed, evaluated, hits)` is called
+    per completed p.  `abort_after_p` simulates an interruption right after
+    that p completes (test hook for the resume contract).
     """
     start = time.monotonic()
     report = SearchReport()
@@ -404,6 +516,7 @@ def run_search(
         resume_from = ckpt.last_completed_p + 1
         report.pairs_examined = ckpt.pairs_examined
         report.pairs_nonempty = ckpt.pairs_nonempty
+        report.pairs_obstructed = ckpt.pairs_obstructed
         report.candidates_evaluated = ckpt.candidates_evaluated
 
     out = open(config.output_path, "w", encoding="utf-8")
@@ -418,19 +531,20 @@ def run_search(
             from concurrent.futures import ProcessPoolExecutor
 
             # a fork-started pool forks all its workers up front
-            executor = ProcessPoolExecutor(
-                max_workers=min(config.worker_count, len(todo))
-            )
-            results = executor.map(_scan_p, todo)
+            workers = min(config.worker_count, len(todo))
+            executor = ProcessPoolExecutor(max_workers=workers)
+            chunk = min(POOL_CHUNK, max(1, len(todo) // (4 * workers)))
+            results = executor.map(_scan_p, todo, chunksize=chunk)
         else:
             executor = None
             results = map(_scan_p, todo)
         last = None  # checkpoint for the last merged p
         unsaved = 0  # work merged since `last` was written
         try:
-            for p, pairs, nonempty, evaluated, hits in results:
+            for p, pairs, nonempty, obstructed, evaluated, hits in results:
                 report.pairs_examined += pairs
                 report.pairs_nonempty += nonempty
+                report.pairs_obstructed += obstructed
                 report.candidates_evaluated += evaluated
                 for witness in hits:
                     report.hits.append(witness)
@@ -445,6 +559,7 @@ def run_search(
                         candidates_found=len(report.hits),
                         pairs_examined=report.pairs_examined,
                         pairs_nonempty=report.pairs_nonempty,
+                        pairs_obstructed=report.pairs_obstructed,
                         candidates_evaluated=report.candidates_evaluated,
                     )
                     unsaved += p
@@ -452,7 +567,7 @@ def run_search(
                         last.write(config.checkpoint_path)
                         unsaved = 0
                 if progress:
-                    progress(p, pairs, nonempty, evaluated, len(hits))
+                    progress(p, pairs, nonempty, obstructed, evaluated, len(hits))
                 if abort_after_p is not None and p >= abort_after_p:
                     raise KeyboardInterrupt("simulated interruption")
         finally:
@@ -466,6 +581,7 @@ def run_search(
             "summary": True,
             "pairs_examined": report.pairs_examined,
             "pairs_nonempty": report.pairs_nonempty,
+            "pairs_obstructed": report.pairs_obstructed,
             "candidates_evaluated": report.candidates_evaluated,
             "hits": len(report.hits),
         }))

@@ -4,10 +4,12 @@ These are the search's earlier candidate generators, kept unchanged in
 substance: the paper's literal t range (`literal_t_bounds`), the per-pair
 pipeline (`scan_pair`, with the separate `q_cap` walk and
 `valuation_candidates` built from trial-divided prime powers), the full
-scan of every t in range, the divisors of p^10 q^10 in range, and the
-residue sieves that pruned either.  Beside them stand the certificate's
-earlier arithmetic: Horner evaluation over Fraction and over the sqrt(2)
-field, and the Sturm sequence built from Fraction remainders.  Then the
+scan of every t in range, the divisors of p^10 q^10 in range, the
+residue sieves that pruned either, and the obstruction sieve done pair by
+pair, by evaluating Q at every residue (`obstruction_witness`).  Beside
+them stand the certificate's earlier arithmetic: Horner evaluation over
+Fraction and over the sqrt(2) field, and the Sturm sequence built from
+Fraction remainders.  Then the
 audit path's earlier forms: the degree-12 identity checked as an IntPoly
 product against the literal expansion of the degree-12 equation, the
 decimal display computed through Fraction, the root certificate computed
@@ -241,6 +243,27 @@ def modular_sieve(pair: PQPair, m: int) -> FrozenSet[int]:
         raise ValueError("modulus must exceed 1")
     poly = build_qpq(pair)
     return frozenset(r for r in range(m) if eval_mod(poly, r, m) == 0)
+
+
+def obstruction_witness(pair: PQPair, primes: Sequence[int]) -> Optional[int]:
+    """The first l in primes for which Q has no root mod l, found by
+    evaluating Q at every residue t mod l, with no ratio table and no
+    homogeneity; None when Q has a root mod each of them."""
+    poly = build_qpq(pair)
+    for l in primes:
+        if all(eval_mod(poly, t, l) for t in range(l)):
+            return l
+    return None
+
+
+def sieve_survivors(p: int, primes: Sequence[int]) -> List[int]:
+    """The q of the nonempty pairs of p, walked up to `q_cap`, that no prime
+    in primes rules out by `obstruction_witness`."""
+    return [
+        q for q in range(1, q_cap(p))
+        if q != p and math.gcd(p, q) == 1
+        and obstruction_witness(PQPair(p, q), primes) is None
+    ]
 
 
 def _divisors_of_tenth_power(n: int, limit: int) -> List[int]:

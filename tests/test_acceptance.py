@@ -147,7 +147,7 @@ def test_criterion_6_mode_and_sieve_equivalence():
             assert oracle_hits(pair, "scan", ()) == hits
             expected.extend(hits)
         expected.sort(key=lambda w: (w.p, w.q, w.t, w.case_tag.value))
-        assert search._scan_p(p)[4] == tuple(expected)
+        assert search._scan_p(p)[-1] == tuple(expected)
     print(
         f"criterion 6 (kernel = pipeline = scan/divisor oracles with and "
         f"without sieves, {pairs} pairs): PASS"

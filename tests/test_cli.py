@@ -37,7 +37,9 @@ class TestSearchCommand:
         assert progress[0].startswith("p=1 pairs=")
         for line in progress:
             parts = dict(kv.split("=") for kv in line.split())
-            assert set(parts) == {"p", "pairs", "nonempty", "evaluated", "hits"}
+            assert set(parts) == {
+                "p", "pairs", "nonempty", "obstructed", "evaluated", "hits"
+            }
         summary = json.loads(out.read_text().splitlines()[-1])
         assert summary["summary"] is True
         assert summary["hits"] == 0
@@ -132,6 +134,24 @@ class TestSearchCommand:
         assert code == cli.EXIT_RESUME_MISMATCH
         assert err.count("\n") == 1
         assert err.startswith("error: ") and f"last_completed_p={last} " in err
+
+    def test_pairs_examined_checked_on_resume(self, tmp_path, capsys):
+        # pairs_examined has a closed form, so an edited count is refused
+        out = str(tmp_path / "e.jsonl")
+        ckpt = tmp_path / "e.ckpt"
+        config = search.SearchConfig(1, 40, 1, str(ckpt), out)
+        with pytest.raises(KeyboardInterrupt):
+            search.run_search(config, abort_after_p=10)
+        text = ckpt.read_text()
+        assert "pairs_examined=1886\n" in text
+        ckpt.write_text(text.replace("pairs_examined=1886\n", "pairs_examined=5\n"))
+        code, _, err = run_cli(
+            capsys, "search", "--p-max", "40", "--out", out,
+            "--checkpoint", str(ckpt), "--threads", "1",
+        )
+        assert code == cli.EXIT_RESUME_MISMATCH
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "pairs_examined=5," in err
 
     def test_torn_output_line(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"

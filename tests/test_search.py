@@ -4,17 +4,27 @@ import math
 import pytest
 
 from cuboidsearch import cli, search
-from cuboidsearch.cuboid_eqs import CaseTag, CuboidWitness, PQPair, build_qpq
+from cuboidsearch.cuboid_eqs import (
+    CaseTag,
+    CuboidWitness,
+    PQPair,
+    build_qpq,
+    qpq_coefficients,
+)
 from cuboidsearch.exact_arith import IntPoly
 from cuboidsearch.search import (
     CHECKPOINT_VERSION,
+    OBSTRUCTION_PRIMES,
     ResumeMismatch,
     SearchCheckpoint,
     SearchConfig,
     clipped_products,
     factor_list,
     pair_count,
+    q_limit,
+    ratio_table,
     run_search,
+    sieve_pairs,
     t_bounds,
     use_pool,
 )
@@ -25,12 +35,14 @@ from oracles import (
     exact_prime_powers,
     literal_t_bounds,
     modular_sieve,
+    obstruction_witness,
     oracle_candidates,
     oracle_hits,
     oracle_roots,
     pairs_for_p,
     q_cap,
     scan_pair,
+    sieve_survivors,
     valuation_candidates,
 )
 
@@ -60,13 +72,13 @@ def hit_key(w):
 
 
 def kernel_counts(p):
-    """(pairs_examined, pairs_nonempty, candidates_evaluated, hits) of the
-    search kernel for one p."""
+    """(pairs_examined, pairs_nonempty, pairs_obstructed,
+    candidates_evaluated, hits) of the search kernel for one p."""
     return search._scan_p(p)[1:]
 
 
 def capped_pairs(p):
-    """The coprime pairs the search walks for p: q < q_cap(p), q != p."""
+    """The nonempty pairs of p: coprime q < q_cap(p), q != p."""
     return [
         PQPair(p, q)
         for q in range(1, q_cap(p))
@@ -267,12 +279,24 @@ class TestKernel:
                 )
         assert nonempty > 8000
 
-    def test_recorded_counters(self, tmp_path):
+    def test_recorded_counters(self, tmp_path, monkeypatch):
+        # without the obstruction sieve every nonempty pair gets candidates
+        monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", ())
         report = run_search(make_config(tmp_path, p_max=200))
         assert (
             report.pairs_examined, report.pairs_nonempty,
             report.candidates_evaluated, len(report.hits),
         ) == (721_686, 22_496, 42_826, 0)
+        assert report.pairs_obstructed == 0
+
+    def test_recorded_sieved_counters(self, tmp_path):
+        # the sieve rules out every nonempty pair with p <= 200
+        report = run_search(make_config(tmp_path, p_max=200))
+        assert (
+            report.pairs_examined, report.pairs_nonempty,
+            report.pairs_obstructed, report.candidates_evaluated,
+            len(report.hits),
+        ) == (721_686, 22_496, 22_496, 0, 0)
 
 
 class TestNewtonHull:
@@ -316,6 +340,118 @@ class TestQCap:
         assert q_cap(1000) == 1840
 
 
+def odd_primes_below(n):
+    return [
+        l for l in range(3, n, 2)
+        if all(l % d for d in range(3, math.isqrt(l) + 1, 2))
+    ]
+
+
+def q_poly(p, q):
+    """Q(t; p, q) as an IntPoly, for any integers p and q."""
+    c0, c2, c4, c6, c8 = qpq_coefficients(p, q)
+    return IntPoly.of([c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, 1])
+
+
+class TestObstruction:
+    def test_prime_list(self):
+        assert OBSTRUCTION_PRIMES == tuple(odd_primes_below(200))
+
+    def test_homogeneity(self):
+        # the t^(2k) coefficient is homogeneous of degree 20 - 4k in (p, q),
+        # so Q(p^2 tau; p, p x) = p^20 Q(tau; 1, x)
+        for p in range(1, 30):
+            for x in range(-5, 40):
+                base = qpq_coefficients(1, x)
+                assert qpq_coefficients(p, p * x) == tuple(
+                    p ** (20 - 4 * k) * c for k, c in enumerate(base)
+                )
+
+    def test_tables_match_direct_evaluation_l_lt_100(self):
+        # x is in B_l exactly when Q(tau; 1, x) has no root mod l, with Q
+        # evaluated at every residue tau
+        for l in odd_primes_below(100):
+            polys = {x: q_poly(1, x) for x in range(1, l)}
+            no_root = tuple(
+                x for x, poly in polys.items()
+                if all(eval_mod(poly, tau, l) for tau in range(l))
+            )
+            assert ratio_table(l) == no_root
+        assert [len(ratio_table(l)) for l in (3, 5, 7, 11, 13)] == [0, 0, 0, 8, 4]
+
+    def test_tables_decide_each_pair_p_le_12(self):
+        # for l not dividing p, q / p mod l is in B_l exactly when
+        # Q(t; p, q) has no root mod l
+        cases = 0
+        for p in range(1, 13):
+            for pair in capped_pairs(p):
+                for l in OBSTRUCTION_PRIMES:
+                    if p % l:
+                        x = pair.q * pow(p, -1, l) % l
+                        assert (x in ratio_table(l)) == (not modular_sieve(pair, l))
+                        cases += 1
+        assert cases > 3000
+
+    def test_tables_closed_under_inverse(self):
+        # not used by the sieve: B_l is closed under x -> 1/x
+        for l in OBSTRUCTION_PRIMES:
+            table = set(ratio_table(l))
+            assert {pow(x, -1, l) for x in table} == table
+
+    def test_swap_symmetry(self):
+        # not used by the sieve: Q(t; q, p) = -t^10 Q((pq)^2 / t; p, q) /
+        # (pq)^10, so with Q(t; p, q) = sum a_j t^j the coefficient of
+        # t^(10 - j) in Q(t; q, p) is -a_j (pq)^(2j - 10)
+        checked = 0
+        for p in range(1, 16):
+            for q in range(1, 16):
+                if p == q or math.gcd(p, q) != 1:
+                    continue
+                a = build_qpq(PQPair(p, q)).coeffs
+                b = build_qpq(PQPair(q, p)).coeffs
+                m = p * q
+                for j in range(11):
+                    assert b[10 - j] * m**10 == -a[j] * m ** (2 * j)
+                checked += 1
+        assert checked > 100
+
+    def test_q_limit(self):
+        assert q_limit(1) == 1
+        assert all(q_limit(p) == q_cap(p) - 1 for p in range(1, 401))
+
+    @pytest.mark.parametrize("primes", [OBSTRUCTION_PRIMES, (3, 5, 7, 11, 13)],
+                             ids=["all", "short"])
+    def test_survivors_match_oracle_p_le_200(self, monkeypatch, primes):
+        monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", primes)
+        survived = 0
+        for p in range(1, 201):
+            nonempty, survivors = sieve_pairs(p)
+            assert nonempty == len(capped_pairs(p))
+            assert survivors == sieve_survivors(p, primes)
+            survived += len(survivors)
+        assert survived == (0 if primes == OBSTRUCTION_PRIMES else 5350)
+
+    def test_survivors_get_candidates(self, tmp_path, monkeypatch):
+        # with a short prime list some pairs survive, and exactly their
+        # valuation candidates are evaluated
+        monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", (3, 5, 7, 11))
+        report = run_search(make_config(tmp_path, p_max=40))
+        survivors = [
+            PQPair(p, q) for p in range(1, 41)
+            for q in sieve_survivors(p, (3, 5, 7, 11))
+        ]
+        assert report.pairs_obstructed == report.pairs_nonempty - len(survivors)
+        assert report.candidates_evaluated == sum(
+            len(valuation_candidates(
+                exact_prime_powers(pair.p * pair.q), *t_bounds(pair.p, pair.q)
+            ))
+            for pair in survivors
+        ) > 0
+
+    def test_every_pair_of_p_3_ruled_out(self):
+        assert sieve_pairs(3) == (len(capped_pairs(3)), [])
+
+
 class TestPairCount:
     def test_closed_form(self):
         for p in range(1, 201):
@@ -329,8 +465,10 @@ class TestScanPair:
             False, 0, ()
         )
 
-    def test_counts_add_up(self, tmp_path):
-        # the capped walk's counters equal those of the full pairs_for_p walk
+    def test_counts_add_up(self, tmp_path, monkeypatch):
+        # without the obstruction sieve, the kernel's counters equal those
+        # of the full pairs_for_p walk
+        monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", ())
         report = run_search(make_config(tmp_path, p_max=12))
         scans = [
             scan_pair(pair)
@@ -360,7 +498,7 @@ class TestScanPair:
                 assert oracle_hits(pair, "scan") == hits
                 assert oracle_hits(pair, "divisor") == hits
                 expected.extend(hits)
-            assert kernel_counts(p)[3] == tuple(sorted(expected, key=hit_key))
+            assert kernel_counts(p)[-1] == tuple(sorted(expected, key=hit_key))
 
     def test_sieve_soundness_small(self):
         # the sieves drop no root, and sieved candidates stay a superset of
@@ -475,6 +613,7 @@ class TestRunSearch:
             "summary": True,
             "pairs_examined": report.pairs_examined,
             "pairs_nonempty": report.pairs_nonempty,
+            "pairs_obstructed": report.pairs_obstructed,
             "candidates_evaluated": report.candidates_evaluated,
             "hits": 0,
         }
@@ -483,12 +622,13 @@ class TestRunSearch:
         config = make_config(tmp_path)
         report = run_search(config)
         counters = (
-            report.pairs_examined, report.pairs_nonempty, report.candidates_evaluated
+            report.pairs_examined, report.pairs_nonempty,
+            report.pairs_obstructed, report.candidates_evaluated,
         )
         assert (tmp_path / "a.ckpt").read_text() == (
-            "version=4\np_min=1\np_max=5\nlast_completed_p=5\n"
+            "version=5\np_min=1\np_max=5\nlast_completed_p=5\n"
             "candidates_found=0\npairs_examined=%d\npairs_nonempty=%d\n"
-            "candidates_evaluated=%d\n" % counters
+            "pairs_obstructed=%d\ncandidates_evaluated=%d\n" % counters
         )
         ckpt = SearchCheckpoint.read(config.checkpoint_path)
         assert ckpt == (CHECKPOINT_VERSION, 1, 5, 5, 0, *counters)
@@ -526,8 +666,9 @@ class TestRunSearch:
         ).read_bytes()
 
     def test_use_pool(self):
-        big = list(range(81, 111))
+        big = list(range(1, 2001))
         assert sum(big) >= search.POOL_MIN_WORK
+        assert not use_pool(2, big[:-1])
         assert use_pool(2, big)
         assert not use_pool(1, big)
         assert not use_pool(2, [search.POOL_MIN_WORK])
@@ -563,12 +704,14 @@ class TestRunSearch:
         import concurrent.futures
 
         sizes = []
+        chunks = []
 
         class FakePool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def map(self, fn, iterable):
+            def map(self, fn, iterable, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, iterable)
 
             def shutdown(self, cancel_futures=False):
@@ -585,6 +728,11 @@ class TestRunSearch:
             run_search(resumed, abort_after_p=5)
         run_search(resumed)
         assert sizes == [3, 2, 8, 3]
+        assert chunks == [1, 1, 1, 1]
+        # about four runs of consecutive p per worker, at most POOL_CHUNK long
+        run_search(make_config(tmp_path, "runs", p_max=40, worker_count=2))
+        run_search(make_config(tmp_path, "long", p_max=1100, worker_count=2))
+        assert chunks[4:] == [5, search.POOL_CHUNK]
         for name in ("two", "resumed"):
             assert (tmp_path / f"{name}.jsonl").read_bytes() == (
                 tmp_path / "serial.jsonl"
@@ -694,7 +842,12 @@ class TestRunSearch:
         (lambda text: text.replace(f"version={CHECKPOINT_VERSION}", "version=2"),
          "has version 2"),
         (lambda text: text.replace(f"version={CHECKPOINT_VERSION}", "version=3"),
-         "has version 3, expected 4"),
+         "has version 3, expected 5"),
+        (lambda text: text.replace(f"version={CHECKPOINT_VERSION}", "version=4"),
+         "has version 4, expected 5"),
+        # p 1..2 have 57 + 59 pairs; the count is checked in closed form
+        (lambda text: text.replace("pairs_examined=116\n", "pairs_examined=5\n"),
+         r"pairs_examined=5, but p 1\.\.2 has 116 pairs"),
         (lambda text: text.replace("last_completed_p=2", "last_completed_p=0"),
          r"last_completed_p=0 lies outside p 1\.\.5"),
         (lambda text: text.replace("last_completed_p=2", "last_completed_p=6"),
@@ -704,7 +857,8 @@ class TestRunSearch:
         (lambda text: "", "has version None"),
         (lambda text: "\udcff" + text, "damaged"),
     ], ids=["missing-field", "bad-number", "old-version", "version-2", "version-3",
-            "last-p-0", "last-p-past-range", "last-p-400", "empty", "not-utf8"])
+            "version-4", "pairs-examined", "last-p-0", "last-p-past-range",
+            "last-p-400", "empty", "not-utf8"])
     def test_damaged_checkpoint(self, tmp_path, edit, message):
         config = make_config(tmp_path)
         with pytest.raises(KeyboardInterrupt):
@@ -740,9 +894,18 @@ def planted(monkeypatch):
     candidate of its range (10, 17), and a witness for it in each case.
     The search kernel evaluates Q(t) = R(t^2) from R's coefficients; for
     (3, 2) they become those of R(u) = (u - 144)(u + 1)^4, none of them
-    zero, so a Horner step taken out of order would miss the root."""
+    zero, so a Horner step taken out of order would miss the root.  A root
+    has a root mod every prime, so the ratio 2 / 3 mod l leaves every
+    ratio table B_l, and (3, 2) passes the real sieve."""
     real_coefficients = search.qpq_coefficients
     real_reconstruct = search.reconstruct_cuboid
+    real_table = search.ratio_table
+
+    def table(l):
+        if l == 3:
+            return real_table(l)
+        ratio = 2 * pow(3, -1, l) % l
+        return tuple(x for x in real_table(l) if x != ratio)
 
     def coefficients(p, q):
         if (p, q) == (3, 2):
@@ -756,6 +919,7 @@ def planted(monkeypatch):
 
     monkeypatch.setattr(search, "qpq_coefficients", coefficients)
     monkeypatch.setattr(search, "reconstruct_cuboid", reconstruct)
+    monkeypatch.setattr(search, "ratio_table", table)
 
 
 class TestPlantedRoot:
@@ -767,6 +931,10 @@ class TestPlantedRoot:
             monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
             return 2
         return 1
+
+    def test_planted_pair_passes_the_real_sieve(self, planted):
+        # without the fixture the sieve rules out every pair of p = 3
+        assert 2 in sieve_pairs(3)[1]
 
     def test_fresh_run(self, tmp_path, planted, workers, capsys):
         config = make_config(tmp_path, p_max=6, worker_count=workers)
