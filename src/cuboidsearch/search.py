@@ -27,17 +27,22 @@ prime l, so one prime for which Q has no root mod l rules out the whole
 pair.  The coefficient of t^(2k) in Q has degree 20 - 4k in (p, q), so
 Q(p^2 tau; p, p x) = p^20 Q(tau; 1, x).  For an odd prime l not dividing p,
 put x = q / p mod l; as tau -> p^2 tau is a bijection mod l, Q(t; p, q) has
-a root mod l exactly when Q(tau; 1, x) has one.  `ratio_table(l)` is the
+a root mod l exactly when Q(tau; 1, x) has one.  `ratio_table(l)` holds the
 set B_l of the x in 1..l-1 for which it has none: Q(tau; 1, x) =
 R(tau^2; 1, x) and R(0; 1, x) = -x^10 is not 0 mod l, so these are the x
 for which R has no root among the nonzero squares mod l.  (For l | q, x = 0
-and t = 0 is a root, so l proves nothing; 0 is never in B_l.)  The sieve
-(`sieve_pairs`) marks the nonempty q of p in a bytearray and, for each l in
-OBSTRUCTION_PRIMES that does not divide p, clears the classes q = x p mod l
-with x in B_l, one slice assignment each, until no q is left.  It cannot
-rule out every pair in principle, since some polynomials have a root mod
-every prime (Berend and Bilu); the pairs it leaves go on to the
-candidates.  Up to p = 3000 it leaves none.
+and t = 0 is a root, so l proves nothing; 0 is never in B_l.)  B_l is
+closed under x -> -x and x -> 1/x, so the table is built from one x per
+orbit {x, -x, 1/x, -1/x} (see `ratio_table`).  The sieve (`sieve_pairs`)
+marks the nonempty q of p in a bytearray and takes the l in
+OBSTRUCTION_PRIMES that do not divide p and have a nonempty B_l (so not
+3, 5 or 7) in two phases.  While more q are live than B_l has classes, it
+clears the classes q = x p mod l with x in B_l, one slice assignment
+each; after that it lists the live q once and keeps those with
+q / p mod l outside B_l, until no q is left.  It cannot rule out every pair
+in principle, since some polynomials have a root mod every prime (Berend
+and Bilu); the pairs it leaves go on to the candidates.  Up to p = 3000 it
+leaves none.
 
 Valuation candidates.  Q is monic with constant term -p^10 q^10, so an
 integer root t divides (pq)^10.  Let l^e exactly divide pq.  The
@@ -91,14 +96,16 @@ OBSTRUCTION_PRIMES = (
 )
 
 # Below this much work, the sum of the p still to search, the search runs
-# in-process.  With the obstruction sieve a p costs about 60 us plus 40 ns
-# times p, and two workers only pay off from about here (2-vCPU host,
-# Python 3.11, run_search wall time in fresh processes, medians of three:
-# p 1..1500 took 170 ms in-process and 174 ms on two workers, p 1..2000
-# 276 and 203 ms, p 1..3000 462 and 321 ms, p 4001..4500 142 and 150 ms).
-# Starting two workers costs about 50 ms, and each builds its own ratio
-# tables.
-POOL_MIN_WORK = 2_000_000
+# in-process.  A p costs about 50 us plus 20 ns times p, and two workers
+# only pay off from about here (2-vCPU host, Python 3.11, run_search wall
+# time in fresh processes, medians of five: p 1..4000 took 432 ms
+# in-process and 475 ms on two workers, p 1..4500 478 and 401 ms,
+# p 20001..20100 51 and 76 ms, p 50001..50200 245 and 180 ms,
+# p 99901..100000 260 and 320 ms, p 99801..100000 518 and 286 ms).
+# Starting two workers costs about 50 ms, each builds the ratio tables it
+# reaches (15 ms for all of them), and on that host two busy processes ran
+# at about 0.55 times the speed of one.
+POOL_MIN_WORK = 10_000_000
 
 # A pool gets the p in runs of consecutive values, about four runs per
 # worker and at most this many p each.  One p per task costs more in
@@ -106,8 +113,9 @@ POOL_MIN_WORK = 2_000_000
 # two workers that way, against 0.32 s in runs of up to 128.
 POOL_CHUNK = 128
 
-# Work merged between two checkpoint writes, in the same units: about half
-# a second on one core of that host (p 1..3000 took 0.38-0.48 s).  Each
+# Work merged between two checkpoint writes, in the same units: about a
+# quarter second on one core of that host (p 1..3000 took 0.23-0.27 s, and
+# p 99901..100000, with a sum of 10^7, 0.19-0.30 s).  Each
 # write replaces the file, which on ext4 took 0.5-0.7 ms in the median and
 # up to 40 ms; written after every p, the checkpoint once took 40% of a
 # resumed p 27..40 run (14 of 36 ms) and most of its spread.
@@ -315,27 +323,43 @@ def q_limit(p: int) -> int:
     return lo
 
 
-_RATIO_TABLES: Dict[int, Tuple[int, ...]] = {}
+_RATIO_TABLES: Dict[int, Tuple[Tuple[int, ...], bytes]] = {}
 
 
-def ratio_table(l: int) -> Tuple[int, ...]:
-    """B_l for an odd prime l: the x in 1..l-1, ascending, for which
-    R(u; 1, x) has no root among the nonzero squares u mod l, that is
-    Q(tau; 1, x) has no root mod l.  Built on first use, once per l and
-    process."""
-    table = _RATIO_TABLES.get(l)
-    if table is None:
+def ratio_table(l: int) -> Tuple[Tuple[int, ...], bytes]:
+    """(B_l, mask) for an odd prime l.  B_l holds the x in 1..l-1, ascending,
+    for which R(u; 1, x) has no root among the nonzero squares u mod l,
+    that is Q(tau; 1, x) has no root mod l; mask[x] is 1 exactly for the x
+    in B_l, for x in 0..l-1.  Built on first use, once per l and process.
+
+    B_l is a union of orbits {x, -x, 1/x, -1/x}, so R is evaluated for one
+    x per orbit, and only up to its first root.  Q depends on q only
+    through q^2, so x and -x agree.  The swap identity Q(t; q, p) =
+    -t^10 Q((pq)^2 / t; p, q) / (pq)^10 maps the roots t of Q(t; x, 1) to
+    the roots x^2 / t of Q(t; 1, x) (0 is a root of neither: both constant
+    terms are -x^10), and by homogeneity Q(x^2 tau; x, 1) =
+    x^20 Q(tau; 1, 1/x) mod l, so x and 1/x agree."""
+    entry = _RATIO_TABLES.get(l)
+    if entry is None:
         squares = [u * u % l for u in range(1, (l + 1) // 2)]
-        out = []
+        mask = bytearray(l)
+        seen = bytearray(l)
         for x in range(1, l):
+            if seen[x]:
+                continue
             c0, c2, c4, c6, c8 = (c % l for c in qpq_coefficients(1, x))
-            if all(
+            no_root = all(
                 (((((u + c8) * u + c6) * u + c4) * u + c2) * u + c0) % l
                 for u in squares
-            ):
-                out.append(x)
-        table = _RATIO_TABLES[l] = tuple(out)
-    return table
+            )
+            y = pow(x, -1, l)
+            for z in (x, l - x, y, l - y):
+                seen[z] = 1
+                mask[z] = no_root
+        entry = _RATIO_TABLES[l] = (
+            tuple(x for x in range(l) if mask[x]), bytes(mask)
+        )
+    return entry
 
 
 def sieve_pairs(p: int) -> Tuple[int, List[int]]:
@@ -343,32 +367,53 @@ def sieve_pairs(p: int) -> Tuple[int, List[int]]:
     range, and those of them, ascending, that no prime in
     OBSTRUCTION_PRIMES rules out.
 
-    live[q] is 1 while q may still have a root.  The class q = x p mod l
-    of live has (cap - r) // l + 1 members from its least one r, that is
-    cap // l + 1 when r <= cap % l and cap // l otherwise."""
+    live[q] is 1 while q may still have a root.  The primes l that divide p
+    or have an empty B_l prove nothing and are skipped.  While more q are
+    live than B_l has classes, the classes q = x p mod l with x in B_l are
+    cleared by slice assignment, one per x; the class of live from its
+    least member r has (cap - r) // l + 1 members, that is cap // l + 1
+    when r <= cap % l and cap // l otherwise.  After that the live q are
+    listed once, and each further l keeps the q with q / p mod l outside
+    B_l."""
     cap = q_limit(p)
     live = bytearray(b"\x01") * (cap + 1)
     live[0] = live[p] = 0
     for prime in _prime_factors(p):
         live[::prime] = bytes(cap // prime + 1)
     nonempty = left = live.count(1)
+    survivors: Optional[List[int]] = None
     for l in OBSTRUCTION_PRIMES:
         if not left:
             break
         if p % l == 0:
             continue
-        edge = cap % l
-        long, short = bytes(cap // l + 1), bytes(cap // l)
-        for x in ratio_table(l):
-            r = x * p % l
-            live[r::l] = long if r <= edge else short
-        left = live.count(1)
-    survivors = []
+        table, mask = ratio_table(l)
+        if not table:
+            continue
+        if survivors is None:
+            if left > len(table):
+                edge = cap % l
+                long, short = bytes(cap // l + 1), bytes(cap // l)
+                for x in table:
+                    r = x * p % l
+                    live[r::l] = long if r <= edge else short
+                left = live.count(1)
+                continue
+            survivors = _live(live)
+        inverse = pow(p, -1, l)
+        survivors = [q for q in survivors if not mask[q * inverse % l]]
+        left = len(survivors)
+    return nonempty, _live(live) if survivors is None else survivors
+
+
+def _live(live: bytearray) -> List[int]:
+    """The positions of the 1 bytes of live, ascending."""
+    out = []
     q = live.find(1)
     while q >= 0:
-        survivors.append(q)
+        out.append(q)
         q = live.find(1, q + 1)
-    return nonempty, survivors
+    return out
 
 
 def _scan_p(p: int) -> Tuple[int, int, int, int, int, tuple]:

@@ -5,8 +5,10 @@ substance: the paper's literal t range (`literal_t_bounds`), the per-pair
 pipeline (`scan_pair`, with the separate `q_cap` walk and
 `valuation_candidates` built from trial-divided prime powers), the full
 scan of every t in range, the divisors of p^10 q^10 in range, the
-residue sieves that pruned either, and the obstruction sieve done pair by
-pair, by evaluating Q at every residue (`obstruction_witness`).  Beside
+residue sieves that pruned either, the obstruction sieve done pair by
+pair, by evaluating Q at every residue (`obstruction_witness`), the ratio
+tables built without their symmetry (`brute_ratio_table`) and the
+obstruction sieve by slice assignment alone (`slice_sieve_pairs`).  Beside
 them stand the certificate's earlier arithmetic: Horner evaluation over
 Fraction and over the sqrt(2) field, and the Sturm sequence built from
 Fraction remainders.  Then the
@@ -25,6 +27,7 @@ point, and the integer-point exclusion report for the real root
 intervals.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
@@ -49,6 +52,7 @@ from cuboidsearch.cuboid_eqs import (
     PQPair,
     build_qpq,
     full_eq_coefficients,
+    qpq_coefficients,
     reconstruct_cuboid,
 )
 from cuboidsearch.exact_arith import (
@@ -63,7 +67,7 @@ from cuboidsearch.exact_arith import (
     sturm_count,
     sturm_sequence,
 )
-from cuboidsearch.search import _prime_factors, t_bounds
+from cuboidsearch.search import _prime_factors, q_limit, t_bounds
 
 
 def pairs_for_p(p: int) -> List[PQPair]:
@@ -264,6 +268,47 @@ def sieve_survivors(p: int, primes: Sequence[int]) -> List[int]:
         if q != p and math.gcd(p, q) == 1
         and obstruction_witness(PQPair(p, q), primes) is None
     ]
+
+
+@functools.lru_cache(maxsize=None)
+def brute_ratio_table(l: int) -> Tuple[int, ...]:
+    """B_l for an odd prime l, built with no symmetry: the x in 1..l-1,
+    ascending, for which R(u; 1, x) has no root among the nonzero squares
+    u mod l, with R evaluated at every such square for every x."""
+    squares = [u * u % l for u in range(1, (l + 1) // 2)]
+    out = []
+    for x in range(1, l):
+        c0, c2, c4, c6, c8 = (c % l for c in qpq_coefficients(1, x))
+        if all(
+            (((((u + c8) * u + c6) * u + c4) * u + c2) * u + c0) % l
+            for u in squares
+        ):
+            out.append(x)
+    return tuple(out)
+
+
+def slice_sieve_pairs(p: int, primes: Sequence[int]) -> Tuple[int, List[int]]:
+    """`search.sieve_pairs` done by slice assignment alone, over
+    `brute_ratio_table`: for each l in primes not dividing p, every class
+    q = x p mod l with x in B_l is cleared, until no q is left."""
+    cap = q_limit(p)
+    live = bytearray(b"\x01") * (cap + 1)
+    live[0] = live[p] = 0
+    for prime in _prime_factors(p):
+        live[::prime] = bytes(cap // prime + 1)
+    nonempty = left = live.count(1)
+    for l in primes:
+        if not left:
+            break
+        if p % l == 0:
+            continue
+        edge = cap % l
+        long, short = bytes(cap // l + 1), bytes(cap // l)
+        for x in brute_ratio_table(l):
+            r = x * p % l
+            live[r::l] = long if r <= edge else short
+        left = live.count(1)
+    return nonempty, [q for q in range(cap + 1) if live[q]]
 
 
 def _divisors_of_tenth_power(n: int, limit: int) -> List[int]:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -30,6 +31,7 @@ from cuboidsearch.search import (
 )
 from oracles import (
     admissible_hits,
+    brute_ratio_table,
     divisor_candidates,
     eval_mod,
     exact_prime_powers,
@@ -43,6 +45,7 @@ from oracles import (
     q_cap,
     scan_pair,
     sieve_survivors,
+    slice_sieve_pairs,
     valuation_candidates,
 )
 
@@ -353,6 +356,27 @@ def q_poly(p, q):
     return IntPoly.of([c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, 1])
 
 
+@pytest.fixture
+def mask_reads(monkeypatch):
+    """Record each lookup in a ratio table's mask as (l, x).  Only the
+    filter phase of `sieve_pairs` reads the masks, so an entry shows that
+    it ran.  Wraps whatever `search.ratio_table` is when it is set up."""
+    reads = []
+    real_table = search.ratio_table
+
+    class Mask(bytes):
+        def __getitem__(self, x):
+            reads.append((len(self), x))
+            return bytes.__getitem__(self, x)
+
+    def table(l):
+        classes, mask = real_table(l)
+        return classes, Mask(mask)
+
+    monkeypatch.setattr(search, "ratio_table", table)
+    return reads
+
+
 class TestObstruction:
     def test_prime_list(self):
         assert OBSTRUCTION_PRIMES == tuple(odd_primes_below(200))
@@ -376,8 +400,17 @@ class TestObstruction:
                 x for x, poly in polys.items()
                 if all(eval_mod(poly, tau, l) for tau in range(l))
             )
-            assert ratio_table(l) == no_root
-        assert [len(ratio_table(l)) for l in (3, 5, 7, 11, 13)] == [0, 0, 0, 8, 4]
+            assert ratio_table(l)[0] == no_root
+        assert [len(ratio_table(l)[0]) for l in (3, 5, 7, 11, 13)] == [0, 0, 0, 8, 4]
+
+    def test_tables_match_brute_force(self):
+        # one x per orbit {x, -x, 1/x, -1/x} gives the same tables as every
+        # x, and the mask marks exactly the x in B_l
+        for l in OBSTRUCTION_PRIMES:
+            table, mask = ratio_table(l)
+            assert table == brute_ratio_table(l)
+            assert len(mask) == l
+            assert [x for x in range(l) if mask[x]] == list(table)
 
     def test_tables_decide_each_pair_p_le_12(self):
         # for l not dividing p, q / p mod l is in B_l exactly when
@@ -388,18 +421,30 @@ class TestObstruction:
                 for l in OBSTRUCTION_PRIMES:
                     if p % l:
                         x = pair.q * pow(p, -1, l) % l
-                        assert (x in ratio_table(l)) == (not modular_sieve(pair, l))
+                        mask = ratio_table(l)[1]
+                        assert mask[x] == (not modular_sieve(pair, l))
                         cases += 1
         assert cases > 3000
 
     def test_tables_closed_under_inverse(self):
-        # not used by the sieve: B_l is closed under x -> 1/x
+        # ratio_table builds B_l from one x per orbit on this closure;
+        # checked on the brute-force tables, which use no symmetry
         for l in OBSTRUCTION_PRIMES:
-            table = set(ratio_table(l))
+            table = set(brute_ratio_table(l))
             assert {pow(x, -1, l) for x in table} == table
 
+    def test_tables_closed_under_negation(self):
+        # Q depends on q only through q^2, so B_l is closed under x -> l - x;
+        # checked on the brute-force tables, which use no symmetry
+        for l in OBSTRUCTION_PRIMES:
+            table = set(brute_ratio_table(l))
+            assert {l - x for x in table} == table
+        for x in range(-20, 21):
+            assert qpq_coefficients(3, x) == qpq_coefficients(3, -x)
+
     def test_swap_symmetry(self):
-        # not used by the sieve: Q(t; q, p) = -t^10 Q((pq)^2 / t; p, q) /
+        # the identity behind the closure of B_l under x -> 1/x, on which
+        # ratio_table relies: Q(t; q, p) = -t^10 Q((pq)^2 / t; p, q) /
         # (pq)^10, so with Q(t; p, q) = sum a_j t^j the coefficient of
         # t^(10 - j) in Q(t; q, p) is -a_j (pq)^(2j - 10)
         checked = 0
@@ -421,15 +466,38 @@ class TestObstruction:
 
     @pytest.mark.parametrize("primes", [OBSTRUCTION_PRIMES, (3, 5, 7, 11, 13)],
                              ids=["all", "short"])
-    def test_survivors_match_oracle_p_le_200(self, monkeypatch, primes):
+    def test_survivors_match_oracle_p_le_200(self, monkeypatch, mask_reads,
+                                             primes):
         monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", primes)
         survived = 0
         for p in range(1, 201):
             nonempty, survivors = sieve_pairs(p)
             assert nonempty == len(capped_pairs(p))
             assert survivors == sieve_survivors(p, primes)
+            assert (nonempty, survivors) == slice_sieve_pairs(p, primes)
             survived += len(survivors)
         assert survived == (0 if primes == OBSTRUCTION_PRIMES else 5350)
+        assert mask_reads
+
+    def test_sieve_matches_slice_oracle_large_p(self, mask_reads):
+        rng = random.Random(1913)
+        for p in sorted(rng.sample(range(1000, 100001), 12)):
+            before = len(mask_reads)
+            assert sieve_pairs(p) == slice_sieve_pairs(p, OBSTRUCTION_PRIMES)
+            assert len(mask_reads) > before
+
+    def test_pairs_left_by_primes_below_100(self, monkeypatch, mask_reads):
+        # two mirror pairs, the only ones up to p = 10^4 that the primes
+        # below 100 leave; l = 101 rules both out
+        primes = tuple(odd_primes_below(100))
+        monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", primes)
+        for p, q in [(6831, 7553), (7553, 6831)]:
+            before = len(mask_reads)
+            nonempty, survivors = sieve_pairs(p)
+            assert survivors == [q]
+            assert (nonempty, survivors) == slice_sieve_pairs(p, primes)
+            assert len(mask_reads) > before
+            assert obstruction_witness(PQPair(p, q), OBSTRUCTION_PRIMES) == 101
 
     def test_survivors_get_candidates(self, tmp_path, monkeypatch):
         # with a short prime list some pairs survive, and exactly their
@@ -666,7 +734,7 @@ class TestRunSearch:
         ).read_bytes()
 
     def test_use_pool(self):
-        big = list(range(1, 2001))
+        big = list(range(1, 4473))
         assert sum(big) >= search.POOL_MIN_WORK
         assert not use_pool(2, big[:-1])
         assert use_pool(2, big)
@@ -896,16 +964,20 @@ def planted(monkeypatch):
     (3, 2) they become those of R(u) = (u - 144)(u + 1)^4, none of them
     zero, so a Horner step taken out of order would miss the root.  A root
     has a root mod every prime, so the ratio 2 / 3 mod l leaves every
-    ratio table B_l, and (3, 2) passes the real sieve."""
+    ratio table B_l (its tuple and its mask alike), and (3, 2) passes the
+    real sieve."""
     real_coefficients = search.qpq_coefficients
     real_reconstruct = search.reconstruct_cuboid
     real_table = search.ratio_table
 
     def table(l):
+        classes, mask = real_table(l)
         if l == 3:
-            return real_table(l)
+            return classes, mask
         ratio = 2 * pow(3, -1, l) % l
-        return tuple(x for x in real_table(l) if x != ratio)
+        mask = bytearray(mask)
+        mask[ratio] = 0
+        return tuple(x for x in classes if x != ratio), bytes(mask)
 
     def coefficients(p, q):
         if (p, q) == (3, 2):
@@ -932,9 +1004,14 @@ class TestPlantedRoot:
             return 2
         return 1
 
-    def test_planted_pair_passes_the_real_sieve(self, planted):
-        # without the fixture the sieve rules out every pair of p = 3
+    def test_planted_pair_passes_the_real_sieve(self, planted, mask_reads):
+        # without the fixture the sieve rules out every pair of p = 3; with
+        # it, (3, 2) reaches the filter phase and passes every mask there
         assert 2 in sieve_pairs(3)[1]
+        assert {
+            (l, 2 * pow(3, -1, l) % l)
+            for l in OBSTRUCTION_PRIMES if ratio_table(l)[0] and l != 3
+        } <= set(mask_reads)
 
     def test_fresh_run(self, tmp_path, planted, workers, capsys):
         config = make_config(tmp_path, p_max=6, worker_count=workers)
