@@ -4,7 +4,8 @@ Subcommands: search, roots, newton, verify, identity-check.  Machine output
 (JSONL) goes to the declared output file only; prose goes to stdout, search
 progress to stderr.  Exit codes: 0 success / nothing found, 10 a verified
 cuboid was found (so wrapper scripts can trap a discovery), 1 a self-check
-failed, 2 bad flags, 3 resume mismatch, 4 I/O error.
+failed, 2 bad flags, 3 resume mismatch, 4 I/O error, 130 interrupted
+(Ctrl-C) during a search.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_BAD_FLAGS = 2
 EXIT_RESUME_MISMATCH = 3
 EXIT_IO = 4
 EXIT_CUBOID_FOUND = 10
+EXIT_INTERRUPTED = 130
 
 APPROX_DIGITS = 30
 
@@ -113,6 +115,10 @@ def cmd_search(args) -> int:
     except OSError as exc:
         print(f"error: {exc.strerror or exc} ({exc.filename})", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        resume = "; rerun the same command to resume" if config.checkpoint_path else ""
+        print(f"interrupted{resume}", file=sys.stderr)
+        return EXIT_INTERRUPTED
     print(
         f"pairs={report.pairs_examined} nonempty={report.pairs_nonempty} "
         f"obstructed={report.pairs_obstructed} "

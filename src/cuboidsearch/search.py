@@ -51,15 +51,9 @@ coefficients of t^0, t^2, t^4, t^6, t^10 have l-adic valuations 10e,
 vertices (0, 10e), (4, 2e), (6, 0), (10, 0) and slopes -2e, -e, 0.  The
 valuation of any root is minus a slope: v_l(t) is 0, e or 2e.  The
 candidates are therefore the products of one factor from {1, l^e, l^(2e)}
-per prime l | pq, 3^omega(pq) numbers in all, clipped to the range.
-
-The kernel (`_scan_p`) builds them without ever forming a product outside
-the range.  `factor_list(n)` is the sorted tuple of products of one factor
-from {1, l^e, l^(2e)} per l^e exactly dividing n, computed once per n and
-process.  As gcd(p, q) = 1, the candidates of a pair are the products a * b
-with a in factor_list(p) and b in factor_list(q), and `clipped_products`
-finds the b for each a by bisection.  Each candidate is tested as
-Q(t) = R(t^2), by Horner's scheme on R's five integer coefficients
+per prime l | pq, 3^omega(pq) numbers in all, clipped to the range
+(`pair_candidates`).  Each candidate is tested as Q(t) = R(t^2), by
+Horner's scheme on R's five integer coefficients
 (`cuboid_eqs.qpq_coefficients`).
 
 Runs are checkpointed with their p range and the summary counters (see
@@ -74,7 +68,6 @@ import json
 import math
 import os
 import time
-from bisect import bisect_right
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cuboid_eqs import (
@@ -212,16 +205,15 @@ class SearchCheckpoint(NamedTuple):
             raise ResumeMismatch(f"checkpoint {path} is damaged: {exc}") from None
 
 
-class SearchReport:
+class SearchReport(NamedTuple):
     """Counters, hits and wall time of one run_search call."""
 
-    def __init__(self) -> None:
-        self.pairs_examined = 0
-        self.pairs_nonempty = 0
-        self.pairs_obstructed = 0
-        self.candidates_evaluated = 0
-        self.hits: List[CuboidWitness] = []
-        self.wall_time = 0.0
+    pairs_examined: int
+    pairs_nonempty: int
+    pairs_obstructed: int
+    candidates_evaluated: int
+    hits: List[CuboidWitness]
+    wall_time: float
 
 
 def t_bounds(p: int, q: int) -> Optional[Tuple[int, int]]:
@@ -257,43 +249,16 @@ def _prime_factors(n: int) -> Dict[int, int]:
     return out
 
 
-_FACTOR_LISTS: Dict[int, Tuple[int, ...]] = {}
-
-
-def factor_list(n: int) -> Tuple[int, ...]:
-    """Sorted products of one factor from {1, l^e, l^(2e)} per l^e exactly
-    dividing n, 3^omega(n) numbers.  Memoized per process: a search up to
-    p_max uses only the n below about 1.84 p_max (the q cap), each for
-    every larger p."""
-    products = _FACTOR_LISTS.get(n)
-    if products is None:
-        out = [1]
+def pair_candidates(p: int, q: int, lo: int, hi: int) -> List[int]:
+    """The valuation candidates in [lo, hi] of a coprime pair, unsorted: the
+    products of one factor from {1, l^e, l^(2e)} per l^e exactly dividing
+    p or q.  A product above hi is dropped as soon as it is formed."""
+    out = [1]
+    for n in (p, q):
         for prime, exp in _prime_factors(n).items():
             step = prime**exp
-            out = [c * f for c in out for f in (1, step, step * step)]
-        products = _FACTOR_LISTS[n] = tuple(sorted(out))
-    return products
-
-
-def clipped_products(
-    fa: Sequence[int], fb: Sequence[int], lo: int, hi: int
-) -> List[int]:
-    """The products a * b in [lo, hi] with a in fa and b in fb, both sorted
-    and positive.  With factor_list(p) and factor_list(q) for a coprime
-    pair they are its valuation candidates, each once, unsorted.
-
-    The loop runs over the shorter list and only over the a with
-    lo <= a * max(fb) and a <= hi; the b for each a are found by bisection,
-    so no product outside [lo, hi] is formed."""
-    if len(fa) > len(fb):
-        fa, fb = fb, fa
-    below = lo - 1
-    out: List[int] = []
-    for a in fa[bisect_right(fa, below // fb[-1]):bisect_right(fa, hi)]:
-        i = bisect_right(fb, below // a)
-        for b in fb[i:bisect_right(fb, hi // a, i)]:
-            out.append(a * b)
-    return out
+            out = [c * f for c in out for f in (1, step, step * step) if c * f <= hi]
+    return [t for t in out if t >= lo]
 
 
 def pair_count(p: int) -> int:
@@ -416,9 +381,11 @@ def _live(live: bytearray) -> List[int]:
     return out
 
 
-def _scan_p(p: int) -> Tuple[int, int, int, int, int, tuple]:
-    """Worker: search every pair for one p.  Returns (p, pairs_examined,
-    pairs_nonempty, pairs_obstructed, candidates_evaluated, hits).
+def _scan_p(p: int) -> Tuple[int, Tuple[int, int, int, int], tuple]:
+    """Worker: search every pair for one p.  Returns (p, counts, hits), with
+    counts the summary counters of p in the order of the checkpoint's
+    fields: pairs_examined, pairs_nonempty, pairs_obstructed and
+    candidates_evaluated.
 
     Only the pairs `sieve_pairs` leaves get valuation candidates.  A root
     goes straight to `reconstruct_cuboid`: the search inequality
@@ -427,12 +394,8 @@ def _scan_p(p: int) -> Tuple[int, int, int, int, int, tuple]:
     nonempty, survivors = sieve_pairs(p)
     evaluated = 0
     hits: List[CuboidWitness] = []
-    if survivors:
-        fp = factor_list(p)
     for q in survivors:
-        candidates = clipped_products(fp, factor_list(q), *t_bounds(p, q))
-        if not candidates:
-            continue
+        candidates = pair_candidates(p, q, *t_bounds(p, q))
         evaluated += len(candidates)
         c0, c2, c4, c6, c8 = qpq_coefficients(p, q)
         for t in candidates:
@@ -442,10 +405,8 @@ def _scan_p(p: int) -> Tuple[int, int, int, int, int, tuple]:
             for tag in CaseTag:
                 hits.append(reconstruct_cuboid(p, q, t, tag))
     hits.sort(key=lambda w: (w.p, w.q, w.t, w.case_tag.value))
-    return (
-        p, pair_count(p), nonempty, nonempty - len(survivors), evaluated,
-        tuple(hits),
-    )
+    counts = (pair_count(p), nonempty, nonempty - len(survivors), evaluated)
+    return p, counts, tuple(hits)
 
 
 def use_pool(worker_count: int, todo: Sequence[int]) -> bool:
@@ -546,27 +507,26 @@ def run_search(
     right after each p is merged and flushed, is rewritten atomically after
     the p that brings the work merged since its last write to
     CHECKPOINT_MIN_WORK, after the last p, and when the run is interrupted
-    or fails.  The report's wall time is that of this call alone.
+    or fails.  The output is fsynced before each write, so the checkpoint
+    never counts a hit line that is not on disk.  The report's wall time is
+    that of this call alone.
     `progress(p, pairs, nonempty, obstructed, evaluated, hits)` is called
     per completed p.  `abort_after_p` simulates an interruption right after
     that p completes (test hook for the resume contract).
     """
     start = time.monotonic()
-    report = SearchReport()
+    counts: Tuple[int, ...] = (0, 0, 0, 0)
+    hits: List[CuboidWitness] = []
     resume_from = config.p_min
 
-    resuming = config.checkpoint_path and os.path.exists(config.checkpoint_path)
-    if resuming:
-        ckpt, report.hits = _load_resume_state(config)
+    if config.checkpoint_path and os.path.exists(config.checkpoint_path):
+        ckpt, hits = _load_resume_state(config)
         resume_from = ckpt.last_completed_p + 1
-        report.pairs_examined = ckpt.pairs_examined
-        report.pairs_nonempty = ckpt.pairs_nonempty
-        report.pairs_obstructed = ckpt.pairs_obstructed
-        report.candidates_evaluated = ckpt.candidates_evaluated
+        counts = ckpt[5:]
 
     out = open(config.output_path, "w", encoding="utf-8")
     try:
-        out.writelines(_json_line(w.to_json_dict()) for w in report.hits)
+        out.writelines(_json_line(w.to_json_dict()) for w in hits)
         out.flush()
 
         todo = list(range(resume_from, config.p_max + 1))
@@ -586,51 +546,37 @@ def run_search(
         last = None  # checkpoint for the last merged p
         unsaved = 0  # work merged since `last` was written
         try:
-            for p, pairs, nonempty, obstructed, evaluated, hits in results:
-                report.pairs_examined += pairs
-                report.pairs_nonempty += nonempty
-                report.pairs_obstructed += obstructed
-                report.candidates_evaluated += evaluated
-                for witness in hits:
-                    report.hits.append(witness)
-                    out.write(_json_line(witness.to_json_dict()))
+            for p, p_counts, p_hits in results:
+                counts = tuple(a + b for a, b in zip(counts, p_counts))
+                hits.extend(p_hits)
+                out.writelines(_json_line(w.to_json_dict()) for w in p_hits)
                 out.flush()
                 if config.checkpoint_path:
                     last = SearchCheckpoint(
-                        version=CHECKPOINT_VERSION,
-                        p_min=config.p_min,
-                        p_max=config.p_max,
-                        last_completed_p=p,
-                        candidates_found=len(report.hits),
-                        pairs_examined=report.pairs_examined,
-                        pairs_nonempty=report.pairs_nonempty,
-                        pairs_obstructed=report.pairs_obstructed,
-                        candidates_evaluated=report.candidates_evaluated,
+                        CHECKPOINT_VERSION, config.p_min, config.p_max, p,
+                        len(hits), *counts,
                     )
                     unsaved += p
                     if unsaved >= CHECKPOINT_MIN_WORK:
+                        os.fsync(out.fileno())
                         last.write(config.checkpoint_path)
                         unsaved = 0
                 if progress:
-                    progress(p, pairs, nonempty, obstructed, evaluated, len(hits))
+                    progress(p, *p_counts, len(p_hits))
                 if abort_after_p is not None and p >= abort_after_p:
                     raise KeyboardInterrupt("simulated interruption")
         finally:
             # on completion, interruption or failure alike
             if unsaved:
+                os.fsync(out.fileno())
                 last.write(config.checkpoint_path)
             if executor is not None:
                 executor.shutdown(cancel_futures=True)
 
-        out.write(_json_line({
-            "summary": True,
-            "pairs_examined": report.pairs_examined,
-            "pairs_nonempty": report.pairs_nonempty,
-            "pairs_obstructed": report.pairs_obstructed,
-            "candidates_evaluated": report.candidates_evaluated,
-            "hits": len(report.hits),
-        }))
+        names = SearchCheckpoint._fields[5:]
+        out.write(_json_line(
+            {"summary": True, **dict(zip(names, counts)), "hits": len(hits)}
+        ))
     finally:
         out.close()
-    report.wall_time = time.monotonic() - start
-    return report
+    return SearchReport(*counts, hits, time.monotonic() - start)

@@ -169,6 +169,21 @@ class TestSearchCommand:
         assert code == cli.EXIT_RESUME_MISMATCH
         assert err.count("\n") == 1 and "line 1" in err
 
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_interrupt(self, tmp_path, capsys, monkeypatch, checkpoint):
+        def interrupted(config, progress=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(search, "run_search", interrupted)
+        argv = ["search", "--p-max", "3", "--out", str(tmp_path / "i.jsonl")]
+        if checkpoint:
+            argv += ["--checkpoint", str(tmp_path / "i.ckpt")]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_INTERRUPTED == 130
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("interrupted")
+        assert ("rerun the same command to resume" in err) == checkpoint
+
 
 class TestRootsCommand:
     def test_pass(self, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 
 import pytest
@@ -19,8 +20,7 @@ from cuboidsearch.search import (
     ResumeMismatch,
     SearchCheckpoint,
     SearchConfig,
-    clipped_products,
-    factor_list,
+    pair_candidates,
     pair_count,
     q_limit,
     ratio_table,
@@ -77,7 +77,8 @@ def hit_key(w):
 def kernel_counts(p):
     """(pairs_examined, pairs_nonempty, pairs_obstructed,
     candidates_evaluated, hits) of the search kernel for one p."""
-    return search._scan_p(p)[1:]
+    _, counts, hits = search._scan_p(p)
+    return (*counts, hits)
 
 
 def capped_pairs(p):
@@ -251,24 +252,11 @@ class TestValuationCandidates:
 
 
 class TestKernel:
-    def test_factor_list(self):
-        assert factor_list(1) == (1,)
-        # 12 = 2^2 * 3: products of {1, 4, 16} and {1, 3, 9}
-        assert factor_list(12) == (1, 3, 4, 9, 12, 16, 36, 48, 144)
-        assert factor_list(360) == tuple(valuation_candidates([8, 9, 5], 1, 360**2))
-        assert factor_list(360) is factor_list(360)
-
-    def test_clipped_products(self):
-        assert clipped_products((1, 4, 16), (1, 3, 9), 10, 17) == [12, 16]
-        assert clipped_products((1,), (1,), 2, 5) == []
-        assert clipped_products((1, 2), (1, 5, 25), 1, 50) == [1, 5, 25, 2, 10, 50]
-
     def test_candidates_match_oracle_p_le_120(self):
-        # F(p) x F(q) clipped to the range equals the per-pair generator on
-        # every coprime pair with p <= 120
+        # the kernel's candidates equal the per-pair generator on every
+        # coprime pair with p <= 120
         nonempty = 0
         for p in range(1, 121):
-            fp = factor_list(p)
             for q in range(1, 59 * p):
                 if q == p or math.gcd(p, q) != 1:
                     continue
@@ -276,7 +264,7 @@ class TestKernel:
                 if bounds is None:
                     continue
                 nonempty += 1
-                got = clipped_products(fp, factor_list(q), *bounds)
+                got = pair_candidates(p, q, *bounds)
                 assert sorted(got) == valuation_candidates(
                     exact_prime_powers(p) + exact_prime_powers(q), *bounds
                 )
@@ -425,6 +413,29 @@ class TestObstruction:
                         assert mask[x] == (not modular_sieve(pair, l))
                         cases += 1
         assert cases > 3000
+
+    def test_witnesses_large_p(self):
+        # a seeded sample of nonempty pairs with p in 10^4..10^5, checked
+        # with no table and no homogeneity: Q(t; p, q) mod l, evaluated at
+        # every t, has no root for some l in the list, and for each l up to
+        # that witness that does not divide p the mask agrees with it
+        rng = random.Random(1999)
+        witnesses = []
+        while len(witnesses) < 200:
+            p = rng.randrange(10**4, 10**5 + 1)
+            q = rng.randrange(1, q_limit(p) + 1)
+            if q == p or math.gcd(p, q) != 1:
+                continue
+            pair = PQPair(p, q)
+            assert t_bounds(p, q)
+            witness = obstruction_witness(pair, OBSTRUCTION_PRIMES)
+            assert witness is not None and p % witness
+            for l in OBSTRUCTION_PRIMES[:OBSTRUCTION_PRIMES.index(witness) + 1]:
+                if p % l:
+                    x = q * pow(p, -1, l) % l
+                    assert ratio_table(l)[1][x] == (not modular_sieve(pair, l))
+            witnesses.append(witness)
+        assert len(set(witnesses)) > 3
 
     def test_tables_closed_under_inverse(self):
         # ratio_table builds B_l from one x per orbit on this closure;
@@ -822,6 +833,38 @@ class TestRunSearch:
         run_search(make_config(tmp_path, "long"))
         # work merged 1, 3, 6 (write), 4, 9 (write); nothing left at the end
         assert written == [3, 5]
+
+    @pytest.mark.parametrize("min_work, abort_after_p", [(6, None), (10**9, 4)])
+    def test_output_fsynced_before_each_checkpoint(
+        self, tmp_path, monkeypatch, planted, min_work, abort_after_p
+    ):
+        # the periodic writes (after p = 3 and 5) and the one on
+        # interruption alike: each replace of the checkpoint comes right
+        # after an fsync of the output, which then holds every hit it counts
+        config = make_config(tmp_path)
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            if os.fstat(fd).st_ino == os.stat(config.output_path).st_ino:
+                with open(config.output_path, encoding="utf-8") as fh:
+                    events.append(("fsync", len(fh.readlines())))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", SearchCheckpoint.read(src).candidates_found))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(search, "CHECKPOINT_MIN_WORK", min_work)
+        if abort_after_p is None:
+            run_search(config)
+            assert events == [("fsync", 2), ("replace", 2)] * 2
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                run_search(config, abort_after_p=abort_after_p)
+            assert events == [("fsync", 2), ("replace", 2)]
 
     def test_failure_writes_checkpoint(self, tmp_path):
         config = make_config(tmp_path, p_max=6)
