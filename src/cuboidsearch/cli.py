@@ -132,16 +132,10 @@ def cmd_search(args) -> int:
 def cmd_roots(args) -> int:
     try:
         pair = PQPair(args.p, args.q)
-    except ValueError as exc:
+        intervals = asymptotics.asymptotic_intervals(pair)
+    except ValueError as exc:  # includes PreconditionViolated: q < 59p
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS
-    if args.q < 59 * args.p:
-        print(
-            "error: the interval theorems require q >= 59p",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_FLAGS
-    intervals = asymptotics.asymptotic_intervals(pair)
     rpoly = cuboid_eqs.build_rpq(pair)
     seq = sturm_sequence(rpoly)
     disjoint = asymptotics.check_disjoint(intervals)

@@ -34,14 +34,13 @@ for which R has no root among the nonzero squares mod l.  (For l | q, x = 0
 and t = 0 is a root, so l proves nothing; 0 is never in B_l.)  B_l is
 closed under x -> -x and x -> 1/x, so the table is built from one x per
 orbit {x, -x, 1/x, -1/x} (see `ratio_table`).  The sieve (`sieve_pairs`)
-marks the nonempty q of p in a bytearray and takes the l in
-OBSTRUCTION_PRIMES that do not divide p and have a nonempty B_l (so not
-3, 5 or 7) in two phases.  While more q are live than B_l has classes, it
-clears the classes q = x p mod l with x in B_l, one slice assignment
-each; after that it lists the live q once and keeps those with
-q / p mod l outside B_l, until no q is left.  It cannot rule out every pair
-in principle, since some polynomials have a root mod every prime (Berend
-and Bilu); the pairs it leaves go on to the candidates.  Up to p = 3000 it
+is one pass over a Python int whose bit q is set while q may still have a
+root: it starts with the nonempty q of p, and each l in OBSTRUCTION_PRIMES
+that does not divide p and has a nonempty B_l (so not 3, 5 or 7) clears
+the classes q = x p mod l with x in B_l, as one l-bit pattern repeated
+across the int, until no q is left.  It cannot rule out every pair in
+principle, since some polynomials have a root mod every prime (Berend and
+Bilu); the pairs it leaves go on to the candidates.  Up to p = 10^5 it
 leaves none.
 
 Valuation candidates.  Q is monic with constant term -p^10 q^10, so an
@@ -89,15 +88,17 @@ OBSTRUCTION_PRIMES = (
 )
 
 # Below this much work, the sum of the p still to search, the search runs
-# in-process.  A p costs about 50 us plus 20 ns times p, and two workers
-# only pay off from about here (2-vCPU host, Python 3.11, run_search wall
-# time in fresh processes, medians of five: p 1..4000 took 432 ms
-# in-process and 475 ms on two workers, p 1..4500 478 and 401 ms,
-# p 20001..20100 51 and 76 ms, p 50001..50200 245 and 180 ms,
-# p 99901..100000 260 and 320 ms, p 99801..100000 518 and 286 ms).
-# Starting two workers costs about 50 ms, each builds the ratio tables it
-# reaches (15 ms for all of them), and on that host two busy processes ran
-# at about 0.55 times the speed of one.
+# in-process.  A p costs about 50 us plus 7 ns times p (0.76 ms at
+# p = 10^5), and two workers pay off from about here (2-vCPU host, Python
+# 3.11, run_search wall time in fresh processes, in-process and on two
+# workers, medians of nine: p 1..3000 took 230 and 302 ms, p 1..4000 328
+# and 229, p 1..4500 375 and 256, p 20001..20100 32 and 64, p 99901..100000
+# 94 and 137, p 99801..100000 185 and 156, p 99601..100000 352 and 247;
+# repeated rounds put the break-even anywhere from a sum of 8 * 10^6 to
+# 3 * 10^7, the high-p ranges at the upper end).  Starting two workers
+# costs about 50 ms, each builds the ratio tables it reaches (15 ms for
+# all of them), and on that host two busy processes ran at about 0.55
+# times the speed of one.
 POOL_MIN_WORK = 10_000_000
 
 # A pool gets the p in runs of consecutive values, about four runs per
@@ -107,11 +108,13 @@ POOL_MIN_WORK = 10_000_000
 POOL_CHUNK = 128
 
 # Work merged between two checkpoint writes, in the same units: about a
-# quarter second on one core of that host (p 1..3000 took 0.23-0.27 s, and
-# p 99901..100000, with a sum of 10^7, 0.19-0.30 s).  Each
-# write replaces the file, which on ext4 took 0.5-0.7 ms in the median and
-# up to 40 ms; written after every p, the checkpoint once took 40% of a
-# resumed p 27..40 run (14 of 36 ms) and most of its spread.
+# quarter second on one core of that host at small p (p 1..3000 took
+# 0.22 s) and about 45 ms near p = 10^5 (p 99901..100000, with a sum of
+# 10^7, took 0.09 s).  Each write fsyncs the output and replaces the file,
+# which took 0.2 ms in the median and up to 0.7 ms; the 20 writes of
+# p 99001..100000 cost 2.5% of its run (0.94 -> 0.97 s).  Written after
+# every p, the checkpoint once took 40% of a resumed p 27..40 run (14 of
+# 36 ms) and most of its spread.
 CHECKPOINT_MIN_WORK = 5_000_000
 
 
@@ -288,14 +291,14 @@ def q_limit(p: int) -> int:
     return lo
 
 
-_RATIO_TABLES: Dict[int, Tuple[Tuple[int, ...], bytes]] = {}
+_RATIO_TABLES: Dict[int, Tuple[int, ...]] = {}
 
 
-def ratio_table(l: int) -> Tuple[Tuple[int, ...], bytes]:
-    """(B_l, mask) for an odd prime l.  B_l holds the x in 1..l-1, ascending,
-    for which R(u; 1, x) has no root among the nonzero squares u mod l,
-    that is Q(tau; 1, x) has no root mod l; mask[x] is 1 exactly for the x
-    in B_l, for x in 0..l-1.  Built on first use, once per l and process.
+def ratio_table(l: int) -> Tuple[int, ...]:
+    """B_l for an odd prime l: the x in 1..l-1, ascending, for which
+    R(u; 1, x) has no root among the nonzero squares u mod l, that is
+    Q(tau; 1, x) has no root mod l.  Built on first use, once per l and
+    process.
 
     B_l is a union of orbits {x, -x, 1/x, -1/x}, so R is evaluated for one
     x per orbit, and only up to its first root.  Q depends on q only
@@ -304,27 +307,34 @@ def ratio_table(l: int) -> Tuple[Tuple[int, ...], bytes]:
     the roots x^2 / t of Q(t; 1, x) (0 is a root of neither: both constant
     terms are -x^10), and by homogeneity Q(x^2 tau; x, 1) =
     x^20 Q(tau; 1, 1/x) mod l, so x and 1/x agree."""
-    entry = _RATIO_TABLES.get(l)
-    if entry is None:
+    table = _RATIO_TABLES.get(l)
+    if table is None:
         squares = [u * u % l for u in range(1, (l + 1) // 2)]
-        mask = bytearray(l)
-        seen = bytearray(l)
+        seen, no_root = set(), set()
         for x in range(1, l):
-            if seen[x]:
+            if x in seen:
                 continue
+            y = pow(x, -1, l)
+            orbit = {x, l - x, y, l - y}
+            seen |= orbit
             c0, c2, c4, c6, c8 = (c % l for c in qpq_coefficients(1, x))
-            no_root = all(
+            if all(
                 (((((u + c8) * u + c6) * u + c4) * u + c2) * u + c0) % l
                 for u in squares
-            )
-            y = pow(x, -1, l)
-            for z in (x, l - x, y, l - y):
-                seen[z] = 1
-                mask[z] = no_root
-        entry = _RATIO_TABLES[l] = (
-            tuple(x for x in range(l) if mask[x]), bytes(mask)
-        )
-    return entry
+            ):
+                no_root |= orbit
+        table = _RATIO_TABLES[l] = tuple(sorted(no_root))
+    return table
+
+
+def _tile(pattern: int, l: int, n: int) -> int:
+    """The l-bit `pattern` repeated from bit 0 to at least bit n - 1, by
+    shift-and-or doubling: bit q is set when bit q mod l of `pattern` is."""
+    width = l
+    while width < n:
+        pattern |= pattern << width
+        width *= 2
+    return pattern
 
 
 def sieve_pairs(p: int) -> Tuple[int, List[int]]:
@@ -332,53 +342,32 @@ def sieve_pairs(p: int) -> Tuple[int, List[int]]:
     range, and those of them, ascending, that no prime in
     OBSTRUCTION_PRIMES rules out.
 
-    live[q] is 1 while q may still have a root.  The primes l that divide p
-    or have an empty B_l prove nothing and are skipped.  While more q are
-    live than B_l has classes, the classes q = x p mod l with x in B_l are
-    cleared by slice assignment, one per x; the class of live from its
-    least member r has (cap - r) // l + 1 members, that is cap // l + 1
-    when r <= cap % l and cap // l otherwise.  After that the live q are
-    listed once, and each further l keeps the q with q / p mod l outside
-    B_l."""
-    cap = q_limit(p)
-    live = bytearray(b"\x01") * (cap + 1)
-    live[0] = live[p] = 0
+    Bit q of the int `live` stays set while q may still have a root.  It
+    starts as bits 1..q_limit(p) without bit p, the class q = 0 mod each
+    prime of p is cleared, and n is the number of bits left.  Then each l
+    that does not divide p and has a nonempty B_l clears the classes
+    q = x p mod l with x in B_l, until no bit is left; no table is fetched
+    after that.  The survivors are read off the binary digits of `live` in
+    one pass (testing each bit on its own would take time quadratic in
+    q_limit(p))."""
+    n = q_limit(p) + 1
+    live = (1 << n) - 2 - (1 << p)
     for prime in _prime_factors(p):
-        live[::prime] = bytes(cap // prime + 1)
-    nonempty = left = live.count(1)
-    survivors: Optional[List[int]] = None
+        live &= ~_tile(1, prime, n)
+    nonempty = live.bit_count()
     for l in OBSTRUCTION_PRIMES:
-        if not left:
+        if not live:
             break
-        if p % l == 0:
-            continue
-        table, mask = ratio_table(l)
-        if not table:
-            continue
-        if survivors is None:
-            if left > len(table):
-                edge = cap % l
-                long, short = bytes(cap // l + 1), bytes(cap // l)
-                for x in table:
-                    r = x * p % l
-                    live[r::l] = long if r <= edge else short
-                left = live.count(1)
-                continue
-            survivors = _live(live)
-        inverse = pow(p, -1, l)
-        survivors = [q for q in survivors if not mask[q * inverse % l]]
-        left = len(survivors)
-    return nonempty, _live(live) if survivors is None else survivors
-
-
-def _live(live: bytearray) -> List[int]:
-    """The positions of the 1 bytes of live, ascending."""
-    out = []
-    q = live.find(1)
+        table = ratio_table(l) if p % l else ()
+        if table:
+            live &= ~_tile(sum([1 << x * p % l for x in table]), l, n)
+    digits = bin(live)[:1:-1]
+    survivors = []
+    q = digits.find("1")
     while q >= 0:
-        out.append(q)
-        q = live.find(1, q + 1)
-    return out
+        survivors.append(q)
+        q = digits.find("1", q + 1)
+    return nonempty, survivors
 
 
 def _scan_p(p: int) -> Tuple[int, Tuple[int, int, int, int], tuple]:

@@ -344,27 +344,6 @@ def q_poly(p, q):
     return IntPoly.of([c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, 1])
 
 
-@pytest.fixture
-def mask_reads(monkeypatch):
-    """Record each lookup in a ratio table's mask as (l, x).  Only the
-    filter phase of `sieve_pairs` reads the masks, so an entry shows that
-    it ran.  Wraps whatever `search.ratio_table` is when it is set up."""
-    reads = []
-    real_table = search.ratio_table
-
-    class Mask(bytes):
-        def __getitem__(self, x):
-            reads.append((len(self), x))
-            return bytes.__getitem__(self, x)
-
-    def table(l):
-        classes, mask = real_table(l)
-        return classes, Mask(mask)
-
-    monkeypatch.setattr(search, "ratio_table", table)
-    return reads
-
-
 class TestObstruction:
     def test_prime_list(self):
         assert OBSTRUCTION_PRIMES == tuple(odd_primes_below(200))
@@ -388,17 +367,14 @@ class TestObstruction:
                 x for x, poly in polys.items()
                 if all(eval_mod(poly, tau, l) for tau in range(l))
             )
-            assert ratio_table(l)[0] == no_root
-        assert [len(ratio_table(l)[0]) for l in (3, 5, 7, 11, 13)] == [0, 0, 0, 8, 4]
+            assert ratio_table(l) == no_root
+        assert [len(ratio_table(l)) for l in (3, 5, 7, 11, 13)] == [0, 0, 0, 8, 4]
 
     def test_tables_match_brute_force(self):
         # one x per orbit {x, -x, 1/x, -1/x} gives the same tables as every
-        # x, and the mask marks exactly the x in B_l
+        # x
         for l in OBSTRUCTION_PRIMES:
-            table, mask = ratio_table(l)
-            assert table == brute_ratio_table(l)
-            assert len(mask) == l
-            assert [x for x in range(l) if mask[x]] == list(table)
+            assert ratio_table(l) == brute_ratio_table(l)
 
     def test_tables_decide_each_pair_p_le_12(self):
         # for l not dividing p, q / p mod l is in B_l exactly when
@@ -409,8 +385,7 @@ class TestObstruction:
                 for l in OBSTRUCTION_PRIMES:
                     if p % l:
                         x = pair.q * pow(p, -1, l) % l
-                        mask = ratio_table(l)[1]
-                        assert mask[x] == (not modular_sieve(pair, l))
+                        assert (x in ratio_table(l)) == (not modular_sieve(pair, l))
                         cases += 1
         assert cases > 3000
 
@@ -418,7 +393,7 @@ class TestObstruction:
         # a seeded sample of nonempty pairs with p in 10^4..10^5, checked
         # with no table and no homogeneity: Q(t; p, q) mod l, evaluated at
         # every t, has no root for some l in the list, and for each l up to
-        # that witness that does not divide p the mask agrees with it
+        # that witness that does not divide p the table agrees with it
         rng = random.Random(1999)
         witnesses = []
         while len(witnesses) < 200:
@@ -433,7 +408,7 @@ class TestObstruction:
             for l in OBSTRUCTION_PRIMES[:OBSTRUCTION_PRIMES.index(witness) + 1]:
                 if p % l:
                     x = q * pow(p, -1, l) % l
-                    assert ratio_table(l)[1][x] == (not modular_sieve(pair, l))
+                    assert (x in ratio_table(l)) == (not modular_sieve(pair, l))
             witnesses.append(witness)
         assert len(set(witnesses)) > 3
 
@@ -477,8 +452,7 @@ class TestObstruction:
 
     @pytest.mark.parametrize("primes", [OBSTRUCTION_PRIMES, (3, 5, 7, 11, 13)],
                              ids=["all", "short"])
-    def test_survivors_match_oracle_p_le_200(self, monkeypatch, mask_reads,
-                                             primes):
+    def test_survivors_match_oracle_p_le_200(self, monkeypatch, primes):
         monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", primes)
         survived = 0
         for p in range(1, 201):
@@ -488,26 +462,32 @@ class TestObstruction:
             assert (nonempty, survivors) == slice_sieve_pairs(p, primes)
             survived += len(survivors)
         assert survived == (0 if primes == OBSTRUCTION_PRIMES else 5350)
-        assert mask_reads
 
-    def test_sieve_matches_slice_oracle_large_p(self, mask_reads):
+    def test_sieve_matches_slice_oracle_large_p(self, monkeypatch):
+        # with the short list over a thousand q survive each p, so the
+        # survivors are read out of a live int of up to about 1.8 * 10^5 bits
         rng = random.Random(1913)
-        for p in sorted(rng.sample(range(1000, 100001), 12)):
-            before = len(mask_reads)
+        sample = sorted(rng.sample(range(1000, 100001), 12))
+        for p in sample:
             assert sieve_pairs(p) == slice_sieve_pairs(p, OBSTRUCTION_PRIMES)
-            assert len(mask_reads) > before
+        short = (3, 5, 7, 11, 13)
+        monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", short)
+        survived = []
+        for p in sample:
+            nonempty, survivors = sieve_pairs(p)
+            assert (nonempty, survivors) == slice_sieve_pairs(p, short)
+            survived.append(len(survivors))
+        assert min(survived) > 1000
 
-    def test_pairs_left_by_primes_below_100(self, monkeypatch, mask_reads):
+    def test_pairs_left_by_primes_below_100(self, monkeypatch):
         # two mirror pairs, the only ones up to p = 10^4 that the primes
         # below 100 leave; l = 101 rules both out
         primes = tuple(odd_primes_below(100))
         monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", primes)
         for p, q in [(6831, 7553), (7553, 6831)]:
-            before = len(mask_reads)
             nonempty, survivors = sieve_pairs(p)
             assert survivors == [q]
             assert (nonempty, survivors) == slice_sieve_pairs(p, primes)
-            assert len(mask_reads) > before
             assert obstruction_witness(PQPair(p, q), OBSTRUCTION_PRIMES) == 101
 
     def test_survivors_get_candidates(self, tmp_path, monkeypatch):
@@ -529,6 +509,30 @@ class TestObstruction:
 
     def test_every_pair_of_p_3_ruled_out(self):
         assert sieve_pairs(3) == (len(capped_pairs(3)), [])
+
+    def test_no_table_fetched_once_no_q_is_left(self, monkeypatch):
+        # the last l whose table is fetched is the one that leaves no q: a
+        # resumed run must not build tables that the sieve no longer needs
+        fetched = []
+        real_table = search.ratio_table
+        monkeypatch.setattr(
+            search, "ratio_table", lambda l: fetched.append(l) or real_table(l)
+        )
+        assert sieve_pairs(1) == (0, []) and fetched == []
+        for p in range(2, 61):
+            fetched.clear()
+            assert sieve_pairs(p)[1] == []
+            last = OBSTRUCTION_PRIMES.index(fetched[-1])
+            for cut, left in ((last, True), (last + 1, False)):
+                monkeypatch.setattr(
+                    search, "OBSTRUCTION_PRIMES", OBSTRUCTION_PRIMES[:cut]
+                )
+                assert bool(sieve_pairs(p)[1]) == left, (p, cut)
+            monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", OBSTRUCTION_PRIMES)
+        fetched.clear()
+        for p in range(27, 41):
+            sieve_pairs(p)
+        assert max(fetched) == 29
 
 
 class TestPairCount:
@@ -1007,20 +1011,16 @@ def planted(monkeypatch):
     (3, 2) they become those of R(u) = (u - 144)(u + 1)^4, none of them
     zero, so a Horner step taken out of order would miss the root.  A root
     has a root mod every prime, so the ratio 2 / 3 mod l leaves every
-    ratio table B_l (its tuple and its mask alike), and (3, 2) passes the
-    real sieve."""
+    ratio table B_l, and (3, 2) passes the real sieve."""
     real_coefficients = search.qpq_coefficients
     real_reconstruct = search.reconstruct_cuboid
     real_table = search.ratio_table
 
     def table(l):
-        classes, mask = real_table(l)
-        if l == 3:
-            return classes, mask
+        if l == 3:  # B_3 is empty, and 3 has no inverse mod 3
+            return real_table(l)
         ratio = 2 * pow(3, -1, l) % l
-        mask = bytearray(mask)
-        mask[ratio] = 0
-        return tuple(x for x in classes if x != ratio), bytes(mask)
+        return tuple(x for x in real_table(l) if x != ratio)
 
     def coefficients(p, q):
         if (p, q) == (3, 2):
@@ -1047,14 +1047,10 @@ class TestPlantedRoot:
             return 2
         return 1
 
-    def test_planted_pair_passes_the_real_sieve(self, planted, mask_reads):
+    def test_planted_pair_passes_the_real_sieve(self, planted):
         # without the fixture the sieve rules out every pair of p = 3; with
-        # it, (3, 2) reaches the filter phase and passes every mask there
-        assert 2 in sieve_pairs(3)[1]
-        assert {
-            (l, 2 * pow(3, -1, l) % l)
-            for l in OBSTRUCTION_PRIMES if ratio_table(l)[0] and l != 3
-        } <= set(mask_reads)
+        # it, (3, 2) is the only pair of p = 3 left after every l
+        assert sieve_pairs(3) == (len(capped_pairs(3)), [2])
 
     def test_fresh_run(self, tmp_path, planted, workers, capsys):
         config = make_config(tmp_path, p_max=6, worker_count=workers)
