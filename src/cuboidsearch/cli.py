@@ -6,16 +6,20 @@ progress to stderr.  Exit codes: 0 success / nothing found, 10 a verified
 cuboid was found (so wrapper scripts can trap a discovery), 1 a self-check
 failed, 2 bad flags, 3 resume mismatch, 4 I/O error, 130 interrupted
 (Ctrl-C) during a search.
+
+Flags follow the subcommand as `--flag value` or `--flag=value`, spelled in
+full; a repeated flag keeps its last value.  `-h`/`--help` anywhere prints
+the usage to stdout; any other bad command line one stderr line `error: ...`.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 from decimal import Context, Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import asymptotics, cuboid_eqs, search
 from .asymptotics import Axis
@@ -54,37 +58,64 @@ def approx_str(x: QuadRational) -> str:
     return f"approx {value}"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cuboidsearch",
-        description="Exact-arithmetic perfect-cuboid search and root analysis.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+# Each subcommand: its help line and its flags with their defaults.  Flag
+# values are integers, except those of the paths --checkpoint and --out.
+REQUIRED = object()
+COMMANDS = {
+    "search": ("run the pruned (p, q, t) search", {
+        "--p-min": 1, "--p-max": REQUIRED, "--threads": os.cpu_count() or 1,
+        "--checkpoint": None, "--out": REQUIRED,
+    }),
+    "roots": ("five certified root intervals for one pair",
+              {"--p": REQUIRED, "--q": REQUIRED}),
+    "newton": ("Newton polygon, exponents, and leading terms", {}),
+    "verify": ("check one (p, q, t) candidate",
+               {"--p": REQUIRED, "--q": REQUIRED, "--t": REQUIRED}),
+    "identity-check": ("verify the degree-12 factorization identity",
+                       {"--max-pq": REQUIRED}),
+}
 
-    p_search = sub.add_parser("search", help="run the pruned (p, q, t) search")
-    p_search.add_argument("--p-min", type=int, default=1)
-    p_search.add_argument("--p-max", type=int, required=True)
-    p_search.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p_search.add_argument("--checkpoint", default=None)
-    p_search.add_argument("--out", required=True)
 
-    p_roots = sub.add_parser("roots", help="five certified root intervals for one pair")
-    p_roots.add_argument("--p", type=int, required=True)
-    p_roots.add_argument("--q", type=int, required=True)
+def _usage() -> str:
+    lines = ["usage: cuboidsearch COMMAND [--FLAG VALUE | --FLAG=VALUE] ..."]
+    for command, (help_line, flags) in COMMANDS.items():
+        lines.append(f"{command}: {help_line}")
+        for flag, default in flags.items():
+            note = "required" if default is REQUIRED else f"default {default}"
+            lines.append(f"  {flag}  ({note})")
+    return "\n".join(lines)
 
-    sub.add_parser("newton", help="Newton polygon, exponents, and leading terms")
 
-    p_verify = sub.add_parser("verify", help="check one (p, q, t) candidate")
-    p_verify.add_argument("--p", type=int, required=True)
-    p_verify.add_argument("--q", type=int, required=True)
-    p_verify.add_argument("--t", type=int, required=True)
-
-    p_ident = sub.add_parser(
-        "identity-check", help="verify the degree-12 factorization identity"
-    )
-    p_ident.add_argument("--max-pq", type=int, required=True)
-
-    return parser
+def _parse(argv):
+    """`argv` as `subcommand` plus one attribute per flag (`--p-max` gives
+    `p_max`), or None for help; ValueError with a one-line message if bad."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        raise ValueError(f"unknown subcommand {argv[0]!r}" if argv else "no subcommand")
+    command, *rest = argv
+    flags, given, tokens = COMMANDS[command][1], {}, iter(rest)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise ValueError(f"unknown flag {flag!r} for {command}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{flag} needs a value")
+        given[flag] = value
+    args = SimpleNamespace(subcommand=command)
+    for flag, default in flags.items():
+        value = given.get(flag, default)
+        if value is REQUIRED:
+            raise ValueError(f"{command} needs {flag}")
+        if flag in given and flag not in ("--checkpoint", "--out"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{flag} needs an integer, not {value!r}") from None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
 def cmd_search(args) -> int:
@@ -258,19 +289,15 @@ def cmd_identity_check(args) -> int:
     return EXIT_OK
 
 
-# The parser, built by the first main() call and reused by later ones (a
-# build costs about as much as the rest of a `roots` call).
-_parser = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = _build_parser()
     try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_BAD_FLAGS if exc.code else EXIT_OK
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_FLAGS
+    if args is None:
+        print(_usage())
+        return EXIT_OK
     handlers = {
         "search": cmd_search,
         "roots": cmd_roots,

@@ -200,9 +200,6 @@ class IntPoly(NamedTuple):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def constant(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
-
     def leading(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 

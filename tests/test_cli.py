@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 from decimal import getcontext
 from fractions import Fraction
@@ -397,17 +398,66 @@ class TestParser:
         assert code == cli.EXIT_OK
         assert out == (GOLDEN_DIR / "roots_p1_q59.txt").read_text()
 
-    def test_parser_built_once(self, capsys, monkeypatch):
-        builds = []
-        real = cli._build_parser
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["roots", "--p", "1", "--bogus", "2", "--q", "59"],
+        ["roots", "--p-ma", "1", "--q", "59"],  # no prefix abbreviations
+        ["roots", "--p", "1", "--q"],
+        ["search", "--p-max", "--out", "x.jsonl"],
+        ["search", "--p-max", "1", "--out", "--threads"],
+        ["roots", "--p", "1", "--q", "x59"],
+        ["roots", "--p=", "--q", "59"],
+        ["roots", "--p", "1"],
+        ["search", "--out", "x.jsonl"],
+        ["newton", "extra"],
+    ])
+    def test_error_is_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_BAD_FLAGS
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
-        def counting():
-            builds.append(1)
-            return real()
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [
+        [command, flag] for command in cli.COMMANDS for flag in ("-h", "--help")
+    ])
+    def test_help_names_every_command_and_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_OK and err == ""
+        for command, (help_line, flags) in cli.COMMANDS.items():
+            assert f"{command}: {help_line}" in out
+            for flag in flags:
+                assert f"  {flag}  (" in out
 
-        monkeypatch.setattr(cli, "_parser", None)
-        monkeypatch.setattr(cli, "_build_parser", counting)
-        assert cli.main(["newton"]) == cli.EXIT_OK
-        assert cli.main(["verify", "--p", "1", "--q", "2", "--t", "5"]) == cli.EXIT_OK
-        assert cli.main(["newton", "--bogus"]) == cli.EXIT_BAD_FLAGS
-        assert builds == [1]
+    def test_equals_form(self):
+        assert cli._parse(["search", "--p-max=40", "--out=o"]) == cli._parse(
+            ["search", "--p-max", "40", "--out", "o"]
+        )
+
+    def test_repeated_flag_keeps_last(self):
+        args = cli._parse(["search", "--p-max", "3", "--out", "o",
+                           "--threads", "4", "--threads", "1"])
+        assert args.threads == 1
+
+    def test_negative_value_reaches_the_handler(self, capsys):
+        assert cli._parse(["roots", "--p", "-5", "--q", "59"]).p == -5
+        code, _, err = run_cli(capsys, "roots", "--p", "-5", "--q", "59")
+        assert code == cli.EXIT_BAD_FLAGS and "positive" in err
+
+    def test_readme_command_lines(self):
+        # every line of README's CLI block, as the handlers read it
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+        lines = [line.split()[1:] for line in block.splitlines()]
+        threads = os.cpu_count() or 1
+        expected = [
+            dict(subcommand="search", p_min=1, p_max=100, threads=threads,
+                 checkpoint="run.ckpt", out="cuboids.jsonl"),
+            dict(subcommand="search", p_min=1, p_max=25, threads=8,
+                 checkpoint=None, out="c.jsonl"),
+            dict(subcommand="roots", p=1, q=59),
+            dict(subcommand="newton"),
+            dict(subcommand="verify", p=1, q=2, t=5),
+            dict(subcommand="identity-check", max_pq=20),
+        ]
+        assert [vars(cli._parse(argv)) for argv in lines] == expected

@@ -87,6 +87,14 @@ class TestQuadArithmetic:
     def test_ordering(self):
         assert QuadRational.of(0, 1) > QuadRational.of(Fraction(7, 5), 0)
         assert QuadRational.of(0, 1) < QuadRational.of(Fraction(3, 2), 0)
+        # each operator on a case where the field order and the tuple order
+        # of the (a, b) fields disagree: 1 - sqrt(2) < 0 but (1, -1) > (0, 0)
+        small, zero = QuadRational.of(1, -1), QuadRational.of(0)
+        assert small < zero and small <= zero
+        assert zero > small and zero >= small
+        assert not (small > zero or small >= zero)
+        assert not (zero < small or zero <= small)
+        assert tuple(small) > tuple(zero)
 
     def test_rational_sqrt(self):
         assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)

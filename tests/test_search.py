@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -411,6 +412,37 @@ class TestObstruction:
                     assert (x in ratio_table(l)) == (not modular_sieve(pair, l))
             witnesses.append(witness)
         assert len(set(witnesses)) > 3
+
+    def test_split_r_has_a_square_root(self):
+        # R(u; 1, x) is monic of degree 5 with constant term -x^10, so its
+        # roots, with multiplicity, multiply to x^10, a square.  When R
+        # splits into 5 linear factors mod l, its roots cannot all be
+        # nonsquares, so Q(tau; 1, x) has a root mod l and x is not in B_l.
+        # The roots are found by synthetic division, with no table.
+        split = distinct = 0
+        for l in OBSTRUCTION_PRIMES:
+            squares = {u * u % l for u in range(1, l)}
+            for x in range(1, l):
+                c0, c2, c4, c6, c8 = (c % l for c in qpq_coefficients(1, x))
+                assert c0 == -x**10 % l != 0
+                poly, roots = [1, c8, c6, c4, c2, c0], []
+                for u in range(1, l):
+                    if (((((u + c8) * u + c6) * u + c4) * u + c2) * u + c0) % l:
+                        continue
+                    while True:
+                        *quotient, rem = accumulate(
+                            poly, lambda acc, c: (acc * u + c) % l
+                        )
+                        if rem:
+                            break
+                        poly = quotient
+                        roots.append(u)
+                if len(roots) == 5:
+                    split += 1
+                    distinct += len(set(roots)) == 5
+                    assert squares.intersection(roots)
+                    assert x not in ratio_table(l)
+        assert split > distinct > 0
 
     def test_tables_closed_under_inverse(self):
         # ratio_table builds B_l from one x per orbit on this closure;
