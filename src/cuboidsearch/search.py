@@ -16,11 +16,12 @@ Nonempty pairs.  For q > p the range is nonempty exactly when
 f(q) = r(q) - q^2 - 1 > 0.  f is concave in q (the square root of the
 quadratic h = p^2 + 6pq + q^2 has second derivative -32 p^2 / (4 h^(3/2)))
 and f(p) = sqrt(2) p^2 - 1 > 0, so the q > p with a nonempty range run up
-to a cap, and `t_bounds` shows that q >= 2p gives an empty range.
-`q_limit` finds the cap by bisection on `t_bounds` over (p, 2p), in
-integers; in practice it is about 1.84 p (the real root of
-c^3 = c^2 + c + 1).  Every pair with q < p has a nonempty range too, so the
-nonempty pairs of p are the coprime q <= q_limit(p) with q != p.
+to a cap, and `t_bounds` shows that q >= 2p gives an empty range.  The
+cap is about 1.84 p (the real root of c^3 = c^2 + c + 1), so `q_limit`
+starts there and walks to the cap on `t_bounds`, in integers; as the
+nonempty q > p are an interval, the first step's answer says which way to
+walk.  Every pair with q < p has a nonempty range too, so the nonempty
+pairs of p are the coprime q <= q_limit(p) with q != p.
 
 Obstruction.  If Q(t) = 0 for an integer t, then Q has a root mod every
 prime l, so one prime for which Q has no root mod l rules out the whole
@@ -31,17 +32,16 @@ a root mod l exactly when Q(tau; 1, x) has one.  `ratio_table(l)` holds the
 set B_l of the x in 1..l-1 for which it has none: Q(tau; 1, x) =
 R(tau^2; 1, x) and R(0; 1, x) = -x^10 is not 0 mod l, so these are the x
 for which R has no root among the nonzero squares mod l.  (For l | q, x = 0
-and t = 0 is a root, so l proves nothing; 0 is never in B_l.)  B_l is
-closed under x -> -x and x -> 1/x, so the table is built from one x per
-orbit {x, -x, 1/x, -1/x} (see `ratio_table`).  The sieve (`sieve_pairs`)
-is one pass over a Python int whose bit q is set while q may still have a
-root: it starts with the nonempty q of p, and each l in OBSTRUCTION_PRIMES
-that does not divide p and has a nonempty B_l (so not 3, 5 or 7) clears
-the classes q = x p mod l with x in B_l, as one l-bit pattern repeated
-across the int, until no q is left.  It cannot rule out every pair in
-principle, since some polynomials have a root mod every prime (Berend and
-Bilu); the pairs it leaves go on to the candidates.  Up to p = 10^5 it
-leaves none.
+and t = 0 is a root, so l proves nothing; 0 is never in B_l.)  The tables
+are stored as data, one bitmask per l (see `ratio_table`).  The sieve
+(`sieve_pairs`) is one pass over a Python int whose bit q is set while q
+may still have a root: it starts with the nonempty q of p, and each l in
+OBSTRUCTION_PRIMES that does not divide p and has a nonempty B_l (so not
+3, 5 or 7) clears the classes q = x p mod l with x in B_l, as one l-bit
+pattern repeated across the int, until no q is left.  It cannot rule out
+every pair in principle, since some polynomials have a root mod every
+prime (Berend and Bilu); the pairs it leaves go on to the candidates.  Up
+to p = 10^5 it leaves none.
 
 Valuation candidates.  Q is monic with constant term -p^10 q^10, so an
 integer root t divides (pq)^10.  Let l^e exactly divide pq.  The
@@ -67,7 +67,9 @@ import json
 import math
 import os
 import time
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .cuboid_eqs import (
     CaseTag,
@@ -96,9 +98,9 @@ OBSTRUCTION_PRIMES = (
 # 94 and 137, p 99801..100000 185 and 156, p 99601..100000 352 and 247;
 # repeated rounds put the break-even anywhere from a sum of 8 * 10^6 to
 # 3 * 10^7, the high-p ranges at the upper end).  Starting two workers
-# costs about 50 ms, each builds the ratio tables it reaches (15 ms for
-# all of them), and on that host two busy processes ran at about 0.55
-# times the speed of one.
+# costs about 50 ms, each reads the ratio tables it reaches off their
+# stored masks (under 1 ms for all of them), and on that host two busy
+# processes ran at about 0.55 times the speed of one.
 POOL_MIN_WORK = 10_000_000
 
 # A pool gets the p in runs of consecutive values, about four runs per
@@ -264,66 +266,134 @@ def pair_candidates(p: int, q: int, lo: int, hi: int) -> List[int]:
     return [t for t in out if t >= lo]
 
 
-def pair_count(p: int) -> int:
+def pair_count(p: int, primes: Optional[Iterable[int]] = None) -> int:
     """The number of admissible pairs for p, in closed form: q runs over
     1 <= q <= 59p - 1 with q != p and q coprime to p, so there are
-    59 phi(p) of them, or 57 for p = 1."""
+    59 phi(p) of them, or 57 for p = 1.  `primes`, the prime factors of p,
+    saves factoring p again when the caller has them."""
     if p == 1:
         return 57
     phi = p
-    for prime in _prime_factors(p):
+    for prime in _prime_factors(p) if primes is None else primes:
         phi -= phi // prime
     return 59 * phi
 
 
+def pair_count_sum(lo: int, hi: int) -> int:
+    """The sum of pair_count(p) over lo <= p <= hi, from one segmented
+    totient sieve over just that range, in blocks of 2^16 values: phi(p)
+    starts as p, and each prime l <= isqrt(hi) takes the factor 1 - 1/l
+    from the phi(p) of its multiples and divides every power of l out of
+    `rest`, a copy of p.  What is left of p is then 1 or its one prime
+    factor above isqrt(hi), which takes its own factor."""
+    root = math.isqrt(hi)
+    is_prime = bytearray([1]) * (root + 1)
+    primes = []
+    for l in range(2, root + 1):
+        if is_prime[l]:
+            primes.append(l)
+            is_prime[l * l::l] = bytes(len(range(l * l, root + 1, l)))
+    total = 0
+    for a in range(lo, hi + 1, 1 << 16):
+        b = min(a + (1 << 16), hi + 1)
+        phi = list(range(a, b))
+        rest = phi[:]
+        for l in primes:
+            i = -a % l
+            phi[i::l] = [v - v // l for v in phi[i::l]]
+            power = l
+            while power < b:
+                i = -a % power
+                rest[i::power] = [v // l for v in rest[i::power]]
+                power *= l
+        total += sum(v - v // r if r > 1 else v for v, r in zip(phi, rest))
+    return 59 * total - 2 * (lo == 1)
+
+
 def q_limit(p: int) -> int:
     """The largest q with a nonempty t range for p, or p when no q > p has
-    one: bisection on `t_bounds` over (p, 2p).  The range is nonempty at
-    q = p and empty at q = 2p, and the q > p with a nonempty range are an
-    interval (see the module docstring)."""
-    lo, hi = p, 2 * p
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if t_bounds(p, mid) is None:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    one.  Every q <= p has a nonempty range and the q > p with one are an
+    interval (see the module docstring), so the q >= 1 with a nonempty
+    range are exactly 1..q_limit(p), and two walks on `t_bounds` find its
+    end from any start q >= 1: down while the range is empty, then up while
+    the next q's is not.  The start is the cap's asymptote
+    1.839286755214161 p (the real root of c^3 = c^2 + c + 1, cut after 15
+    decimals), rounded down.  It is the answer for 9,989 of the p <= 10^4
+    and one too high for the other 11; it falls short only from about
+    p = 10^15 on, where the 15 decimals run out."""
+    q = p * 1839286755214161 // 10**15
+    while t_bounds(p, q) is None:
+        q -= 1
+    while t_bounds(p, q + 1) is not None:
+        q += 1
+    return q
 
+
+# B_l for each l in OBSTRUCTION_PRIMES, bit x set for x in B_l.  Computed
+# by evaluating R(u; 1, x) at every nonzero square u mod l for every x in
+# 1..l-1 (tests/oracles.py, `brute_ratio_table`, which the tests check this
+# against and print the literal from).
+_RATIO_MASKS: Dict[int, int] = {
+    3: 0x0,
+    5: 0x0,
+    7: 0x0,
+    11: 0x3fc,
+    13: 0x8c4,
+    17: 0xdfec,
+    19: 0x3e67c,
+    23: 0x35ffac,
+    29: 0xfd9e6fc,
+    31: 0x18be7d18,
+    37: 0xb71ffe3b4,
+    41: 0x7edecdedf8,
+    43: 0x3c93cf3c93c,
+    47: 0x1b99ca5399d8,
+    53: 0xf6dff3f3fedbc,
+    59: 0x2eab06f6f60d574,
+    61: 0xf127f95ea7f923c,
+    67: 0x11673aa10855ce688,
+    71: 0x22c95e7edb7e7a9344,
+    73: 0xf4dfbbbffff777ecbc,
+    79: 0xa1e58564a526a1a7850,
+    83: 0x3ec2568b7f6fed16a437c,
+    89: 0x1fefd1023c84f1022fdfe0,
+    97: 0xfd5f67a68f7b7bc5979beafc,
+    101: 0xbf5f6d572f7fffbd3aadbebf4,
+    103: 0x27fd695958f8bd1f1a9a96bfe4,
+    107: 0x171777a96f7f70efef695eee8e8,
+    109: 0xfbfcfef06de5ede9ed83dfcff7c,
+    113: 0xabf85befe3cff33fcf1fdf687f54,
+    127: 0x3d9de12ff9fef7fbdfef7f9ff487b9bc,
+    131: 0xfdafefd6763569a0596ac6e6bf7f5bf0,
+    137: 0xcefbfdf56dfffbacfcd77ffedabeff7dcc,
+    139: 0x3595fafeee477a97dfbe95ee2777f5fa9ac,
+    149: 0xcdbd2583ccc0e12ecad4dd21c0ccf0692f6cc,
+    151: 0x2d6ded9a3efa5cef7ffffef73a5f7c59b7b6b4,
+    157: 0xd882cbd9aa2ff0bf6aded5bf43fd1566f4d046c,
+    163: 0x2d547bea277ba849f6f264f6f9215dee457de2ab4,
+    167: 0x3d34b197097af1c8fe7dbdbe7f138f5e90e98d2cbc,
+    173: 0xb1d3fbc7265eed16551ddeee2a9a2dde9938f7f2e34,
+    179: 0xccf5d9dde8e0f35b3c8259a413cdacf0717bb9baf330,
+    181: 0x57d8bee56c8ceb657cf16409a3cfa9b5cc4da9df46fa8,
+    191: 0x29b27bbb7d47cf5d7ed0732bd4ce0b7ebaf3e2beddde4d94,
+    193: 0xbba1f861fe87b81ff068f6cdbc583fe07785fe187e17740,
+    197: 0x5bf39a59d9facdd9edfcbc49248f4fede6ecd7e6e69673f68,
+    199: 0x1e9d61ec7fd3b729baabb452e74a2dd55d94edcbfe3786b978,
+}
 
 _RATIO_TABLES: Dict[int, Tuple[int, ...]] = {}
 
 
 def ratio_table(l: int) -> Tuple[int, ...]:
-    """B_l for an odd prime l: the x in 1..l-1, ascending, for which
-    R(u; 1, x) has no root among the nonzero squares u mod l, that is
-    Q(tau; 1, x) has no root mod l.  Built on first use, once per l and
-    process.
-
-    B_l is a union of orbits {x, -x, 1/x, -1/x}, so R is evaluated for one
-    x per orbit, and only up to its first root.  Q depends on q only
-    through q^2, so x and -x agree.  The swap identity Q(t; q, p) =
-    -t^10 Q((pq)^2 / t; p, q) / (pq)^10 maps the roots t of Q(t; x, 1) to
-    the roots x^2 / t of Q(t; 1, x) (0 is a root of neither: both constant
-    terms are -x^10), and by homogeneity Q(x^2 tau; x, 1) =
-    x^20 Q(tau; 1, 1/x) mod l, so x and 1/x agree."""
+    """B_l for l in OBSTRUCTION_PRIMES: the x in 1..l-1, ascending, for
+    which R(u; 1, x) has no root among the nonzero squares u mod l, that is
+    Q(tau; 1, x) has no root mod l.  Read off the l bits of its stored mask
+    on first use, once per l and process."""
     table = _RATIO_TABLES.get(l)
     if table is None:
-        squares = [u * u % l for u in range(1, (l + 1) // 2)]
-        seen, no_root = set(), set()
-        for x in range(1, l):
-            if x in seen:
-                continue
-            y = pow(x, -1, l)
-            orbit = {x, l - x, y, l - y}
-            seen |= orbit
-            c0, c2, c4, c6, c8 = (c % l for c in qpq_coefficients(1, x))
-            if all(
-                (((((u + c8) * u + c6) * u + c4) * u + c2) * u + c0) % l
-                for u in squares
-            ):
-                no_root |= orbit
-        table = _RATIO_TABLES[l] = tuple(sorted(no_root))
+        mask = _RATIO_MASKS[l]
+        table = tuple(x for x in range(1, l) if mask >> x & 1)
+        _RATIO_TABLES[l] = table
     return table
 
 
@@ -337,10 +407,13 @@ def _tile(pattern: int, l: int, n: int) -> int:
     return pattern
 
 
-def sieve_pairs(p: int) -> Tuple[int, List[int]]:
+def sieve_pairs(
+    p: int, primes: Optional[Iterable[int]] = None
+) -> Tuple[int, List[int]]:
     """(n, survivors): the number n of coprime q != p with a nonempty t
     range, and those of them, ascending, that no prime in
-    OBSTRUCTION_PRIMES rules out.
+    OBSTRUCTION_PRIMES rules out.  `primes`, the prime factors of p, saves
+    factoring p again when the caller has them.
 
     Bit q of the int `live` stays set while q may still have a root.  It
     starts as bits 1..q_limit(p) without bit p, the class q = 0 mod each
@@ -352,7 +425,7 @@ def sieve_pairs(p: int) -> Tuple[int, List[int]]:
     q_limit(p))."""
     n = q_limit(p) + 1
     live = (1 << n) - 2 - (1 << p)
-    for prime in _prime_factors(p):
+    for prime in _prime_factors(p) if primes is None else primes:
         live &= ~_tile(1, prime, n)
     nonempty = live.bit_count()
     for l in OBSTRUCTION_PRIMES:
@@ -376,11 +449,13 @@ def _scan_p(p: int) -> Tuple[int, Tuple[int, int, int, int], tuple]:
     fields: pairs_examined, pairs_nonempty, pairs_obstructed and
     candidates_evaluated.
 
-    Only the pairs `sieve_pairs` leaves get valuation candidates.  A root
-    goes straight to `reconstruct_cuboid`: the search inequality
-    (p^2 + t)(pq + t) > 2 t^2 holds exactly for t between its negative root
-    and r(q), and every candidate is positive and at most hi < r(q)."""
-    nonempty, survivors = sieve_pairs(p)
+    p is factored once, for the sieve and for pair_count.  Only the pairs
+    `sieve_pairs` leaves get valuation candidates.  A root goes straight to
+    `reconstruct_cuboid`: the search inequality (p^2 + t)(pq + t) > 2 t^2
+    holds exactly for t between its negative root and r(q), and every
+    candidate is positive and at most hi < r(q)."""
+    primes = _prime_factors(p)
+    nonempty, survivors = sieve_pairs(p, primes)
     evaluated = 0
     hits: List[CuboidWitness] = []
     for q in survivors:
@@ -393,8 +468,10 @@ def _scan_p(p: int) -> Tuple[int, Tuple[int, int, int, int], tuple]:
                 continue
             for tag in CaseTag:
                 hits.append(reconstruct_cuboid(p, q, t, tag))
-    hits.sort(key=lambda w: (w.p, w.q, w.t, w.case_tag.value))
-    counts = (pair_count(p), nonempty, nonempty - len(survivors), evaluated)
+    if hits:
+        hits.sort(key=lambda w: (w.p, w.q, w.t, w.case_tag.value))
+    obstructed = nonempty - len(survivors)
+    counts = (pair_count(p, primes), nonempty, obstructed, evaluated)
     return p, counts, tuple(hits)
 
 
@@ -446,7 +523,7 @@ def _load_resume_state(
             f"checkpoint {path} is damaged: last_completed_p="
             f"{ckpt.last_completed_p} lies outside p {ckpt.p_min}..{ckpt.p_max}"
         )
-    pairs = sum(map(pair_count, range(ckpt.p_min, ckpt.last_completed_p + 1)))
+    pairs = pair_count_sum(ckpt.p_min, ckpt.last_completed_p)
     if ckpt.pairs_examined != pairs:
         raise ResumeMismatch(
             f"checkpoint {path} is damaged: pairs_examined="
@@ -537,9 +614,12 @@ def run_search(
         try:
             for p, p_counts, p_hits in results:
                 counts = tuple(a + b for a, b in zip(counts, p_counts))
-                hits.extend(p_hits)
-                out.writelines(_json_line(w.to_json_dict()) for w in p_hits)
-                out.flush()
+                if p_hits:
+                    hits.extend(p_hits)
+                    out.writelines(
+                        _json_line(w.to_json_dict()) for w in p_hits
+                    )
+                    out.flush()
                 if config.checkpoint_path:
                     last = SearchCheckpoint(
                         CHECKPOINT_VERSION, config.p_min, config.p_max, p,

@@ -1,13 +1,14 @@
 """Reference paths that the tests compare the production code against.
 
 These are the search's earlier candidate generators, kept unchanged in
-substance: the paper's literal t range (`literal_t_bounds`), the per-pair
-pipeline (`scan_pair`, with the separate `q_cap` walk and
-`valuation_candidates` built from trial-divided prime powers), the full
-scan of every t in range, the divisors of p^10 q^10 in range, the
-residue sieves that pruned either, the obstruction sieve done pair by
-pair, by evaluating Q at every residue (`obstruction_witness`), the ratio
-tables built without their symmetry (`brute_ratio_table`) and the
+substance: the paper's literal t range (`literal_t_bounds`), the q cap
+found by bisection (`bisect_q_limit`), the per-pair pipeline
+(`scan_pair`, with the separate `q_cap` walk and `valuation_candidates`
+built from trial-divided prime powers), the full scan of every t in range,
+the divisors of p^10 q^10 in range, the residue sieves that pruned either,
+the obstruction sieve done pair by pair, by evaluating Q at every residue
+(`obstruction_witness`), the ratio tables computed from every x
+(`brute_ratio_table`, from which the stored masks were made) and the
 obstruction sieve by slice assignment alone (`slice_sieve_pairs`).  Beside
 them stand the certificate's earlier arithmetic: Horner evaluation over
 Fraction and over the sqrt(2) field, and the Sturm sequence built from
@@ -67,7 +68,7 @@ from cuboidsearch.exact_arith import (
     sturm_count,
     sturm_sequence,
 )
-from cuboidsearch.search import _prime_factors, q_limit, t_bounds
+from cuboidsearch.search import _prime_factors, t_bounds
 
 
 def pairs_for_p(p: int) -> List[PQPair]:
@@ -88,6 +89,20 @@ def literal_t_bounds(p: int, q: int) -> Optional[Tuple[int, int]]:
     lo = max(p * p, p * q, q * q) + 1
     hi = 61 * p * p - 1
     return (lo, hi) if lo <= hi else None
+
+
+def bisect_q_limit(p: int) -> int:
+    """`search.q_limit` by bisection on `t_bounds` over (p, 2p): the range
+    is nonempty at q = p and empty at q = 2p, and the q > p with a nonempty
+    range are an interval, so log2(p) steps find its end."""
+    lo, hi = p, 2 * p
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if t_bounds(p, mid) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def q_cap(p: int) -> int:
@@ -291,7 +306,7 @@ def slice_sieve_pairs(p: int, primes: Sequence[int]) -> Tuple[int, List[int]]:
     """`search.sieve_pairs` done by slice assignment alone, over
     `brute_ratio_table`: for each l in primes not dividing p, every class
     q = x p mod l with x in B_l is cleared, until no q is left."""
-    cap = q_limit(p)
+    cap = bisect_q_limit(p)
     live = bytearray(b"\x01") * (cap + 1)
     live[0] = live[p] = 0
     for prime in _prime_factors(p):

@@ -23,6 +23,7 @@ from cuboidsearch.search import (
     SearchConfig,
     pair_candidates,
     pair_count,
+    pair_count_sum,
     q_limit,
     ratio_table,
     run_search,
@@ -32,6 +33,7 @@ from cuboidsearch.search import (
 )
 from oracles import (
     admissible_hits,
+    bisect_q_limit,
     brute_ratio_table,
     divisor_candidates,
     eval_mod,
@@ -372,10 +374,24 @@ class TestObstruction:
         assert [len(ratio_table(l)) for l in (3, 5, 7, 11, 13)] == [0, 0, 0, 8, 4]
 
     def test_tables_match_brute_force(self):
-        # one x per orbit {x, -x, 1/x, -1/x} gives the same tables as every
-        # x
+        # the stored masks and the tables read off them against R evaluated
+        # at every nonzero square for every x; on a mismatch the message is
+        # the line to paste into search._RATIO_MASKS
+        assert tuple(search._RATIO_MASKS) == OBSTRUCTION_PRIMES
         for l in OBSTRUCTION_PRIMES:
-            assert ratio_table(l) == brute_ratio_table(l)
+            table = brute_ratio_table(l)
+            mask = sum(1 << x for x in table)
+            line = f"    {l}: {mask:#x},"
+            assert search._RATIO_MASKS[l] == mask, line
+            assert ratio_table(l) == table, line
+
+    def test_stored_masks(self):
+        # bit x stands for x in 1..l-1: bit 0 is clear (0 is never in B_l)
+        # and no bit reaches l; B_3, B_5 and B_7 are empty
+        for l, mask in search._RATIO_MASKS.items():
+            assert mask & 1 == 0 and mask >> l == 0, l
+        assert [search._RATIO_MASKS[l] for l in (3, 5, 7)] == [0, 0, 0]
+        assert [ratio_table(l) for l in (3, 5, 7)] == [(), (), ()]
 
     def test_tables_decide_each_pair_p_le_12(self):
         # for l not dividing p, q / p mod l is in B_l exactly when
@@ -445,7 +461,6 @@ class TestObstruction:
         assert split > distinct > 0
 
     def test_tables_closed_under_inverse(self):
-        # ratio_table builds B_l from one x per orbit on this closure;
         # checked on the brute-force tables, which use no symmetry
         for l in OBSTRUCTION_PRIMES:
             table = set(brute_ratio_table(l))
@@ -461,10 +476,10 @@ class TestObstruction:
             assert qpq_coefficients(3, x) == qpq_coefficients(3, -x)
 
     def test_swap_symmetry(self):
-        # the identity behind the closure of B_l under x -> 1/x, on which
-        # ratio_table relies: Q(t; q, p) = -t^10 Q((pq)^2 / t; p, q) /
-        # (pq)^10, so with Q(t; p, q) = sum a_j t^j the coefficient of
-        # t^(10 - j) in Q(t; q, p) is -a_j (pq)^(2j - 10)
+        # the identity behind the closure of B_l under x -> 1/x:
+        # Q(t; q, p) = -t^10 Q((pq)^2 / t; p, q) / (pq)^10, so with
+        # Q(t; p, q) = sum a_j t^j the coefficient of t^(10 - j) in
+        # Q(t; q, p) is -a_j (pq)^(2j - 10)
         checked = 0
         for p in range(1, 16):
             for q in range(1, 16):
@@ -481,6 +496,23 @@ class TestObstruction:
     def test_q_limit(self):
         assert q_limit(1) == 1
         assert all(q_limit(p) == q_cap(p) - 1 for p in range(1, 401))
+
+    def test_q_limit_matches_bisection(self):
+        # q_limit walks from 1.839286755214161 p rounded down; the sample
+        # must take the walk down (the start one too high, as at p = 6 and
+        # 56) and the walk up (the start too low, only from about p = 10^15)
+        rng = random.Random(1771)
+        sample = list(range(1, 10**4 + 1))
+        sample += [rng.randrange(10**4, 10**7 + 1) for _ in range(300)]
+        sample += [10**16 + 7, 10**18 + 3]
+        down = up = 0
+        for p in sample:
+            cap = bisect_q_limit(p)
+            assert q_limit(p) == cap, p
+            start = p * 1839286755214161 // 10**15
+            down += start > cap
+            up += start < cap
+        assert down > 0 and up > 0
 
     @pytest.mark.parametrize("primes", [OBSTRUCTION_PRIMES, (3, 5, 7, 11, 13)],
                              ids=["all", "short"])
@@ -544,7 +576,7 @@ class TestObstruction:
 
     def test_no_table_fetched_once_no_q_is_left(self, monkeypatch):
         # the last l whose table is fetched is the one that leaves no q: a
-        # resumed run must not build tables that the sieve no longer needs
+        # resumed run must not decode tables that the sieve no longer needs
         fetched = []
         real_table = search.ratio_table
         monkeypatch.setattr(
@@ -571,6 +603,21 @@ class TestPairCount:
     def test_closed_form(self):
         for p in range(1, 201):
             assert pair_count(p) == len(pairs_for_p(p))
+            assert pair_count(p, search._prime_factors(p)) == pair_count(p)
+
+    def test_sum_matches_each_p(self):
+        # the segmented totient sieve against pair_count p by p, on ranges
+        # from p = 1 (where 57 replaces 59), within one block and across
+        # the block edge at 2^16
+        rng = random.Random(3301)
+        ranges = [(1, 1), (1, 26), (5, 777), (99801, 99900), (65530, 65542)]
+        for _ in range(20):
+            lo = rng.randrange(1, 2 * 10**5)
+            ranges.append((lo, lo + rng.randrange(0, 400)))
+        for lo, hi in ranges:
+            assert pair_count_sum(lo, hi) == sum(
+                map(pair_count, range(lo, hi + 1))
+            ), (lo, hi)
 
 
 class TestScanPair:
