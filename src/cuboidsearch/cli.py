@@ -58,27 +58,9 @@ def approx_str(x: QuadRational) -> str:
     return f"approx {value}"
 
 
-# Each subcommand: its help line and its flags with their defaults.  Flag
-# values are integers, except those of the paths --checkpoint and --out.
-REQUIRED = object()
-COMMANDS = {
-    "search": ("run the pruned (p, q, t) search", {
-        "--p-min": 1, "--p-max": REQUIRED, "--threads": os.cpu_count() or 1,
-        "--checkpoint": None, "--out": REQUIRED,
-    }),
-    "roots": ("five certified root intervals for one pair",
-              {"--p": REQUIRED, "--q": REQUIRED}),
-    "newton": ("Newton polygon, exponents, and leading terms", {}),
-    "verify": ("check one (p, q, t) candidate",
-               {"--p": REQUIRED, "--q": REQUIRED, "--t": REQUIRED}),
-    "identity-check": ("verify the degree-12 factorization identity",
-                       {"--max-pq": REQUIRED}),
-}
-
-
 def _usage() -> str:
     lines = ["usage: cuboidsearch COMMAND [--FLAG VALUE | --FLAG=VALUE] ..."]
-    for command, (help_line, flags) in COMMANDS.items():
+    for command, (help_line, flags, _) in COMMANDS.items():
         lines.append(f"{command}: {help_line}")
         for flag, default in flags.items():
             note = "required" if default is REQUIRED else f"default {default}"
@@ -289,6 +271,25 @@ def cmd_identity_check(args) -> int:
     return EXIT_OK
 
 
+# Each subcommand: its help line, its flags with their defaults, and its
+# handler.  Flag values are integers, except those of the paths --checkpoint
+# and --out.
+REQUIRED = object()
+COMMANDS = {
+    "search": ("run the pruned (p, q, t) search", {
+        "--p-min": 1, "--p-max": REQUIRED, "--threads": os.cpu_count() or 1,
+        "--checkpoint": None, "--out": REQUIRED,
+    }, cmd_search),
+    "roots": ("five certified root intervals for one pair",
+              {"--p": REQUIRED, "--q": REQUIRED}, cmd_roots),
+    "newton": ("Newton polygon, exponents, and leading terms", {}, cmd_newton),
+    "verify": ("check one (p, q, t) candidate",
+               {"--p": REQUIRED, "--q": REQUIRED, "--t": REQUIRED}, cmd_verify),
+    "identity-check": ("verify the degree-12 factorization identity",
+                       {"--max-pq": REQUIRED}, cmd_identity_check),
+}
+
+
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
@@ -298,14 +299,7 @@ def main(argv=None) -> int:
     if args is None:
         print(_usage())
         return EXIT_OK
-    handlers = {
-        "search": cmd_search,
-        "roots": cmd_roots,
-        "newton": cmd_newton,
-        "verify": cmd_verify,
-        "identity-check": cmd_identity_check,
-    }
-    return handlers[args.subcommand](args)
+    return COMMANDS[args.subcommand][2](args)
 
 
 def entry() -> None:

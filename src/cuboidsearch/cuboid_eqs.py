@@ -63,21 +63,13 @@ class PQPair(_PQPairFields):
         return tuple.__new__(cls, (p, q))
 
 
-class _FullEqParamsFields(NamedTuple):
+class FullEqParams(NamedTuple):
+    """Parameters (a, b, u) of the ambient degree-12 equation; CaseTag.params
+    builds them from the positive p and q of a pair."""
+
     a: int
     b: int
     u: int
-
-
-class FullEqParams(_FullEqParamsFields):
-    """Positive parameters (a, b, u) of the ambient degree-12 equation."""
-
-    __slots__ = ()
-
-    def __new__(cls, a: int, b: int, u: int) -> "FullEqParams":
-        if a < 1 or b < 1 or u < 1:
-            raise ValueError("a, b, u must be positive")
-        return tuple.__new__(cls, (a, b, u))
 
 
 class CaseTag(Enum):
@@ -220,20 +212,6 @@ def compute_z(upsilon: Fraction, alpha: Fraction, beta: Fraction) -> Fraction:
     if den == 0:
         raise DegenerateDenominator("alpha^2 * upsilon^2 = 1")
     return (1 + upsilon * upsilon) * (1 - beta * beta) * (1 + alpha * alpha) / den
-
-
-def cuboid_predicate(p: int, q: int, t: int) -> bool:
-    """True iff (p, q, t) yields a perfect cuboid: t is a root of the
-    degree-10 polynomial, exceeds p^2, pq, q^2, and satisfies
-    (p^2 + t)(pq + t) > 2 t^2."""
-    pair = PQPair(p, q)
-    if t < 1:
-        raise ValueError("t must be positive")
-    if t <= p * p or t <= p * q or t <= q * q:
-        return False
-    if (p * p + t) * (p * q + t) <= 2 * t * t:
-        return False
-    return build_qpq(pair).eval_int(t) == 0
 
 
 class CuboidWitness(NamedTuple):

@@ -148,6 +148,14 @@ class SearchConfig(_SearchConfigFields):
             raise ValueError("need 1 <= p_min <= p_max")
         if worker_count < 1:
             raise ValueError("worker_count must be positive")
+        if checkpoint_path is not None:
+            # the checkpoint is written through checkpoint_path + ".tmp"
+            checkpoint = os.path.abspath(checkpoint_path)
+            if os.path.abspath(output_path) in (checkpoint, checkpoint + ".tmp"):
+                raise ValueError(
+                    f"output {output_path} would be overwritten by the "
+                    f"checkpoint {checkpoint_path}"
+                )
         return tuple.__new__(
             cls, (p_min, p_max, worker_count, checkpoint_path, output_path)
         )

@@ -19,16 +19,17 @@ decimal display computed through Fraction, the root certificate computed
 on the degree-10 Q and its imaginary-axis restriction, and the root
 intervals with endpoints built as Fraction sums.  They are slow, which is
 why the production path replaced them, and simple, which is why they stay
-as oracles.  Last come names that only the tests use: the expanded-grid
-build of Q, the degree-12 polynomial built from its closed-form
-coefficients, modular Horner evaluation, the covered pair set, the hull
-dominance check, interval bisection, interval width and midpoint, the
-evenness test, the signs of one polynomial at a rational or sqrt(2)-field
-point, and the integer-point exclusion report for the real root
-intervals.
+as oracles.  Last come names that only the tests use: the difference and
+product of two polynomials, the expanded-grid build of Q, the degree-12
+polynomial built from its closed-form coefficients, modular Horner
+evaluation, the covered pair set, the hull dominance check, interval
+bisection, interval width and midpoint, the evenness test, the signs of one
+polynomial at a rational or sqrt(2)-field point, and the integer-point
+exclusion report for the real root intervals.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
@@ -162,6 +163,26 @@ def scan_pair(pair: PQPair) -> PairScan:
         for tag in CaseTag:
             hits.append(reconstruct_cuboid(p, q, t, tag))
     return PairScan(True, len(candidates), tuple(hits))
+
+
+def poly_sub(P: IntPoly, Q: IntPoly) -> IntPoly:
+    """P - Q, coefficient by coefficient."""
+    return IntPoly.of(
+        a - b for a, b in itertools.zip_longest(P.coeffs, Q.coeffs, fillvalue=0)
+    )
+
+
+def poly_mul(P: IntPoly, Q: IntPoly) -> IntPoly:
+    """P * Q by the schoolbook product."""
+    if P.is_zero() or Q.is_zero():
+        return IntPoly(())
+    out = [0] * (len(P.coeffs) + len(Q.coeffs) - 1)
+    for i, ci in enumerate(P.coeffs):
+        if ci == 0:
+            continue
+        for j, cj in enumerate(Q.coeffs):
+            out[i + j] += ci * cj
+    return IntPoly.of(out)
 
 
 def is_even(P: IntPoly) -> bool:
@@ -444,7 +465,7 @@ def intpoly_factorization_check(pair: PQPair) -> bool:
     """(t - pq)(t + pq) Q(t) as an IntPoly product, compared with the
     literal degree-12 equation under both CaseTag substitutions."""
     p, q = pair.p, pair.q
-    product = IntPoly.of([-((p * q) ** 2), 0, 1]) * build_qpq(pair)
+    product = poly_mul(IntPoly.of([-((p * q) ** 2), 0, 1]), build_qpq(pair))
     return all(
         product == literal_full_eq(tag.params(p, q)) for tag in CaseTag
     )
@@ -475,8 +496,11 @@ def interval_width(iv: AsymptoticInterval) -> QuadRational:
     return iv.hi - iv.lo
 
 
+HALF = Fraction(1, 2)
+
+
 def interval_midpoint(iv: AsymptoticInterval) -> QuadRational:
-    return (iv.lo + iv.hi) / 2
+    return (iv.lo + iv.hi) * HALF
 
 
 def refine_interval(
@@ -491,8 +515,8 @@ def refine_interval(
     s_lo = sign_at_quad(poly, lo)
     if s_lo == 0:
         return lo
-    while quad_sign((hi - lo) - rel_width * ((lo + hi) / 2)) > 0:
-        mid = (lo + hi) / 2
+    while quad_sign((hi - lo) - rel_width * ((lo + hi) * HALF)) > 0:
+        mid = (lo + hi) * HALF
         s_mid = sign_at_quad(poly, mid)
         if s_mid == 0:
             return mid
@@ -500,7 +524,7 @@ def refine_interval(
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
+    return (lo + hi) * HALF
 
 
 def imaginary_axis_poly(P: IntPoly) -> IntPoly:

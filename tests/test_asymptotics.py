@@ -298,7 +298,7 @@ class TestCertificateOnR:
             # T3 moved up by its width, past its root
             (_replaced(ivs, IntervalLabel.T3, t3.hi, t3.hi * 2 - t3.lo), "T3: sign(1,1), sturm=0"),
             # T5 moved down, below its root
-            (_replaced(ivs, IntervalLabel.T5, t5.lo / 2, t5.lo), "T5: sign(-1,-1)"),
+            (_replaced(ivs, IntervalLabel.T5, t5.lo * Fraction(1, 2), t5.lo), "T5: sign(-1,-1)"),
         ]
         for intervals, failure in shifted:
             with pytest.raises(CertificationFailed) as on_r:

@@ -54,6 +54,18 @@ class TestSearchCommand:
         assert code == cli.EXIT_BAD_FLAGS
         assert "error" in err
 
+    @pytest.mark.parametrize("out, ckpt", [("same", "same"), ("c.tmp", "c")])
+    def test_output_clashing_with_checkpoint_refused(self, tmp_path, capsys, out, ckpt):
+        # the checkpoint is written to ckpt + ".tmp", then renamed to ckpt
+        code, stdout, err = run_cli(
+            capsys,
+            "search", "--p-max", "5", "--threads", "1",
+            "--out", str(tmp_path / out), "--checkpoint", str(tmp_path / ckpt),
+        )
+        assert code == cli.EXIT_BAD_FLAGS
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_mode_rejected_by_parser(self, tmp_path, capsys):
         # one pipeline: --mode is gone, so even its old values are refused
         for mode in ("turbo", "scan", "divisor"):
@@ -424,7 +436,7 @@ class TestParser:
     def test_help_names_every_command_and_flag(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == cli.EXIT_OK and err == ""
-        for command, (help_line, flags) in cli.COMMANDS.items():
+        for command, (help_line, flags, _) in cli.COMMANDS.items():
             assert f"{command}: {help_line}" in out
             for flag in flags:
                 assert f"  {flag}  (" in out

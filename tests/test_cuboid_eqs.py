@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuboidsearch import cuboid_eqs
+from cuboidsearch import cli, cuboid_eqs
 from cuboidsearch.cuboid_eqs import (
     QPQ_TERMS,
     CaseTag,
@@ -17,7 +17,6 @@ from cuboidsearch.cuboid_eqs import (
     build_qpq,
     build_rpq,
     compute_z,
-    cuboid_predicate,
     factorization_check,
     full_eq_coefficients,
     param_ratios,
@@ -223,16 +222,32 @@ class TestComputeZ:
 
 
 class TestCuboidPredicate:
-    def test_no_roots_small_range(self):
-        assert not any(cuboid_predicate(1, 2, t) for t in range(5, 61))
+    """The three checks of a candidate (p, q, t), as `verify` makes them."""
 
-    def test_below_q_squared_rejected(self):
+    @staticmethod
+    def verify(capsys, p, q, t):
+        code = cli.main(["verify", "--p", str(p), "--q", str(q), "--t", str(t)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_no_roots_small_range(self, capsys):
+        for t in range(5, 61):
+            code, out, _ = self.verify(capsys, 1, 2, t)
+            assert code == cli.EXIT_OK
+            assert out.startswith("Q(t) = ") and "(nonzero: not a root)\n" in out
+            assert out.endswith("verdict: not a perfect cuboid\n")
+
+    def test_below_q_squared_rejected(self, capsys):
         # even a root of the polynomial would be rejected below q^2
-        assert not cuboid_predicate(1, 8, 60)
+        code, out, _ = self.verify(capsys, 1, 8, 60)
+        assert code == cli.EXIT_OK
+        assert "lower bounds t > p^2, pq, q^2: FAIL\n" in out
+        assert out.endswith("verdict: not a perfect cuboid\n")
 
-    def test_positive_t_required(self):
-        with pytest.raises(ValueError):
-            cuboid_predicate(1, 2, 0)
+    def test_positive_t_required(self, capsys):
+        code, out, err = self.verify(capsys, 1, 2, 0)
+        assert code == cli.EXIT_BAD_FLAGS
+        assert out == "" and err == "error: t must be positive\n"
 
 
 class TestReconstruct:

@@ -245,7 +245,7 @@ class TestIntegerSturmSequence:
             assert seq == fraction_sturm_sequence(P)
             degrees = [f.degree for f in seq]
             drops += any(a - b > 1 for a, b in zip(degrees, degrees[1:]))
-            negative_divisor += any(f.leading() < 0 for f in seq[1:-1])
+            negative_divisor += any(f.coeffs[-1] < 0 for f in seq[1:-1])
         # the cases above do exercise what they are there for
         assert drops and negative_divisor
 

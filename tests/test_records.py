@@ -16,6 +16,7 @@ import cuboidsearch
 from cuboidsearch.cuboid_eqs import CaseTag, CuboidWitness, FullEqParams, PQPair
 from cuboidsearch.exact_arith import IntPoly, QuadRational
 from cuboidsearch.search import SearchConfig
+from oracles import poly_mul, poly_sub
 
 X = QuadRational.of(Fraction(1, 2), 3)
 Y = QuadRational.of(-2, Fraction(1, 3))
@@ -37,14 +38,17 @@ class TestQuadRationalOperators:
 
 
 class TestIntPolyOperators:
+    """IntPoly has no arithmetic; the tests' oracles supply the difference
+    and the product."""
+
     P = IntPoly.of([1, 2])
     Q = IntPoly.of([3, 0, 1])
 
     @pytest.mark.parametrize("value, expected", [
-        (P + Q, (4, 2, 1)),
-        (P - Q, (-2, 2, -1)),
-        (-P, (-1, -2)),
-        (P * Q, (3, 6, 1, 2)),
+        (poly_sub(P, Q), (-2, 2, -1)),
+        (poly_sub(Q, Q), ()),
+        (poly_mul(P, Q), (3, 6, 1, 2)),
+        (poly_mul(P, IntPoly(())), ()),
     ])
     def test_polynomial_arithmetic(self, value, expected):
         assert type(value) is IntPoly
@@ -56,16 +60,27 @@ class TestIntPolyOperators:
         with pytest.raises(TypeError):
             self.P * 2
 
+    @pytest.mark.parametrize("operation", [
+        lambda P, Q: P + Q,
+        lambda P, Q: P * Q,
+        lambda P, Q: P - Q,
+        lambda P, Q: -P,
+    ])
+    def test_no_concatenation_or_polynomial_arithmetic(self, operation):
+        with pytest.raises(TypeError, match="unsupported operand|bad operand"):
+            operation(self.P, self.Q)
+
 
 class TestValidatingRecords:
     @pytest.mark.parametrize("build, message", [
         (lambda: PQPair(p=3, q=3), "p and q must differ"),
         (lambda: PQPair(2, q=4), "p and q must be coprime"),
-        (lambda: FullEqParams(0, 1, 1), "a, b, u must be positive"),
-        (lambda: FullEqParams(a=1, b=1, u=0), "a, b, u must be positive"),
         (lambda: SearchConfig(0, 5), "need 1 <= p_min <= p_max"),
         (lambda: SearchConfig(1, 5, 0), "worker_count must be positive"),
         (lambda: SearchConfig(1, 5, worker_count=-1), "worker_count must be positive"),
+        (lambda: SearchConfig(1, 5, 1, "same", "same"), "overwritten by the checkpoint"),
+        (lambda: SearchConfig(1, 5, checkpoint_path="c", output_path="./c.tmp"),
+         "overwritten by the checkpoint"),
     ])
     def test_invalid_values_raise(self, build, message):
         with pytest.raises(ValueError, match=message):
