@@ -256,9 +256,9 @@ class AsymptoticInterval(NamedTuple):
 def asymptotic_intervals(pair: PQPair) -> List[AsymptoticInterval]:
     """The five exact root intervals, valid only for q >= 59 p.
 
-    Each endpoint is one Fraction built from a closed-form integer
-    numerator: T1 and T2 are p^2 -+ 5p^3/q, T3 is pq - 16p^3/q -+ 5p^4/q^2,
-    and T4 and T5 are their centres (q^2 - 2p^2) + (q^2 + p^2) sqrt(2) and
+    Each endpoint is built from closed-form integers as (A + B*sqrt(2))/D:
+    T1 and T2 are p^2 -+ 5p^3/q, T3 is pq - 16p^3/q -+ 5p^4/q^2, and T4
+    and T5 are their centres (q^2 - 2p^2) + (q^2 + p^2) sqrt(2) and
     (2p^2 - q^2) + (q^2 + p^2) sqrt(2) -+ 5p^3/q.
     """
     p, q = pair.p, pair.q
@@ -269,24 +269,22 @@ def asymptotic_intervals(pair: PQPair) -> List[AsymptoticInterval]:
     h3 = h * p  # half-width 5p^4/q^2 of T3, times q^2
     c3 = p * q * q2 - 16 * p2 * p * q  # centre of T3, times q^2
     c4 = (q2 - 2 * p2) * q  # rational part of the T4 centre, times q; T5's is -c4
-    zero = Fraction(0)
-    s45 = Fraction(q2 + p2)  # sqrt(2) part of the T4 and T5 centres
-
-    def real(num: int, den: int) -> QuadRational:
-        return QuadRational(Fraction(num, den), zero)
-
-    square = real(p2, 1)
+    s45 = (q2 + p2) * q  # sqrt(2) part of the T4 and T5 centres, times q
+    square = QuadRational(p2)
+    real, imaginary = Axis.REAL, Axis.IMAGINARY
     return [
-        AsymptoticInterval(IntervalLabel.T1, Axis.REAL, real(p2 * q - h, q), square),
-        AsymptoticInterval(IntervalLabel.T2, Axis.REAL, square, real(p2 * q + h, q)),
-        AsymptoticInterval(IntervalLabel.T3, Axis.REAL, real(c3 - h3, q2), real(c3 + h3, q2)),
+        AsymptoticInterval(IntervalLabel.T1, real, QuadRational(p2 * q - h, 0, q), square),
+        AsymptoticInterval(IntervalLabel.T2, real, square, QuadRational(p2 * q + h, 0, q)),
         AsymptoticInterval(
-            IntervalLabel.T4, Axis.IMAGINARY,
-            QuadRational(Fraction(c4 - h, q), s45), QuadRational(Fraction(c4 + h, q), s45),
+            IntervalLabel.T3, real, QuadRational(c3 - h3, 0, q2), QuadRational(c3 + h3, 0, q2)
         ),
         AsymptoticInterval(
-            IntervalLabel.T5, Axis.IMAGINARY,
-            QuadRational(Fraction(-c4 - h, q), s45), QuadRational(Fraction(-c4 + h, q), s45),
+            IntervalLabel.T4, imaginary,
+            QuadRational(c4 - h, s45, q), QuadRational(c4 + h, s45, q),
+        ),
+        AsymptoticInterval(
+            IntervalLabel.T5, imaginary,
+            QuadRational(-c4 - h, s45, q), QuadRational(-c4 + h, s45, q),
         ),
     ]
 
@@ -330,7 +328,7 @@ class RootCertificate(NamedTuple):
 
 def _sign_on_imaginary_axis(rpoly: IntPoly, y: QuadRational) -> int:
     """Sign of Q(iy) = R(-y^2), with y squared in integers."""
-    A, B, D = y.over_common_denominator()
+    A, B, D = y
     return sign_at_sqrt2(rpoly, -(A * A + 2 * B * B), -2 * A * B, D * D)
 
 
@@ -362,25 +360,25 @@ def certify_roots(
     rpoly = sturm[0]  # R's primitive part: R itself, which is monic
     if rpoly.degree != 5:
         raise ValueError("sturm must be the Sturm sequence of the degree-5 R")
-    vectors = {}  # (numerator, denominator) of a real endpoint -> sign vector
+    vectors = {}  # (A, D) of a real endpoint A/D -> sign vector
 
-    def signs_at_square(x: Fraction) -> list:
-        key = (x.numerator, x.denominator)
-        signs = vectors.get(key)
+    def signs_at_square(A: int, D: int) -> list:
+        signs = vectors.get((A, D))
         if signs is None:
-            n, d = key
-            signs = vectors[key] = sign_vector(sturm, n * n, d * d)
+            signs = vectors[A, D] = sign_vector(sturm, A * A, D * D)
         return signs
 
     certs = []
     failures = []
     for iv in intervals:
         if iv.axis is Axis.REAL:
-            lo, hi = iv.lo.to_fraction(), iv.hi.to_fraction()
-            if lo < 0:
-                failures.append(f"{iv.label.value}: lo = {lo} < 0")
+            (lo_A, lo_B, lo_D), (hi_A, hi_B, hi_D) = iv.lo, iv.hi
+            if lo_B or hi_B:
+                raise ValueError(f"{iv.label.value} has an endpoint with a sqrt(2) part")
+            if lo_A < 0:
+                failures.append(f"{iv.label.value}: lo = {iv.lo} < 0")
                 continue
-            v_lo, v_hi = signs_at_square(lo), signs_at_square(hi)
+            v_lo, v_hi = signs_at_square(lo_A, lo_D), signs_at_square(hi_A, hi_D)
             s_lo, s_hi = v_lo[0], v_hi[0]
             count = None
             if s_lo != 0 and s_hi != 0:

@@ -36,24 +36,25 @@ EXIT_INTERRUPTED = 130
 
 APPROX_DIGITS = 30
 
-# sqrt(2) to 50 decimals, built once; the display rounds to 30 digits.
-_SQRT2 = sqrt2_approx(50)
+# sqrt(2) to 50 decimals as one fraction, built once; the display rounds to
+# 30 digits in a decimal context of its own.
+_SQRT2_NUM, _SQRT2_DEN = sqrt2_approx(50).as_integer_ratio()
+_APPROX_CONTEXT = Context(prec=APPROX_DIGITS)
 
 
 def approx_str(x: QuadRational) -> str:
     """Decimal rendering, 30 significant digits, always tagged approximate.
 
-    a + b*sqrt(2) becomes one integer numerator over one integer
-    denominator, divided once.  Decimal division is correctly rounded and
-    has ideal exponent 0 for integer operands, so the text does not depend
-    on whether that fraction is reduced.  The division runs in its own
-    decimal context, so the caller's decimal precision is left as it was.
+    (A + B*sqrt(2))/D becomes the integer A*s_den + B*s_num over D*s_den,
+    with s_num/s_den the 50-decimal sqrt(2), divided once.  Decimal
+    division is correctly rounded and has ideal exponent 0 for integer
+    operands, so the text does not depend on whether that fraction is
+    reduced.  The division runs in a decimal context of the module's own,
+    so the caller's decimal precision is left as it was.
     """
-    a, b, s = x.a, x.b, _SQRT2
-    bs_den = b.denominator * s.denominator
-    num = a.numerator * bs_den + b.numerator * s.numerator * a.denominator
-    value = Context(prec=APPROX_DIGITS).divide(
-        Decimal(num), Decimal(a.denominator * bs_den)
+    A, B, D = x
+    value = _APPROX_CONTEXT.divide(
+        Decimal(A * _SQRT2_DEN + B * _SQRT2_NUM), Decimal(D * _SQRT2_DEN)
     )
     return f"approx {value}"
 
@@ -152,30 +153,38 @@ def cmd_roots(args) -> int:
     rpoly = cuboid_eqs.build_rpq(pair)
     seq = sturm_sequence(rpoly)
     disjoint = asymptotics.check_disjoint(intervals)
-    print(f"Root intervals for p={pair.p}, q={pair.q}:")
+    # the report is printed in one piece, as far as it got
+    lines = [f"Root intervals for p={pair.p}, q={pair.q}:"]
     for iv in intervals:
-        print(f"  {iv.label.value} ({iv.axis.value.lower()} axis):")
-        print(f"    lo = {iv.lo}  [{approx_str(iv.lo)}]")
-        print(f"    hi = {iv.hi}  [{approx_str(iv.hi)}]")
-    print(f"disjoint: {disjoint.ok}")
-    print(f"  real gap T3.lo - T2.hi = {disjoint.real_gap}")
-    print(f"  imaginary gap T4.lo - T5.hi = {disjoint.imaginary_gap}")
+        lines += (
+            f"  {iv.label.value} ({iv.axis.value.lower()} axis):",
+            f"    lo = {iv.lo}  [{approx_str(iv.lo)}]",
+            f"    hi = {iv.hi}  [{approx_str(iv.hi)}]",
+        )
+    lines += (
+        f"disjoint: {disjoint.ok}",
+        f"  real gap T3.lo - T2.hi = {disjoint.real_gap}",
+        f"  imaginary gap T4.lo - T5.hi = {disjoint.imaginary_gap}",
+    )
     try:
         certs = asymptotics.certify_roots(pair, intervals, seq)
     except asymptotics.CertificationFailed as exc:
-        print(f"certification FAILED: {exc}")
+        lines.append(f"certification FAILED: {exc}")
+        print("\n".join(lines))
         return EXIT_CHECK_FAILED
     for cert in certs:
         extra = f", sturm={cert.sturm_roots}" if cert.sturm_roots is not None else ""
-        print(
+        lines.append(
             f"  {cert.label.value}: PASS (signs {cert.sign_lo}/{cert.sign_hi}{extra})"
         )
-    bound = math.ceil(intervals[2].hi.to_fraction()) + 1
+    t3_hi = intervals[2].hi  # rational: its B is 0
+    bound = -(-t3_hi.A // t3_hi.D) + 1  # ceil(T3.hi) + 1
     # Q(t) = R(t^2) maps (0, B) onto (0, B^2) one to one.  Q is even and
     # Q(0) = -p^10 q^10 != 0, so its real roots in (-B, B) are those in
     # (0, B) and their negatives: twice as many.
     pos = sturm_count(rpoly, 0, bound * bound, seq)
-    print(f"real roots in (0, {bound}): {pos}; in (-{bound}, {bound}): {2 * pos}")
+    lines.append(f"real roots in (0, {bound}): {pos}; in (-{bound}, {bound}): {2 * pos}")
+    print("\n".join(lines))
     return EXIT_OK if disjoint.ok else EXIT_CHECK_FAILED
 
 
@@ -257,14 +266,14 @@ def cmd_identity_check(args) -> int:
     if args.max_pq < 2:
         print("error: --max-pq must be at least 2", file=sys.stderr)
         return EXIT_BAD_FLAGS
+    check = cuboid_eqs.factorization_check
     checked = 0
     for q in range(2, args.max_pq + 1):
         for p in range(1, q):
             if math.gcd(p, q) != 1:
                 continue
             checked += 1
-            # 1 <= p < q and coprime: the pair is valid as it stands
-            if not cuboid_eqs.factorization_check(PQPair.prevalidated(p, q)):
+            if not check(p, q):
                 print(f"FAIL: factorization identity broken at (p={p}, q={q})")
                 return EXIT_CHECK_FAILED
     print(f"identity holds for all {checked} coprime pairs with p < q <= {args.max_pq}")

@@ -56,12 +56,6 @@ class PQPair(_PQPairFields):
             raise ValueError("p and q must be coprime")
         return tuple.__new__(cls, (p, q))
 
-    @classmethod
-    def prevalidated(cls, p: int, q: int) -> "PQPair":
-        """The pair for p and q that the caller has already checked to be
-        positive, distinct and coprime, built without checking them again."""
-        return tuple.__new__(cls, (p, q))
-
 
 class FullEqParams(NamedTuple):
     """Parameters (a, b, u) of the ambient degree-12 equation; CaseTag.params
@@ -155,9 +149,11 @@ def full_eq_coefficients(a: int, b: int, u: int) -> Tuple[int, ...]:
     )
 
 
-def factorization_check(pair: PQPair) -> bool:
-    """Check that (t - pq)(t + pq) times the degree-10 polynomial equals the
-    degree-12 equation under both parameter substitutions, coefficient-wise.
+def factorization_check(p: int, q: int) -> bool:
+    """Check, for the pair (p, q), that (t - pq)(t + pq) times the degree-10
+    polynomial equals the degree-12 equation under both parameter
+    substitutions, coefficient-wise.  Like qpq_coefficients it takes the two
+    integers, so a caller walking many pairs builds no PQPair.
 
     With m = p^2 q^2 the product's even coefficients are, in closed form,
     (-m c0, c0 - m c2, c2 - m c4, c4 - m c6, c6 - m c8, c8 - m, 1).  The
@@ -166,7 +162,6 @@ def factorization_check(pair: PQPair) -> bool:
     through a^2 + b^2 and a^2 b^2, so both give one tuple and one
     comparison checks both.
     """
-    p, q = pair.p, pair.q
     pq, q2 = p * q, q * q
     m = pq * pq
     c0, c2, c4, c6, c8 = qpq_coefficients(p, q)

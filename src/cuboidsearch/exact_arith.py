@@ -1,9 +1,10 @@
 """Exact arithmetic substrate.
 
 Rationals (stdlib Fraction: always reduced, positive denominator), the real
-quadratic field of numbers a + b*sqrt(2), univariate integer polynomials, and
-Sturm-sequence real-root counting.  Polynomial signs at rational and
-sqrt(2)-field points, and Sturm sequences, are computed in integers only.
+quadratic field of numbers (A + B*sqrt(2))/D held as three integers,
+univariate integer polynomials, and Sturm-sequence real-root counting.
+Polynomial signs at rational and sqrt(2)-field points, and Sturm sequences,
+are computed in integers only.
 Everything here is an immutable value and every operation is a pure
 function, so all of it is safe to use from parallel workers.  No floating
 point is used in any decision procedure; decimal approximations exist only
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 RatLike = Union[int, Fraction]
 
@@ -40,38 +41,78 @@ def sqrt2_approx(digits: int = 50) -> Fraction:
     return Fraction(math.isqrt(2 * scale * scale), scale)
 
 
-class QuadRational(NamedTuple):
-    """The number a + b*sqrt(2) with rational a, b.
+class _QuadFields(NamedTuple):
+    A: int
+    B: int
+    D: int
 
-    The representation is unique because sqrt(2) is irrational, so equality
-    is field-wise and the tuple __eq__ is exact.  The arithmetic operators
-    are the field's own; none falls through to tuple concatenation or
-    repetition.
+
+class QuadRational(_QuadFields):
+    """The number (A + B*sqrt(2))/D with integers A, B and D > 0.
+
+    The constructor divides by gcd(A, B, D) and moves the sign onto A and B,
+    so each number has one triple: sqrt(2) is irrational, so equal values
+    give equal triples and the tuple __eq__ is exact.  `of(a, b)` builds
+    a + b*sqrt(2) from rationals, and `a` and `b` give the two rational
+    parts back as Fractions.  The arithmetic operators are the field's own;
+    none falls through to tuple concatenation or repetition.
     """
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ()
+
+    def __new__(cls, A: int, B: int = 0, D: int = 1) -> "QuadRational":
+        g = math.gcd(A, B, D)
+        if D <= 0:
+            if not D:
+                raise ZeroDivisionError("QuadRational with D = 0")
+            g = -g
+        if g != 1:
+            A, B, D = A // g, B // g, D // g
+        return tuple.__new__(cls, (A, B, D))
 
     @staticmethod
     def of(a: RatLike, b: RatLike = 0) -> "QuadRational":
-        return QuadRational(Fraction(a), Fraction(b))
+        a, b = Fraction(a), Fraction(b)
+        D = math.lcm(a.denominator, b.denominator)
+        return QuadRational(
+            a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
+        )
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.D)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.D)
 
     def __add__(self, other: "QuadRational") -> "QuadRational":
-        return QuadRational(self.a + other.a, self.b + other.b)
+        if not isinstance(other, QuadRational):
+            return NotImplemented
+        A, B, D = self
+        A2, B2, D2 = other
+        return QuadRational(A * D2 + A2 * D, B * D2 + B2 * D, D * D2)
 
     def __sub__(self, other: "QuadRational") -> "QuadRational":
-        return QuadRational(self.a - other.a, self.b - other.b)
+        if not isinstance(other, QuadRational):
+            return NotImplemented
+        A, B, D = self
+        A2, B2, D2 = other
+        return QuadRational(A * D2 - A2 * D, B * D2 - B2 * D, D * D2)
 
     def __neg__(self) -> "QuadRational":
-        return QuadRational(-self.a, -self.b)
+        A, B, D = self
+        return tuple.__new__(QuadRational, (-A, -B, D))
 
     def __mul__(self, other) -> "QuadRational":
+        A, B, D = self
         if isinstance(other, QuadRational):
-            return QuadRational(
-                self.a * other.a + 2 * self.b * other.b,
-                self.a * other.b + self.b * other.a,
-            )
-        return QuadRational(self.a * other, self.b * other)
+            A2, B2, D2 = other
+            return QuadRational(A * A2 + 2 * B * B2, A * B2 + B * A2, D * D2)
+        if isinstance(other, (int, Fraction)):
+            n, d = other.numerator, other.denominator
+            return QuadRational(A * n, B * n, D * d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -88,38 +129,39 @@ class QuadRational(NamedTuple):
         return quad_sign(self - other) >= 0
 
     def to_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.B:
             raise ValueError("value has a nonzero sqrt(2) part")
-        return self.a
-
-    def over_common_denominator(self) -> tuple:
-        """Integers (A, B, D) with D > 0 the least common denominator of a
-        and b, so that the number is (A + B*sqrt(2))/D."""
-        a, b = self.a, self.b
-        D = math.lcm(a.denominator, b.denominator)
-        return a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
+        return Fraction(self.A, self.D)
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt(2)"
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a} {op} {abs(self.b)}*sqrt(2)"
+        A, B, D = self
+        if not B:
+            return _ratio_text(A, D)
+        if not A:
+            return f"{_ratio_text(B, D)}*sqrt(2)"
+        op = "+" if B > 0 else "-"
+        return f"{_ratio_text(A, D)} {op} {_ratio_text(abs(B), D)}*sqrt(2)"
 
 
-QUAD_ZERO = QuadRational(Fraction(0), Fraction(0))
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+QUAD_ZERO = QuadRational(0, 0, 1)
 
 
 def quad_sign(x: QuadRational) -> int:
-    """Exact sign of a + b*sqrt(2), by integer comparisons only.
+    """Exact sign of (A + B*sqrt(2))/D, by integer comparisons only.
 
-    Scaling by the positive product of the denominators leaves integers
-    A + B*sqrt(2) of the same sign.  Compares A^2 against 2 B^2 with a case
-    split on the signs of A and B; sqrt(2) is never approximated.
+    D > 0, so the sign is that of A + B*sqrt(2).  Compares A^2 against
+    2 B^2 with a case split on the signs of A and B; sqrt(2) is never
+    approximated.
     """
-    a, b = x.a, x.b
-    return _sqrt2_sign(a.numerator * b.denominator, b.numerator * a.denominator)
+    return _sqrt2_sign(x.A, x.B)
 
 
 def _sqrt2_sign(a: int, b: int) -> int:
@@ -147,15 +189,16 @@ def quad_sqrt(x: QuadRational) -> Optional[QuadRational]:
         raise ValueError("square root of a negative value")
     if quad_sign(x) == 0:
         return QUAD_ZERO
-    A, B = x.a, x.b
-    if B == 0:
-        r = rational_sqrt(A)
+    if not x.B:
+        a = x.to_fraction()
+        r = rational_sqrt(a)
         if r is not None:
-            return QuadRational(r, Fraction(0))
-        r = rational_sqrt(A / 2)
+            return QuadRational.of(r)
+        r = rational_sqrt(a / 2)
         if r is not None:
-            return QuadRational(Fraction(0), r)
+            return QuadRational.of(0, r)
         return None
+    A, B = x.a, x.b
     # seek u + v*sqrt(2): u^2 + 2 v^2 = A and 2 u v = B
     disc = A * A - 2 * B * B
     s = rational_sqrt(disc) if disc >= 0 else None
@@ -166,7 +209,7 @@ def quad_sqrt(x: QuadRational) -> Optional[QuadRational]:
         if u is None or u == 0:
             continue
         v = B / (2 * u)
-        cand = QuadRational(u, v)
+        cand = QuadRational.of(u, v)
         if cand * cand == x and quad_sign(cand) > 0:
             return cand
         cand = -cand
@@ -199,9 +242,6 @@ class IntPoly(NamedTuple):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly.of(i * c for i, c in enumerate(self.coeffs) if i >= 1)
-
     def _no_arithmetic(self, other):
         return NotImplemented
 
@@ -229,23 +269,28 @@ def sign_at_sqrt2(P: IntPoly, A: int, B: int, D: int) -> int:
     return _sqrt2_sign(u, v)
 
 
-def _primitive(coeffs: Sequence[int]) -> IntPoly:
-    """Divide by the positive content, giving primitive integer coefficients.
+def _primitive(coeffs: Sequence[int], sign: int = 1) -> IntPoly:
+    """Divide by sign times the positive content, giving primitive integer
+    coefficients.
 
-    The positive scale preserves signs everywhere, which Sturm's theorem
-    relies on; it also keeps coefficient growth under control along the
-    remainder sequence.
+    With sign = 1 the positive scale preserves signs everywhere, which
+    Sturm's theorem relies on; it also keeps coefficient growth under
+    control along the remainder sequence.  `coeffs` has no trailing zero,
+    so neither has the result.
     """
-    g = math.gcd(*coeffs)
-    return IntPoly.of(c // g for c in coeffs) if g else IntPoly(())
+    g = math.gcd(*coeffs) * sign
+    if g == 1:
+        return IntPoly(tuple(coeffs))
+    return IntPoly(tuple([c // g for c in coeffs])) if g else IntPoly(())
 
 
-def _neg_pseudo_rem(f: Sequence[int], g: Sequence[int]) -> list:
-    """A positive multiple of -rem(f, g), in integer arithmetic.
+def _neg_pseudo_rem(f: Sequence[int], g: Sequence[int]) -> Tuple[list, int]:
+    """(r, sign) with sign * r a positive multiple of -rem(f, g), in integer
+    arithmetic.
 
     Each elimination step replaces r by (lc(g)/h) r - (lc(r)/h) t^k g with
     h = gcd(lc(g), lc(r)) > 0, which scales the remainder by lc(g)/h; the
-    signs of those scales are multiplied up so that the result is a
+    signs of those scales are multiplied up so that sign * r is a
     *positive* multiple of the rational remainder, negated.
     """
     r = list(f)
@@ -257,14 +302,15 @@ def _neg_pseudo_rem(f: Sequence[int], g: Sequence[int]) -> list:
         h = math.gcd(lg, lr)
         mg, mr = lg // h, lr // h
         k = len(r) - dg
-        r = [mg * c for c in r]
+        if mg != 1:
+            r = [mg * c for c in r]
+            if mg < 0:
+                sign = -sign
         for i in range(dg):
             r[k + i] -= mr * g[i]
-        if mg < 0:
-            sign = -sign
         while r and r[-1] == 0:
             r.pop()
-    return [sign * c for c in r]
+    return r, sign
 
 
 def sturm_sequence(P: IntPoly) -> list:
@@ -276,16 +322,16 @@ def sturm_sequence(P: IntPoly) -> list:
     arithmetic is needed and every term keeps the signs Sturm's theorem
     counts.
     """
-    seq = [_primitive(P.coeffs)]
-    d = P.derivative()
-    if d.is_zero():
+    coeffs = P.coeffs
+    seq = [_primitive(coeffs)]
+    if len(coeffs) < 2:  # P is constant: its derivative is zero
         return seq
-    seq.append(_primitive(d.coeffs))
+    seq.append(_primitive([i * coeffs[i] for i in range(1, len(coeffs))]))
     while seq[-1].degree > 0:
-        rem = _neg_pseudo_rem(seq[-2].coeffs, seq[-1].coeffs)
+        rem, sign = _neg_pseudo_rem(seq[-2].coeffs, seq[-1].coeffs)
         if not rem:
             break
-        seq.append(_primitive(rem))
+        seq.append(_primitive(rem, sign))
     return seq
 
 
@@ -302,9 +348,11 @@ def sign_vector(seq: Sequence[IntPoly], n: int, d: int) -> list:
         d_pows.append(d_pows[-1] * d)
     signs = []
     for poly in seq:
-        acc = 0
-        for c, d_pow in zip(reversed(poly.coeffs), d_pows):
-            acc = acc * n + c * d_pow
+        cs = poly.coeffs
+        k = len(cs) - 1
+        acc = cs[k] if cs else 0
+        for i in range(1, k + 1):
+            acc = acc * n + cs[k - i] * d_pows[i]
         signs.append((acc > 0) - (acc < 0))
     return signs
 

@@ -11,8 +11,9 @@ the obstruction sieve done pair by pair, by evaluating Q at every residue
 (`brute_ratio_table`, from which the stored masks were made) and the
 obstruction sieve by slice assignment alone (`slice_sieve_pairs`).  Beside
 them stand the certificate's earlier arithmetic: Horner evaluation over
-Fraction and over the sqrt(2) field, and the Sturm sequence built from
-Fraction remainders.  Then the
+Fraction and over the sqrt(2) field, the Sturm sequence built from
+Fraction remainders, and the sqrt(2) field held as two Fractions
+(`FractionQuad`), with its sign and square root.  Then the
 audit path's earlier forms: the degree-12 identity checked as an IntPoly
 product against the literal expansion of the degree-12 equation, the
 decimal display computed through Fraction, the root certificate computed
@@ -63,6 +64,7 @@ from cuboidsearch.exact_arith import (
     QUAD_ZERO,
     RatLike,
     quad_sign,
+    rational_sqrt,
     sign_at_sqrt2,
     sign_vector,
     sqrt2_approx,
@@ -197,7 +199,7 @@ def sign_at(P: IntPoly, x: RatLike) -> int:
 
 def sign_at_quad(P: IntPoly, x: QuadRational) -> int:
     """Exact sign of P(x) for x in the sqrt(2) field; see sign_at_sqrt2."""
-    return sign_at_sqrt2(P, *x.over_common_denominator())
+    return sign_at_sqrt2(P, x.A, x.B, x.D)
 
 
 def eval_poly(P: IntPoly, x) -> Fraction:
@@ -253,16 +255,113 @@ def fraction_sturm_sequence(P: IntPoly) -> list:
     """Signed remainder sequence of P from Fraction remainders, each term
     scaled to a primitive integer polynomial by a positive rational."""
     seq = [_frac_primitive(P.coeffs)]
-    d = P.derivative()
-    if d.is_zero():
+    d = [i * c for i, c in enumerate(P.coeffs)][1:]
+    if not any(d):
         return seq
-    seq.append(_frac_primitive(d.coeffs))
+    seq.append(_frac_primitive(d))
     while seq[-1].degree > 0:
         rem = _frac_rem(seq[-2].coeffs, seq[-1].coeffs)
         if not rem:
             break
         seq.append(_frac_primitive([-c for c in rem]))
     return seq
+
+
+class FractionQuad(NamedTuple):
+    """The number a + b*sqrt(2) as two Fractions, as QuadRational held it
+    before it held the integers (A, B, D).  Unique because sqrt(2) is
+    irrational, so the tuple __eq__ is exact."""
+
+    a: Fraction
+    b: Fraction
+
+    @staticmethod
+    def of(a: RatLike, b: RatLike = 0) -> "FractionQuad":
+        return FractionQuad(Fraction(a), Fraction(b))
+
+    def __add__(self, other: "FractionQuad") -> "FractionQuad":
+        return FractionQuad(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other: "FractionQuad") -> "FractionQuad":
+        return FractionQuad(self.a - other.a, self.b - other.b)
+
+    def __neg__(self) -> "FractionQuad":
+        return FractionQuad(-self.a, -self.b)
+
+    def __mul__(self, other) -> "FractionQuad":
+        if isinstance(other, FractionQuad):
+            return FractionQuad(
+                self.a * other.a + 2 * self.b * other.b,
+                self.a * other.b + self.b * other.a,
+            )
+        return FractionQuad(self.a * other, self.b * other)
+
+    __rmul__ = __mul__
+
+    def __lt__(self, other: "FractionQuad") -> bool:
+        return fraction_quad_sign(self - other) < 0
+
+    def __le__(self, other: "FractionQuad") -> bool:
+        return fraction_quad_sign(self - other) <= 0
+
+    def __gt__(self, other: "FractionQuad") -> bool:
+        return fraction_quad_sign(self - other) > 0
+
+    def __ge__(self, other: "FractionQuad") -> bool:
+        return fraction_quad_sign(self - other) >= 0
+
+    def to_fraction(self) -> Fraction:
+        if self.b != 0:
+            raise ValueError("value has a nonzero sqrt(2) part")
+        return self.a
+
+    def __str__(self) -> str:
+        if self.b == 0:
+            return str(self.a)
+        if self.a == 0:
+            return f"{self.b}*sqrt(2)"
+        op = "+" if self.b > 0 else "-"
+        return f"{self.a} {op} {abs(self.b)}*sqrt(2)"
+
+
+def fraction_quad_sign(x: FractionQuad) -> int:
+    """Sign of a + b*sqrt(2): the signs of a and b, and a^2 against 2 b^2
+    when they differ."""
+    a, b = x.a, x.b
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa or sb
+    if sa == 0:
+        return sb
+    cmp = a * a - 2 * b * b  # |a| against |b| sqrt(2)
+    return sa if cmp > 0 else -sa if cmp < 0 else 0
+
+
+def fraction_quad_sqrt(x: FractionQuad) -> Optional[FractionQuad]:
+    """Positive square root of x >= 0 inside the field, or None."""
+    if fraction_quad_sign(x) < 0:
+        raise ValueError("square root of a negative value")
+    if fraction_quad_sign(x) == 0:
+        return FractionQuad.of(0)
+    A, B = x.a, x.b
+    if B == 0:
+        r = rational_sqrt(A)
+        if r is not None:
+            return FractionQuad.of(r)
+        r = rational_sqrt(A / 2)
+        return None if r is None else FractionQuad.of(0, r)
+    disc = A * A - 2 * B * B
+    s = rational_sqrt(disc) if disc >= 0 else None
+    if s is None:
+        return None
+    for u2 in ((A + s) / 2, (A - s) / 2):
+        u = rational_sqrt(u2)
+        if u is None or u == 0:
+            continue
+        for cand in (FractionQuad(u, B / (2 * u)), FractionQuad(-u, -B / (2 * u))):
+            if cand * cand == x and fraction_quad_sign(cand) > 0:
+                return cand
+    return None
 
 
 def eval_mod(P: IntPoly, x: int, m: int) -> int:
@@ -553,8 +652,8 @@ def asymptotic_intervals_by_sums(pair: PQPair) -> List[AsymptoticInterval]:
     t3_center = Fraction(p * q) - Fraction(16 * p**3, q)
     half3 = Fraction(5 * p**4, q * q)
     r = QuadRational.of
-    t4_center = QuadRational(q2 - 2 * p2, q2 + p2)  # (sqrt2+1) q^2 + (sqrt2-2) p^2
-    t5_center = QuadRational(-q2 + 2 * p2, q2 + p2)  # (sqrt2-1) q^2 + (sqrt2+2) p^2
+    t4_center = r(q2 - 2 * p2, q2 + p2)  # (sqrt2+1) q^2 + (sqrt2-2) p^2
+    t5_center = r(-q2 + 2 * p2, q2 + p2)  # (sqrt2-1) q^2 + (sqrt2+2) p^2
     h = r(half1)
     return [
         AsymptoticInterval(IntervalLabel.T1, Axis.REAL, r(p2 - half1), r(p2)),

@@ -66,7 +66,7 @@ def test_criterion_1_factorization_identity():
     for q in range(2, 21):
         for p in range(1, q):
             if math.gcd(p, q) == 1:
-                assert factorization_check(PQPair(p, q))
+                assert factorization_check(p, q)
                 checked += 1
     assert checked == 127
     print(f"criterion 1 (factorization identity, {checked} pairs): PASS")

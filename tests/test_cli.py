@@ -15,6 +15,16 @@ from oracles import fraction_approx_str
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+# The pairs of golden/roots_seeded.txt: 18 drawn with random.Random(5917),
+# the last two of them with 5 | q, then q = 118p at p = 1 and a pair just
+# above q = 59p.
+SEEDED_ROOTS_PAIRS = (
+    (29, 2334), (35, 3951), (31, 2165), (8, 653), (3, 323), (21, 1342),
+    (11, 1247), (37, 2426), (19, 1475), (40, 2893), (23, 1949), (27, 2350),
+    (7, 807), (2, 169), (39, 2734), (4, 455), (1, 100), (29, 2110), (1, 118),
+    (49, 2892),
+)
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -233,6 +243,16 @@ class TestRootsCommand:
         assert code == cli.EXIT_OK
         assert out == golden
 
+    def test_seeded_golden_stdout(self, capsys):
+        # 20 pairs with p <= 50 and 59p <= q <= 118p, six of them with 5 | q,
+        # where the endpoint fractions reduce; the stdouts in order
+        out = []
+        for p, q in SEEDED_ROOTS_PAIRS:
+            code, text, _ = run_cli(capsys, "roots", "--p", str(p), "--q", str(q))
+            assert code == cli.EXIT_OK
+            out.append(text)
+        assert "".join(out) == (GOLDEN_DIR / "roots_seeded.txt").read_text()
+
     def test_decimal_context_untouched(self, capsys):
         before = getcontext().prec
         getcontext().prec = 11
@@ -369,10 +389,10 @@ class TestIdentityCheckCommand:
 
         real = cuboid_eqs.factorization_check
 
-        def broken(pair):
-            if (pair.p, pair.q) == (2, 3):
+        def broken(p, q):
+            if (p, q) == (2, 3):
                 return False
-            return real(pair)
+            return real(p, q)
 
         monkeypatch.setattr(cli.cuboid_eqs, "factorization_check", broken)
         code, out, _ = run_cli(capsys, "identity-check", "--max-pq", "5")

@@ -46,13 +46,6 @@ class TestPQPair:
         with pytest.raises(ValueError):
             PQPair(3, 177)
 
-    def test_prevalidated_equals_checked(self):
-        for p, q in ((1, 2), (2, 3), (7, 500)):
-            pair = PQPair.prevalidated(p, q)
-            assert type(pair) is PQPair
-            assert pair == PQPair(p, q)
-            assert hash(pair) == hash(PQPair(p, q))
-
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             PQPair(0, 5)
@@ -139,7 +132,7 @@ class TestFullEq:
 class TestFactorization:
     def test_small_pairs(self):
         for p, q in ((1, 2), (2, 3), (1, 59), (3, 178)):
-            assert factorization_check(PQPair(p, q))
+            assert factorization_check(p, q)
 
     def test_equals_intpoly_oracle(self):
         pairs = [
@@ -153,7 +146,7 @@ class TestFactorization:
             if p != q and math.gcd(p, q) == 1:
                 pairs.append(PQPair(p, q))
         for pair in pairs:
-            assert factorization_check(pair) is intpoly_factorization_check(pair) is True
+            assert factorization_check(*pair) is intpoly_factorization_check(pair) is True
 
     @pytest.mark.parametrize("index", range(5))
     def test_altered_coefficient_detected(self, monkeypatch, index):
@@ -165,7 +158,7 @@ class TestFactorization:
             return tuple(coeffs)
 
         monkeypatch.setattr(cuboid_eqs, "qpq_coefficients", altered)
-        assert not factorization_check(PQPair(1, 2))
+        assert not factorization_check(1, 2)
         assert not intpoly_factorization_check(PQPair(1, 2))
 
     def test_both_cases_used(self):

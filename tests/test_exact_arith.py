@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cuboidsearch.exact_arith import (
     EndpointIsRoot,
     IntPoly,
+    QUAD_ZERO,
     QuadRational,
     quad_sign,
     quad_sqrt,
@@ -19,8 +20,11 @@ from cuboidsearch.exact_arith import (
 )
 from cuboidsearch.cuboid_eqs import PQPair, build_qpq
 from oracles import (
+    FractionQuad,
     eval_poly,
     eval_poly_quad,
+    fraction_quad_sign,
+    fraction_quad_sqrt,
     fraction_sturm_sequence,
     is_even,
     sign_at,
@@ -57,7 +61,7 @@ class TestQuadSign:
         for _ in range(1000):
             a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
             b = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
-            x = QuadRational(a, b)
+            x = QuadRational.of(a, b)
             est = a + b * approx
             if est == 0:
                 continue
@@ -99,6 +103,80 @@ class TestQuadArithmetic:
     def test_rational_sqrt(self):
         assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
         assert rational_sqrt(Fraction(2)) is None
+
+
+rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+# 1 - sqrt(2) < 0 although its (a, b) = (1, -1) is above (0, 0) as a tuple
+quads = st.tuples(rationals, rationals) | st.sampled_from(
+    [(0, 0), (1, -1), (-1, 1), (3, -2), (-3, 2), (Fraction(1, 3), 0), (0, Fraction(-5, 7))]
+)
+
+
+def as_reference(x: QuadRational) -> FractionQuad:
+    return FractionQuad(x.a, x.b)
+
+
+class TestQuadRationalAgainstFractionPair:
+    """The integer triple (A, B, D) against the Fraction pair it replaced."""
+
+    @settings(max_examples=300)
+    @given(quads, quads, rationals)
+    def test_operations_match(self, xy, uv, f):
+        x, y = QuadRational.of(*xy), QuadRational.of(*uv)
+        rx, ry = FractionQuad.of(*xy), FractionQuad.of(*uv)
+        assert as_reference(x) == rx
+        assert as_reference(x + y) == rx + ry
+        assert as_reference(x - y) == rx - ry
+        assert as_reference(-x) == -rx
+        assert as_reference(x * y) == rx * ry
+        assert as_reference(x * f) == rx * f
+        assert as_reference(f * x) == f * rx
+        assert as_reference(x * 3) == rx * 3
+        assert (x < y, x <= y, x > y, x >= y) == (rx < ry, rx <= ry, rx > ry, rx >= ry)
+        assert quad_sign(x) == fraction_quad_sign(rx)
+        assert str(x) == str(rx)
+        if x.B:
+            with pytest.raises(ValueError):
+                x.to_fraction()
+        else:
+            assert x.to_fraction() == rx.to_fraction()
+
+    @settings(max_examples=300)
+    @given(quads, quads)
+    def test_sqrt_matches(self, xy, uv):
+        # x * x is a square in the field, so both must find its root
+        x, y = QuadRational.of(*xy), QuadRational.of(*uv)
+        rx, ry = FractionQuad.of(*xy), FractionQuad.of(*uv)
+        for value, ref in ((x * x, rx * rx), (y * y * 2, ry * ry * 2), (x, rx)):
+            if quad_sign(value) < 0:
+                continue
+            root, ref_root = quad_sqrt(value), fraction_quad_sqrt(ref)
+            assert (root is None) is (ref_root is None)
+            if root is not None:
+                assert as_reference(root) == ref_root
+
+    def test_one_minus_sqrt2_below_zero(self):
+        small, zero = QuadRational.of(1, -1), QuadRational.of(0)
+        assert quad_sign(small) == fraction_quad_sign(FractionQuad.of(1, -1)) == -1
+        assert small < zero and zero > small
+        assert str(small) == str(FractionQuad.of(1, -1)) == "1 - 1*sqrt(2)"
+
+    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9),
+           st.integers(1, 10**9), st.integers(1, 10**4))
+    def test_normalised(self, A, B, D, k):
+        x = QuadRational(A, B, D)
+        assert x.D > 0 and math.gcd(*x) == 1
+        # equal values give equal triples, whatever the scale or sign
+        assert QuadRational(k * A, k * B, k * D) == x
+        assert QuadRational(-k * A, -k * B, -k * D) == x
+        assert QuadRational.of(x.a, x.b) == x
+        assert x - x == QuadRational(0, 0, 1) == (0, 0, 1)
+
+    def test_zero(self):
+        assert QuadRational(0, 0, 7) == QuadRational.of(0) == QUAD_ZERO == (0, 0, 1)
+        assert QuadRational(0, 0, -7) == (0, 0, 1)
+        with pytest.raises(ZeroDivisionError):
+            QuadRational(1, 1, 0)
 
 
 class TestEvalPoly:
@@ -297,7 +375,7 @@ class TestSignAt:
         st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
     )
     def test_quad_matches_eval(self, P, a, b):
-        x = QuadRational(a, b)
+        x = QuadRational.of(a, b)
         assert sign_at_quad(P, x) == quad_sign(eval_poly_quad(P, x))
 
     def test_quad_roots_are_zero(self):

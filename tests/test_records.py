@@ -104,7 +104,7 @@ class TestValidatingRecords:
 def test_repr():
     assert repr(PQPair(1, 2)) == "PQPair(p=1, q=2)"
     assert repr(FullEqParams(1, 2, 3)) == "FullEqParams(a=1, b=2, u=3)"
-    assert repr(QuadRational.of(1)) == "QuadRational(a=Fraction(1, 1), b=Fraction(0, 1))"
+    assert repr(QuadRational.of(1)) == "QuadRational(A=1, B=0, D=1)"
 
 
 WITNESS = CuboidWitness(
