@@ -11,12 +11,11 @@ the real axis), done on the degree-5 R with Q(t) = R(t^2).
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact_arith import (
-    IntPoly,
+    Poly,
     QuadRational,
     quad_sign,
     quad_sqrt,
@@ -39,19 +38,6 @@ class DegenerateHull(ValueError):
 
 class CertificationFailed(RuntimeError):
     """An interval failed its root certificate; names the interval and check."""
-
-
-class Axis(Enum):
-    REAL = "REAL"
-    IMAGINARY = "IMAGINARY"
-
-
-class IntervalLabel(Enum):
-    T1 = "T1"
-    T2 = "T2"
-    T3 = "T3"
-    T4 = "T4"
-    T5 = "T5"
 
 
 class NewtonNode(NamedTuple):
@@ -129,16 +115,16 @@ def upper_hull(nodes) -> NewtonPolygon:
 
 class LeadingTerm(NamedTuple):
     """Leading factor of one root expansion: magnitude * p^p_power * q^exponent,
-    on the real or imaginary axis."""
+    on the real or imaginary axis (axis "REAL" or "IMAGINARY")."""
 
     exponent: Fraction
     magnitude: QuadRational  # > 0
     p_power: int
-    axis: Axis
+    axis: str
     multiplicity: int
 
 
-def _solve_even_gamma(coeffs: List[int]) -> List[Tuple[QuadRational, Axis, int]]:
+def _solve_even_gamma(coeffs: List[int]) -> List[Tuple[QuadRational, str, int]]:
     """Admissible roots of an even integer polynomial in gamma.
 
     coeffs are in s = gamma^2, degree <= 2.  Returns (magnitude, axis,
@@ -179,12 +165,12 @@ def _solve_even_gamma(coeffs: List[int]) -> List[Tuple[QuadRational, Axis, int]]
             gamma = quad_sqrt(s)
             if gamma is None:
                 raise ValueError("real root magnitude outside the sqrt(2) field")
-            out.append((gamma, Axis.REAL, mult))
+            out.append((gamma, "REAL", mult))
         else:
             mag = quad_sqrt(-s)
             if mag is None:
                 raise ValueError("imaginary root magnitude outside the sqrt(2) field")
-            out.append((mag, Axis.IMAGINARY, mult))
+            out.append((mag, "IMAGINARY", mult))
     return out
 
 
@@ -245,10 +231,11 @@ def leading_coefficients(polygon: NewtonPolygon, exponent: Fraction) -> List[Lea
 
 class AsymptoticInterval(NamedTuple):
     """Exact open interval certified to contain one root (or, for the
-    imaginary axis, one root's imaginary part)."""
+    imaginary axis, one root's imaginary part).  label is "T1".."T5", axis
+    "REAL" or "IMAGINARY"."""
 
-    label: IntervalLabel
-    axis: Axis
+    label: str
+    axis: str
     lo: QuadRational
     hi: QuadRational
 
@@ -271,20 +258,17 @@ def asymptotic_intervals(pair: PQPair) -> List[AsymptoticInterval]:
     c4 = (q2 - 2 * p2) * q  # rational part of the T4 centre, times q; T5's is -c4
     s45 = (q2 + p2) * q  # sqrt(2) part of the T4 and T5 centres, times q
     square = QuadRational(p2)
-    real, imaginary = Axis.REAL, Axis.IMAGINARY
     return [
-        AsymptoticInterval(IntervalLabel.T1, real, QuadRational(p2 * q - h, 0, q), square),
-        AsymptoticInterval(IntervalLabel.T2, real, square, QuadRational(p2 * q + h, 0, q)),
+        AsymptoticInterval("T1", "REAL", QuadRational(p2 * q - h, 0, q), square),
+        AsymptoticInterval("T2", "REAL", square, QuadRational(p2 * q + h, 0, q)),
         AsymptoticInterval(
-            IntervalLabel.T3, real, QuadRational(c3 - h3, 0, q2), QuadRational(c3 + h3, 0, q2)
+            "T3", "REAL", QuadRational(c3 - h3, 0, q2), QuadRational(c3 + h3, 0, q2)
         ),
         AsymptoticInterval(
-            IntervalLabel.T4, imaginary,
-            QuadRational(c4 - h, s45, q), QuadRational(c4 + h, s45, q),
+            "T4", "IMAGINARY", QuadRational(c4 - h, s45, q), QuadRational(c4 + h, s45, q)
         ),
         AsymptoticInterval(
-            IntervalLabel.T5, imaginary,
-            QuadRational(-c4 - h, s45, q), QuadRational(-c4 + h, s45, q),
+            "T5", "IMAGINARY", QuadRational(-c4 - h, s45, q), QuadRational(-c4 + h, s45, q)
         ),
     ]
 
@@ -300,9 +284,9 @@ def check_disjoint(intervals: List[AsymptoticInterval]) -> DisjointnessReport:
     """Exact pairwise disjointness of the five intervals, with margins."""
     by = {iv.label: iv for iv in intervals}
     positive = all(quad_sign(iv.lo) > 0 for iv in intervals)
-    adjacency_ok = by[IntervalLabel.T1].hi == by[IntervalLabel.T2].lo
-    real_gap = by[IntervalLabel.T3].lo - by[IntervalLabel.T2].hi
-    imaginary_gap = by[IntervalLabel.T4].lo - by[IntervalLabel.T5].hi
+    adjacency_ok = by["T1"].hi == by["T2"].lo
+    real_gap = by["T3"].lo - by["T2"].hi
+    imaginary_gap = by["T4"].lo - by["T5"].hi
     ok = (
         positive
         and adjacency_ok
@@ -318,15 +302,15 @@ def check_disjoint(intervals: List[AsymptoticInterval]) -> DisjointnessReport:
 
 
 class RootCertificate(NamedTuple):
-    label: IntervalLabel
-    axis: Axis
+    label: str  # "T1".."T5"
+    axis: str  # "REAL" or "IMAGINARY"
     sign_lo: int
     sign_hi: int
     sturm_roots: Optional[int]  # real axis only
     passed: bool
 
 
-def _sign_on_imaginary_axis(rpoly: IntPoly, y: QuadRational) -> int:
+def _sign_on_imaginary_axis(rpoly: Poly, y: QuadRational) -> int:
     """Sign of Q(iy) = R(-y^2), with y squared in integers."""
     A, B, D = y
     return sign_at_sqrt2(rpoly, -(A * A + 2 * B * B), -2 * A * B, D * D)
@@ -335,7 +319,7 @@ def _sign_on_imaginary_axis(rpoly: IntPoly, y: QuadRational) -> int:
 def certify_roots(
     pair: PQPair,
     intervals: Optional[List[AsymptoticInterval]] = None,
-    sturm: Optional[List[IntPoly]] = None,
+    sturm: Optional[List[Poly]] = None,
 ) -> List[RootCertificate]:
     """Certify one root per interval by exact endpoint signs.
 
@@ -358,7 +342,7 @@ def certify_roots(
     if sturm is None:
         sturm = sturm_sequence(build_rpq(pair))
     rpoly = sturm[0]  # R's primitive part: R itself, which is monic
-    if rpoly.degree != 5:
+    if len(rpoly) - 1 != 5:
         raise ValueError("sturm must be the Sturm sequence of the degree-5 R")
     vectors = {}  # (A, D) of a real endpoint A/D -> sign vector
 
@@ -371,12 +355,12 @@ def certify_roots(
     certs = []
     failures = []
     for iv in intervals:
-        if iv.axis is Axis.REAL:
+        if iv.axis == "REAL":
             (lo_A, lo_B, lo_D), (hi_A, hi_B, hi_D) = iv.lo, iv.hi
             if lo_B or hi_B:
-                raise ValueError(f"{iv.label.value} has an endpoint with a sqrt(2) part")
+                raise ValueError(f"{iv.label} has an endpoint with a sqrt(2) part")
             if lo_A < 0:
-                failures.append(f"{iv.label.value}: lo = {iv.lo} < 0")
+                failures.append(f"{iv.label}: lo = {iv.lo} < 0")
                 continue
             v_lo, v_hi = signs_at_square(lo_A, lo_D), signs_at_square(hi_A, hi_D)
             s_lo, s_hi = v_lo[0], v_hi[0]
@@ -386,7 +370,7 @@ def certify_roots(
             passed = s_lo * s_hi == -1 and count == 1
             if not passed:
                 failures.append(
-                    f"{iv.label.value}: sign({s_lo},{s_hi}), sturm={count}"
+                    f"{iv.label}: sign({s_lo},{s_hi}), sturm={count}"
                 )
             certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, count, passed))
         else:
@@ -394,7 +378,7 @@ def certify_roots(
             s_hi = _sign_on_imaginary_axis(rpoly, iv.hi)
             passed = s_lo * s_hi == -1
             if not passed:
-                failures.append(f"{iv.label.value}: sign({s_lo},{s_hi})")
+                failures.append(f"{iv.label}: sign({s_lo},{s_hi})")
             certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, None, passed))
     if failures:
         raise CertificationFailed(

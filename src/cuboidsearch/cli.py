@@ -22,7 +22,6 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import asymptotics, cuboid_eqs, search
-from .asymptotics import Axis
 from .cuboid_eqs import PQPair
 from .exact_arith import QuadRational, sqrt2_approx, sturm_count, sturm_sequence
 
@@ -83,9 +82,11 @@ def _parse(argv):
         if flag not in flags:
             raise ValueError(f"unknown flag {flag!r} for {command}")
         if not eq:
-            value = next(tokens, None)
-            if value is None or value.startswith("--"):
-                raise ValueError(f"{flag} needs a value")
+            value = next(tokens, "")
+            if value.startswith("--"):
+                value = ""
+        if not value:  # missing, "--flag=" or an empty argument
+            raise ValueError(f"{flag} needs a value")
         given[flag] = value
     args = SimpleNamespace(subcommand=command)
     for flag, default in flags.items():
@@ -157,7 +158,7 @@ def cmd_roots(args) -> int:
     lines = [f"Root intervals for p={pair.p}, q={pair.q}:"]
     for iv in intervals:
         lines += (
-            f"  {iv.label.value} ({iv.axis.value.lower()} axis):",
+            f"  {iv.label} ({iv.axis.lower()} axis):",
             f"    lo = {iv.lo}  [{approx_str(iv.lo)}]",
             f"    hi = {iv.hi}  [{approx_str(iv.hi)}]",
         )
@@ -175,7 +176,7 @@ def cmd_roots(args) -> int:
     for cert in certs:
         extra = f", sturm={cert.sturm_roots}" if cert.sturm_roots is not None else ""
         lines.append(
-            f"  {cert.label.value}: PASS (signs {cert.sign_lo}/{cert.sign_hi}{extra})"
+            f"  {cert.label}: PASS (signs {cert.sign_lo}/{cert.sign_hi}{extra})"
         )
     t3_hi = intervals[2].hi  # rational: its B is 0
     bound = -(-t3_hi.A // t3_hi.D) + 1  # ceil(T3.hi) + 1
@@ -195,10 +196,10 @@ GOLDEN_EXPONENTS = (Fraction(0), Fraction(1), Fraction(2))
 def _golden_leading_terms():
     one = QuadRational.of(1)
     return {
-        (Fraction(0), one, 2, Axis.REAL, 2),
-        (Fraction(1), one, 1, Axis.REAL, 1),
-        (Fraction(2), QuadRational.of(1, 1), 0, Axis.IMAGINARY, 1),
-        (Fraction(2), QuadRational.of(-1, 1), 0, Axis.IMAGINARY, 1),
+        (Fraction(0), one, 2, "REAL", 2),
+        (Fraction(1), one, 1, "REAL", 1),
+        (Fraction(2), QuadRational.of(1, 1), 0, "IMAGINARY", 1),
+        (Fraction(2), QuadRational.of(-1, 1), 0, "IMAGINARY", 1),
     }
 
 
@@ -218,7 +219,7 @@ def cmd_newton(args) -> int:
     found = set()
     for exponent in polygon.exponents:
         for term in asymptotics.leading_coefficients(polygon, exponent):
-            axis = "i*" if term.axis is Axis.IMAGINARY else ""
+            axis = "i*" if term.axis == "IMAGINARY" else ""
             print(
                 f"  exponent {term.exponent}: {axis}({term.magnitude})"
                 f" * p^{term.p_power}, multiplicity {term.multiplicity}"
@@ -245,7 +246,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS
-    value = cuboid_eqs.build_qpq(pair).eval_int(t)
+    value = cuboid_eqs.qpq_value(p, q, t)
     print(f"Q(t) = {value}" + ("" if value == 0 else " (nonzero: not a root)"))
     lower = t > p * p and t > p * q and t > q * q
     print(f"lower bounds t > p^2, pq, q^2: {'pass' if lower else 'FAIL'}")

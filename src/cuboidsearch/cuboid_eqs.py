@@ -15,8 +15,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
-from .exact_arith import IntPoly
-
 
 class DegenerateDenominator(ArithmeticError):
     """The z-formula denominator vanished (alpha^2 * upsilon^2 = 1)."""
@@ -80,9 +78,9 @@ class CaseTag(Enum):
 
 # Fully expanded coefficient grid of the degree-10 polynomial:
 # power of t -> list of (power of p, power of q, integer coefficient).
-# This is the single source for the Newton-polygon node set; build_qpq uses
-# the factored coefficient formulas (qpq_coefficients) and the tests check
-# both agree.
+# This is the single source for the Newton-polygon node set; qpq_value and
+# build_rpq use the factored coefficient formulas (qpq_coefficients), and
+# the tests check both agree.
 QPQ_TERMS = {
     10: [(0, 0, 1)],
     8: [(0, 4, 6), (2, 2, -1), (4, 0, -2)],
@@ -111,20 +109,23 @@ def qpq_coefficients(p: int, q: int) -> Tuple[int, int, int, int, int]:
     return c0, c2, c4, c6, c8
 
 
-def build_qpq(pair: PQPair) -> IntPoly:
-    """The even, monic, degree-10 polynomial in t for the pair (p, q).
+def qpq_value(p: int, q: int, t: int) -> int:
+    """Q(t) for the pair (p, q): R(t^2) by Horner's scheme on the
+    coefficients of qpq_coefficients.
 
-    Its constant coefficient is -p^10 q^10, so any integer root divides
-    p^10 q^10.
+    Q is even and monic of degree 10 with constant coefficient
+    -p^10 q^10, so any integer root divides p^10 q^10.
     """
-    c0, c2, c4, c6, c8 = qpq_coefficients(pair.p, pair.q)
-    return IntPoly.of([c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, 1])
+    c0, c2, c4, c6, c8 = qpq_coefficients(p, q)
+    u = t * t
+    return ((((u + c8) * u + c6) * u + c4) * u + c2) * u + c0
 
 
-def build_rpq(pair: PQPair) -> IntPoly:
-    """The monic degree-5 polynomial R with Q(t) = R(t^2) for the pair:
+def build_rpq(pair: PQPair) -> Tuple[int, ...]:
+    """The monic degree-5 polynomial R with Q(t) = R(t^2) for the pair, as
+    its coefficient tuple (c0, c2, c4, c6, c8, 1), lowest power first:
     R(u) = u^5 + c8 u^4 + c6 u^3 + c4 u^2 + c2 u + c0."""
-    return IntPoly.of(qpq_coefficients(pair.p, pair.q) + (1,))
+    return qpq_coefficients(pair.p, pair.q) + (1,)
 
 
 def full_eq_coefficients(a: int, b: int, u: int) -> Tuple[int, ...]:
@@ -270,7 +271,7 @@ def reconstruct_cuboid(p: int, q: int, t: int, case_tag: CaseTag) -> CuboidWitne
     pair = PQPair(p, q)
     if t < 1:
         raise ValueError("t must be positive")
-    if build_qpq(pair).eval_int(t) != 0:
+    if qpq_value(p, q, t) != 0:
         raise NotARoot(f"t={t} is not a root for (p={p}, q={q})")
     params = case_tag.params(p, q)
     alpha = Fraction(params.a, t)

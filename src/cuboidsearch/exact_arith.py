@@ -2,7 +2,9 @@
 
 Rationals (stdlib Fraction: always reduced, positive denominator), the real
 quadratic field of numbers (A + B*sqrt(2))/D held as three integers,
-univariate integer polynomials, and Sturm-sequence real-root counting.
+univariate integer polynomials held as tuples of coefficients (P[i] is the
+coefficient of t^i, no trailing zero, () for the zero polynomial), and
+Sturm-sequence real-root counting.
 Polynomial signs at rational and sqrt(2)-field points, and Sturm sequences,
 are computed in integers only.
 Everything here is an immutable value and every operation is a pure
@@ -15,9 +17,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 RatLike = Union[int, Fraction]
+Poly = Tuple[int, ...]  # coefficients, lowest power first
 
 
 class EndpointIsRoot(ValueError):
@@ -218,43 +221,7 @@ def quad_sqrt(x: QuadRational) -> Optional[QuadRational]:
     return None
 
 
-class IntPoly(NamedTuple):
-    """Univariate integer polynomial; coeffs[i] is the coefficient of t^i.
-
-    The package evaluates polynomials but never combines them, so IntPoly
-    has no arithmetic: P + Q, P * Q, 2 * P and P * 2 are TypeErrors, never
-    tuple concatenation or repetition.  The tests' oracles multiply and
-    subtract polynomials as plain functions."""
-
-    coeffs: tuple
-
-    @staticmethod
-    def of(coeffs: Iterable[int]) -> "IntPoly":
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return IntPoly(tuple(int(c) for c in cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _no_arithmetic(self, other):
-        return NotImplemented
-
-    __add__ = __mul__ = __rmul__ = _no_arithmetic
-
-    def eval_int(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def sign_at_sqrt2(P: IntPoly, A: int, B: int, D: int) -> int:
+def sign_at_sqrt2(P: Poly, A: int, B: int, D: int) -> int:
     """Exact sign of P((A + B*sqrt(2))/D) for integers A, B and D > 0.
 
     The homogeneous Horner pass of sign_vector runs over integer pairs (u, v)
@@ -263,15 +230,15 @@ def sign_at_sqrt2(P: IntPoly, A: int, B: int, D: int) -> int:
     """
     u = v = 0
     d_pow = 1
-    for c in reversed(P.coeffs):
+    for c in reversed(P):
         u, v = u * A + 2 * v * B + c * d_pow, u * B + v * A
         d_pow *= D
     return _sqrt2_sign(u, v)
 
 
-def _primitive(coeffs: Sequence[int], sign: int = 1) -> IntPoly:
-    """Divide by sign times the positive content, giving primitive integer
-    coefficients.
+def _primitive(coeffs: Sequence[int], sign: int = 1) -> Poly:
+    """Divide by sign times the positive content, giving the primitive
+    polynomial as a coefficient tuple.
 
     With sign = 1 the positive scale preserves signs everywhere, which
     Sturm's theorem relies on; it also keeps coefficient growth under
@@ -280,8 +247,8 @@ def _primitive(coeffs: Sequence[int], sign: int = 1) -> IntPoly:
     """
     g = math.gcd(*coeffs) * sign
     if g == 1:
-        return IntPoly(tuple(coeffs))
-    return IntPoly(tuple([c // g for c in coeffs])) if g else IntPoly(())
+        return tuple(coeffs)
+    return tuple([c // g for c in coeffs]) if g else ()
 
 
 def _neg_pseudo_rem(f: Sequence[int], g: Sequence[int]) -> Tuple[list, int]:
@@ -313,8 +280,9 @@ def _neg_pseudo_rem(f: Sequence[int], g: Sequence[int]) -> Tuple[list, int]:
     return r, sign
 
 
-def sturm_sequence(P: IntPoly) -> list:
-    """Signed remainder sequence of P, with primitive-part reduction.
+def sturm_sequence(P: Poly) -> list:
+    """Signed remainder sequence of P, with primitive-part reduction, as a
+    list of coefficient tuples.
 
     Each term is the primitive integer polynomial that is a positive
     multiple of the negated remainder of the two before it, computed as an
@@ -322,20 +290,19 @@ def sturm_sequence(P: IntPoly) -> list:
     arithmetic is needed and every term keeps the signs Sturm's theorem
     counts.
     """
-    coeffs = P.coeffs
-    seq = [_primitive(coeffs)]
-    if len(coeffs) < 2:  # P is constant: its derivative is zero
+    seq = [_primitive(P)]
+    if len(P) < 2:  # P is constant: its derivative is zero
         return seq
-    seq.append(_primitive([i * coeffs[i] for i in range(1, len(coeffs))]))
-    while seq[-1].degree > 0:
-        rem, sign = _neg_pseudo_rem(seq[-2].coeffs, seq[-1].coeffs)
+    seq.append(_primitive([i * P[i] for i in range(1, len(P))]))
+    while len(seq[-1]) > 1:  # the last term is not constant
+        rem, sign = _neg_pseudo_rem(seq[-2], seq[-1])
         if not rem:
             break
         seq.append(_primitive(rem, sign))
     return seq
 
 
-def sign_vector(seq: Sequence[IntPoly], n: int, d: int) -> list:
+def sign_vector(seq: Sequence[Poly], n: int, d: int) -> list:
     """Signs of every polynomial of `seq` at n/d, for integers n and d > 0.
 
     With k = deg P, P(n/d) has the sign of d^k P(n/d) = sum c_i n^i d^(k-i),
@@ -344,11 +311,10 @@ def sign_vector(seq: Sequence[IntPoly], n: int, d: int) -> list:
     highest degree in a Sturm sequence, and shared by the rest.
     """
     d_pows = [1]
-    for _ in range(len(seq[0].coeffs) - 1):
+    for _ in range(len(seq[0]) - 1):
         d_pows.append(d_pows[-1] * d)
     signs = []
-    for poly in seq:
-        cs = poly.coeffs
+    for cs in seq:
         k = len(cs) - 1
         acc = cs[k] if cs else 0
         for i in range(1, k + 1):
@@ -370,7 +336,7 @@ def sign_variations(signs: Sequence[int]) -> int:
 
 
 def sturm_count(
-    P: IntPoly, lo: RatLike, hi: RatLike, seq: Optional[Sequence[IntPoly]] = None
+    P: Poly, lo: RatLike, hi: RatLike, seq: Optional[Sequence[Poly]] = None
 ) -> int:
     """Number of distinct real roots of P in the open interval (lo, hi).
 
@@ -380,7 +346,7 @@ def sturm_count(
     first term is P's primitive part, a positive multiple of P, so the
     first entry of an endpoint's sign vector is the sign of P there.
     """
-    if P.is_zero():
+    if not P:
         raise ValueError("zero polynomial")
     if not lo < hi:
         raise ValueError("need lo < hi")

@@ -52,8 +52,7 @@ valuation of any root is minus a slope: v_l(t) is 0, e or 2e.  The
 candidates are therefore the products of one factor from {1, l^e, l^(2e)}
 per prime l | pq, 3^omega(pq) numbers in all, clipped to the range
 (`pair_candidates`).  Each candidate is tested as Q(t) = R(t^2), by
-Horner's scheme on R's five integer coefficients
-(`cuboid_eqs.qpq_coefficients`).
+Horner's scheme on R's five integer coefficients (`cuboid_eqs.qpq_value`).
 
 Runs are checkpointed with their p range and the summary counters (see
 `run_search` for when), and the output is deterministic regardless of worker
@@ -74,7 +73,7 @@ from typing import (
 from .cuboid_eqs import (
     CaseTag,
     CuboidWitness,
-    qpq_coefficients,
+    qpq_value,
     reconstruct_cuboid,
 )
 
@@ -148,17 +147,36 @@ class SearchConfig(_SearchConfigFields):
             raise ValueError("need 1 <= p_min <= p_max")
         if worker_count < 1:
             raise ValueError("worker_count must be positive")
-        if checkpoint_path is not None:
-            # the checkpoint is written through checkpoint_path + ".tmp"
-            checkpoint = os.path.abspath(checkpoint_path)
-            if os.path.abspath(output_path) in (checkpoint, checkpoint + ".tmp"):
-                raise ValueError(
-                    f"output {output_path} would be overwritten by the "
-                    f"checkpoint {checkpoint_path}"
-                )
+        if checkpoint_path is not None and _is_checkpoint(
+            output_path, checkpoint_path
+        ):
+            raise ValueError(
+                f"output {output_path} would be overwritten by the "
+                f"checkpoint {checkpoint_path}"
+            )
         return tuple.__new__(
             cls, (p_min, p_max, worker_count, checkpoint_path, output_path)
         )
+
+
+def _is_checkpoint(output_path: str, checkpoint_path: str) -> bool:
+    """Whether the output file is the checkpoint or the checkpoint_path +
+    ".tmp" it is written through, by any symlink or hard link.  An output
+    that exists is compared by device and inode, one stat per name; one
+    that does not, which a dangling symlink may name, by its real path."""
+    names = (checkpoint_path, checkpoint_path + ".tmp")
+    try:
+        output = os.stat(output_path)
+    except OSError:
+        real = os.path.realpath(output_path)
+        return any(os.path.realpath(name) == real for name in names)
+    for name in names:
+        try:
+            if os.path.samestat(output, os.stat(name)):
+                return True
+        except OSError:
+            pass
+    return False
 
 
 def _read_lines(path: str) -> List[str]:
@@ -469,10 +487,8 @@ def _scan_p(p: int) -> Tuple[int, Tuple[int, int, int, int], tuple]:
     for q in survivors:
         candidates = pair_candidates(p, q, *t_bounds(p, q))
         evaluated += len(candidates)
-        c0, c2, c4, c6, c8 = qpq_coefficients(p, q)
         for t in candidates:
-            u = t * t
-            if ((((u + c8) * u + c6) * u + c4) * u + c2) * u + c0:
+            if qpq_value(p, q, t):
                 continue
             for tag in CaseTag:
                 hits.append(reconstruct_cuboid(p, q, t, tag))

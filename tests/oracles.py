@@ -14,15 +14,17 @@ them stand the certificate's earlier arithmetic: Horner evaluation over
 Fraction and over the sqrt(2) field, the Sturm sequence built from
 Fraction remainders, and the sqrt(2) field held as two Fractions
 (`FractionQuad`), with its sign and square root.  Then the
-audit path's earlier forms: the degree-12 identity checked as an IntPoly
+audit path's earlier forms: the degree-12 identity checked as a polynomial
 product against the literal expansion of the degree-12 equation, the
 decimal display computed through Fraction, the root certificate computed
 on the degree-10 Q and its imaginary-axis restriction, and the root
 intervals with endpoints built as Fraction sums.  They are slow, which is
 why the production path replaced them, and simple, which is why they stay
-as oracles.  Last come names that only the tests use: the difference and
-product of two polynomials, the expanded-grid build of Q, the degree-12
-polynomial built from its closed-form coefficients, modular Horner
+as oracles.  Last come names that only the tests use: a polynomial as a
+tuple of integer coefficients with no trailing zero (`poly`), its integer
+value by Horner's scheme, the difference and product of two polynomials,
+Q as its 11 coefficients (`build_qpq`), the expanded-grid build of Q, the
+degree-12 polynomial built from its closed-form coefficients, modular Horner
 evaluation, the covered pair set, the hull dominance check, interval
 bisection, interval width and midpoint, the evenness test, the signs of one
 polynomial at a rational or sqrt(2)-field point, and the integer-point
@@ -37,11 +39,10 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
+from cuboidsearch import cuboid_eqs
 from cuboidsearch.asymptotics import (
     AsymptoticInterval,
-    Axis,
     CertificationFailed,
-    IntervalLabel,
     NewtonPolygon,
     PreconditionViolated,
     RootCertificate,
@@ -53,13 +54,12 @@ from cuboidsearch.cuboid_eqs import (
     CaseTag,
     FullEqParams,
     PQPair,
-    build_qpq,
     full_eq_coefficients,
     qpq_coefficients,
     reconstruct_cuboid,
 )
 from cuboidsearch.exact_arith import (
-    IntPoly,
+    Poly,
     QuadRational,
     QUAD_ZERO,
     RatLike,
@@ -155,10 +155,10 @@ def scan_pair(pair: PQPair) -> PairScan:
     )
     if not candidates:
         return PairScan(True, 0, ())
-    poly = build_qpq(pair)
+    qpoly = build_qpq(pair)
     hits = []
     for t in candidates:
-        if poly.eval_int(t) != 0:
+        if eval_int(qpoly, t) != 0:
             continue
         if (p * p + t) * (p * q + t) <= 2 * t * t:
             continue
@@ -167,68 +167,91 @@ def scan_pair(pair: PQPair) -> PairScan:
     return PairScan(True, len(candidates), tuple(hits))
 
 
-def poly_sub(P: IntPoly, Q: IntPoly) -> IntPoly:
-    """P - Q, coefficient by coefficient."""
-    return IntPoly.of(
-        a - b for a, b in itertools.zip_longest(P.coeffs, Q.coeffs, fillvalue=0)
-    )
+def poly(coeffs) -> Poly:
+    """The polynomial with these coefficients, lowest power first, as a
+    tuple of ints with the trailing zeros stripped; () is zero."""
+    cs = [int(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
 
-def poly_mul(P: IntPoly, Q: IntPoly) -> IntPoly:
-    """P * Q by the schoolbook product."""
-    if P.is_zero() or Q.is_zero():
-        return IntPoly(())
-    out = [0] * (len(P.coeffs) + len(Q.coeffs) - 1)
-    for i, ci in enumerate(P.coeffs):
-        if ci == 0:
-            continue
-        for j, cj in enumerate(Q.coeffs):
-            out[i + j] += ci * cj
-    return IntPoly.of(out)
-
-
-def is_even(P: IntPoly) -> bool:
-    """Whether P has only even powers of t."""
-    return all(c == 0 for c in P.coeffs[1::2])
-
-
-def sign_at(P: IntPoly, x: RatLike) -> int:
-    """Exact sign of P(x) for rational x, in integers only (sign_vector)."""
-    return sign_vector((P,), x.numerator, x.denominator)[0]
-
-
-def sign_at_quad(P: IntPoly, x: QuadRational) -> int:
-    """Exact sign of P(x) for x in the sqrt(2) field; see sign_at_sqrt2."""
-    return sign_at_sqrt2(P, x.A, x.B, x.D)
-
-
-def eval_poly(P: IntPoly, x) -> Fraction:
-    """Exact P(x) by Horner's scheme over the rationals."""
-    acc = Fraction(0)
-    for c in reversed(P.coeffs):
+def eval_int(P: Poly, x: int) -> int:
+    """P(x) for an integer x, by Horner's scheme."""
+    acc = 0
+    for c in reversed(P):
         acc = acc * x + c
     return acc
 
 
-def eval_poly_quad(P: IntPoly, x: QuadRational) -> QuadRational:
+def build_qpq(pair: PQPair) -> Poly:
+    """The even, monic, degree-10 Q for the pair as its 11 coefficients,
+    the odd ones zero.  The coefficients are looked up in cuboid_eqs at each
+    call, so a test that alters them there alters this Q too."""
+    c0, c2, c4, c6, c8 = cuboid_eqs.qpq_coefficients(pair.p, pair.q)
+    return poly([c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, 1])
+
+
+def poly_sub(P: Poly, Q: Poly) -> Poly:
+    """P - Q, coefficient by coefficient."""
+    return poly(a - b for a, b in itertools.zip_longest(P, Q, fillvalue=0))
+
+
+def poly_mul(P: Poly, Q: Poly) -> Poly:
+    """P * Q by the schoolbook product."""
+    if not P or not Q:
+        return ()
+    out = [0] * (len(P) + len(Q) - 1)
+    for i, ci in enumerate(P):
+        if ci == 0:
+            continue
+        for j, cj in enumerate(Q):
+            out[i + j] += ci * cj
+    return poly(out)
+
+
+def is_even(P: Poly) -> bool:
+    """Whether P has only even powers of t."""
+    return all(c == 0 for c in P[1::2])
+
+
+def sign_at(P: Poly, x: RatLike) -> int:
+    """Exact sign of P(x) for rational x, in integers only (sign_vector)."""
+    return sign_vector((P,), x.numerator, x.denominator)[0]
+
+
+def sign_at_quad(P: Poly, x: QuadRational) -> int:
+    """Exact sign of P(x) for x in the sqrt(2) field; see sign_at_sqrt2."""
+    return sign_at_sqrt2(P, x.A, x.B, x.D)
+
+
+def eval_poly(P: Poly, x) -> Fraction:
+    """Exact P(x) by Horner's scheme over the rationals."""
+    acc = Fraction(0)
+    for c in reversed(P):
+        acc = acc * x + c
+    return acc
+
+
+def eval_poly_quad(P: Poly, x: QuadRational) -> QuadRational:
     """Exact P(x) for x in the sqrt(2) field, by Horner's scheme."""
     acc = QUAD_ZERO
-    for c in reversed(P.coeffs):
+    for c in reversed(P):
         acc = acc * x + QuadRational.of(c)
     return acc
 
 
-def _frac_primitive(coeffs: Sequence[Fraction]) -> IntPoly:
+def _frac_primitive(coeffs: Sequence[Fraction]) -> Poly:
     """Scale by a positive rational to primitive integer coefficients."""
     fracs = [Fraction(c) for c in coeffs]
     while fracs and fracs[-1] == 0:
         fracs.pop()
     if not fracs:
-        return IntPoly(())
+        return ()
     den = math.lcm(*(f.denominator for f in fracs))
     ints = [int(f * den) for f in fracs]
     g = math.gcd(*ints)
-    return IntPoly(tuple(c // g for c in ints))
+    return tuple(c // g for c in ints)
 
 
 def _frac_rem(f: Sequence[Fraction], g: Sequence[Fraction]) -> list:
@@ -251,16 +274,16 @@ def _frac_rem(f: Sequence[Fraction], g: Sequence[Fraction]) -> list:
     return r
 
 
-def fraction_sturm_sequence(P: IntPoly) -> list:
+def fraction_sturm_sequence(P: Poly) -> list:
     """Signed remainder sequence of P from Fraction remainders, each term
     scaled to a primitive integer polynomial by a positive rational."""
-    seq = [_frac_primitive(P.coeffs)]
-    d = [i * c for i, c in enumerate(P.coeffs)][1:]
+    seq = [_frac_primitive(P)]
+    d = [i * c for i, c in enumerate(P)][1:]
     if not any(d):
         return seq
     seq.append(_frac_primitive(d))
-    while seq[-1].degree > 0:
-        rem = _frac_rem(seq[-2].coeffs, seq[-1].coeffs)
+    while len(seq[-1]) - 1 > 0:
+        rem = _frac_rem(seq[-2], seq[-1])
         if not rem:
             break
         seq.append(_frac_primitive([-c for c in rem]))
@@ -364,10 +387,10 @@ def fraction_quad_sqrt(x: FractionQuad) -> Optional[FractionQuad]:
     return None
 
 
-def eval_mod(P: IntPoly, x: int, m: int) -> int:
+def eval_mod(P: Poly, x: int, m: int) -> int:
     """P(x) mod m by Horner's scheme, reducing after every step."""
     acc = 0
-    for c in reversed(P.coeffs):
+    for c in reversed(P):
         acc = (acc * x + c) % m
     return acc
 
@@ -380,17 +403,17 @@ def modular_sieve(pair: PQPair, m: int) -> FrozenSet[int]:
     be an integer root."""
     if m <= 1:
         raise ValueError("modulus must exceed 1")
-    poly = build_qpq(pair)
-    return frozenset(r for r in range(m) if eval_mod(poly, r, m) == 0)
+    qpoly = build_qpq(pair)
+    return frozenset(r for r in range(m) if eval_mod(qpoly, r, m) == 0)
 
 
 def obstruction_witness(pair: PQPair, primes: Sequence[int]) -> Optional[int]:
     """The first l in primes for which Q has no root mod l, found by
     evaluating Q at every residue t mod l, with no ratio table and no
     homogeneity; None when Q has a root mod each of them."""
-    poly = build_qpq(pair)
+    qpoly = build_qpq(pair)
     for l in primes:
-        if all(eval_mod(poly, t, l) for t in range(l)):
+        if all(eval_mod(qpoly, t, l) for t in range(l)):
             return l
     return None
 
@@ -500,10 +523,10 @@ def oracle_candidates(pair: PQPair, mode: str,
 def oracle_roots(pair: PQPair, mode: str,
                  sieve_moduli=SIEVE_MODULI) -> List[int]:
     """Integer roots of Q among the oracle's candidates."""
-    poly = build_qpq(pair)
+    qpoly = build_qpq(pair)
     return [
         t for t in oracle_candidates(pair, mode, sieve_moduli)
-        if poly.eval_int(t) == 0
+        if eval_int(qpoly, t) == 0
     ]
 
 
@@ -527,23 +550,23 @@ def admissible_hits(pair: PQPair, roots: Sequence[int]) -> tuple:
     return tuple(hits)
 
 
-def build_qpq_from_grid(pair: PQPair) -> IntPoly:
+def build_qpq_from_grid(pair: PQPair) -> Poly:
     """Q for the pair, summed directly from the expanded term grid."""
     p, q = pair.p, pair.q
     coeffs = [0] * 11
     for m, terms in QPQ_TERMS.items():
         coeffs[m] = sum(c * p**i * q**j for i, j, c in terms)
-    return IntPoly.of(coeffs)
+    return poly(coeffs)
 
 
-def build_full_eq(params: FullEqParams) -> IntPoly:
+def build_full_eq(params: FullEqParams) -> Poly:
     """The even, monic, degree-12 polynomial in t for parameters (a, b, u)."""
     coeffs = [0] * 13
     coeffs[::2] = full_eq_coefficients(params.a, params.b, params.u)
-    return IntPoly.of(coeffs)
+    return poly(coeffs)
 
 
-def literal_full_eq(params: FullEqParams) -> IntPoly:
+def literal_full_eq(params: FullEqParams) -> Poly:
     """The degree-12 equation for (a, b, u), term by term as expanded in
     a, b and u separately."""
     a2, b2, u2 = params.a**2, params.b**2, params.u**2
@@ -557,14 +580,14 @@ def literal_full_eq(params: FullEqParams) -> IntPoly:
     c4 = 4 * u2 * b4 * a2 + 4 * a4 * u2 * b2 - 12 * u4 * a2 * b2 + u4 * a4 + u4 * b4 + a4 * b4
     c2 = 6 * a4 * u2 * b4 - 2 * u4 * a4 * b2 - 2 * u4 * a2 * b4
     c0 = u4 * a4 * b4
-    return IntPoly.of([c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, c10, 0, 1])
+    return poly([c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, c10, 0, 1])
 
 
 def intpoly_factorization_check(pair: PQPair) -> bool:
-    """(t - pq)(t + pq) Q(t) as an IntPoly product, compared with the
+    """(t - pq)(t + pq) Q(t) as a polynomial product, compared with the
     literal degree-12 equation under both CaseTag substitutions."""
     p, q = pair.p, pair.q
-    product = poly_mul(IntPoly.of([-((p * q) ** 2), 0, 1]), build_qpq(pair))
+    product = poly_mul(poly([-((p * q) ** 2), 0, 1]), build_qpq(pair))
     return all(
         product == literal_full_eq(tag.params(p, q)) for tag in CaseTag
     )
@@ -603,20 +626,20 @@ def interval_midpoint(iv: AsymptoticInterval) -> QuadRational:
 
 
 def refine_interval(
-    poly: IntPoly,
+    P: Poly,
     lo: QuadRational,
     hi: QuadRational,
     rel_width: Fraction,
 ) -> QuadRational:
     """Bisect a certified sign-change interval until its width falls below
-    rel_width times the midpoint; returns the midpoint.  `poly` must already
+    rel_width times the midpoint; returns the midpoint.  `P` must already
     be the axis-appropriate real polynomial."""
-    s_lo = sign_at_quad(poly, lo)
+    s_lo = sign_at_quad(P, lo)
     if s_lo == 0:
         return lo
     while quad_sign((hi - lo) - rel_width * ((lo + hi) * HALF)) > 0:
         mid = (lo + hi) * HALF
-        s_mid = sign_at_quad(poly, mid)
+        s_mid = sign_at_quad(P, mid)
         if s_mid == 0:
             return mid
         if s_mid == s_lo:
@@ -626,17 +649,17 @@ def refine_interval(
     return (lo + hi) * HALF
 
 
-def imaginary_axis_poly(P: IntPoly) -> IntPoly:
+def imaginary_axis_poly(P: Poly) -> Poly:
     """P restricted to the imaginary axis: for even P, the real polynomial
     whose value at y equals P(i*y).  Maps the t^(2k) coefficient to
     (-1)^k y^(2k)."""
     if not is_even(P):
         raise ValueError("imaginary-axis restriction needs an even polynomial")
-    coeffs = list(P.coeffs)
+    coeffs = list(P)
     for k in range(0, len(coeffs), 2):
         if (k // 2) % 2 == 1:
             coeffs[k] = -coeffs[k]
-    return IntPoly.of(coeffs)
+    return poly(coeffs)
 
 
 def asymptotic_intervals_by_sums(pair: PQPair) -> List[AsymptoticInterval]:
@@ -656,13 +679,11 @@ def asymptotic_intervals_by_sums(pair: PQPair) -> List[AsymptoticInterval]:
     t5_center = r(-q2 + 2 * p2, q2 + p2)  # (sqrt2-1) q^2 + (sqrt2+2) p^2
     h = r(half1)
     return [
-        AsymptoticInterval(IntervalLabel.T1, Axis.REAL, r(p2 - half1), r(p2)),
-        AsymptoticInterval(IntervalLabel.T2, Axis.REAL, r(p2), r(p2 + half1)),
-        AsymptoticInterval(
-            IntervalLabel.T3, Axis.REAL, r(t3_center - half3), r(t3_center + half3)
-        ),
-        AsymptoticInterval(IntervalLabel.T4, Axis.IMAGINARY, t4_center - h, t4_center + h),
-        AsymptoticInterval(IntervalLabel.T5, Axis.IMAGINARY, t5_center - h, t5_center + h),
+        AsymptoticInterval("T1", "REAL", r(p2 - half1), r(p2)),
+        AsymptoticInterval("T2", "REAL", r(p2), r(p2 + half1)),
+        AsymptoticInterval("T3", "REAL", r(t3_center - half3), r(t3_center + half3)),
+        AsymptoticInterval("T4", "IMAGINARY", t4_center - h, t4_center + h),
+        AsymptoticInterval("T5", "IMAGINARY", t5_center - h, t5_center + h),
     ]
 
 
@@ -679,7 +700,7 @@ def q_certify_roots(pair: PQPair, intervals=None) -> List[RootCertificate]:
     certs = []
     failures = []
     for iv in intervals:
-        if iv.axis is Axis.REAL:
+        if iv.axis == "REAL":
             lo, hi = iv.lo.to_fraction(), iv.hi.to_fraction()
             s_lo, s_hi = sign_at(qpoly, lo), sign_at(qpoly, hi)
             count = None
@@ -688,7 +709,7 @@ def q_certify_roots(pair: PQPair, intervals=None) -> List[RootCertificate]:
             passed = s_lo * s_hi == -1 and count == 1
             if not passed:
                 failures.append(
-                    f"{iv.label.value}: sign({s_lo},{s_hi}), sturm={count}"
+                    f"{iv.label}: sign({s_lo},{s_hi}), sturm={count}"
                 )
             certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, count, passed))
         else:
@@ -696,7 +717,7 @@ def q_certify_roots(pair: PQPair, intervals=None) -> List[RootCertificate]:
             s_hi = sign_at_quad(ipoly, iv.hi)
             passed = s_lo * s_hi == -1
             if not passed:
-                failures.append(f"{iv.label.value}: sign({s_lo},{s_hi})")
+                failures.append(f"{iv.label}: sign({s_lo},{s_hi})")
             certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, None, passed))
     if failures:
         raise CertificationFailed(
@@ -733,17 +754,17 @@ def integer_point_report(pair: PQPair) -> IntegerPointReport:
     inside = {}
     candidates = {}
     for iv in intervals:
-        if iv.axis is not Axis.REAL:
+        if iv.axis != "REAL":
             continue
         pts = integers_in_open_interval(iv.lo.to_fraction(), iv.hi.to_fraction())
-        inside[iv.label.value] = pts
-        candidates[iv.label.value] = [
+        inside[iv.label] = pts
+        candidates[iv.label] = [
             t for t in pts if t > p * p and t > p * q and t > q * q
         ]
     t3_empty = 16 * q >= 256 * p**3 + 5 * p
     bracket = None
     if t3_empty:
-        t3 = next(iv for iv in intervals if iv.label is IntervalLabel.T3)
+        t3 = next(iv for iv in intervals if iv.label == "T3")
         lo, hi = t3.lo.to_fraction(), t3.hi.to_fraction()
         bracket = Fraction(p * q - 1) < lo and hi < Fraction(p * q)
     return IntegerPointReport(

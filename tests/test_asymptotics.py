@@ -6,10 +6,8 @@ import pytest
 
 from cuboidsearch.asymptotics import (
     AsymptoticInterval,
-    Axis,
     CertificationFailed,
     DegenerateHull,
-    IntervalLabel,
     NewtonNode,
     PreconditionViolated,
     asymptotic_intervals,
@@ -19,16 +17,19 @@ from cuboidsearch.asymptotics import (
     leading_coefficients,
     upper_hull,
 )
-from cuboidsearch.cuboid_eqs import PQPair, build_qpq
-from cuboidsearch.exact_arith import IntPoly, QuadRational, quad_sign, sturm_sequence
+from cuboidsearch.cuboid_eqs import PQPair
+from cuboidsearch.exact_arith import QuadRational, quad_sign, sturm_sequence
 from oracles import (
     asymptotic_intervals_by_sums,
+    build_qpq,
+    eval_int,
     imaginary_axis_poly,
     integer_point_report,
     integers_in_open_interval,
     interval_midpoint,
     interval_width,
     node_dominance_holds,
+    poly,
     q_certify_roots,
     refine_interval,
 )
@@ -88,7 +89,7 @@ class TestLeadingTerms:
         polygon = upper_hull(build_newton_grid())
         terms = leading_coefficients(polygon, Fraction(2))
         assert len(terms) == 2
-        assert all(t.axis is Axis.IMAGINARY for t in terms)
+        assert all(t.axis == "IMAGINARY" for t in terms)
         assert all(t.p_power == 0 for t in terms)
         mags = {t.magnitude for t in terms}
         # magnitudes sqrt(2) + 1 and sqrt(2) - 1, squares 3 +/- 2 sqrt(2)
@@ -103,7 +104,7 @@ class TestLeadingTerms:
         terms = leading_coefficients(polygon, Fraction(1))
         assert len(terms) == 1
         (term,) = terms
-        assert term.axis is Axis.REAL
+        assert term.axis == "REAL"
         assert term.magnitude == QuadRational.of(1)
         assert term.p_power == 1
         assert term.multiplicity == 1
@@ -113,7 +114,7 @@ class TestLeadingTerms:
         terms = leading_coefficients(polygon, Fraction(0))
         assert len(terms) == 1
         (term,) = terms
-        assert term.axis is Axis.REAL
+        assert term.axis == "REAL"
         assert term.magnitude == QuadRational.of(1)
         assert term.p_power == 2
         assert term.multiplicity == 2
@@ -127,21 +128,21 @@ class TestLeadingTerms:
 class TestIntervals:
     def test_p1_q59_values(self):
         ivs = {iv.label: iv for iv in asymptotic_intervals(PQPair(1, 59))}
-        t1 = ivs[IntervalLabel.T1]
+        t1 = ivs["T1"]
         assert t1.lo == QuadRational.of(Fraction(54, 59))
         assert t1.hi == QuadRational.of(1)
-        t2 = ivs[IntervalLabel.T2]
+        t2 = ivs["T2"]
         assert t2.lo == QuadRational.of(1)
         assert t2.hi == QuadRational.of(Fraction(64, 59))
-        t3 = ivs[IntervalLabel.T3]
+        t3 = ivs["T3"]
         assert t3.lo == QuadRational.of(Fraction(204430, 3481))
         assert t3.hi == QuadRational.of(Fraction(204440, 3481))
-        t4 = ivs[IntervalLabel.T4]
+        t4 = ivs["T4"]
         assert interval_midpoint(t4) == QuadRational.of(3479, 3482)
         assert interval_width(t4) == QuadRational.of(Fraction(10, 59))
-        t5 = ivs[IntervalLabel.T5]
+        t5 = ivs["T5"]
         assert interval_midpoint(t5) == QuadRational.of(-3479, 3482)
-        assert t5.axis is Axis.IMAGINARY
+        assert t5.axis == "IMAGINARY"
 
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
@@ -167,15 +168,15 @@ class TestIntervals:
         for p, q in ((1, 59), (2, 119), (3, 178), (5, 296), (7, 415)):
             ivs = {iv.label: iv for iv in asymptotic_intervals(PQPair(p, q))}
             p2 = Fraction(p * p)
-            assert ivs[IntervalLabel.T1].lo >= QuadRational.of(
+            assert ivs["T1"].lo >= QuadRational.of(
                 Fraction(54, 59) * p2
             )
-            assert ivs[IntervalLabel.T3].lo > QuadRational.of(58 * p2)
-            gap_23 = ivs[IntervalLabel.T3].lo - ivs[IntervalLabel.T2].hi
+            assert ivs["T3"].lo > QuadRational.of(58 * p2)
+            gap_23 = ivs["T3"].lo - ivs["T2"].hi
             assert quad_sign(gap_23) > 0
-            assert ivs[IntervalLabel.T5].lo > QuadRational.of(1445 * p2)
-            assert ivs[IntervalLabel.T4].lo > QuadRational.of(8403 * p2)
-            gap_45 = ivs[IntervalLabel.T4].lo - ivs[IntervalLabel.T5].hi
+            assert ivs["T5"].lo > QuadRational.of(1445 * p2)
+            assert ivs["T4"].lo > QuadRational.of(8403 * p2)
+            gap_45 = ivs["T4"].lo - ivs["T5"].hi
             assert gap_45 >= QuadRational.of(Fraction(410512, 59) * p2)
             assert gap_45 > QuadRational.of(6957 * p2)
 
@@ -193,7 +194,7 @@ class TestDisjointness:
         ivs = asymptotic_intervals(PQPair(1, 59))
         broken = []
         for iv in ivs:
-            if iv.label is IntervalLabel.T3:
+            if iv.label == "T3":
                 broken.append(
                     AsymptoticInterval(
                         iv.label, iv.axis, QuadRational.of(1), iv.hi
@@ -208,12 +209,12 @@ class TestDisjointness:
 
 class TestImaginaryAxisPoly:
     def test_alternating_signs(self):
-        P = IntPoly.of([1, 0, 1, 0, 1])
-        assert imaginary_axis_poly(P).coeffs == (1, 0, -1, 0, 1)
+        P = poly([1, 0, 1, 0, 1])
+        assert imaginary_axis_poly(P) == (1, 0, -1, 0, 1)
 
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
-            imaginary_axis_poly(IntPoly.of([0, 1]))
+            imaginary_axis_poly(poly([0, 1]))
 
     def test_consistency_with_squares(self):
         # P(iy) real for even P: compare via t^2 -> -y^2 on a sample
@@ -222,10 +223,10 @@ class TestImaginaryAxisPoly:
         for y in (1, 2, 5):
             direct = sum(
                 c * (-(y * y)) ** (k // 2)
-                for k, c in enumerate(P.coeffs)
+                for k, c in enumerate(P)
                 if k % 2 == 0
             )
-            assert Q.eval_int(y) == direct
+            assert eval_int(Q, y) == direct
 
 
 class TestCertificates:
@@ -233,7 +234,7 @@ class TestCertificates:
         certs = certify_roots(PQPair(1, 59))
         assert len(certs) == 5
         assert all(c.passed for c in certs)
-        real = [c for c in certs if c.axis is Axis.REAL]
+        real = [c for c in certs if c.axis == "REAL"]
         assert all(c.sturm_roots == 1 for c in real)
         assert all(c.sign_lo * c.sign_hi == -1 for c in certs)
 
@@ -269,7 +270,7 @@ def _audit_range_pairs(count, seed):
 
 def _replaced(intervals, label, lo, hi):
     return [
-        AsymptoticInterval(iv.label, iv.axis, lo, hi) if iv.label is label else iv
+        AsymptoticInterval(iv.label, iv.axis, lo, hi) if iv.label == label else iv
         for iv in intervals
     ]
 
@@ -294,11 +295,11 @@ class TestCertificateOnR:
         t1, t2, t3, _, t5 = ivs
         shifted = [
             # T1 and T2 merged: both roots near p^2
-            (_replaced(ivs, IntervalLabel.T1, t1.lo, t2.hi), "T1: sign(-1,-1), sturm=2"),
+            (_replaced(ivs, "T1", t1.lo, t2.hi), "T1: sign(-1,-1), sturm=2"),
             # T3 moved up by its width, past its root
-            (_replaced(ivs, IntervalLabel.T3, t3.hi, t3.hi * 2 - t3.lo), "T3: sign(1,1), sturm=0"),
+            (_replaced(ivs, "T3", t3.hi, t3.hi * 2 - t3.lo), "T3: sign(1,1), sturm=0"),
             # T5 moved down, below its root
-            (_replaced(ivs, IntervalLabel.T5, t5.lo * Fraction(1, 2), t5.lo), "T5: sign(-1,-1)"),
+            (_replaced(ivs, "T5", t5.lo * Fraction(1, 2), t5.lo), "T5: sign(-1,-1)"),
         ]
         for intervals, failure in shifted:
             with pytest.raises(CertificationFailed) as on_r:
@@ -316,7 +317,7 @@ class TestCertificateOnR:
         pair = PQPair(1, 59)
         ivs = asymptotic_intervals(pair)
         for lo in (QuadRational.of(-1), QuadRational.of(Fraction(-1, 3))):
-            bad = _replaced(ivs, IntervalLabel.T1, lo, ivs[0].hi)
+            bad = _replaced(ivs, "T1", lo, ivs[0].hi)
             with pytest.raises(CertificationFailed, match=r"T1: lo = -1(/3)? < 0"):
                 certify_roots(pair, bad)
 
@@ -348,18 +349,18 @@ class TestIntegerPoints:
 class TestRefine:
     def test_t3_midpoint_accuracy(self):
         pair = PQPair(1, 59)
-        poly = build_qpq(pair)
+        qpoly = build_qpq(pair)
         t3 = next(
             iv
             for iv in asymptotic_intervals(pair)
-            if iv.label is IntervalLabel.T3
+            if iv.label == "T3"
         )
-        mid = refine_interval(poly, t3.lo, t3.hi, Fraction(1, 10**12))
+        mid = refine_interval(qpoly, t3.lo, t3.hi, Fraction(1, 10**12))
         width_bound = Fraction(1, 10**12) * mid.to_fraction()
         # value changes sign within width_bound of the returned midpoint
         from oracles import eval_poly
 
         m = mid.to_fraction()
-        assert eval_poly(poly, m - width_bound) * eval_poly(
-            poly, m + width_bound
+        assert eval_poly(qpoly, m - width_bound) * eval_poly(
+            qpoly, m + width_bound
         ) <= 0

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from cuboidsearch import asymptotics, cli, exact_arith, search
-from cuboidsearch.cuboid_eqs import PQPair, build_qpq, build_rpq
+from cuboidsearch.cuboid_eqs import PQPair, build_rpq
 from cuboidsearch.exact_arith import QuadRational, sturm_count
-from oracles import fraction_approx_str
+from oracles import build_qpq, fraction_approx_str
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -23,6 +23,21 @@ SEEDED_ROOTS_PAIRS = (
     (11, 1247), (37, 2426), (19, 1475), (40, 2893), (23, 1949), (27, 2350),
     (7, 807), (2, 169), (39, 2734), (4, 455), (1, 100), (29, 2110), (1, 118),
     (49, 2892),
+)
+
+# The calls of golden/verify_seeded.txt: 18 drawn with random.Random(2117),
+# alternately p < q and q < p, with t in pairs below, inside and above the
+# range max(p^2, pq, q^2) < t < r(q) of the search inequality
+# (p^2 + t)(pq + t) > 2 t^2 (just above the lower end when that range is
+# empty); then (23, 10) at p^2 and at the last t and first t past r(q); then
+# a common factor and t = 0, which are refused.
+SEEDED_VERIFY_CALLS = (
+    (13, 31, 457), (23, 10, 432), (11, 18, 367), (34, 27, 2333),
+    (42, 53, 7253), (27, 7, 1155), (26, 27, 720), (28, 15, 677),
+    (14, 33, 1090), (49, 10, 2952), (5, 17, 295), (9, 8, 210),
+    (20, 51, 1071), (32, 23, 139), (27, 41, 1787), (28, 25, 1670),
+    (45, 46, 5403), (59, 28, 9291), (23, 10, 529), (23, 10, 894),
+    (23, 10, 895), (2, 4, 5), (1, 2, 0),
 )
 
 
@@ -64,9 +79,19 @@ class TestSearchCommand:
         assert code == cli.EXIT_BAD_FLAGS
         assert "error" in err
 
-    @pytest.mark.parametrize("out, ckpt", [("same", "same"), ("c.tmp", "c")])
-    def test_output_clashing_with_checkpoint_refused(self, tmp_path, capsys, out, ckpt):
-        # the checkpoint is written to ckpt + ".tmp", then renamed to ckpt
+    @pytest.mark.parametrize("out, ckpt, link", [
+        ("same", "same", None),
+        ("c.tmp", "c", None),
+        ("out.jsonl", "c.ckpt", "c.ckpt"),
+        ("out.jsonl", "c.ckpt", "c.ckpt.tmp"),
+    ], ids=["same-same", "c.tmp-c", "symlink-to-checkpoint", "symlink-to-tmp"])
+    def test_output_clashing_with_checkpoint_refused(
+        self, tmp_path, capsys, out, ckpt, link
+    ):
+        # the checkpoint is written to ckpt + ".tmp", then renamed to ckpt;
+        # with `link`, out is a symlink to that name, made before the run
+        if link:
+            (tmp_path / out).symlink_to(link)
         code, stdout, err = run_cli(
             capsys,
             "search", "--p-max", "5", "--threads", "1",
@@ -74,7 +99,29 @@ class TestSearchCommand:
         )
         assert code == cli.EXIT_BAD_FLAGS
         assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == ([tmp_path / out] if link else [])
+
+    @pytest.mark.parametrize("link", ["symlink", "hardlink"])
+    def test_output_linked_to_existing_checkpoint_refused(
+        self, tmp_path, capsys, link
+    ):
+        # the checkpoint of an interrupted run is there; the output is the
+        # same file under another name, and opening it would truncate it
+        ckpt = tmp_path / "c.ckpt"
+        ckpt.write_text("version=5\n")
+        out = tmp_path / "out.jsonl"
+        if link == "symlink":
+            out.symlink_to(ckpt)
+        else:
+            os.link(ckpt, out)
+        code, stdout, err = run_cli(
+            capsys,
+            "search", "--p-max", "5", "--threads", "1",
+            "--out", str(out), "--checkpoint", str(ckpt),
+        )
+        assert code == cli.EXIT_BAD_FLAGS
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert ckpt.read_text() == "version=5\n"
 
     def test_bad_mode_rejected_by_parser(self, tmp_path, capsys):
         # one pipeline: --mode is gone, so even its old values are refused
@@ -289,7 +336,7 @@ class TestRootsCommand:
         code, _, _ = run_cli(capsys, "roots", "--p", "7", "--q", "500")
         assert code == cli.EXIT_OK
         assert built == [build_rpq(PQPair(7, 500))]
-        assert built[0].degree == 5
+        assert len(built[0]) - 1 == 5
 
     def test_totals_equal_sturm_counts_on_q(self, capsys):
         # the printed totals come from R on (0, B^2), doubled by evenness;
@@ -361,6 +408,16 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--p", "1", "--q", "2", "--t", "2")
         assert code == cli.EXIT_OK
         assert "not a perfect cuboid" in out
+
+    def test_seeded_golden(self, capsys):
+        # stdout and exit code of each call, after a line naming it
+        out = []
+        for p, q, t in SEEDED_VERIFY_CALLS:
+            code, text, _ = run_cli(
+                capsys, "verify", "--p", str(p), "--q", str(q), "--t", str(t)
+            )
+            out.append(f"$ verify --p {p} --q {q} --t {t}\n{text}exit {code}\n")
+        assert "".join(out) == (GOLDEN_DIR / "verify_seeded.txt").read_text()
 
     def test_bad_flags(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--p", "2", "--q", "4", "--t", "30")
@@ -460,6 +517,22 @@ class TestParser:
             assert f"{command}: {help_line}" in out
             for flag in flags:
                 assert f"  {flag}  (" in out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["search", "--p-max", "3", "--out", "o.jsonl", "--checkpoint", ""], "--checkpoint"),
+        (["search", "--p-max", "3", "--out", "o.jsonl", "--checkpoint="], "--checkpoint"),
+        (["search", "--p-max", "3", "--out", ""], "--out"),
+        (["search", "--p-max", "3", "--out="], "--out"),
+        (["roots", "--p=", "--q", "59"], "--p"),
+        (["verify", "--p", "1", "--q", "2", "--t", ""], "--t"),
+    ])
+    def test_empty_value_refused(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # an empty --checkpoint used to run with no checkpoint at all
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (cli.EXIT_BAD_FLAGS, "")
+        assert err == f"error: {flag} needs a value\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_equals_form(self):
         assert cli._parse(["search", "--p-max=40", "--out=o"]) == cli._parse(

@@ -14,17 +14,19 @@ from cuboidsearch.cuboid_eqs import (
     FullEqParams,
     NotARoot,
     PQPair,
-    build_qpq,
     build_rpq,
     compute_z,
     factorization_check,
     full_eq_coefficients,
     param_ratios,
+    qpq_value,
     reconstruct_cuboid,
 )
 from oracles import (
     build_full_eq,
+    build_qpq,
     build_qpq_from_grid,
+    eval_int,
     intpoly_factorization_check,
     is_even,
     literal_full_eq,
@@ -56,28 +58,43 @@ class TestPQPair:
 class TestBuildQpq:
     def test_p1_q2_coefficients(self):
         P = build_qpq(PQPair(1, 2))
-        assert P.coeffs == (-1024, 0, 1920, 0, 2140, 0, 905, 0, 90, 0, 1)
+        assert P == (-1024, 0, 1920, 0, 2140, 0, 905, 0, 90, 0, 1)
 
     def test_value_at_one(self):
-        assert build_qpq(PQPair(1, 2)).eval_int(1) == 4032
+        assert qpq_value(1, 2, 1) == eval_int(build_qpq(PQPair(1, 2)), 1) == 4032
+
+    def test_value_equals_oracle(self):
+        # qpq_value, R(t^2) by Horner, against the 11 coefficients of Q, on
+        # seeded pairs in either order and t from 0 to beyond (pq)^2
+        rng = random.Random(2121)
+        checked = 0
+        while checked < 300:
+            p, q = rng.randint(1, 500), rng.randint(1, 500)
+            if p == q or math.gcd(p, q) != 1:
+                continue
+            P = build_qpq(PQPair(p, q))
+            for t in (0, 1, rng.randint(2, 10**6), rng.randint(1, 2 * (p * q) ** 2)):
+                assert qpq_value(p, q, t) == eval_int(P, t)
+            assert qpq_value(p, q, 0) == -((p * q) ** 10)
+            checked += 1
 
     def test_monic_even_degree_ten(self):
         P = build_qpq(PQPair(5, 7))
-        assert P.degree == 10
-        assert P.coeffs[10] == 1
+        assert len(P) - 1 == 10
+        assert P[10] == 1
         assert is_even(P)
 
     def test_constant_term(self):
         for p, q in ((1, 2), (3, 4), (5, 8)):
-            assert build_qpq(PQPair(p, q)).coeffs[0] == -(p**10) * q**10
+            assert build_qpq(PQPair(p, q))[0] == -(p**10) * q**10
 
     def test_r_of_t_squared(self):
         for p, q in ((1, 2), (5, 7), (3, 178), (50, 5901)):
             P, R = build_qpq(PQPair(p, q)), build_rpq(PQPair(p, q))
-            assert R.degree == 5
-            assert R.coeffs == P.coeffs[::2]
+            assert len(R) - 1 == 5
+            assert R == P[::2]
             for t in (1, 3, p * q):
-                assert R.eval_int(t * t) == P.eval_int(t)
+                assert eval_int(R, t * t) == eval_int(P, t) == qpq_value(p, q, t)
 
     def test_grid_cross_check(self):
         for p, q in ((1, 2), (2, 3), (3, 178), (7, 415)):
@@ -95,16 +112,16 @@ class TestBuildQpq:
 class TestFullEq:
     def test_monic_even_degree_twelve(self):
         P = build_full_eq(FullEqParams(2, 3, 5))
-        assert P.degree == 12
-        assert P.coeffs[12] == 1
+        assert len(P) - 1 == 12
+        assert P[12] == 1
         assert is_even(P)
 
     def test_constant_term(self):
-        assert build_full_eq(FullEqParams(2, 1, 4)).coeffs[0] == (2 * 1 * 4) ** 4
+        assert build_full_eq(FullEqParams(2, 1, 4))[0] == (2 * 1 * 4) ** 4
 
     def test_unit_parameters(self):
         P = build_full_eq(FullEqParams(1, 1, 1))
-        assert P.coeffs == (1, 0, 2, 0, -1, 0, -4, 0, -1, 0, 2, 0, 1)
+        assert P == (1, 0, 2, 0, -1, 0, -4, 0, -1, 0, 2, 0, 1)
 
     @settings(max_examples=200)
     @given(
@@ -118,7 +135,7 @@ class TestFullEq:
             b = a
         coeffs = full_eq_coefficients(a, b, u)
         literal = literal_full_eq(FullEqParams(a, b, u))
-        assert coeffs == literal.coeffs[::2]
+        assert coeffs == literal[::2]
         assert build_full_eq(FullEqParams(a, b, u)) == literal
         # a and b enter only through a^2 + b^2 and a^2 b^2
         assert full_eq_coefficients(b, a, u) == coeffs

@@ -6,15 +6,13 @@ from itertools import accumulate
 
 import pytest
 
-from cuboidsearch import cli, search
+from cuboidsearch import cli, cuboid_eqs, search
 from cuboidsearch.cuboid_eqs import (
     CaseTag,
     CuboidWitness,
     PQPair,
-    build_qpq,
     qpq_coefficients,
 )
-from cuboidsearch.exact_arith import IntPoly
 from cuboidsearch.search import (
     CHECKPOINT_VERSION,
     OBSTRUCTION_PRIMES,
@@ -35,7 +33,9 @@ from oracles import (
     admissible_hits,
     bisect_q_limit,
     brute_ratio_table,
+    build_qpq,
     divisor_candidates,
+    eval_int,
     eval_mod,
     exact_prime_powers,
     literal_t_bounds,
@@ -171,9 +171,9 @@ class TestSieve:
 
     def test_soundness_against_fabricated_root(self):
         # an integer root of any integer polynomial survives every sieve
-        poly = build_qpq(PQPair(3, 2))
-        shifted = poly_sub(poly, IntPoly.of([poly.eval_int(12)]))
-        assert shifted.eval_int(12) == 0
+        qpoly = build_qpq(PQPair(3, 2))
+        shifted = poly_sub(qpoly, (eval_int(qpoly, 12),))
+        assert eval_int(shifted, 12) == 0
         for m in (7, 11, 64):
             residues = frozenset(
                 r for r in range(m) if eval_mod(shifted, r, m) == 0
@@ -232,7 +232,7 @@ class TestValuationCandidates:
         for p in range(1, 21):
             for pair in capped_pairs(p):
                 lo, hi = t_bounds(pair.p, pair.q)
-                coeffs = build_qpq(pair).coeffs
+                coeffs = build_qpq(pair)
                 keep = set(valuation_candidates(
                     exact_prime_powers(pair.p * pair.q), lo, hi
                 ))
@@ -250,7 +250,7 @@ class TestValuationCandidates:
                     ]
                     least = min(terms)
                     assert terms.count(least) == 1
-                    assert valuation(build_qpq(pair).eval_int(t), prime) == least
+                    assert valuation(eval_int(build_qpq(pair), t), prime) == least
                     checked += 1
         assert checked > 100
 
@@ -302,7 +302,7 @@ class TestNewtonHull:
         hulls = 0
         for p in range(1, 201):
             for pair in capped_pairs(p):
-                c = build_qpq(pair).coeffs
+                c = build_qpq(pair)
                 for prime, e in search._prime_factors(pair.p * pair.q).items():
                     in_p = pair.p % prime == 0
                     v = {i: valuation(c[i], prime) for i in range(0, 11, 2)}
@@ -343,9 +343,9 @@ def odd_primes_below(n):
 
 
 def q_poly(p, q):
-    """Q(t; p, q) as an IntPoly, for any integers p and q."""
+    """Q(t; p, q) as a coefficient tuple, for any integers p and q."""
     c0, c2, c4, c6, c8 = qpq_coefficients(p, q)
-    return IntPoly.of([c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, 1])
+    return (c0, 0, c2, 0, c4, 0, c6, 0, c8, 0, 1)
 
 
 class TestObstruction:
@@ -486,8 +486,8 @@ class TestObstruction:
             for q in range(1, 16):
                 if p == q or math.gcd(p, q) != 1:
                     continue
-                a = build_qpq(PQPair(p, q)).coeffs
-                b = build_qpq(PQPair(q, p)).coeffs
+                a = build_qpq(PQPair(p, q))
+                b = build_qpq(PQPair(q, p))
                 m = p * q
                 for j in range(11):
                     assert b[10 - j] * m**10 == -a[j] * m ** (2 * j)
@@ -673,12 +673,12 @@ class TestScanPair:
                 if bounds is None:
                     continue
                 sieved = set(oracle_candidates(pair, "scan"))
-                poly = build_qpq(pair)
+                qpoly = build_qpq(pair)
                 roots = [
                     t for t in valuation_candidates(
                         exact_prime_powers(pair.p * pair.q), *bounds
                     )
-                    if poly.eval_int(t) == 0
+                    if eval_int(qpoly, t) == 0
                 ]
                 assert sieved.issuperset(roots)
 
@@ -806,10 +806,10 @@ class TestRunSearch:
                 bounds = literal_t_bounds(pair.p, pair.q)
                 if bounds is None:
                     continue
-                poly = build_qpq(pair)
+                qpoly = build_qpq(pair)
                 roots = [
                     t for t in range(bounds[0], bounds[1] + 1)
-                    if poly.eval_int(t) == 0
+                    if eval_int(qpoly, t) == 0
                 ]
                 literal.extend(admissible_hits(pair, roots))
         assert report.hits == literal
@@ -1087,12 +1087,12 @@ class TestRunSearch:
 def planted(monkeypatch):
     """Plant an integer root t = 12 for the pair (3, 2), the only valuation
     candidate of its range (10, 17), and a witness for it in each case.
-    The search kernel evaluates Q(t) = R(t^2) from R's coefficients; for
-    (3, 2) they become those of R(u) = (u - 144)(u + 1)^4, none of them
-    zero, so a Horner step taken out of order would miss the root.  A root
-    has a root mod every prime, so the ratio 2 / 3 mod l leaves every
-    ratio table B_l, and (3, 2) passes the real sieve."""
-    real_coefficients = search.qpq_coefficients
+    The search evaluates Q(t) = R(t^2) by cuboid_eqs.qpq_value from R's
+    coefficients; for (3, 2) they become those of R(u) = (u - 144)(u + 1)^4,
+    none of them zero, so a Horner step taken out of order would miss the
+    root.  A root has a root mod every prime, so the ratio 2 / 3 mod l
+    leaves every ratio table B_l, and (3, 2) passes the real sieve."""
+    real_coefficients = cuboid_eqs.qpq_coefficients
     real_reconstruct = search.reconstruct_cuboid
     real_table = search.ratio_table
 
@@ -1112,7 +1112,7 @@ def planted(monkeypatch):
             return real_reconstruct(p, q, t, tag)
         return CuboidWitness(p, q, t, tag, 1, 2, 3, 4, 5, 6, 7, verified=True)
 
-    monkeypatch.setattr(search, "qpq_coefficients", coefficients)
+    monkeypatch.setattr(cuboid_eqs, "qpq_coefficients", coefficients)
     monkeypatch.setattr(search, "reconstruct_cuboid", reconstruct)
     monkeypatch.setattr(search, "ratio_table", table)
 
