@@ -19,13 +19,11 @@ from .exact_arith import (
     QuadRational,
     quad_sign,
     quad_sqrt,
-    rational_sqrt,
     sign_at_sqrt2,
     sign_variations,
     sign_vector,
-    sturm_sequence,
 )
-from .cuboid_eqs import PQPair, QPQ_TERMS, build_rpq
+from .cuboid_eqs import PQPair, QPQ_TERMS
 
 
 class PreconditionViolated(ValueError):
@@ -41,19 +39,15 @@ class CertificationFailed(RuntimeError):
 
 
 class NewtonNode(NamedTuple):
-    """Grid node (m, r) with its coefficient, a polynomial in p."""
+    """Grid node (m, r) whose coefficient of t^m q^r is the monomial c*p^e.
+
+    The polynomial is homogeneous in (p, q, t), so each node has a single
+    power of p."""
 
     m: int
     r: int
-    coeff_p: tuple  # index = power of p
-
-    def monomial(self) -> Tuple[int, int]:
-        """(coefficient, p-power) if the coefficient is a single monomial."""
-        nonzero = [(i, c) for i, c in enumerate(self.coeff_p) if c != 0]
-        if len(nonzero) != 1:
-            raise ValueError(f"node ({self.m},{self.r}) coefficient is not a monomial")
-        i, c = nonzero[0]
-        return c, i
+    c: int
+    e: int
 
 
 class NewtonPolygon(NamedTuple):
@@ -64,22 +58,19 @@ class NewtonPolygon(NamedTuple):
 
 
 def build_newton_grid() -> tuple:
-    """All nonzero (m, r, A_{m,r}(p)) nodes of the degree-10 polynomial.
+    """The (m, r, c, e) nodes of the degree-10 polynomial, one per term of
+    QPQ_TERMS, sorted by (m, r).
 
-    p is treated symbolically: a node exists iff its coefficient is a
-    nonzero polynomial in p (here every coefficient is a single monomial).
+    p is treated symbolically.  A second term at one (m, r) would make its
+    coefficient more than one monomial in p, and raises ValueError.
     """
-    nodes = []
+    nodes: Dict[Tuple[int, int], NewtonNode] = {}
     for m, terms in QPQ_TERMS.items():
-        by_r: Dict[int, Dict[int, int]] = {}
-        for p_pow, q_pow, c in terms:
-            by_r.setdefault(q_pow, {})[p_pow] = by_r.setdefault(q_pow, {}).get(p_pow, 0) + c
-        for r, pmap in by_r.items():
-            top = max(pmap)
-            coeff_p = tuple(pmap.get(i, 0) for i in range(top + 1))
-            if any(coeff_p):
-                nodes.append(NewtonNode(m=m, r=r, coeff_p=coeff_p))
-    return tuple(sorted(nodes, key=lambda n: (n.m, n.r)))
+        for e, r, c in terms:
+            if (m, r) in nodes:
+                raise ValueError(f"node ({m},{r}) coefficient is not a monomial")
+            nodes[m, r] = NewtonNode(m, r, c, e)
+    return tuple(sorted(nodes.values()))
 
 
 def _cross(o, a, b) -> int:
@@ -134,23 +125,18 @@ def _solve_even_gamma(coeffs: List[int]) -> List[Tuple[QuadRational, str, int]]:
     s_roots: List[Tuple[QuadRational, int]] = []
     if len(coeffs) == 2:
         c0, c1 = coeffs
-        s_roots.append((QuadRational.of(Fraction(-c0, c1)), 1))
+        s_roots.append((QuadRational(-c0, 0, c1), 1))
     elif len(coeffs) == 3:
         c0, c1, c2 = coeffs
         disc = c1 * c1 - 4 * c2 * c0
         if disc == 0:
-            s_roots.append((QuadRational.of(Fraction(-c1, 2 * c2)), 2))
+            s_roots.append((QuadRational(-c1, 0, 2 * c2), 2))
         else:
-            root = rational_sqrt(Fraction(disc))
-            if root is not None:
-                sq = QuadRational.of(root)
-            else:
-                root = rational_sqrt(Fraction(disc, 2))
-                if root is None:
-                    raise ValueError("discriminant outside the sqrt(2) field")
-                sq = QuadRational.of(0, root)
-            half = Fraction(1, 2 * c2)
-            base = QuadRational.of(Fraction(-c1))
+            sq = quad_sqrt(QuadRational(disc))
+            if sq is None:
+                raise ValueError("discriminant outside the sqrt(2) field")
+            half = QuadRational(1, 0, 2 * c2)
+            base = QuadRational(-c1)
             s_roots.append(((base + sq) * half, 1))
             s_roots.append(((base - sq) * half, 1))
     else:
@@ -199,7 +185,7 @@ def leading_coefficients(polygon: NewtonPolygon, exponent: Fraction) -> List[Lea
         n for n in polygon.nodes
         if m1 <= n.m <= m2 and (n.r - r1) * (m2 - m1) == (n.m - m1) * (r2 - r1)
     ]
-    mono = {n.m: n.monomial() for n in on_segment}  # m -> (coeff, p-power)
+    mono = {n.m: (n.c, n.e) for n in on_segment}  # m -> (coeff, p-power)
     c2_, e2 = mono[m2]
     c1_, e1 = mono[m1]
     w = Fraction(e1 - e2, m2 - m1)
@@ -317,9 +303,7 @@ def _sign_on_imaginary_axis(rpoly: Poly, y: QuadRational) -> int:
 
 
 def certify_roots(
-    pair: PQPair,
-    intervals: Optional[List[AsymptoticInterval]] = None,
-    sturm: Optional[List[Poly]] = None,
+    pair: PQPair, intervals: List[AsymptoticInterval], sturm: List[Poly]
 ) -> List[RootCertificate]:
     """Certify one root per interval by exact endpoint signs.
 
@@ -333,14 +317,9 @@ def certify_roots(
     the imaginary axis Q(iy) = R(-y^2), and for y = (A + B sqrt(2))/D,
     -y^2 = (-(A^2 + 2B^2) - 2AB sqrt(2))/D^2 has an exactly decidable sign.
     `intervals` and `sturm` are the pair's asymptotic_intervals and the
-    sturm_sequence of its R, for a caller that has built them already.
-    Raises CertificationFailed naming the interval and check if anything
-    fails.
+    sturm_sequence of its R (build_rpq).  Raises CertificationFailed naming
+    the interval and check if anything fails.
     """
-    if intervals is None:
-        intervals = asymptotic_intervals(pair)
-    if sturm is None:
-        sturm = sturm_sequence(build_rpq(pair))
     rpoly = sturm[0]  # R's primitive part: R itself, which is monic
     if len(rpoly) - 1 != 5:
         raise ValueError("sturm must be the Sturm sequence of the degree-5 R")

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 from . import asymptotics, cuboid_eqs, search
 from .cuboid_eqs import PQPair
-from .exact_arith import QuadRational, sqrt2_approx, sturm_count, sturm_sequence
+from .exact_arith import QuadRational, sturm_count, sturm_sequence
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -35,9 +35,10 @@ EXIT_INTERRUPTED = 130
 
 APPROX_DIGITS = 30
 
-# sqrt(2) to 50 decimals as one fraction, built once; the display rounds to
-# 30 digits in a decimal context of its own.
-_SQRT2_NUM, _SQRT2_DEN = sqrt2_approx(50).as_integer_ratio()
+# sqrt(2) rounded down to 50 decimals as one fraction, built once; the
+# display rounds to 30 digits in a decimal context of its own.
+_SQRT2_DEN = 10**50
+_SQRT2_NUM = math.isqrt(2 * _SQRT2_DEN**2)
 _APPROX_CONTEXT = Context(prec=APPROX_DIGITS)
 
 
@@ -194,12 +195,12 @@ GOLDEN_EXPONENTS = (Fraction(0), Fraction(1), Fraction(2))
 
 
 def _golden_leading_terms():
-    one = QuadRational.of(1)
+    one = QuadRational(1)
     return {
         (Fraction(0), one, 2, "REAL", 2),
         (Fraction(1), one, 1, "REAL", 1),
-        (Fraction(2), QuadRational.of(1, 1), 0, "IMAGINARY", 1),
-        (Fraction(2), QuadRational.of(-1, 1), 0, "IMAGINARY", 1),
+        (Fraction(2), QuadRational(1, 1), 0, "IMAGINARY", 1),
+        (Fraction(2), QuadRational(-1, 1), 0, "IMAGINARY", 1),
     }
 
 
@@ -208,11 +209,8 @@ def cmd_newton(args) -> int:
     polygon = asymptotics.upper_hull(grid)
     print("Grid nodes (m, r, coefficient in p):")
     for node in grid:
-        terms = [
-            f"{c}*p^{i}" if i else str(c)
-            for i, c in enumerate(node.coeff_p) if c
-        ]
-        print(f"  ({node.m}, {node.r}): {' + '.join(terms)}")
+        term = f"{node.c}*p^{node.e}" if node.e else str(node.c)
+        print(f"  ({node.m}, {node.r}): {term}")
     print(f"Upper hull: {' - '.join(str(v) for v in polygon.upper_hull)}")
     print(f"Slopes: {list(polygon.segment_slopes)}")
     print(f"Exponents: {list(polygon.exponents)}")

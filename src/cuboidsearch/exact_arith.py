@@ -1,47 +1,26 @@
-"""Exact arithmetic substrate.
+"""Exact arithmetic substrate, in integers only.
 
-Rationals (stdlib Fraction: always reduced, positive denominator), the real
-quadratic field of numbers (A + B*sqrt(2))/D held as three integers,
-univariate integer polynomials held as tuples of coefficients (P[i] is the
-coefficient of t^i, no trailing zero, () for the zero polynomial), and
-Sturm-sequence real-root counting.
-Polynomial signs at rational and sqrt(2)-field points, and Sturm sequences,
-are computed in integers only.
+The real quadratic field of numbers (A + B*sqrt(2))/D held as three
+integers, univariate integer polynomials held as tuples of coefficients
+(P[i] is the coefficient of t^i, no trailing zero, () for the zero
+polynomial), and Sturm-sequence real-root counting.
+Polynomial signs at rational and sqrt(2)-field points, square roots in the
+field, and Sturm sequences are computed in integers only.
 Everything here is an immutable value and every operation is a pure
 function, so all of it is safe to use from parallel workers.  No floating
-point is used in any decision procedure; decimal approximations exist only
-for display and for oracle cross-checks.
+point is used in any decision procedure.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple
 
-RatLike = Union[int, Fraction]
 Poly = Tuple[int, ...]  # coefficients, lowest power first
 
 
 class EndpointIsRoot(ValueError):
     """An interval endpoint is a root of the polynomial."""
-
-
-def rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def sqrt2_approx(digits: int = 50) -> Fraction:
-    """Rational lower approximation of sqrt(2), accurate to `digits` decimals."""
-    scale = 10**digits
-    return Fraction(math.isqrt(2 * scale * scale), scale)
 
 
 class _QuadFields(NamedTuple):
@@ -55,10 +34,11 @@ class QuadRational(_QuadFields):
 
     The constructor divides by gcd(A, B, D) and moves the sign onto A and B,
     so each number has one triple: sqrt(2) is irrational, so equal values
-    give equal triples and the tuple __eq__ is exact.  `of(a, b)` builds
-    a + b*sqrt(2) from rationals, and `a` and `b` give the two rational
-    parts back as Fractions.  The arithmetic operators are the field's own;
-    none falls through to tuple concatenation or repetition.
+    give equal triples and the tuple __eq__ is exact.  This is the field's
+    one representation: Z[sqrt(2)] is its ring of integers, so D is the
+    least integer that takes the number into that ring.  The arithmetic
+    operators are the field's own, `*` also by an int; none falls through
+    to tuple concatenation or repetition.
     """
 
     __slots__ = ()
@@ -72,22 +52,6 @@ class QuadRational(_QuadFields):
         if g != 1:
             A, B, D = A // g, B // g, D // g
         return tuple.__new__(cls, (A, B, D))
-
-    @staticmethod
-    def of(a: RatLike, b: RatLike = 0) -> "QuadRational":
-        a, b = Fraction(a), Fraction(b)
-        D = math.lcm(a.denominator, b.denominator)
-        return QuadRational(
-            a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
-        )
-
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self.A, self.D)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self.B, self.D)
 
     def __add__(self, other: "QuadRational") -> "QuadRational":
         if not isinstance(other, QuadRational):
@@ -112,9 +76,8 @@ class QuadRational(_QuadFields):
         if isinstance(other, QuadRational):
             A2, B2, D2 = other
             return QuadRational(A * A2 + 2 * B * B2, A * B2 + B * A2, D * D2)
-        if isinstance(other, (int, Fraction)):
-            n, d = other.numerator, other.denominator
-            return QuadRational(A * n, B * n, D * d)
+        if isinstance(other, int):
+            return QuadRational(A * other, B * other, D)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -130,11 +93,6 @@ class QuadRational(_QuadFields):
 
     def __ge__(self, other: "QuadRational") -> bool:
         return quad_sign(self - other) >= 0
-
-    def to_fraction(self) -> Fraction:
-        if self.B:
-            raise ValueError("value has a nonzero sqrt(2) part")
-        return Fraction(self.A, self.D)
 
     def __str__(self) -> str:
         A, B, D = self
@@ -185,39 +143,43 @@ def _sqrt2_sign(a: int, b: int) -> int:
     return (cmp < 0) - (cmp > 0)
 
 
+def _square_root(n: int) -> Optional[int]:
+    """The integer square root of n if n is a perfect square, else None."""
+    if n < 0:
+        return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
+
+
 def quad_sqrt(x: QuadRational) -> Optional[QuadRational]:
     """Positive square root of x inside the field, or None if it does not
-    stay in the field.  Requires x >= 0."""
-    if quad_sign(x) < 0:
+    stay in the field.  Requires x >= 0.
+
+    Z[sqrt(2)] is the field's ring of integers, so a root in the field of
+    the element (A + B*sqrt(2))*D of that ring lies in it too: the root of
+    x = (A + B*sqrt(2))/D is (u + v*sqrt(2))/D with integers u and v,
+    u^2 + 2v^2 = AD and 2uv = BD.  Then u^2 and 2v^2 are (AD + s)/2 and
+    (AD - s)/2 in some order, where s^2 = (AD)^2 - 2(BD)^2, so integer
+    square roots decide it.
+    """
+    sign = quad_sign(x)
+    if sign < 0:
         raise ValueError("square root of a negative value")
-    if quad_sign(x) == 0:
+    if not sign:
         return QUAD_ZERO
-    if not x.B:
-        a = x.to_fraction()
-        r = rational_sqrt(a)
-        if r is not None:
-            return QuadRational.of(r)
-        r = rational_sqrt(a / 2)
-        if r is not None:
-            return QuadRational.of(0, r)
-        return None
-    A, B = x.a, x.b
-    # seek u + v*sqrt(2): u^2 + 2 v^2 = A and 2 u v = B
-    disc = A * A - 2 * B * B
-    s = rational_sqrt(disc) if disc >= 0 else None
+    A, B, D = x
+    a, b = A * D, B * D
+    s = _square_root(a * a - 2 * b * b)
     if s is None:
         return None
-    for u2 in ((A + s) / 2, (A - s) / 2):
-        u = rational_sqrt(u2)
-        if u is None or u == 0:
+    for u2 in ((a + s) // 2, (a - s) // 2):  # a and s have one parity
+        u, v = _square_root(u2), _square_root((a - u2) // 2)
+        if u is None or v is None or u2 + 2 * v * v != a:
             continue
-        v = B / (2 * u)
-        cand = QuadRational.of(u, v)
-        if cand * cand == x and quad_sign(cand) > 0:
-            return cand
-        cand = -cand
-        if cand * cand == x and quad_sign(cand) > 0:
-            return cand
+        if 2 * u * v != b:  # (2uv)^2 = b^2 here, so only the sign differs
+            v = -v
+        root = QuadRational(u, v, D)
+        return root if _sqrt2_sign(u, v) > 0 else -root
     return None
 
 
@@ -336,9 +298,10 @@ def sign_variations(signs: Sequence[int]) -> int:
 
 
 def sturm_count(
-    P: Poly, lo: RatLike, hi: RatLike, seq: Optional[Sequence[Poly]] = None
+    P: Poly, lo: int, hi: int, seq: Optional[Sequence[Poly]] = None
 ) -> int:
-    """Number of distinct real roots of P in the open interval (lo, hi).
+    """Number of distinct real roots of P in the open interval (lo, hi),
+    whose ends are integers or Fractions.
 
     Requires P(lo) != 0 and P(hi) != 0; an endpoint that is a root fails
     with EndpointIsRoot.  `seq` is P's sturm_sequence when the caller has

@@ -501,8 +501,10 @@ def _scan_p(p: int) -> Tuple[int, Tuple[int, int, int, int], tuple]:
 
 def use_pool(worker_count: int, todo: Sequence[int]) -> bool:
     """Whether to search the values of p in `todo` on a worker pool: only
-    with several workers, several p and at least POOL_MIN_WORK work."""
-    return worker_count > 1 and len(todo) > 1 and sum(todo) >= POOL_MIN_WORK
+    with several workers, several p, at least POOL_MIN_WORK work and more
+    than one CPU (read last, so the in-process path never asks)."""
+    return (worker_count > 1 and len(todo) > 1 and sum(todo) >= POOL_MIN_WORK
+            and (os.cpu_count() or 1) > 1)
 
 
 def _json_line(obj: dict) -> str:
@@ -626,7 +628,7 @@ def run_search(
             from concurrent.futures import ProcessPoolExecutor
 
             # a fork-started pool forks all its workers up front
-            workers = min(config.worker_count, len(todo))
+            workers = min(config.worker_count, len(todo), os.cpu_count() or 1)
             executor = ProcessPoolExecutor(max_workers=workers)
             chunk = min(POOL_CHUNK, max(1, len(todo) // (4 * workers)))
             results = executor.map(_scan_p, todo, chunksize=chunk)

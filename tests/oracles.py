@@ -12,8 +12,10 @@ the obstruction sieve done pair by pair, by evaluating Q at every residue
 obstruction sieve by slice assignment alone (`slice_sieve_pairs`).  Beside
 them stand the certificate's earlier arithmetic: Horner evaluation over
 Fraction and over the sqrt(2) field, the Sturm sequence built from
-Fraction remainders, and the sqrt(2) field held as two Fractions
-(`FractionQuad`), with its sign and square root.  Then the
+Fraction remainders, the sqrt(2) field held as two Fractions
+(`FractionQuad`), with its sign and square root, and the rational view
+of the integer field (`quad` from two rationals, `quad_parts` and
+`to_fraction` back, `rational_sqrt`, `sqrt2_approx`).  Then the
 audit path's earlier forms: the degree-12 identity checked as a polynomial
 product against the literal expansion of the degree-12 equation, the
 decimal display computed through Fraction, the root certificate computed
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from cuboidsearch import cuboid_eqs
 from cuboidsearch.asymptotics import (
@@ -62,16 +64,15 @@ from cuboidsearch.exact_arith import (
     Poly,
     QuadRational,
     QUAD_ZERO,
-    RatLike,
     quad_sign,
-    rational_sqrt,
     sign_at_sqrt2,
     sign_vector,
-    sqrt2_approx,
     sturm_count,
     sturm_sequence,
 )
 from cuboidsearch.search import _prime_factors, t_bounds
+
+RatLike = Union[int, Fraction]
 
 
 def pairs_for_p(p: int) -> List[PQPair]:
@@ -237,7 +238,7 @@ def eval_poly_quad(P: Poly, x: QuadRational) -> QuadRational:
     """Exact P(x) for x in the sqrt(2) field, by Horner's scheme."""
     acc = QUAD_ZERO
     for c in reversed(P):
-        acc = acc * x + QuadRational.of(c)
+        acc = acc * x + QuadRational(c)
     return acc
 
 
@@ -288,6 +289,44 @@ def fraction_sturm_sequence(P: Poly) -> list:
             break
         seq.append(_frac_primitive([-c for c in rem]))
     return seq
+
+
+def rational_sqrt(x: Fraction) -> Optional[Fraction]:
+    """Exact square root of a nonnegative rational, or None if irrational."""
+    if x < 0:
+        return None
+    num, den = x.numerator, x.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return None
+
+
+def sqrt2_approx(digits: int = 50) -> Fraction:
+    """Rational lower approximation of sqrt(2), accurate to `digits` decimals."""
+    scale = 10**digits
+    return Fraction(math.isqrt(2 * scale * scale), scale)
+
+
+def quad(a: RatLike, b: RatLike = 0) -> QuadRational:
+    """a + b*sqrt(2) from two rationals, as one integer triple (A, B, D)."""
+    a, b = Fraction(a), Fraction(b)
+    D = math.lcm(a.denominator, b.denominator)
+    return QuadRational(
+        a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
+    )
+
+
+def quad_parts(x: QuadRational) -> Tuple[Fraction, Fraction]:
+    """The rationals a and b of x = a + b*sqrt(2)."""
+    return Fraction(x.A, x.D), Fraction(x.B, x.D)
+
+
+def to_fraction(x: QuadRational) -> Fraction:
+    """x as a Fraction; ValueError if it has a sqrt(2) part."""
+    if x.B:
+        raise ValueError("value has a nonzero sqrt(2) part")
+    return Fraction(x.A, x.D)
 
 
 class FractionQuad(NamedTuple):
@@ -596,7 +635,8 @@ def intpoly_factorization_check(pair: PQPair) -> bool:
 def fraction_approx_str(x: QuadRational) -> str:
     """The decimal display through Fraction: a + b * sqrt2_approx(50),
     normalised, then one division to 30 significant digits."""
-    frac = x.a + x.b * sqrt2_approx(50)
+    a, b = quad_parts(x)
+    frac = a + b * sqrt2_approx(50)
     value = Context(prec=APPROX_DIGITS).divide(
         Decimal(frac.numerator), Decimal(frac.denominator)
     )
@@ -618,7 +658,7 @@ def interval_width(iv: AsymptoticInterval) -> QuadRational:
     return iv.hi - iv.lo
 
 
-HALF = Fraction(1, 2)
+HALF = QuadRational(1, 0, 2)
 
 
 def interval_midpoint(iv: AsymptoticInterval) -> QuadRational:
@@ -637,7 +677,7 @@ def refine_interval(
     s_lo = sign_at_quad(P, lo)
     if s_lo == 0:
         return lo
-    while quad_sign((hi - lo) - rel_width * ((lo + hi) * HALF)) > 0:
+    while quad_sign((hi - lo) - quad(rel_width) * ((lo + hi) * HALF)) > 0:
         mid = (lo + hi) * HALF
         s_mid = sign_at_quad(P, mid)
         if s_mid == 0:
@@ -674,7 +714,7 @@ def asymptotic_intervals_by_sums(pair: PQPair) -> List[AsymptoticInterval]:
     half1 = Fraction(5 * p**3, q)
     t3_center = Fraction(p * q) - Fraction(16 * p**3, q)
     half3 = Fraction(5 * p**4, q * q)
-    r = QuadRational.of
+    r = quad
     t4_center = r(q2 - 2 * p2, q2 + p2)  # (sqrt2+1) q^2 + (sqrt2-2) p^2
     t5_center = r(-q2 + 2 * p2, q2 + p2)  # (sqrt2-1) q^2 + (sqrt2+2) p^2
     h = r(half1)
@@ -701,7 +741,7 @@ def q_certify_roots(pair: PQPair, intervals=None) -> List[RootCertificate]:
     failures = []
     for iv in intervals:
         if iv.axis == "REAL":
-            lo, hi = iv.lo.to_fraction(), iv.hi.to_fraction()
+            lo, hi = to_fraction(iv.lo), to_fraction(iv.hi)
             s_lo, s_hi = sign_at(qpoly, lo), sign_at(qpoly, hi)
             count = None
             if s_lo != 0 and s_hi != 0:
@@ -756,7 +796,7 @@ def integer_point_report(pair: PQPair) -> IntegerPointReport:
     for iv in intervals:
         if iv.axis != "REAL":
             continue
-        pts = integers_in_open_interval(iv.lo.to_fraction(), iv.hi.to_fraction())
+        pts = integers_in_open_interval(to_fraction(iv.lo), to_fraction(iv.hi))
         inside[iv.label] = pts
         candidates[iv.label] = [
             t for t in pts if t > p * p and t > p * q and t > q * q
@@ -765,7 +805,7 @@ def integer_point_report(pair: PQPair) -> IntegerPointReport:
     bracket = None
     if t3_empty:
         t3 = next(iv for iv in intervals if iv.label == "T3")
-        lo, hi = t3.lo.to_fraction(), t3.hi.to_fraction()
+        lo, hi = to_fraction(t3.lo), to_fraction(t3.hi)
         bracket = Fraction(p * q - 1) < lo and hi < Fraction(p * q)
     return IntegerPointReport(
         pair=pair,

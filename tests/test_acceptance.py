@@ -22,11 +22,12 @@ from cuboidsearch.asymptotics import (
 from cuboidsearch.cli import GOLDEN_HULL, GOLDEN_EXPONENTS, _golden_leading_terms
 from cuboidsearch.cuboid_eqs import (
     PQPair,
+    build_rpq,
     compute_z,
     factorization_check,
     param_ratios,
 )
-from cuboidsearch.exact_arith import QuadRational, sqrt2_approx, sturm_count
+from cuboidsearch.exact_arith import QuadRational, sturm_count, sturm_sequence
 from cuboidsearch import search
 from cuboidsearch.search import (
     SearchConfig,
@@ -38,8 +39,10 @@ from oracles import (
     integer_point_report,
     oracle_hits,
     pairs_for_p,
+    quad_parts,
     refine_interval,
     scan_pair,
+    sqrt2_approx,
 )
 
 
@@ -88,8 +91,9 @@ def test_criterion_3_certified_root_intervals():
     assert len(pairs) >= 20
     for p, q in pairs:
         pair = PQPair(p, q)
-        assert check_disjoint(asymptotic_intervals(pair)).ok
-        certs = certify_roots(pair)
+        intervals = asymptotic_intervals(pair)
+        assert check_disjoint(intervals).ok
+        certs = certify_roots(pair, intervals, sturm_sequence(build_rpq(pair)))
         assert all(c.passed for c in certs)
         assert sum(1 for c in certs if c.axis == "REAL") == 3
         assert sum(1 for c in certs if c.axis == "IMAGINARY") == 2
@@ -177,12 +181,13 @@ def test_criterion_8_root_product():
         pair = PQPair(p, q)
         qpoly = build_qpq(pair)
         ipoly = imaginary_axis_poly(qpoly)
-        product = QuadRational.of(1)
+        product = QuadRational(1)
         for iv in asymptotic_intervals(pair):
             poly = qpoly if iv.axis == "REAL" else ipoly
             product = product * refine_interval(poly, iv.lo, iv.hi, rel_width)
         expected = Fraction(p**5 * q**5)
-        approx = product.a + product.b * sqrt2_approx(50)
+        a, b = quad_parts(product)
+        approx = a + b * sqrt2_approx(50)
         rel_err = abs(approx - expected) / expected
         assert rel_err < tolerance
     print(

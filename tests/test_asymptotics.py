@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuboidsearch import asymptotics
 from cuboidsearch.asymptotics import (
     AsymptoticInterval,
     CertificationFailed,
@@ -17,7 +18,7 @@ from cuboidsearch.asymptotics import (
     leading_coefficients,
     upper_hull,
 )
-from cuboidsearch.cuboid_eqs import PQPair
+from cuboidsearch.cuboid_eqs import PQPair, build_rpq
 from cuboidsearch.exact_arith import QuadRational, quad_sign, sturm_sequence
 from oracles import (
     asymptotic_intervals_by_sums,
@@ -31,7 +32,9 @@ from oracles import (
     node_dominance_holds,
     poly,
     q_certify_roots,
+    quad,
     refine_interval,
+    to_fraction,
 )
 
 GOLDEN_HULL = ((0, 10), (4, 10), (6, 8), (10, 0))
@@ -44,10 +47,17 @@ class TestNewtonGrid:
         nodes = build_newton_grid()
         keyed = {(n.m, n.r): n for n in nodes}
         assert len(nodes) == 18
-        assert keyed[(10, 0)].coeff_p == (1,)
-        assert keyed[(0, 10)].monomial() == (-1, 10)
-        assert keyed[(8, 4)].monomial() == (6, 0)
-        assert keyed[(6, 8)].monomial() == (1, 0)
+        assert keyed[(10, 0)] == NewtonNode(m=10, r=0, c=1, e=0)
+        assert (keyed[(0, 10)].c, keyed[(0, 10)].e) == (-1, 10)
+        assert (keyed[(8, 4)].c, keyed[(8, 4)].e) == (6, 0)
+        assert (keyed[(6, 8)].c, keyed[(6, 8)].e) == (1, 0)
+
+    def test_two_powers_of_p_at_one_node_raise(self, monkeypatch):
+        # t^8 q^2 with the coefficient p^2 - p^4: not one monomial in p
+        terms = {10: [(0, 0, 1)], 8: [(2, 2, 1), (4, 2, -1)], 0: [(10, 10, -1)]}
+        monkeypatch.setattr(asymptotics, "QPQ_TERMS", terms)
+        with pytest.raises(ValueError, match=r"node \(8,2\) coefficient is not a monomial"):
+            build_newton_grid()
 
     def test_hull_matches_golden(self):
         polygon = upper_hull(build_newton_grid())
@@ -60,8 +70,8 @@ class TestNewtonGrid:
 
     def test_two_node_hull(self):
         nodes = (
-            NewtonNode(0, 0, (1,)),
-            NewtonNode(1, 1, (1,)),
+            NewtonNode(0, 0, 1, 0),
+            NewtonNode(1, 1, 1, 0),
         )
         polygon = upper_hull(nodes)
         assert polygon.upper_hull == ((0, 0), (1, 1))
@@ -70,9 +80,9 @@ class TestNewtonGrid:
 
     def test_three_node_tent(self):
         nodes = (
-            NewtonNode(0, 0, (1,)),
-            NewtonNode(1, 5, (1,)),
-            NewtonNode(2, 0, (1,)),
+            NewtonNode(0, 0, 1, 0),
+            NewtonNode(1, 5, 1, 0),
+            NewtonNode(2, 0, 1, 0),
         )
         polygon = upper_hull(nodes)
         assert polygon.upper_hull == ((0, 0), (1, 5), (2, 0))
@@ -81,7 +91,7 @@ class TestNewtonGrid:
 
     def test_degenerate(self):
         with pytest.raises(DegenerateHull):
-            upper_hull((NewtonNode(3, 0, (1,)), NewtonNode(3, 7, (1,))))
+            upper_hull((NewtonNode(3, 0, 1, 0), NewtonNode(3, 7, 1, 0)))
 
 
 class TestLeadingTerms:
@@ -93,10 +103,10 @@ class TestLeadingTerms:
         assert all(t.p_power == 0 for t in terms)
         mags = {t.magnitude for t in terms}
         # magnitudes sqrt(2) + 1 and sqrt(2) - 1, squares 3 +/- 2 sqrt(2)
-        assert mags == {QuadRational.of(1, 1), QuadRational.of(-1, 1)}
+        assert mags == {quad(1, 1), quad(-1, 1)}
         assert {m * m for m in mags} == {
-            QuadRational.of(3, 2),
-            QuadRational.of(3, -2),
+            quad(3, 2),
+            quad(3, -2),
         }
 
     def test_exponent_one(self):
@@ -105,7 +115,7 @@ class TestLeadingTerms:
         assert len(terms) == 1
         (term,) = terms
         assert term.axis == "REAL"
-        assert term.magnitude == QuadRational.of(1)
+        assert term.magnitude == quad(1)
         assert term.p_power == 1
         assert term.multiplicity == 1
 
@@ -115,7 +125,7 @@ class TestLeadingTerms:
         assert len(terms) == 1
         (term,) = terms
         assert term.axis == "REAL"
-        assert term.magnitude == QuadRational.of(1)
+        assert term.magnitude == quad(1)
         assert term.p_power == 2
         assert term.multiplicity == 2
 
@@ -129,19 +139,19 @@ class TestIntervals:
     def test_p1_q59_values(self):
         ivs = {iv.label: iv for iv in asymptotic_intervals(PQPair(1, 59))}
         t1 = ivs["T1"]
-        assert t1.lo == QuadRational.of(Fraction(54, 59))
-        assert t1.hi == QuadRational.of(1)
+        assert t1.lo == quad(Fraction(54, 59))
+        assert t1.hi == quad(1)
         t2 = ivs["T2"]
-        assert t2.lo == QuadRational.of(1)
-        assert t2.hi == QuadRational.of(Fraction(64, 59))
+        assert t2.lo == quad(1)
+        assert t2.hi == quad(Fraction(64, 59))
         t3 = ivs["T3"]
-        assert t3.lo == QuadRational.of(Fraction(204430, 3481))
-        assert t3.hi == QuadRational.of(Fraction(204440, 3481))
+        assert t3.lo == quad(Fraction(204430, 3481))
+        assert t3.hi == quad(Fraction(204440, 3481))
         t4 = ivs["T4"]
-        assert interval_midpoint(t4) == QuadRational.of(3479, 3482)
-        assert interval_width(t4) == QuadRational.of(Fraction(10, 59))
+        assert interval_midpoint(t4) == quad(3479, 3482)
+        assert interval_width(t4) == quad(Fraction(10, 59))
         t5 = ivs["T5"]
-        assert interval_midpoint(t5) == QuadRational.of(-3479, 3482)
+        assert interval_midpoint(t5) == quad(-3479, 3482)
         assert t5.axis == "IMAGINARY"
 
     def test_precondition(self):
@@ -161,24 +171,24 @@ class TestIntervals:
             intervals = asymptotic_intervals(pair)
             assert intervals == asymptotic_intervals_by_sums(pair)
             for iv in intervals:
-                assert all(type(x) is Fraction for x in (iv.lo.a, iv.lo.b, iv.hi.a, iv.hi.b))
+                assert all(type(x) is int for x in (*iv.lo, *iv.hi))
 
     def test_margin_invariants(self):
         # frozen lower bounds on positions and separations, scaled by p^2
         for p, q in ((1, 59), (2, 119), (3, 178), (5, 296), (7, 415)):
             ivs = {iv.label: iv for iv in asymptotic_intervals(PQPair(p, q))}
             p2 = Fraction(p * p)
-            assert ivs["T1"].lo >= QuadRational.of(
+            assert ivs["T1"].lo >= quad(
                 Fraction(54, 59) * p2
             )
-            assert ivs["T3"].lo > QuadRational.of(58 * p2)
+            assert ivs["T3"].lo > quad(58 * p2)
             gap_23 = ivs["T3"].lo - ivs["T2"].hi
             assert quad_sign(gap_23) > 0
-            assert ivs["T5"].lo > QuadRational.of(1445 * p2)
-            assert ivs["T4"].lo > QuadRational.of(8403 * p2)
+            assert ivs["T5"].lo > quad(1445 * p2)
+            assert ivs["T4"].lo > quad(8403 * p2)
             gap_45 = ivs["T4"].lo - ivs["T5"].hi
-            assert gap_45 >= QuadRational.of(Fraction(410512, 59) * p2)
-            assert gap_45 > QuadRational.of(6957 * p2)
+            assert gap_45 >= quad(Fraction(410512, 59) * p2)
+            assert gap_45 > quad(6957 * p2)
 
 
 class TestDisjointness:
@@ -197,7 +207,7 @@ class TestDisjointness:
             if iv.label == "T3":
                 broken.append(
                     AsymptoticInterval(
-                        iv.label, iv.axis, QuadRational.of(1), iv.hi
+                        iv.label, iv.axis, quad(1), iv.hi
                     )
                 )
             else:
@@ -231,7 +241,7 @@ class TestImaginaryAxisPoly:
 
 class TestCertificates:
     def test_p1_q59(self):
-        certs = certify_roots(PQPair(1, 59))
+        certs = _certify(PQPair(1, 59))
         assert len(certs) == 5
         assert all(c.passed for c in certs)
         real = [c for c in certs if c.axis == "REAL"]
@@ -239,13 +249,13 @@ class TestCertificates:
         assert all(c.sign_lo * c.sign_hi == -1 for c in certs)
 
     def test_p3_q178(self):
-        assert all(c.passed for c in certify_roots(PQPair(3, 178)))
+        assert all(c.passed for c in _certify(PQPair(3, 178)))
 
     def test_invalid_pairs_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            certify_roots(PQPair(2, 118))
+            _certify(PQPair(2, 118))
         with pytest.raises(ValueError):
-            certify_roots(PQPair(3, 177))
+            _certify(PQPair(3, 177))
 
     def test_total_root_counts(self):
         from cuboidsearch.exact_arith import sturm_count
@@ -254,6 +264,15 @@ class TestCertificates:
         B = 10**6
         assert sturm_count(P, 0, B) == 3
         assert sturm_count(P, -B, B) == 6
+
+
+def _r_sturm(pair):
+    """The Sturm sequence of the pair's degree-5 R, as cmd_roots builds it."""
+    return sturm_sequence(build_rpq(pair))
+
+
+def _certify(pair):
+    return certify_roots(pair, asymptotic_intervals(pair), _r_sturm(pair))
 
 
 def _audit_range_pairs(count, seed):
@@ -284,7 +303,7 @@ class TestCertificateOnR:
         boundary = [PQPair(1, 59)] + [PQPair(p, 59 * p + 1) for p in range(2, 51)]
         for pair in _audit_range_pairs(200, 808) + boundary:
             intervals = asymptotic_intervals(pair)
-            certs = certify_roots(pair, intervals)
+            certs = certify_roots(pair, intervals, _r_sturm(pair))
             assert certs == q_certify_roots(pair, intervals)
             assert all(c.passed for c in certs)
 
@@ -299,11 +318,11 @@ class TestCertificateOnR:
             # T3 moved up by its width, past its root
             (_replaced(ivs, "T3", t3.hi, t3.hi * 2 - t3.lo), "T3: sign(1,1), sturm=0"),
             # T5 moved down, below its root
-            (_replaced(ivs, "T5", t5.lo * Fraction(1, 2), t5.lo), "T5: sign(-1,-1)"),
+            (_replaced(ivs, "T5", t5.lo * QuadRational(1, 0, 2), t5.lo), "T5: sign(-1,-1)"),
         ]
         for intervals, failure in shifted:
             with pytest.raises(CertificationFailed) as on_r:
-                certify_roots(pair, intervals)
+                certify_roots(pair, intervals, _r_sturm(pair))
             with pytest.raises(CertificationFailed) as on_q:
                 q_certify_roots(pair, intervals)
             assert str(on_r.value) == str(on_q.value) == f"(p={p}, q={q}): {failure}"
@@ -311,15 +330,15 @@ class TestCertificateOnR:
     def test_sequence_of_q_rejected(self):
         pair = PQPair(1, 59)
         with pytest.raises(ValueError, match="degree-5 R"):
-            certify_roots(pair, None, sturm_sequence(build_qpq(pair)))
+            certify_roots(pair, asymptotic_intervals(pair), sturm_sequence(build_qpq(pair)))
 
     def test_negative_real_lower_end_refused(self):
         pair = PQPair(1, 59)
         ivs = asymptotic_intervals(pair)
-        for lo in (QuadRational.of(-1), QuadRational.of(Fraction(-1, 3))):
+        for lo in (quad(-1), quad(Fraction(-1, 3))):
             bad = _replaced(ivs, "T1", lo, ivs[0].hi)
             with pytest.raises(CertificationFailed, match=r"T1: lo = -1(/3)? < 0"):
-                certify_roots(pair, bad)
+                certify_roots(pair, bad, _r_sturm(pair))
 
 
 class TestIntegerPoints:
@@ -356,11 +375,11 @@ class TestRefine:
             if iv.label == "T3"
         )
         mid = refine_interval(qpoly, t3.lo, t3.hi, Fraction(1, 10**12))
-        width_bound = Fraction(1, 10**12) * mid.to_fraction()
+        width_bound = Fraction(1, 10**12) * to_fraction(mid)
         # value changes sign within width_bound of the returned midpoint
         from oracles import eval_poly
 
-        m = mid.to_fraction()
+        m = to_fraction(mid)
         assert eval_poly(qpoly, m - width_bound) * eval_poly(
             qpoly, m + width_bound
         ) <= 0

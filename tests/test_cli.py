@@ -10,8 +10,8 @@ import pytest
 
 from cuboidsearch import asymptotics, cli, exact_arith, search
 from cuboidsearch.cuboid_eqs import PQPair, build_rpq
-from cuboidsearch.exact_arith import QuadRational, sturm_count
-from oracles import build_qpq, fraction_approx_str
+from cuboidsearch.exact_arith import sturm_count
+from oracles import build_qpq, fraction_approx_str, quad, to_fraction
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -351,7 +351,7 @@ class TestRootsCommand:
             code, out, _ = run_cli(capsys, "roots", "--p", str(p), "--q", str(q))
             assert code == cli.EXIT_OK
             line = next(l for l in out.splitlines() if l.startswith("real roots"))
-            t3_hi = asymptotics.asymptotic_intervals(PQPair(p, q))[2].hi.to_fraction()
+            t3_hi = to_fraction(asymptotics.asymptotic_intervals(PQPair(p, q))[2].hi)
             B = math.ceil(t3_hi) + 1
             qpoly = build_qpq(PQPair(p, q))
             pos, total = sturm_count(qpoly, 0, B), sturm_count(qpoly, -B, B)
@@ -383,7 +383,7 @@ class TestApproxStr:
         (0, Fraction(-7, 3), "approx -3.29983164553722178053727368982"),
     ])
     def test_hand_cases(self, a, b, text):
-        x = QuadRational.of(a, b)
+        x = quad(a, b)
         assert cli.approx_str(x) == fraction_approx_str(x) == text
 
 

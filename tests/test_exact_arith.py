@@ -12,8 +12,6 @@ from cuboidsearch.exact_arith import (
     QuadRational,
     quad_sign,
     quad_sqrt,
-    rational_sqrt,
-    sqrt2_approx,
     sturm_count,
     sturm_sequence,
 )
@@ -28,8 +26,13 @@ from oracles import (
     fraction_sturm_sequence,
     is_even,
     poly,
+    quad,
+    quad_parts,
+    rational_sqrt,
     sign_at,
     sign_at_quad,
+    sqrt2_approx,
+    to_fraction,
 )
 
 
@@ -39,21 +42,21 @@ def naive_eval(P: tuple, x: Fraction) -> Fraction:
 
 class TestQuadSign:
     def test_zero(self):
-        assert quad_sign(QuadRational.of(0, 0)) == 0
+        assert quad_sign(quad(0, 0)) == 0
 
     def test_sqrt2_minus_one(self):
-        assert quad_sign(QuadRational.of(-1, 1)) == 1
+        assert quad_sign(quad(-1, 1)) == 1
 
     def test_three_minus_two_sqrt2(self):
         # 3^2 = 9 beats 2 * 2^2 = 8
-        assert quad_sign(QuadRational.of(3, -2)) == 1
+        assert quad_sign(quad(3, -2)) == 1
 
     def test_two_sqrt2_minus_three(self):
-        assert quad_sign(QuadRational.of(-3, 2)) == -1
+        assert quad_sign(quad(-3, 2)) == -1
 
     def test_same_sign_quadrants(self):
-        assert quad_sign(QuadRational.of(1, 1)) == 1
-        assert quad_sign(QuadRational.of(-1, -1)) == -1
+        assert quad_sign(quad(1, 1)) == 1
+        assert quad_sign(quad(-1, -1)) == -1
 
     def test_against_decimal_oracle(self):
         # 50-digit rational approximation of sqrt(2) as an independent check
@@ -62,7 +65,7 @@ class TestQuadSign:
         for _ in range(1000):
             a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
             b = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
-            x = QuadRational.of(a, b)
+            x = quad(a, b)
             est = a + b * approx
             if est == 0:
                 continue
@@ -71,30 +74,36 @@ class TestQuadSign:
 
 class TestQuadArithmetic:
     def test_square_closure(self):
-        x = QuadRational.of(1, 1)
-        assert x * x == QuadRational.of(3, 2)
+        x = quad(1, 1)
+        assert x * x == quad(3, 2)
 
     def test_sqrt_of_three_minus_two_sqrt2(self):
-        root = quad_sqrt(QuadRational.of(3, -2))
-        assert root == QuadRational.of(-1, 1)
+        root = quad_sqrt(quad(3, -2))
+        assert root == quad(-1, 1)
 
     def test_sqrt_of_rational_square(self):
-        assert quad_sqrt(QuadRational.of(Fraction(9, 4), 0)) == QuadRational.of(
+        assert quad_sqrt(quad(Fraction(9, 4), 0)) == quad(
             Fraction(3, 2), 0
         )
 
     def test_sqrt_of_two(self):
-        assert quad_sqrt(QuadRational.of(2, 0)) == QuadRational.of(0, 1)
+        assert quad_sqrt(quad(2, 0)) == quad(0, 1)
 
     def test_sqrt_outside_field(self):
-        assert quad_sqrt(QuadRational.of(3, 0)) is None
+        assert quad_sqrt(quad(3, 0)) is None
+
+    def test_sqrt_of_zero_and_of_negatives(self):
+        assert quad_sqrt(QUAD_ZERO) == QUAD_ZERO
+        for negative in (QuadRational(-1), QuadRational(1, -1), QuadRational(-9, 0, 4)):
+            with pytest.raises(ValueError, match="negative"):
+                quad_sqrt(negative)
 
     def test_ordering(self):
-        assert QuadRational.of(0, 1) > QuadRational.of(Fraction(7, 5), 0)
-        assert QuadRational.of(0, 1) < QuadRational.of(Fraction(3, 2), 0)
+        assert quad(0, 1) > quad(Fraction(7, 5), 0)
+        assert quad(0, 1) < quad(Fraction(3, 2), 0)
         # each operator on a case where the field order and the tuple order
         # of the (a, b) fields disagree: 1 - sqrt(2) < 0 but (1, -1) > (0, 0)
-        small, zero = QuadRational.of(1, -1), QuadRational.of(0)
+        small, zero = quad(1, -1), quad(0)
         assert small < zero and small <= zero
         assert zero > small and zero >= small
         assert not (small > zero or small >= zero)
@@ -114,7 +123,15 @@ quads = st.tuples(rationals, rationals) | st.sampled_from(
 
 
 def as_reference(x: QuadRational) -> FractionQuad:
-    return FractionQuad(x.a, x.b)
+    return FractionQuad(*quad_parts(x))
+
+
+# elements (A + B*sqrt(2))/D with D > 1, whose squares are the inputs that
+# quad_sqrt must find a root of; random (a, b) pairs are rarely squares
+integer_quads = st.builds(
+    QuadRational, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+    st.integers(2, 10**4),
+).filter(lambda r: r.D > 1)
 
 
 class TestQuadRationalAgainstFractionPair:
@@ -123,41 +140,50 @@ class TestQuadRationalAgainstFractionPair:
     @settings(max_examples=300)
     @given(quads, quads, rationals)
     def test_operations_match(self, xy, uv, f):
-        x, y = QuadRational.of(*xy), QuadRational.of(*uv)
+        x, y = quad(*xy), quad(*uv)
         rx, ry = FractionQuad.of(*xy), FractionQuad.of(*uv)
         assert as_reference(x) == rx
         assert as_reference(x + y) == rx + ry
         assert as_reference(x - y) == rx - ry
         assert as_reference(-x) == -rx
         assert as_reference(x * y) == rx * ry
-        assert as_reference(x * f) == rx * f
-        assert as_reference(f * x) == f * rx
+        assert as_reference(x * quad(f)) == rx * f
+        assert as_reference(quad(f) * x) == f * rx
         assert as_reference(x * 3) == rx * 3
+        assert as_reference(3 * x) == 3 * rx
         assert (x < y, x <= y, x > y, x >= y) == (rx < ry, rx <= ry, rx > ry, rx >= ry)
         assert quad_sign(x) == fraction_quad_sign(rx)
         assert str(x) == str(rx)
         if x.B:
             with pytest.raises(ValueError):
-                x.to_fraction()
+                to_fraction(x)
         else:
-            assert x.to_fraction() == rx.to_fraction()
+            assert to_fraction(x) == rx.to_fraction()
+        with pytest.raises(TypeError):
+            x * f
 
     @settings(max_examples=300)
-    @given(quads, quads)
-    def test_sqrt_matches(self, xy, uv):
-        # x * x is a square in the field, so both must find its root
-        x, y = QuadRational.of(*xy), QuadRational.of(*uv)
-        rx, ry = FractionQuad.of(*xy), FractionQuad.of(*uv)
-        for value, ref in ((x * x, rx * rx), (y * y * 2, ry * ry * 2), (x, rx)):
+    @given(integer_quads, quads)
+    def test_sqrt_matches(self, r, xy):
+        # r^2 and 2 r^2 are squares in the field, with the roots |r| and
+        # |r| sqrt(2); 3 r^2 is not, as 3 is no square in the field; x is
+        # a random element, rarely a square
+        x = quad(*xy)
+        positive = r if quad_sign(r) > 0 else -r
+        assert quad_sqrt(r * r) == positive
+        assert quad_sqrt(r * r * 2) == positive * QuadRational(0, 1)
+        assert quad_sqrt(r * r * 3) is None
+        for value in (r * r, r * r * 2, r * r * 3, x):
             if quad_sign(value) < 0:
                 continue
-            root, ref_root = quad_sqrt(value), fraction_quad_sqrt(ref)
+            root = quad_sqrt(value)
+            ref_root = fraction_quad_sqrt(as_reference(value))
             assert (root is None) is (ref_root is None)
             if root is not None:
                 assert as_reference(root) == ref_root
 
     def test_one_minus_sqrt2_below_zero(self):
-        small, zero = QuadRational.of(1, -1), QuadRational.of(0)
+        small, zero = quad(1, -1), quad(0)
         assert quad_sign(small) == fraction_quad_sign(FractionQuad.of(1, -1)) == -1
         assert small < zero and zero > small
         assert str(small) == str(FractionQuad.of(1, -1)) == "1 - 1*sqrt(2)"
@@ -170,11 +196,11 @@ class TestQuadRationalAgainstFractionPair:
         # equal values give equal triples, whatever the scale or sign
         assert QuadRational(k * A, k * B, k * D) == x
         assert QuadRational(-k * A, -k * B, -k * D) == x
-        assert QuadRational.of(x.a, x.b) == x
+        assert quad(*quad_parts(x)) == x
         assert x - x == QuadRational(0, 0, 1) == (0, 0, 1)
 
     def test_zero(self):
-        assert QuadRational(0, 0, 7) == QuadRational.of(0) == QUAD_ZERO == (0, 0, 1)
+        assert QuadRational(0, 0, 7) == quad(0) == QUAD_ZERO == (0, 0, 1)
         assert QuadRational(0, 0, -7) == (0, 0, 1)
         with pytest.raises(ZeroDivisionError):
             QuadRational(1, 1, 0)
@@ -206,16 +232,16 @@ class TestEvalPoly:
 class TestEvalPolyQuad:
     def test_sqrt2_root(self):
         P = poly([-2, 0, 1])
-        assert eval_poly_quad(P, QuadRational.of(0, 1)) == QuadRational.of(0, 0)
+        assert eval_poly_quad(P, quad(0, 1)) == quad(0, 0)
 
     def test_identity(self):
-        x = QuadRational.of(3, -2)
+        x = quad(3, -2)
         assert eval_poly_quad(poly([0, 1]), x) == x
 
     def test_square_expansion(self):
         assert eval_poly_quad(
-            poly([0, 0, 1]), QuadRational.of(1, 1)
-        ) == QuadRational.of(3, 2)
+            poly([0, 0, 1]), quad(1, 1)
+        ) == quad(3, 2)
 
 
 class TestSturm:
@@ -376,16 +402,16 @@ class TestSignAt:
         st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
     )
     def test_quad_matches_eval(self, P, a, b):
-        x = QuadRational.of(a, b)
+        x = quad(a, b)
         assert sign_at_quad(P, x) == quad_sign(eval_poly_quad(P, x))
 
     def test_quad_roots_are_zero(self):
-        assert sign_at_quad(poly([-2, 0, 1]), QuadRational.of(0, 1)) == 0
+        assert sign_at_quad(poly([-2, 0, 1]), quad(0, 1)) == 0
         # t^2 - 2t - 1 has the root 1 + sqrt(2)
         P = poly([-1, -2, 1])
-        assert sign_at_quad(P, QuadRational.of(1, 1)) == 0
-        assert sign_at_quad(P, QuadRational.of(1, -1)) == 0
-        assert sign_at_quad(P, QuadRational.of(Fraction(5, 2), 0)) == 1
+        assert sign_at_quad(P, quad(1, 1)) == 0
+        assert sign_at_quad(P, quad(1, -1)) == 0
+        assert sign_at_quad(P, quad(Fraction(5, 2), 0)) == 1
 
     def test_quad_on_cuboid_intervals(self):
         from cuboidsearch.asymptotics import asymptotic_intervals

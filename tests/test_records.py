@@ -16,25 +16,34 @@ import cuboidsearch
 from cuboidsearch.cuboid_eqs import CaseTag, CuboidWitness, FullEqParams, PQPair
 from cuboidsearch.exact_arith import QuadRational
 from cuboidsearch.search import SearchConfig
-from oracles import poly, poly_mul, poly_sub
+from oracles import poly, poly_mul, poly_sub, quad
 
-X = QuadRational.of(Fraction(1, 2), 3)
-Y = QuadRational.of(-2, Fraction(1, 3))
+X = quad(Fraction(1, 2), 3)
+Y = quad(-2, Fraction(1, 3))
 
 
 class TestQuadRationalOperators:
     @pytest.mark.parametrize("value, expected", [
-        (X + Y, QuadRational.of(Fraction(-3, 2), Fraction(10, 3))),
-        (X - Y, QuadRational.of(Fraction(5, 2), Fraction(8, 3))),
-        (-X, QuadRational.of(Fraction(-1, 2), -3)),
-        (X * Y, QuadRational.of(1, Fraction(-35, 6))),
-        (2 * X, QuadRational.of(1, 6)),
-        (X * 2, QuadRational.of(1, 6)),
-        (Fraction(1, 3) * X, QuadRational.of(Fraction(1, 6), 1)),
+        (X + Y, quad(Fraction(-3, 2), Fraction(10, 3))),
+        (X - Y, quad(Fraction(5, 2), Fraction(8, 3))),
+        (-X, quad(Fraction(-1, 2), -3)),
+        (X * Y, quad(1, Fraction(-35, 6))),
+        (2 * X, quad(1, 6)),
+        (X * 2, quad(1, 6)),
+        (QuadRational(1, 0, 3) * X, quad(Fraction(1, 6), 1)),
     ])
     def test_field_arithmetic(self, value, expected):
         assert type(value) is QuadRational
         assert value == expected
+
+    @pytest.mark.parametrize("product", [
+        lambda: Fraction(1, 3) * X,
+        lambda: X * Fraction(1, 3),
+    ], ids=["fraction_times_x", "x_times_fraction"])
+    def test_no_product_with_a_fraction(self, product):
+        # the field has one representation, the integer triple
+        with pytest.raises(TypeError):
+            product()
 
 
 class TestIntPolyOperators:
@@ -89,7 +98,7 @@ class TestValidatingRecords:
 def test_repr():
     assert repr(PQPair(1, 2)) == "PQPair(p=1, q=2)"
     assert repr(FullEqParams(1, 2, 3)) == "FullEqParams(a=1, b=2, u=3)"
-    assert repr(QuadRational.of(1)) == "QuadRational(A=1, B=0, D=1)"
+    assert repr(QuadRational(1)) == "QuadRational(A=1, B=0, D=1)"
 
 
 WITNESS = CuboidWitness(

@@ -3,6 +3,7 @@ import math
 import os
 import random
 from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 
@@ -749,6 +750,7 @@ class TestConfig:
         one = interrupted("one", 1)
         assert interrupted("four", 4) == one
         monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert interrupted("pool", 2) == one
 
     def test_checkpoint_tracks_range(self, tmp_path):
@@ -828,7 +830,8 @@ class TestRunSearch:
             tmp_path / "four.jsonl"
         ).read_bytes()
 
-    def test_use_pool(self):
+    def test_use_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         big = list(range(1, 4473))
         assert sum(big) >= search.POOL_MIN_WORK
         assert not use_pool(2, big[:-1])
@@ -836,6 +839,10 @@ class TestRunSearch:
         assert not use_pool(1, big)
         assert not use_pool(2, [search.POOL_MIN_WORK])
         assert not use_pool(4, list(range(27, 41)))
+        # one CPU, or one that os.cpu_count cannot tell, runs in-process
+        for cpus in (1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert not use_pool(2, big)
 
     def test_pool_output_matches_in_process(self, tmp_path, monkeypatch):
         import concurrent.futures
@@ -851,6 +858,7 @@ class TestRunSearch:
         run_search(serial)
         assert started == []
         monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
         pooled = make_config(tmp_path, "pooled", p_max=8, worker_count=2)
         with pytest.raises(KeyboardInterrupt):
@@ -861,44 +869,63 @@ class TestRunSearch:
             tmp_path / "serial.jsonl"
         ).read_bytes()
 
-    def test_pool_size_capped_by_p_left(self, tmp_path, monkeypatch):
-        # a fork-started pool forks all its workers at once, so it gets no
-        # more workers than there are p left; the fake maps in-process
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        """ProcessPoolExecutor replaced by a fake that records each pool's
+        size and chunk size and maps in-process."""
         import concurrent.futures
 
-        sizes = []
-        chunks = []
+        record = SimpleNamespace(sizes=[], chunks=[])
 
         class FakePool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                record.sizes.append(max_workers)
 
             def map(self, fn, iterable, chunksize=1):
-                chunks.append(chunksize)
+                record.chunks.append(chunksize)
                 return map(fn, iterable)
 
             def shutdown(self, cancel_futures=False):
                 pass
 
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        return record
+
+    def test_pool_size_capped_by_p_left(self, tmp_path, monkeypatch, fake_pool):
+        # a fork-started pool forks all its workers at once, so it gets no
+        # more workers than there are p left
         serial = make_config(tmp_path, "serial", p_max=8)
         run_search(serial)
         monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the CPUs cap nothing here
         run_search(make_config(tmp_path, "few", p_max=3, worker_count=64))
         run_search(make_config(tmp_path, "two", p_max=8, worker_count=2))
         resumed = make_config(tmp_path, "resumed", p_max=8, worker_count=64)
         with pytest.raises(KeyboardInterrupt):
             run_search(resumed, abort_after_p=5)
         run_search(resumed)
-        assert sizes == [3, 2, 8, 3]
-        assert chunks == [1, 1, 1, 1]
+        assert fake_pool.sizes == [3, 2, 8, 3]
+        assert fake_pool.chunks == [1, 1, 1, 1]
         # about four runs of consecutive p per worker, at most POOL_CHUNK long
         run_search(make_config(tmp_path, "runs", p_max=40, worker_count=2))
         run_search(make_config(tmp_path, "long", p_max=1100, worker_count=2))
-        assert chunks[4:] == [5, search.POOL_CHUNK]
+        assert fake_pool.chunks[4:] == [5, search.POOL_CHUNK]
         for name in ("two", "resumed"):
             assert (tmp_path / f"{name}.jsonl").read_bytes() == (
                 tmp_path / "serial.jsonl"
+            ).read_bytes()
+
+    def test_pool_size_capped_by_cpus(self, tmp_path, monkeypatch, fake_pool):
+        # --threads beyond the CPU count starts one worker per CPU, however
+        # many values of p are left
+        run_search(make_config(tmp_path, "one", p_max=40))
+        monkeypatch.setattr(search, "POOL_MIN_WORK", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_search(make_config(tmp_path, "many", p_max=40, worker_count=64))
+        assert fake_pool.sizes == [2]
+        for suffix in ("jsonl", "ckpt"):
+            assert (tmp_path / f"many.{suffix}").read_bytes() == (
+                tmp_path / f"one.{suffix}"
             ).read_bytes()
 
     def test_checkpoint_written_by_work(self, tmp_path, monkeypatch):
@@ -1124,6 +1151,7 @@ class TestPlantedRoot:
     def workers(self, request, monkeypatch):
         if request.param == "pool":
             monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
             return 2
         return 1
 
