@@ -111,11 +111,13 @@ POOL_CHUNK = 128
 # Work merged between two checkpoint writes, in the same units: about a
 # quarter second on one core of that host at small p (p 1..3000 took
 # 0.22 s) and about 45 ms near p = 10^5 (p 99901..100000, with a sum of
-# 10^7, took 0.09 s).  Each write fsyncs the output and replaces the file,
-# which took 0.2 ms in the median and up to 0.7 ms; the 20 writes of
-# p 99001..100000 cost 2.5% of its run (0.94 -> 0.97 s).  Written after
-# every p, the checkpoint once took 40% of a resumed p 27..40 run (14 of
-# 36 ms) and most of its spread.
+# 10^7, took 0.09 s).  A write of a hitless run replaces the file and
+# fsyncs nothing: 0.18 ms in the median in a loop, but 0.7-0.9 ms in the
+# median and up to 8 ms within a run, where the 20 writes of
+# p 99001..100000 took 14-27 ms, 1.5-2.5% of its run (five runs of
+# 0.85-1.25 s; ext4, Python 3.11).  Written after every p, the checkpoint
+# once took 40% of a resumed p 27..40 run (14 of 36 ms) and most of its
+# spread.
 CHECKPOINT_MIN_WORK = 5_000_000
 
 
@@ -205,18 +207,24 @@ class SearchCheckpoint(NamedTuple):
     pairs_obstructed: int
     candidates_evaluated: int
 
+    def text(self) -> str:
+        """The file's contents: one `field=value` line per field, in order."""
+        return "".join(f"{k}={v}\n" for k, v in zip(self._fields, self))
+
     def write(self, path: str) -> None:
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{k}={v}\n" for k, v in zip(self._fields, self))
+            fh.write(self.text())
         os.replace(tmp, path)
 
     @staticmethod
     def read(path: str) -> "SearchCheckpoint":
-        """Parse a checkpoint of the current version; another version, or a
-        missing or non-integer field, raises ResumeMismatch."""
+        """Parse a checkpoint of the current version; another version, a
+        missing or non-integer field, or any text other than what `write`
+        makes of the parsed state raises ResumeMismatch."""
+        lines = _read_lines(path)
         fields: Dict[str, str] = {}
-        for line in _read_lines(path):
+        for line in lines:
             key, _, value = line.strip().partition("=")
             fields[key] = value
         if fields.get("version") != str(CHECKPOINT_VERSION):
@@ -225,7 +233,7 @@ class SearchCheckpoint(NamedTuple):
                 f"expected {CHECKPOINT_VERSION}"
             )
         try:
-            return SearchCheckpoint(
+            ckpt = SearchCheckpoint(
                 *(int(fields[name]) for name in SearchCheckpoint._fields)
             )
         except KeyError as exc:
@@ -234,6 +242,12 @@ class SearchCheckpoint(NamedTuple):
             ) from None
         except ValueError as exc:
             raise ResumeMismatch(f"checkpoint {path} is damaged: {exc}") from None
+        if "".join(lines) != ckpt.text():
+            raise ResumeMismatch(
+                f"checkpoint {path} is damaged: a line is extra, repeated, "
+                f"out of order or not as written"
+            )
+        return ckpt
 
 
 class SearchReport(NamedTuple):
@@ -599,9 +613,10 @@ def run_search(
     right after each p is merged and flushed, is rewritten atomically after
     the p that brings the work merged since its last write to
     CHECKPOINT_MIN_WORK, after the last p, and when the run is interrupted
-    or fails.  The output is fsynced before each write, so the checkpoint
-    never counts a hit line that is not on disk.  The report's wall time is
-    that of this call alone.
+    or fails.  The output is fsynced before each write that follows a new
+    hit line (on a resume, the kept hit lines it rewrites count as new), so
+    the checkpoint never counts a hit line that is not on disk; a hitless
+    run makes no fsync.  The report's wall time is that of this call alone.
     `progress(p, pairs, nonempty, obstructed, evaluated, hits)` is called
     per completed p.  `abort_after_p` simulates an interruption right after
     that p completes (test hook for the resume contract).
@@ -637,6 +652,17 @@ def run_search(
             results = map(_scan_p, todo)
         last = None  # checkpoint for the last merged p
         unsaved = 0  # work merged since `last` was written
+        synced = 0  # hit lines on disk as of the output's last fsync
+
+        def save() -> None:
+            # an fsync only when `last` counts a hit line that may not be
+            # on disk yet; the kept hits of a resume were rewritten too
+            nonlocal synced
+            if last.candidates_found > synced:
+                os.fsync(out.fileno())
+                synced = last.candidates_found
+            last.write(config.checkpoint_path)
+
         try:
             for p, p_counts, p_hits in results:
                 counts = tuple(a + b for a, b in zip(counts, p_counts))
@@ -653,8 +679,7 @@ def run_search(
                     )
                     unsaved += p
                     if unsaved >= CHECKPOINT_MIN_WORK:
-                        os.fsync(out.fileno())
-                        last.write(config.checkpoint_path)
+                        save()
                         unsaved = 0
                 if progress:
                     progress(p, *p_counts, len(p_hits))
@@ -663,8 +688,7 @@ def run_search(
         finally:
             # on completion, interruption or failure alike
             if unsaved:
-                os.fsync(out.fileno())
-                last.write(config.checkpoint_path)
+                save()
             if executor is not None:
                 executor.shutdown(cancel_futures=True)
 

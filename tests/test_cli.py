@@ -186,6 +186,27 @@ class TestSearchCommand:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "last_completed_p" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda text: text + "version=5\ngarbage line\n",
+        lambda text: text.replace("p_max=40\n", "p_max=40\np_max=40\n"),
+        lambda text: text.replace("p_min=1\np_max=40\n", "p_max=40\np_min=1\n"),
+    ], ids=["extra", "duplicated", "reordered"])
+    def test_checkpoint_with_a_line_out_of_place(self, tmp_path, capsys, edit):
+        # every field reads, but the file is not what the search writes
+        out = str(tmp_path / "x.jsonl")
+        ckpt = tmp_path / "x.ckpt"
+        config = search.SearchConfig(1, 40, 1, str(ckpt), out)
+        with pytest.raises(KeyboardInterrupt):
+            search.run_search(config, abort_after_p=26)
+        ckpt.write_text(edit(ckpt.read_text()))
+        code, _, err = run_cli(
+            capsys, "search", "--p-max", "40", "--out", out,
+            "--checkpoint", str(ckpt), "--threads", "1",
+        )
+        assert code == cli.EXIT_RESUME_MISMATCH
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "is damaged" in err
+
     @pytest.mark.parametrize("last", [0, 41, 400])
     def test_last_completed_p_outside_range(self, tmp_path, capsys, last):
         # a last_completed_p outside the range would skip or repeat p

@@ -945,37 +945,117 @@ class TestRunSearch:
         # work merged 1, 3, 6 (write), 4, 9 (write); nothing left at the end
         assert written == [3, 5]
 
-    @pytest.mark.parametrize("min_work, abort_after_p", [(6, None), (10**9, 4)])
-    def test_output_fsynced_before_each_checkpoint(
-        self, tmp_path, monkeypatch, planted, min_work, abort_after_p
-    ):
-        # the periodic writes (after p = 3 and 5) and the one on
-        # interruption alike: each replace of the checkpoint comes right
-        # after an fsync of the output, which then holds every hit it counts
-        config = make_config(tmp_path)
-        events = []
+    @pytest.fixture
+    def saves(self, monkeypatch):
+        """Record each fsync of a file, as ("fsync", lines in the file), and
+        each replace of a checkpoint, as ("replace", its candidates_found).
+        The lines are counted when `saves.output`, set before the run, is
+        the file's path, and are None otherwise.  At an fsync of the output
+        the summary line is not written yet, so its lines are hit lines."""
+        record = SimpleNamespace(events=[], output=None)
         real_fsync, real_replace = os.fsync, os.replace
 
         def fsync(fd):
-            if os.fstat(fd).st_ino == os.stat(config.output_path).st_ino:
-                with open(config.output_path, encoding="utf-8") as fh:
-                    events.append(("fsync", len(fh.readlines())))
+            lines = None
+            if record.output and os.path.samestat(
+                os.fstat(fd), os.stat(record.output)
+            ):
+                with open(record.output, encoding="utf-8") as fh:
+                    lines = len(fh.readlines())
+            record.events.append(("fsync", lines))
             real_fsync(fd)
 
         def replace(src, dst):
-            events.append(("replace", SearchCheckpoint.read(src).candidates_found))
+            record.events.append(
+                ("replace", SearchCheckpoint.read(src).candidates_found)
+            )
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
+        return record
+
+    @staticmethod
+    def assert_hits_on_disk(events):
+        # every replace of the checkpoint finds each hit line it counts
+        # fsynced, and every fsync is of the output and follows a new hit
+        # line
+        synced = 0
+        for kind, n in events:
+            if kind == "fsync":
+                assert n is not None and n > synced
+                synced = n
+            else:
+                assert n <= synced
+
+    @pytest.mark.parametrize("min_work, abort_after_p", [(6, None), (10**9, 4)])
+    def test_output_fsynced_before_each_checkpoint(
+        self, tmp_path, monkeypatch, planted, saves, min_work, abort_after_p
+    ):
+        # the periodic writes (after p = 3 and 5) and the one on
+        # interruption alike: the first write after the hits of p = 3 comes
+        # after an fsync of the output, and a later write with no new hit
+        # line makes none
+        config = make_config(tmp_path)
+        saves.output = config.output_path
         monkeypatch.setattr(search, "CHECKPOINT_MIN_WORK", min_work)
         if abort_after_p is None:
             run_search(config)
-            assert events == [("fsync", 2), ("replace", 2)] * 2
+            assert saves.events == [("fsync", 2), ("replace", 2), ("replace", 2)]
         else:
             with pytest.raises(KeyboardInterrupt):
                 run_search(config, abort_after_p=abort_after_p)
-            assert events == [("fsync", 2), ("replace", 2)]
+            assert saves.events == [("fsync", 2), ("replace", 2)]
+        self.assert_hits_on_disk(saves.events)
+
+    def test_resume_fsyncs_the_kept_hits(self, tmp_path, planted, saves):
+        # a resume rewrites the kept hit lines into a new file, so its first
+        # checkpoint write comes after an fsync
+        config = make_config(tmp_path, p_max=6)
+        saves.output = config.output_path
+        with pytest.raises(KeyboardInterrupt):
+            run_search(config, abort_after_p=4)
+        saves.events.clear()
+        run_search(config)
+        assert saves.events == [("fsync", 2), ("replace", 2)]
+        self.assert_hits_on_disk(saves.events)
+
+    def test_hitless_runs_never_fsync(self, tmp_path, monkeypatch, saves):
+        # the benchmark's resume (p 27..40 from the library's interrupted
+        # run, through the CLI on two threads), fresh with periodic writes,
+        # and interrupted then resumed: no fsync, the same bytes
+        def written(name):
+            return [(tmp_path / f"{name}.{suffix}").read_bytes()
+                    for suffix in ("jsonl", "ckpt")]
+
+        def uninterrupted(name, p_max):
+            run_search(make_config(tmp_path, name, p_max=p_max))
+            return written(name)
+
+        bench = make_config(tmp_path, "bench", p_max=40)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(bench, abort_after_p=26)
+        code = cli.main([
+            "search", "--p-max", "40", "--threads", "2",
+            "--out", bench.output_path, "--checkpoint", bench.checkpoint_path,
+        ])
+        assert code == cli.EXIT_OK
+        assert saves.events == [("replace", 0), ("replace", 0)]
+        assert written("bench") == uninterrupted("bench-base", 40)
+
+        monkeypatch.setattr(search, "CHECKPOINT_MIN_WORK", 6)
+        saves.events.clear()
+        run_search(make_config(tmp_path, "periodic"))
+        assert saves.events == [("replace", 0), ("replace", 0)]
+        assert written("periodic") == uninterrupted("periodic-base", 5)
+
+        saves.events.clear()
+        broken = make_config(tmp_path, "broken")
+        with pytest.raises(KeyboardInterrupt):
+            run_search(broken, abort_after_p=4)
+        run_search(broken)
+        assert saves.events == [("replace", 0), ("replace", 0), ("replace", 0)]
+        assert written("broken") == written("periodic")
 
     def test_failure_writes_checkpoint(self, tmp_path):
         config = make_config(tmp_path, p_max=6)
@@ -1054,6 +1134,8 @@ class TestRunSearch:
         with pytest.raises(ResumeMismatch):
             run_search(config)
 
+    EXTRA = "damaged: a line is extra, repeated, out of order or not as written"
+
     @pytest.mark.parametrize("edit, message", [
         (lambda text: text.replace("last_completed_p=2\n", ""),
          "missing field 'last_completed_p'"),
@@ -1078,9 +1160,22 @@ class TestRunSearch:
          r"last_completed_p=400 lies outside p 1\.\.5"),
         (lambda text: "", "has version None"),
         (lambda text: "\udcff" + text, "damaged"),
+        # each field is read, but the text is not what the state writes
+        (lambda text: text.replace("p_max=5\n", "p_max=5\np_max=5\n"), EXTRA),
+        (lambda text: text.replace("p_max=5\n", "p_max=5\np_max=9\n"), EXTRA),
+        (lambda text: text + f"version={CHECKPOINT_VERSION}\ngarbage line\n", EXTRA),
+        (lambda text: text.replace("p_min=1\np_max=5\n", "p_max=5\np_min=1\n"),
+         EXTRA),
+        (lambda text: text.replace("p_max=5\n", "p_max=5\n\n"), EXTRA),
+        (lambda text: text.replace("pairs_examined=116", "pairs_examined= 116"),
+         EXTRA),
+        (lambda text: text.replace("pairs_examined=116", "pairs_examined=0116"),
+         EXTRA),
     ], ids=["missing-field", "bad-number", "old-version", "version-2", "version-3",
             "version-4", "pairs-examined", "last-p-0", "last-p-past-range",
-            "last-p-400", "empty", "not-utf8"])
+            "last-p-400", "empty", "not-utf8", "duplicate", "duplicate-altered",
+            "unknown", "reordered", "blank-line", "spaced-number",
+            "leading-zero"])
     def test_damaged_checkpoint(self, tmp_path, edit, message):
         config = make_config(tmp_path)
         with pytest.raises(KeyboardInterrupt):
