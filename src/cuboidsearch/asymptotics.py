@@ -293,7 +293,6 @@ class RootCertificate(NamedTuple):
     sign_lo: int
     sign_hi: int
     sturm_roots: Optional[int]  # real axis only
-    passed: bool
 
 
 def _sign_on_imaginary_axis(rpoly: Poly, y: QuadRational) -> int:
@@ -318,7 +317,8 @@ def certify_roots(
     -y^2 = (-(A^2 + 2B^2) - 2AB sqrt(2))/D^2 has an exactly decidable sign.
     `intervals` and `sturm` are the pair's asymptotic_intervals and the
     sturm_sequence of its R (build_rpq).  Raises CertificationFailed naming
-    the interval and check if anything fails.
+    the interval and check if anything fails, so every certificate it
+    returns has passed.
     """
     rpoly = sturm[0]  # R's primitive part: R itself, which is monic
     if len(rpoly) - 1 != 5:
@@ -346,19 +346,17 @@ def certify_roots(
             count = None
             if s_lo != 0 and s_hi != 0:
                 count = sign_variations(v_lo) - sign_variations(v_hi)
-            passed = s_lo * s_hi == -1 and count == 1
-            if not passed:
+            if s_lo * s_hi != -1 or count != 1:
                 failures.append(
                     f"{iv.label}: sign({s_lo},{s_hi}), sturm={count}"
                 )
-            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, count, passed))
+            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, count))
         else:
             s_lo = _sign_on_imaginary_axis(rpoly, iv.lo)
             s_hi = _sign_on_imaginary_axis(rpoly, iv.hi)
-            passed = s_lo * s_hi == -1
-            if not passed:
+            if s_lo * s_hi != -1:
                 failures.append(f"{iv.label}: sign({s_lo},{s_hi})")
-            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, None, passed))
+            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, None))
     if failures:
         raise CertificationFailed(
             f"(p={pair.p}, q={pair.q}): " + "; ".join(failures)

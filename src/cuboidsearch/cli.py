@@ -117,10 +117,11 @@ def cmd_search(args) -> int:
         return EXIT_BAD_FLAGS
 
     def progress(p, pairs, nonempty, obstructed, evaluated, hits):
-        print(
+        # the line and its newline in one write, so that a Ctrl-C cannot
+        # fall between them and put "interrupted" on the end of this line
+        sys.stderr.write(
             f"p={p} pairs={pairs} nonempty={nonempty} obstructed={obstructed} "
-            f"evaluated={evaluated} hits={hits}",
-            file=sys.stderr,
+            f"evaluated={evaluated} hits={hits}\n"
         )
 
     try:
@@ -253,9 +254,9 @@ def cmd_verify(args) -> int:
     if value != 0 or not lower or not upper:
         print("verdict: not a perfect cuboid")
         return EXIT_OK
-    for tag in cuboid_eqs.CaseTag:
-        witness = cuboid_eqs.reconstruct_cuboid(p, q, t, tag)
-        print(f"verified cuboid ({tag.value}): {witness.septuple()}")
+    for case in cuboid_eqs.CASES:
+        witness = cuboid_eqs.reconstruct_cuboid(p, q, t, case)
+        print(f"verified cuboid ({case}): {witness.septuple()}")
         print(f"  primitive form: {witness.reduced()}")
     print("verdict: PERFECT CUBOID")
     return EXIT_CUBOID_FOUND

@@ -6,12 +6,17 @@ roots of an even degree-10 monic polynomial in t indexed by a coprime pair
 p != q.  This module builds that polynomial, the ambient degree-12 equation
 it factors out of, the rational parametrization of the cuboid ratios, and
 the reconstruction of an integer cuboid from a candidate root.
+
+A root gives one cuboid per case, named by the string the output's hit
+lines carry (CASES): "BU_EQ_A2", bu = a^2 with (a, b, u) = (pq, p^2, q^2),
+and "AU_EQ_B2", au = b^2 with (a, b, u) = (p^2, pq, q^2).  The ratios come
+back as a plain 6-tuple, and a CuboidWitness exists only once its four
+cuboid equations have been checked.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
@@ -55,25 +60,9 @@ class PQPair(_PQPairFields):
         return tuple.__new__(cls, (p, q))
 
 
-class FullEqParams(NamedTuple):
-    """Parameters (a, b, u) of the ambient degree-12 equation; CaseTag.params
-    builds them from the positive p and q of a pair."""
-
-    a: int
-    b: int
-    u: int
-
-
-class CaseTag(Enum):
-    """Which constraint the pair (p, q) resolves: bu = a^2 or au = b^2."""
-
-    BU_EQ_A2 = "BU_EQ_A2"  # a = p*q, b = p^2, u = q^2
-    AU_EQ_B2 = "AU_EQ_B2"  # a = p^2, b = p*q, u = q^2
-
-    def params(self, p: int, q: int) -> FullEqParams:
-        if self is CaseTag.BU_EQ_A2:
-            return FullEqParams(a=p * q, b=p * p, u=q * q)
-        return FullEqParams(a=p * p, b=p * q, u=q * q)
+# The two constraints a pair (p, q) resolves (see the module docstring);
+# hits and `verify` list them in this order.
+CASES = ("BU_EQ_A2", "AU_EQ_B2")
 
 
 # Fully expanded coefficient grid of the degree-10 polynomial:
@@ -170,21 +159,11 @@ def factorization_check(p: int, q: int) -> bool:
     return product == full_eq_coefficients(pq, p * p, q2)
 
 
-class RatioSet(NamedTuple):
-    """The six cuboid ratios x_i / L and d_i / L."""
-
-    x1: Fraction
-    x2: Fraction
-    x3: Fraction
-    d1: Fraction
-    d2: Fraction
-    d3: Fraction
-
-
 def param_ratios(
     upsilon: Fraction, z: Fraction, alpha: Fraction, beta: Fraction
-) -> RatioSet:
-    """Exact cuboid ratios from the four rational parameters.
+) -> Tuple[Fraction, ...]:
+    """Exact cuboid ratios (x1, x2, x3, d1, d2, d3), each over L, from the
+    four rational parameters.
 
     Two identities hold for any inputs: (x2/L)^2 + (x3/L)^2 = (d1/L)^2 and
     (x1/L)^2 + (d1/L)^2 = 1.
@@ -199,7 +178,7 @@ def param_ratios(
     x3 = (1 - u2) * (1 - z2) / (du * dz)
     d2 = (du * dz + 2 * z * (1 - u2)) / (du * dz) * beta
     d3 = 2 * (u2 * z2 + 1) / (du * dz) * alpha
-    return RatioSet(x1, x2, x3, d1, d2, d3)
+    return x1, x2, x3, d1, d2, d3
 
 
 def compute_z(upsilon: Fraction, alpha: Fraction, beta: Fraction) -> Fraction:
@@ -211,12 +190,13 @@ def compute_z(upsilon: Fraction, alpha: Fraction, beta: Fraction) -> Fraction:
 
 
 class CuboidWitness(NamedTuple):
-    """A verified integer cuboid reconstructed from a root candidate."""
+    """An integer cuboid reconstructed from a root candidate; only
+    `reconstruct_cuboid`, after checking the cuboid equations, makes one."""
 
     p: int
     q: int
     t: int
-    case_tag: CaseTag
+    case: str  # one of CASES
     x1: int
     x2: int
     x3: int
@@ -224,7 +204,6 @@ class CuboidWitness(NamedTuple):
     d2: int
     d3: int
     L: int
-    verified: bool
 
     def septuple(self) -> tuple:
         return (self.x1, self.x2, self.x3, self.d1, self.d2, self.d3, self.L)
@@ -240,12 +219,12 @@ class CuboidWitness(NamedTuple):
             "p": self.p,
             "q": self.q,
             "t": self.t,
-            "case": self.case_tag.value,
+            "case": self.case,
             "cuboid": {
                 "x1": self.x1, "x2": self.x2, "x3": self.x3,
                 "d1": self.d1, "d2": self.d2, "d3": self.d3, "L": self.L,
             },
-            "verified": self.verified,
+            "verified": True,
         }
 
 
@@ -258,37 +237,34 @@ def _check_cuboid_equations(x1, x2, x3, d1, d2, d3, L) -> bool:
     )
 
 
-def reconstruct_cuboid(p: int, q: int, t: int, case_tag: CaseTag) -> CuboidWitness:
+def reconstruct_cuboid(p: int, q: int, t: int, case: str) -> CuboidWitness:
     """Turn a root candidate (p, q, t) into an integer cuboid septuple.
 
-    Forms (a, b, u) for the case, sets alpha = a/t, beta = b/t,
-    upsilon = u/t, derives z and the six ratios, scales by the least common
-    multiple of the ratio denominators, and verifies the four cuboid
-    equations exactly.  Raises NotARoot for non-roots, and
-    VerificationFailed (abort-worthy) if the scaled septuple does not
-    satisfy the equations.
+    Forms (a, b, u) for the case, one of CASES, sets alpha = a/t,
+    beta = b/t, upsilon = u/t, derives z and the six ratios, scales by the
+    least common multiple of the ratio denominators, and verifies the four
+    cuboid equations exactly.  Raises ValueError for a case not in CASES,
+    NotARoot for non-roots, and VerificationFailed (abort-worthy) if the
+    scaled septuple does not satisfy the equations.
     """
-    pair = PQPair(p, q)
+    if case not in CASES:
+        raise ValueError(f"case must be one of {', '.join(CASES)}, not {case!r}")
+    PQPair(p, q)  # checks the pair
     if t < 1:
         raise ValueError("t must be positive")
     if qpq_value(p, q, t) != 0:
         raise NotARoot(f"t={t} is not a root for (p={p}, q={q})")
-    params = case_tag.params(p, q)
-    alpha = Fraction(params.a, t)
-    beta = Fraction(params.b, t)
-    upsilon = Fraction(params.u, t)
+    a, b = (p * q, p * p) if case == "BU_EQ_A2" else (p * p, p * q)
+    alpha = Fraction(a, t)
+    beta = Fraction(b, t)
+    upsilon = Fraction(q * q, t)
     z = compute_z(upsilon, alpha, beta)
     ratios = param_ratios(upsilon, z, alpha, beta)
     L = math.lcm(*(r.denominator for r in ratios))
-    ints = [int(r * L) for r in ratios]
-    x1, x2, x3, d1, d2, d3 = ints
+    x1, x2, x3, d1, d2, d3 = (int(r * L) for r in ratios)
     if not _check_cuboid_equations(x1, x2, x3, d1, d2, d3, L):
         raise VerificationFailed(
-            f"septuple for (p={p}, q={q}, t={t}, {case_tag.value}) "
+            f"septuple for (p={p}, q={q}, t={t}, {case}) "
             "violates the cuboid equations"
         )
-    return CuboidWitness(
-        p=p, q=q, t=t, case_tag=case_tag,
-        x1=x1, x2=x2, x3=x3, d1=d1, d2=d2, d3=d3, L=L,
-        verified=True,
-    )
+    return CuboidWitness(p, q, t, case, x1, x2, x3, d1, d2, d3, L)

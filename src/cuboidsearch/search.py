@@ -70,12 +70,7 @@ from typing import (
     Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from .cuboid_eqs import (
-    CaseTag,
-    CuboidWitness,
-    qpq_value,
-    reconstruct_cuboid,
-)
+from .cuboid_eqs import CASES, CuboidWitness, qpq_value, reconstruct_cuboid
 
 CHECKPOINT_VERSION = 5
 
@@ -504,10 +499,10 @@ def _scan_p(p: int) -> Tuple[int, Tuple[int, int, int, int], tuple]:
         for t in candidates:
             if qpq_value(p, q, t):
                 continue
-            for tag in CaseTag:
-                hits.append(reconstruct_cuboid(p, q, t, tag))
+            for case in CASES:
+                hits.append(reconstruct_cuboid(p, q, t, case))
     if hits:
-        hits.sort(key=lambda w: (w.p, w.q, w.t, w.case_tag.value))
+        hits.sort(key=lambda w: (w.p, w.q, w.t, w.case))
     obstructed = nonempty - len(survivors)
     counts = (pair_count(p, primes), nonempty, obstructed, evaluated)
     return p, counts, tuple(hits)
@@ -529,8 +524,7 @@ def _kept_witness(obj: dict, line: str, where: str) -> CuboidWitness:
     """Rebuild and verify the witness of a hit line from the completed
     prefix; the line must be exactly that witness's serialisation."""
     try:
-        tag = CaseTag(obj["case"])
-        witness = reconstruct_cuboid(obj["p"], obj["q"], obj["t"], tag)
+        witness = reconstruct_cuboid(obj["p"], obj["q"], obj["t"], obj["case"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ResumeMismatch(f"{where} is not a verified hit: {exc}") from None
     if _json_line(witness.to_json_dict()) != line.rstrip("\n") + "\n":
@@ -579,7 +573,7 @@ def _load_resume_state(
             where = f"output {config.output_path} line {number}"
             try:
                 obj = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):  # nested too deep for json
                 if number == len(lines):
                     continue
                 raise ResumeMismatch(f"{where} is not JSON") from None
@@ -640,11 +634,17 @@ def run_search(
         if use_pool(config.worker_count, todo):
             # imported here: only pool runs need it, and it takes about a
             # third of the CLI's import time
+            import signal
             from concurrent.futures import ProcessPoolExecutor
 
-            # a fork-started pool forks all its workers up front
+            # a fork-started pool forks all its workers up front; they
+            # ignore SIGINT, which Ctrl-C sends to the whole process group,
+            # so that only this process handles it
             workers = min(config.worker_count, len(todo), os.cpu_count() or 1)
-            executor = ProcessPoolExecutor(max_workers=workers)
+            executor = ProcessPoolExecutor(
+                max_workers=workers, initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_IGN),
+            )
             chunk = min(POOL_CHUNK, max(1, len(todo) // (4 * workers)))
             results = executor.map(_scan_p, todo, chunksize=chunk)
         else:

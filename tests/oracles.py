@@ -52,9 +52,8 @@ from cuboidsearch.asymptotics import (
 )
 from cuboidsearch.cli import APPROX_DIGITS
 from cuboidsearch.cuboid_eqs import (
+    CASES,
     QPQ_TERMS,
-    CaseTag,
-    FullEqParams,
     PQPair,
     full_eq_coefficients,
     qpq_coefficients,
@@ -163,8 +162,8 @@ def scan_pair(pair: PQPair) -> PairScan:
             continue
         if (p * p + t) * (p * q + t) <= 2 * t * t:
             continue
-        for tag in CaseTag:
-            hits.append(reconstruct_cuboid(p, q, t, tag))
+        for case in CASES:
+            hits.append(reconstruct_cuboid(p, q, t, case))
     return PairScan(True, len(candidates), tuple(hits))
 
 
@@ -584,8 +583,8 @@ def admissible_hits(pair: PQPair, roots: Sequence[int]) -> tuple:
             continue
         if (p * p + t) * (p * q + t) <= 2 * t * t:
             continue
-        for tag in CaseTag:
-            hits.append(reconstruct_cuboid(p, q, t, tag))
+        for case in CASES:
+            hits.append(reconstruct_cuboid(p, q, t, case))
     return tuple(hits)
 
 
@@ -598,17 +597,17 @@ def build_qpq_from_grid(pair: PQPair) -> Poly:
     return poly(coeffs)
 
 
-def build_full_eq(params: FullEqParams) -> Poly:
+def build_full_eq(a: int, b: int, u: int) -> Poly:
     """The even, monic, degree-12 polynomial in t for parameters (a, b, u)."""
     coeffs = [0] * 13
-    coeffs[::2] = full_eq_coefficients(params.a, params.b, params.u)
+    coeffs[::2] = full_eq_coefficients(a, b, u)
     return poly(coeffs)
 
 
-def literal_full_eq(params: FullEqParams) -> Poly:
+def literal_full_eq(a: int, b: int, u: int) -> Poly:
     """The degree-12 equation for (a, b, u), term by term as expanded in
     a, b and u separately."""
-    a2, b2, u2 = params.a**2, params.b**2, params.u**2
+    a2, b2, u2 = a**2, b**2, u**2
     a4, b4, u4 = a2 * a2, b2 * b2, u2 * u2
     c10 = 6 * u2 - 2 * a2 - 2 * b2
     c8 = u4 + b4 + a4 + 4 * a2 * u2 + 4 * b2 * u2 - 12 * b2 * a2
@@ -624,11 +623,13 @@ def literal_full_eq(params: FullEqParams) -> Poly:
 
 def intpoly_factorization_check(pair: PQPair) -> bool:
     """(t - pq)(t + pq) Q(t) as a polynomial product, compared with the
-    literal degree-12 equation under both CaseTag substitutions."""
+    literal degree-12 equation under both substitutions, (a, b, u) =
+    (pq, p^2, q^2) and (p^2, pq, q^2)."""
     p, q = pair.p, pair.q
     product = poly_mul(poly([-((p * q) ** 2), 0, 1]), build_qpq(pair))
     return all(
-        product == literal_full_eq(tag.params(p, q)) for tag in CaseTag
+        product == literal_full_eq(a, b, q * q)
+        for a, b in ((p * q, p * p), (p * p, p * q))
     )
 
 
@@ -746,19 +747,17 @@ def q_certify_roots(pair: PQPair, intervals=None) -> List[RootCertificate]:
             count = None
             if s_lo != 0 and s_hi != 0:
                 count = sturm_count(qpoly, lo, hi, sturm)
-            passed = s_lo * s_hi == -1 and count == 1
-            if not passed:
+            if s_lo * s_hi != -1 or count != 1:
                 failures.append(
                     f"{iv.label}: sign({s_lo},{s_hi}), sturm={count}"
                 )
-            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, count, passed))
+            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, count))
         else:
             s_lo = sign_at_quad(ipoly, iv.lo)
             s_hi = sign_at_quad(ipoly, iv.hi)
-            passed = s_lo * s_hi == -1
-            if not passed:
+            if s_lo * s_hi != -1:
                 failures.append(f"{iv.label}: sign({s_lo},{s_hi})")
-            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, None, passed))
+            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, None))
     if failures:
         raise CertificationFailed(
             f"(p={pair.p}, q={pair.q}): " + "; ".join(failures)

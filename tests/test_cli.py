@@ -2,6 +2,11 @@ import json
 import math
 import os
 import random
+import re
+import signal
+import subprocess
+import sys
+import time
 from decimal import getcontext
 from fractions import Fraction
 from pathlib import Path
@@ -259,6 +264,64 @@ class TestSearchCommand:
         code, _, err = run_cli(capsys, *argv)
         assert code == cli.EXIT_RESUME_MISMATCH
         assert err.count("\n") == 1 and "line 1" in err
+
+    @pytest.mark.parametrize("tail, code", [
+        ("[" * 100000, cli.EXIT_OK),
+        ("[" * 100000 + "\n" + "[" * 100000, cli.EXIT_RESUME_MISMATCH),
+    ], ids=["final-line", "inner-line"])
+    def test_deeply_nested_output_line(self, tmp_path, capsys, tail, code):
+        # json.loads raises RecursionError, not ValueError, on such a line;
+        # it is torn like any unparsable line when last, refused otherwise
+        clean = tmp_path / "clean.jsonl"
+        argv = ("search", "--p-max", "10", "--threads", "1")
+        assert run_cli(capsys, *argv, "--out", str(clean))[0] == cli.EXIT_OK
+        out, ckpt = tmp_path / "n.jsonl", tmp_path / "n.ckpt"
+        with pytest.raises(KeyboardInterrupt):
+            search.run_search(
+                search.SearchConfig(1, 10, 1, str(ckpt), str(out)), abort_after_p=5
+            )
+        with open(out, "a", encoding="utf-8") as fh:
+            fh.write(tail)
+        result, _, err = run_cli(
+            capsys, *argv, "--out", str(out), "--checkpoint", str(ckpt)
+        )
+        assert result == code
+        if code == cli.EXIT_OK:
+            assert out.read_bytes() == clean.read_bytes()
+        else:
+            assert err.count("\n") == 1 and "line 1 is not JSON" in err
+
+    def test_ctrl_c_on_a_pool_run(self, tmp_path):
+        """SIGINT to the whole process group, as a terminal's Ctrl-C sends
+        it, while the run is blocked writing progress to a stderr pipe that
+        nobody reads and its workers have gone idle: the workers ignore it,
+        and the run exits 130 with one line besides its whole progress
+        lines."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        out, ckpt = tmp_path / "c.jsonl", tmp_path / "c.ckpt"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cuboidsearch.cli", "search",
+             "--p-min", "99001", "--p-max", "100000", "--threads", "2",
+             "--out", str(out), "--checkpoint", str(ckpt)],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            time.sleep(2)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == cli.EXIT_INTERRUPTED
+        assert "Traceback" not in err
+        progress = re.compile(
+            r"p=\d+ pairs=\d+ nonempty=\d+ obstructed=\d+ evaluated=0 hits=0"
+        )
+        other = [line for line in err.splitlines() if not progress.fullmatch(line)]
+        assert other == ["interrupted; rerun the same command to resume"]
+        assert 99001 <= search.SearchCheckpoint.read(str(ckpt)).last_completed_p < 100000
 
     @pytest.mark.parametrize("checkpoint", [False, True])
     def test_interrupt(self, tmp_path, capsys, monkeypatch, checkpoint):

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from cuboidsearch import cli, cuboid_eqs
 from cuboidsearch.cuboid_eqs import (
+    CASES,
     QPQ_TERMS,
-    CaseTag,
     DegenerateDenominator,
-    FullEqParams,
     NotARoot,
     PQPair,
     build_rpq,
@@ -111,16 +110,16 @@ class TestBuildQpq:
 
 class TestFullEq:
     def test_monic_even_degree_twelve(self):
-        P = build_full_eq(FullEqParams(2, 3, 5))
+        P = build_full_eq(2, 3, 5)
         assert len(P) - 1 == 12
         assert P[12] == 1
         assert is_even(P)
 
     def test_constant_term(self):
-        assert build_full_eq(FullEqParams(2, 1, 4))[0] == (2 * 1 * 4) ** 4
+        assert build_full_eq(2, 1, 4)[0] == (2 * 1 * 4) ** 4
 
     def test_unit_parameters(self):
-        P = build_full_eq(FullEqParams(1, 1, 1))
+        P = build_full_eq(1, 1, 1)
         assert P == (1, 0, 2, 0, -1, 0, -4, 0, -1, 0, 2, 0, 1)
 
     @settings(max_examples=200)
@@ -134,15 +133,18 @@ class TestFullEq:
         if equal:
             b = a
         coeffs = full_eq_coefficients(a, b, u)
-        literal = literal_full_eq(FullEqParams(a, b, u))
+        literal = literal_full_eq(a, b, u)
         assert coeffs == literal[::2]
-        assert build_full_eq(FullEqParams(a, b, u)) == literal
+        assert build_full_eq(a, b, u) == literal
         # a and b enter only through a^2 + b^2 and a^2 b^2
         assert full_eq_coefficients(b, a, u) == coeffs
 
     def test_case_substitutions_give_one_polynomial(self):
         for p, q in ((1, 2), (2, 3), (3, 178), (41, 60)):
-            polys = {full_eq_coefficients(*tag.params(p, q)) for tag in CaseTag}
+            polys = {
+                full_eq_coefficients(p * q, p * p, q * q),
+                full_eq_coefficients(p * p, p * q, q * q),
+            }
             assert len(polys) == 1
 
 
@@ -178,21 +180,37 @@ class TestFactorization:
         assert not factorization_check(1, 2)
         assert not intpoly_factorization_check(PQPair(1, 2))
 
-    def test_both_cases_used(self):
-        p, q = 2, 5
-        params = {tag: tag.params(p, q) for tag in CaseTag}
-        assert params[CaseTag.BU_EQ_A2].a == p * q
-        assert params[CaseTag.BU_EQ_A2].b == p * p
-        assert params[CaseTag.AU_EQ_B2].a == p * p
-        assert params[CaseTag.AU_EQ_B2].b == p * q
-        assert all(pr.u == q * q for pr in params.values())
+    def test_both_cases_used(self, monkeypatch):
+        """Each case reconstructs through its own (a, b): bu = a^2 from
+        (pq, p^2) and au = b^2 from (p^2, pq), both with u = q^2.  A root
+        t = 12 is planted for (3, 2), where pq != p^2, and the equation
+        check is waived, so the witnesses are the parametrization's."""
+        p, q, t = 3, 2, 12
+        real = cuboid_eqs.qpq_coefficients
+        monkeypatch.setattr(
+            cuboid_eqs, "qpq_coefficients",
+            lambda p_, q_: (-144, -575, -860, -570, -140)
+            if (p_, q_) == (p, q) else real(p_, q_),
+        )
+        monkeypatch.setattr(cuboid_eqs, "_check_cuboid_equations", lambda *v: True)
+        ratios = {}
+        for case, (a, b) in zip(CASES, ((p * q, p * p), (p * p, p * q))):
+            alpha, beta, upsilon = Fraction(a, t), Fraction(b, t), Fraction(q * q, t)
+            expected = param_ratios(upsilon, compute_z(upsilon, alpha, beta), alpha, beta)
+            w = reconstruct_cuboid(p, q, t, case)
+            assert (w.p, w.q, w.t, w.case) == (p, q, t, case)
+            ratios[case] = tuple(Fraction(v, w.L) for v in w.septuple()[:6])
+            assert ratios[case] == expected
+        assert ratios["BU_EQ_A2"] != ratios["AU_EQ_B2"]
 
 
 class TestParamRatios:
     def test_basic_values(self):
-        r = param_ratios(Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(0))
-        assert r.x1 == Fraction(4, 5)
-        assert r.d1 == Fraction(3, 5)
+        x1, _, _, d1, _, _ = param_ratios(
+            Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(0)
+        )
+        assert x1 == Fraction(4, 5)
+        assert d1 == Fraction(3, 5)
 
     def test_pythagorean_identities_random(self):
         rng = random.Random(99)
@@ -204,9 +222,9 @@ class TestParamRatios:
             upsilon, z, alpha, beta = vals
             if 1 + upsilon**2 == 0 or 1 + z**2 == 0:
                 continue
-            r = param_ratios(upsilon, z, alpha, beta)
-            assert r.x2**2 + r.x3**2 == r.d1**2
-            assert r.x1**2 + r.d1**2 == 1
+            x1, x2, x3, d1, _, _ = param_ratios(upsilon, z, alpha, beta)
+            assert x2**2 + x3**2 == d1**2
+            assert x1**2 + d1**2 == 1
             checked += 1
 
 
@@ -264,9 +282,16 @@ class TestReconstruct:
     def test_not_a_root(self):
         # t = pq kills the discarded quadratic factor, not the degree-10 one
         with pytest.raises(NotARoot):
-            reconstruct_cuboid(1, 2, 2, CaseTag.BU_EQ_A2)
+            reconstruct_cuboid(1, 2, 2, "BU_EQ_A2")
         with pytest.raises(NotARoot):
-            reconstruct_cuboid(1, 2, 7, CaseTag.AU_EQ_B2)
+            reconstruct_cuboid(1, 2, 7, "AU_EQ_B2")
+
+    @pytest.mark.parametrize("case", ["XX", "bu_eq_a2", "", None, []],
+                             ids=["unknown", "lower-case", "empty", "null", "list"])
+    def test_unknown_case_refused(self, case):
+        # checked before the root (NotARoot is a ValueError too)
+        with pytest.raises(ValueError, match="case must be one of"):
+            reconstruct_cuboid(3, 2, 12, case)
 
     def test_checker_detects_fake_septuple(self):
         from cuboidsearch.cuboid_eqs import _check_cuboid_equations

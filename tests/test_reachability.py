@@ -29,7 +29,6 @@ ALLOWED = {
     "exact_arith.QuadRational.__le__": TUPLE_ORDER,
     "exact_arith.QuadRational.__gt__": TUPLE_ORDER,
     "exact_arith.QuadRational.__ge__": TUPLE_ORDER,
-    "cuboid_eqs.CaseTag.params": HIT_PATH,
     "cuboid_eqs.param_ratios": HIT_PATH,
     "cuboid_eqs.compute_z": HIT_PATH,
     "cuboid_eqs.CuboidWitness.septuple": HIT_PATH,

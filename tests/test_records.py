@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import cuboidsearch
-from cuboidsearch.cuboid_eqs import CaseTag, CuboidWitness, FullEqParams, PQPair
+from cuboidsearch.cuboid_eqs import CuboidWitness, PQPair
 from cuboidsearch.exact_arith import QuadRational
 from cuboidsearch.search import SearchConfig
 from oracles import poly, poly_mul, poly_sub, quad
@@ -87,7 +87,7 @@ class TestValidatingRecords:
             output_path="cuboids.jsonl",
         )
 
-    @pytest.mark.parametrize("record", [PQPair(1, 2), FullEqParams(1, 2, 3), SearchConfig(1, 2)])
+    @pytest.mark.parametrize("record", [PQPair(1, 2), SearchConfig(1, 2)])
     def test_immutable_and_without_instance_dict(self, record):
         with pytest.raises(AttributeError):
             record.extra = 1
@@ -97,13 +97,12 @@ class TestValidatingRecords:
 
 def test_repr():
     assert repr(PQPair(1, 2)) == "PQPair(p=1, q=2)"
-    assert repr(FullEqParams(1, 2, 3)) == "FullEqParams(a=1, b=2, u=3)"
     assert repr(QuadRational(1)) == "QuadRational(A=1, B=0, D=1)"
 
 
 WITNESS = CuboidWitness(
-    p=1, q=2, t=5, case_tag=CaseTag.AU_EQ_B2,
-    x1=3, x2=4, x3=12, d1=13, d2=15, d3=5, L=13, verified=False,
+    p=1, q=2, t=5, case="AU_EQ_B2",
+    x1=3, x2=4, x3=12, d1=13, d2=15, d3=5, L=13,
 )
 
 

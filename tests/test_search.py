@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import signal
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import pytest
 
 from cuboidsearch import cli, cuboid_eqs, search
 from cuboidsearch.cuboid_eqs import (
-    CaseTag,
+    CASES,
     CuboidWitness,
     PQPair,
     qpq_coefficients,
@@ -76,7 +77,7 @@ def valuation(n, prime):
 
 
 def hit_key(w):
-    return (w.p, w.q, w.t, w.case_tag.value)
+    return (w.p, w.q, w.t, w.case)
 
 
 def kernel_counts(p):
@@ -864,7 +865,12 @@ class TestRunSearch:
         with pytest.raises(KeyboardInterrupt):
             run_search(pooled, abort_after_p=4)
         run_search(pooled)
-        assert started == [{"max_workers": 2}, {"max_workers": 2}]
+        # the workers ignore SIGINT; Ctrl-C is the parent's to handle
+        workers = dict(
+            max_workers=2, initializer=signal.signal,
+            initargs=(signal.SIGINT, signal.SIG_IGN),
+        )
+        assert started == [workers, workers]
         assert (tmp_path / "pooled.jsonl").read_bytes() == (
             tmp_path / "serial.jsonl"
         ).read_bytes()
@@ -878,7 +884,7 @@ class TestRunSearch:
         record = SimpleNamespace(sizes=[], chunks=[])
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 record.sizes.append(max_workers)
 
             def map(self, fn, iterable, chunksize=1):
@@ -1229,10 +1235,10 @@ def planted(monkeypatch):
             return (-144, -575, -860, -570, -140)
         return real_coefficients(p, q)
 
-    def reconstruct(p, q, t, tag):
-        if (p, q, t) != (3, 2, 12):
-            return real_reconstruct(p, q, t, tag)
-        return CuboidWitness(p, q, t, tag, 1, 2, 3, 4, 5, 6, 7, verified=True)
+    def reconstruct(p, q, t, case):
+        if (p, q, t) != (3, 2, 12) or case not in CASES:
+            return real_reconstruct(p, q, t, case)
+        return CuboidWitness(p, q, t, case, 1, 2, 3, 4, 5, 6, 7)
 
     monkeypatch.setattr(cuboid_eqs, "qpq_coefficients", coefficients)
     monkeypatch.setattr(search, "reconstruct_cuboid", reconstruct)
@@ -1261,7 +1267,7 @@ class TestPlantedRoot:
         text = (tmp_path / "a.jsonl").read_text()
         lines = [json.loads(line) for line in text.splitlines()]
         assert [(h["p"], h["q"], h["t"], h["case"]) for h in lines[:-1]] == sorted(
-            (3, 2, 12, tag.value) for tag in CaseTag
+            (3, 2, 12, case) for case in CASES
         )
         assert lines[-1]["hits"] == len(report.hits) == 2
         code = cli.main([
@@ -1306,3 +1312,27 @@ class TestPlantedRoot:
         path.write_text(path.read_text().replace('"x1":1', '"x1":9', 1))
         with pytest.raises(ResumeMismatch):
             run_search(config)
+
+    @pytest.mark.parametrize("edit", [
+        lambda hit: hit.update(case="XX"),
+        lambda hit: hit.update(case=[]),
+        lambda hit: hit.update(case=None),
+        lambda hit: hit.pop("case"),
+    ], ids=["unknown", "list", "null", "missing"])
+    def test_hit_line_with_a_bad_case_refused(self, tmp_path, planted, capsys, edit):
+        config = make_config(tmp_path, p_max=6)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(config, abort_after_p=4)
+        path = tmp_path / "a.jsonl"
+        first, rest = path.read_text().split("\n", 1)
+        hit = json.loads(first)
+        edit(hit)
+        path.write_text(json.dumps(hit, separators=(",", ":")) + "\n" + rest)
+        code = cli.main([
+            "search", "--p-max", "6", "--threads", "1", "--out", str(path),
+            "--checkpoint", config.checkpoint_path,
+        ])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_RESUME_MISMATCH
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: output {path} line 1 is not a verified hit: ")
