@@ -12,7 +12,7 @@ the real axis), done on the degree-5 R with Q(t) = R(t^2).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .exact_arith import (
     Poly,
@@ -23,7 +23,7 @@ from .exact_arith import (
     sign_variations,
     sign_vector,
 )
-from .cuboid_eqs import PQPair, QPQ_TERMS
+from .cuboid_eqs import PQPair, qpq_coefficients
 
 
 class PreconditionViolated(ValueError):
@@ -54,23 +54,37 @@ class NewtonPolygon(NamedTuple):
     nodes: tuple  # all NewtonNode, sorted by (m, r)
     upper_hull: tuple  # ordered (m, r) vertices, increasing m
     segment_slopes: tuple  # Fraction slope per hull segment
-    exponents: tuple  # deduplicated -slope values, ascending
+    exponents: tuple  # -slope per hull segment, ascending
+
+
+def balanced_digits(n: int, base: int) -> Iterator[Tuple[int, int]]:
+    """(position, digit) for each nonzero digit of n in balanced base
+    `base`, lowest first; every digit lies in [-base/2, base/2)."""
+    position, half = 0, base // 2
+    while n:
+        n, digit = divmod(n + half, base)
+        if digit != half:
+            yield position, digit - half
+        position += 1
 
 
 def build_newton_grid() -> tuple:
-    """The (m, r, c, e) nodes of the degree-10 polynomial, one per term of
-    QPQ_TERMS, sorted by (m, r).
-
-    p is treated symbolically.  A second term at one (m, r) would make its
-    coefficient more than one monomial in p, and raises ValueError.
+    """The (m, r, c, e) nodes of the degree-10 polynomial, one per term
+    c p^e q^r t^m, sorted by (m, r), read off qpq_coefficients at p = B^21
+    and q = B with B = 2^16: as every |c| < B/2 and every r <= 20, the term
+    is the balanced base-B digit c at position 21e + r.  Q is homogeneous,
+    so e + r = 20 - 2m, which leaves one power of p at each (m, r); a term
+    that breaks this raises ValueError.
     """
-    nodes: Dict[Tuple[int, int], NewtonNode] = {}
-    for m, terms in QPQ_TERMS.items():
-        for e, r, c in terms:
-            if (m, r) in nodes:
-                raise ValueError(f"node ({m},{r}) coefficient is not a monomial")
-            nodes[m, r] = NewtonNode(m, r, c, e)
-    return tuple(sorted(nodes.values()))
+    B = 2**16
+    nodes = []
+    for m, value in zip(range(0, 12, 2), qpq_coefficients(B**21, B) + (1,)):
+        for e, chunk in balanced_digits(value, B**21):
+            for r, c in balanced_digits(chunk, B):
+                if e + r != 20 - 2 * m:
+                    raise ValueError(f"term {c}*p^{e}*q^{r}*t^{m} breaks homogeneity")
+                nodes.append(NewtonNode(m, r, c, e))
+    return tuple(sorted(nodes))
 
 
 def _cross(o, a, b) -> int:
@@ -95,7 +109,8 @@ def upper_hull(nodes) -> NewtonPolygon:
     slopes = tuple(
         Fraction(b[1] - a[1], b[0] - a[0]) for a, b in zip(hull, hull[1:])
     )
-    exponents = tuple(sorted({-k for k in slopes}))
+    # the slopes of a strict upper hull fall from left to right
+    exponents = tuple(-k for k in slopes)
     return NewtonPolygon(
         nodes=tuple(sorted(nodes, key=lambda n: (n.m, n.r))),
         upper_hull=tuple(hull),
@@ -171,48 +186,23 @@ def leading_coefficients(polygon: NewtonPolygon, exponent: Fraction) -> List[Lea
     exponent = Fraction(exponent)
     if exponent not in polygon.exponents:
         raise ValueError(f"exponent {exponent} is not a hull exponent")
-    k = -exponent
-    seg = None
-    for (a, b), slope in zip(
-        zip(polygon.upper_hull, polygon.upper_hull[1:]), polygon.segment_slopes
-    ):
-        if slope == k:
-            seg = (a, b)
-            break
-    assert seg is not None
-    (m1, r1), (m2, r2) = seg
-    on_segment = [
-        n for n in polygon.nodes
+    seg = polygon.exponents.index(exponent)
+    (m1, r1), (m2, r2) = polygon.upper_hull[seg:seg + 2]
+    on_segment = {
+        n.m: n for n in polygon.nodes
         if m1 <= n.m <= m2 and (n.r - r1) * (m2 - m1) == (n.m - m1) * (r2 - r1)
-    ]
-    mono = {n.m: (n.c, n.e) for n in on_segment}  # m -> (coeff, p-power)
-    c2_, e2 = mono[m2]
-    c1_, e1 = mono[m1]
-    w = Fraction(e1 - e2, m2 - m1)
+    }
+    w = Fraction(on_segment[m1].e - on_segment[m2].e, m2 - m1)
     if w.denominator != 1:
         raise ValueError("fractional p-weight on hull segment")
-    w = int(w)
-    # homogeneity: e + m*w must be constant along the segment
-    target = e1 + m1 * w
-    gamma_coeffs: Dict[int, int] = {}
-    for m, (c, e) in mono.items():
-        if e + m * w != target:
-            raise ValueError("segment equation is not p-homogeneous")
-        gamma_coeffs[m] = c
-    m_min = min(gamma_coeffs)
-    shifted = {m - m_min: c for m, c in gamma_coeffs.items()}
+    shifted = {m - m1: n.c for m, n in on_segment.items()}
     if any(m % 2 for m in shifted):
         raise ValueError("segment equation is not even in gamma")
     s_coeffs = [shifted.get(2 * i, 0) for i in range(max(shifted) // 2 + 1)]
-    terms = []
-    for mag, axis, mult in _solve_even_gamma(s_coeffs):
-        terms.append(
-            LeadingTerm(
-                exponent=exponent, magnitude=mag, p_power=w, axis=axis,
-                multiplicity=mult,
-            )
-        )
-    return terms
+    return [
+        LeadingTerm(exponent, mag, int(w), axis, mult)
+        for mag, axis, mult in _solve_even_gamma(s_coeffs)
+    ]
 
 
 class AsymptoticInterval(NamedTuple):

@@ -15,7 +15,6 @@ the usage to stdout; any other bad command line one stderr line `error: ...`.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -129,8 +128,9 @@ def cmd_search(args) -> int:
     except search.ResumeMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESUME_MISMATCH
-    except OSError as exc:
-        print(f"error: {exc.strerror or exc} ({exc.filename})", file=sys.stderr)
+    except OSError as exc:  # search names the file of a failed write
+        where = f" ({exc.filename})" if exc.filename else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return EXIT_IO
     except KeyboardInterrupt:
         resume = "; rerun the same command to resume" if config.checkpoint_path else ""
@@ -223,10 +223,7 @@ def cmd_newton(args) -> int:
                 f"  exponent {term.exponent}: {axis}({term.magnitude})"
                 f" * p^{term.p_power}, multiplicity {term.multiplicity}"
             )
-            found.add((
-                term.exponent, term.magnitude, term.p_power, term.axis,
-                term.multiplicity,
-            ))
+            found.add(term)
     ok = (
         polygon.upper_hull == GOLDEN_HULL
         and polygon.exponents == GOLDEN_EXPONENTS
@@ -286,7 +283,7 @@ def cmd_identity_check(args) -> int:
 REQUIRED = object()
 COMMANDS = {
     "search": ("run the pruned (p, q, t) search", {
-        "--p-min": 1, "--p-max": REQUIRED, "--threads": os.cpu_count() or 1,
+        "--p-min": 1, "--p-max": REQUIRED, "--threads": search.available_cpus(),
         "--checkpoint": None, "--out": REQUIRED,
     }, cmd_search),
     "roots": ("five certified root intervals for one pair",

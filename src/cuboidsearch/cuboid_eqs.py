@@ -3,9 +3,9 @@
 A perfect cuboid (integer edges x1, x2, x3, face diagonals d1, d2, d3, space
 diagonal L) reduces, in the bu = a^2 / au = b^2 parameter family, to integer
 roots of an even degree-10 monic polynomial in t indexed by a coprime pair
-p != q.  This module builds that polynomial, the ambient degree-12 equation
-it factors out of, the rational parametrization of the cuboid ratios, and
-the reconstruction of an integer cuboid from a candidate root.
+p != q.  This module holds that polynomial's one definition, the ambient
+degree-12 equation it factors out of, the rational parametrization of the
+cuboid ratios, and the reconstruction of an integer cuboid from a root.
 
 A root gives one cuboid per case, named by the string the output's hit
 lines carry (CASES): "BU_EQ_A2", bu = a^2 with (a, b, u) = (pq, p^2, q^2),
@@ -65,27 +65,13 @@ class PQPair(_PQPairFields):
 CASES = ("BU_EQ_A2", "AU_EQ_B2")
 
 
-# Fully expanded coefficient grid of the degree-10 polynomial:
-# power of t -> list of (power of p, power of q, integer coefficient).
-# This is the single source for the Newton-polygon node set; qpq_value and
-# build_rpq use the factored coefficient formulas (qpq_coefficients), and
-# the tests check both agree.
-QPQ_TERMS = {
-    10: [(0, 0, 1)],
-    8: [(0, 4, 6), (2, 2, -1), (4, 0, -2)],
-    6: [(0, 8, 1), (2, 6, 10), (4, 4, 4), (6, 2, -14), (8, 0, 1)],
-    4: [(2, 10, -1), (4, 8, 14), (6, 6, -4), (8, 4, -10), (10, 2, -1)],
-    2: [(6, 10, 2), (8, 8, 1), (10, 6, -6)],
-    0: [(10, 10, -1)],
-}
-
-
 def qpq_coefficients(p: int, q: int) -> Tuple[int, int, int, int, int]:
     """Coefficients (c0, c2, c4, c6, c8) of the polynomial for (p, q):
     Q(t) = t^10 + c8 t^8 + c6 t^6 + c4 t^4 + c2 t^2 + c0, that is
     Q(t) = R(t^2) with R(u) = u^5 + c8 u^4 + c6 u^3 + c4 u^2 + c2 u + c0.
 
-    The single source of the factored coefficient formulas; c0 = -p^10 q^10.
+    The package's one definition of Q, c0 = -p^10 q^10; asymptotics reads
+    the terms of its Newton grid off these formulas.
     """
     p2, q2 = p * p, q * q
     p4, q4, m = p2 * p2, q2 * q2, p2 * q2

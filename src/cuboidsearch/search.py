@@ -176,6 +176,14 @@ def _is_checkpoint(output_path: str, checkpoint_path: str) -> bool:
     return False
 
 
+def _named(exc: OSError, path: str) -> OSError:
+    """`exc`, naming `path` if it names no file: Python names none when a
+    write, flush, fsync or close fails."""
+    if exc.filename is None:
+        exc.filename = path
+    return exc
+
+
 def _read_lines(path: str) -> List[str]:
     """All lines of a text file the search wrote; bytes that are not UTF-8
     mean the file is damaged."""
@@ -208,8 +216,11 @@ class SearchCheckpoint(NamedTuple):
 
     def write(self, path: str) -> None:
         tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(self.text())
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(self.text())
+        except OSError as exc:
+            raise _named(exc, tmp)
         os.replace(tmp, path)
 
     @staticmethod
@@ -508,12 +519,20 @@ def _scan_p(p: int) -> Tuple[int, Tuple[int, int, int, int], tuple]:
     return p, counts, tuple(hits)
 
 
+def available_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set where
+    the platform has one, else the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def use_pool(worker_count: int, todo: Sequence[int]) -> bool:
     """Whether to search the values of p in `todo` on a worker pool: only
     with several workers, several p, at least POOL_MIN_WORK work and more
-    than one CPU (read last, so the in-process path never asks)."""
+    than one available CPU (read last, so the in-process path never asks)."""
     return (worker_count > 1 and len(todo) > 1 and sum(todo) >= POOL_MIN_WORK
-            and (os.cpu_count() or 1) > 1)
+            and available_cpus() > 1)
 
 
 def _json_line(obj: dict) -> str:
@@ -626,9 +645,16 @@ def run_search(
         counts = ckpt[5:]
 
     out = open(config.output_path, "w", encoding="utf-8")
+
+    def emit(witnesses) -> None:
+        try:
+            out.writelines(_json_line(w.to_json_dict()) for w in witnesses)
+            out.flush()
+        except OSError as exc:
+            raise _named(exc, config.output_path)
+
     try:
-        out.writelines(_json_line(w.to_json_dict()) for w in hits)
-        out.flush()
+        emit(hits)
 
         todo = list(range(resume_from, config.p_max + 1))
         if use_pool(config.worker_count, todo):
@@ -640,7 +666,7 @@ def run_search(
             # a fork-started pool forks all its workers up front; they
             # ignore SIGINT, which Ctrl-C sends to the whole process group,
             # so that only this process handles it
-            workers = min(config.worker_count, len(todo), os.cpu_count() or 1)
+            workers = min(config.worker_count, len(todo), available_cpus())
             executor = ProcessPoolExecutor(
                 max_workers=workers, initializer=signal.signal,
                 initargs=(signal.SIGINT, signal.SIG_IGN),
@@ -659,7 +685,10 @@ def run_search(
             # on disk yet; the kept hits of a resume were rewritten too
             nonlocal synced
             if last.candidates_found > synced:
-                os.fsync(out.fileno())
+                try:
+                    os.fsync(out.fileno())
+                except OSError as exc:
+                    raise _named(exc, config.output_path)
                 synced = last.candidates_found
             last.write(config.checkpoint_path)
 
@@ -668,10 +697,7 @@ def run_search(
                 counts = tuple(a + b for a, b in zip(counts, p_counts))
                 if p_hits:
                     hits.extend(p_hits)
-                    out.writelines(
-                        _json_line(w.to_json_dict()) for w in p_hits
-                    )
-                    out.flush()
+                    emit(p_hits)
                 if config.checkpoint_path:
                     last = SearchCheckpoint(
                         CHECKPOINT_VERSION, config.p_min, config.p_max, p,
@@ -697,5 +723,8 @@ def run_search(
             {"summary": True, **dict(zip(names, counts)), "hits": len(hits)}
         ))
     finally:
-        out.close()
+        try:
+            out.close()  # it flushes the summary line
+        except OSError as exc:
+            raise _named(exc, config.output_path)
     return SearchReport(*counts, hits, time.monotonic() - start)

@@ -53,7 +53,6 @@ from cuboidsearch.asymptotics import (
 from cuboidsearch.cli import APPROX_DIGITS
 from cuboidsearch.cuboid_eqs import (
     CASES,
-    QPQ_TERMS,
     PQPair,
     full_eq_coefficients,
     qpq_coefficients,
@@ -588,8 +587,22 @@ def admissible_hits(pair: PQPair, roots: Sequence[int]) -> tuple:
     return tuple(hits)
 
 
+# The paper's expanded term table of the degree-10 polynomial: power of t ->
+# list of (power of p, power of q, integer coefficient).  The package holds
+# Q once, as the factored formulas of qpq_coefficients; this table is the
+# tests' independent copy.
+QPQ_TERMS = {
+    10: [(0, 0, 1)],
+    8: [(0, 4, 6), (2, 2, -1), (4, 0, -2)],
+    6: [(0, 8, 1), (2, 6, 10), (4, 4, 4), (6, 2, -14), (8, 0, 1)],
+    4: [(2, 10, -1), (4, 8, 14), (6, 6, -4), (8, 4, -10), (10, 2, -1)],
+    2: [(6, 10, 2), (8, 8, 1), (10, 6, -6)],
+    0: [(10, 10, -1)],
+}
+
+
 def build_qpq_from_grid(pair: PQPair) -> Poly:
-    """Q for the pair, summed directly from the expanded term grid."""
+    """Q for the pair, summed directly from the expanded term table."""
     p, q = pair.p, pair.q
     coeffs = [0] * 11
     for m, terms in QPQ_TERMS.items():

@@ -21,6 +21,7 @@ from cuboidsearch.asymptotics import (
 from cuboidsearch.cuboid_eqs import PQPair, build_rpq
 from cuboidsearch.exact_arith import QuadRational, quad_sign, sturm_sequence
 from oracles import (
+    QPQ_TERMS,
     asymptotic_intervals_by_sums,
     build_qpq,
     eval_int,
@@ -52,11 +53,23 @@ class TestNewtonGrid:
         assert (keyed[(8, 4)].c, keyed[(8, 4)].e) == (6, 0)
         assert (keyed[(6, 8)].c, keyed[(6, 8)].e) == (1, 0)
 
+    def test_grid_matches_oracle_table(self):
+        # the grid read off qpq_coefficients is the paper's term table
+        table = sorted(
+            NewtonNode(m, r, c, e)
+            for m, terms in QPQ_TERMS.items() for e, r, c in terms
+        )
+        assert len(table) == 18
+        assert list(build_newton_grid()) == table
+
     def test_two_powers_of_p_at_one_node_raise(self, monkeypatch):
-        # t^8 q^2 with the coefficient p^2 - p^4: not one monomial in p
-        terms = {10: [(0, 0, 1)], 8: [(2, 2, 1), (4, 2, -1)], 0: [(10, 10, -1)]}
-        monkeypatch.setattr(asymptotics, "QPQ_TERMS", terms)
-        with pytest.raises(ValueError, match=r"node \(8,2\) coefficient is not a monomial"):
+        # t^8 q^2 with the coefficient p^2 - p^4: not one monomial in p, and
+        # p^4 q^2 t^8 is not of Q's degree
+        def coefficients(p, q):
+            return (-(p * q) ** 10, 0, 0, 0, p**2 * q**2 - p**4 * q**2)
+
+        monkeypatch.setattr(asymptotics, "qpq_coefficients", coefficients)
+        with pytest.raises(ValueError, match=r"term -1\*p\^4\*q\^2\*t\^8 breaks homogeneity"):
             build_newton_grid()
 
     def test_hull_matches_golden(self):
@@ -133,6 +146,21 @@ class TestLeadingTerms:
         polygon = upper_hull(build_newton_grid())
         with pytest.raises(ValueError):
             leading_coefficients(polygon, Fraction(3))
+
+    def test_fractional_p_weight(self):
+        # the ends' powers of p differ by 1 over a segment two t-powers wide
+        polygon = upper_hull((NewtonNode(0, 0, 1, 1), NewtonNode(2, 2, 1, 0)))
+        with pytest.raises(ValueError, match="fractional p-weight"):
+            leading_coefficients(polygon, Fraction(-1))
+
+    def test_odd_offset(self):
+        # a node one t-power from the segment's left end: not even in gamma
+        polygon = upper_hull((
+            NewtonNode(0, 0, 1, 2), NewtonNode(1, 1, 1, 1), NewtonNode(2, 2, 1, 0),
+        ))
+        assert polygon.upper_hull == ((0, 0), (2, 2))
+        with pytest.raises(ValueError, match="not even in gamma"):
+            leading_coefficients(polygon, Fraction(-1))
 
 
 class TestIntervals:

@@ -323,6 +323,25 @@ class TestSearchCommand:
         assert other == ["interrupted; rerun the same command to resume"]
         assert 99001 <= search.SearchCheckpoint.read(str(ckpt)).last_completed_p < 100000
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("full", ["output", "checkpoint"])
+    def test_write_error_names_the_file(self, tmp_path, capsys, full):
+        # Python names no file when a write, flush or close fails; the
+        # error line names the output, or the .tmp the checkpoint is
+        # written through
+        out, ckpt = str(tmp_path / "o.jsonl"), str(tmp_path / "c.ckpt")
+        if full == "output":
+            out = failing = "/dev/full"
+        else:
+            failing = ckpt + ".tmp"
+            os.symlink("/dev/full", failing)
+        code, _, err = run_cli(
+            capsys, "search", "--p-max", "5", "--threads", "1",
+            "--out", out, "--checkpoint", ckpt,
+        )
+        assert code == cli.EXIT_IO
+        assert err.splitlines()[-1] == f"error: No space left on device ({failing})"
+
     @pytest.mark.parametrize("checkpoint", [False, True])
     def test_interrupt(self, tmp_path, capsys, monkeypatch, checkpoint):
         def interrupted(config, progress=None):
@@ -633,12 +652,27 @@ class TestParser:
         code, _, err = run_cli(capsys, "roots", "--p", "-5", "--q", "59")
         assert code == cli.EXIT_BAD_FLAGS and "positive" in err
 
+    def test_threads_default_is_the_available_cpus(self):
+        # a process that may run on one CPU of a 64-CPU host starts one
+        # worker by default
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            "import os; os.cpu_count = lambda: 64; "
+            "os.sched_getaffinity = lambda pid: {0}; "
+            "from cuboidsearch import cli; cli.main(['--help'])"
+        )
+        usage = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert "\n  --threads  (default 1)\n" in usage
+
     def test_readme_command_lines(self):
         # every line of README's CLI block, as the handlers read it
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
         lines = [line.split()[1:] for line in block.splitlines()]
-        threads = os.cpu_count() or 1
+        threads = search.available_cpus()
         expected = [
             dict(subcommand="search", p_min=1, p_max=100, threads=threads,
                  checkpoint="run.ckpt", out="cuboids.jsonl"),

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuboidsearch import cli, cuboid_eqs
+from cuboidsearch.asymptotics import balanced_digits
 from cuboidsearch.cuboid_eqs import (
     CASES,
-    QPQ_TERMS,
     DegenerateDenominator,
     NotARoot,
     PQPair,
@@ -18,10 +18,12 @@ from cuboidsearch.cuboid_eqs import (
     factorization_check,
     full_eq_coefficients,
     param_ratios,
+    qpq_coefficients,
     qpq_value,
     reconstruct_cuboid,
 )
 from oracles import (
+    QPQ_TERMS,
     build_full_eq,
     build_qpq,
     build_qpq_from_grid,
@@ -29,6 +31,8 @@ from oracles import (
     intpoly_factorization_check,
     is_even,
     literal_full_eq,
+    poly,
+    poly_mul,
 )
 
 
@@ -166,6 +170,31 @@ class TestFactorization:
                 pairs.append(PQPair(p, q))
         for pair in pairs:
             assert factorization_check(*pair) is intpoly_factorization_check(pair) is True
+
+    def test_identity_for_all_pairs_by_homogeneity(self):
+        """README's theorem.  The t^(2k) coefficient of each side of the
+        identity is homogeneous of degree 24 - 4k in (p, q), so their
+        difference is H_k(p, q) = p^(24 - 4k) H_k(1, q/p), and the 25 pairs
+        (1, q) with q = 2..26 prove the identity for every p != 0 and q.
+
+        The degrees are read off exactly, as build_newton_grid reads Q's:
+        at p = B^25 and q = B, with every coefficient below B/2 in absolute
+        value and every power of q at most 24, the term c p^e q^r is the
+        balanced base-B digit c at position 25e + r."""
+        B = 2**16
+        p, q = B**25, B
+        Q = poly(x for c in qpq_coefficients(p, q) + (1,) for x in (c, 0))
+        sides = {
+            "(t^2 - p^2 q^2) Q": poly_mul(poly([-((p * q) ** 2), 0, 1]), Q)[::2],
+            "degree-12 equation": full_eq_coefficients(p * q, p * p, q * q),
+        }
+        for side, coefficients in sides.items():
+            assert len(coefficients) == 7
+            for k, value in enumerate(coefficients):
+                for e, chunk in balanced_digits(value, B**25):
+                    for r, c in balanced_digits(chunk, B):
+                        assert e + r == 24 - 4 * k, (side, k, c, e, r)
+        assert all(factorization_check(1, q) for q in range(2, 27))
 
     @pytest.mark.parametrize("index", range(5))
     def test_altered_coefficient_detected(self, monkeypatch, index):

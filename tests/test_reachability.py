@@ -38,6 +38,7 @@ ALLOWED = {
     "cuboid_eqs.reconstruct_cuboid": HIT_PATH,
     "search.pair_candidates": HIT_PATH,
     "search._kept_witness": HIT_PATH,
+    "search._named": "names the file when a write fails; test_write_error_names_the_file fills /dev/full",
 }
 
 

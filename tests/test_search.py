@@ -751,7 +751,7 @@ class TestConfig:
         one = interrupted("one", 1)
         assert interrupted("four", 4) == one
         monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "available_cpus", lambda: 2)
         assert interrupted("pool", 2) == one
 
     def test_checkpoint_tracks_range(self, tmp_path):
@@ -832,7 +832,7 @@ class TestRunSearch:
         ).read_bytes()
 
     def test_use_pool(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "available_cpus", lambda: 2)
         big = list(range(1, 4473))
         assert sum(big) >= search.POOL_MIN_WORK
         assert not use_pool(2, big[:-1])
@@ -840,10 +840,20 @@ class TestRunSearch:
         assert not use_pool(1, big)
         assert not use_pool(2, [search.POOL_MIN_WORK])
         assert not use_pool(4, list(range(27, 41)))
-        # one CPU, or one that os.cpu_count cannot tell, runs in-process
-        for cpus in (1, None):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            assert not use_pool(2, big)
+        # one available CPU runs in-process
+        monkeypatch.setattr(search, "available_cpus", lambda: 1)
+        assert not use_pool(2, big)
+
+    def test_available_cpus(self, monkeypatch):
+        # the CPUs this process may run on, not the host's; where the
+        # platform has no affinity set, the host's, or 1 if it cannot tell
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert search.available_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert search.available_cpus() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert search.available_cpus() == 1
 
     def test_pool_output_matches_in_process(self, tmp_path, monkeypatch):
         import concurrent.futures
@@ -859,7 +869,7 @@ class TestRunSearch:
         run_search(serial)
         assert started == []
         monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "available_cpus", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
         pooled = make_config(tmp_path, "pooled", p_max=8, worker_count=2)
         with pytest.raises(KeyboardInterrupt):
@@ -903,7 +913,7 @@ class TestRunSearch:
         serial = make_config(tmp_path, "serial", p_max=8)
         run_search(serial)
         monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the CPUs cap nothing here
+        monkeypatch.setattr(search, "available_cpus", lambda: 64)  # the CPUs cap nothing here
         run_search(make_config(tmp_path, "few", p_max=3, worker_count=64))
         run_search(make_config(tmp_path, "two", p_max=8, worker_count=2))
         resumed = make_config(tmp_path, "resumed", p_max=8, worker_count=64)
@@ -926,13 +936,22 @@ class TestRunSearch:
         # many values of p are left
         run_search(make_config(tmp_path, "one", p_max=40))
         monkeypatch.setattr(search, "POOL_MIN_WORK", 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "available_cpus", lambda: 2)
         run_search(make_config(tmp_path, "many", p_max=40, worker_count=64))
         assert fake_pool.sizes == [2]
         for suffix in ("jsonl", "ckpt"):
             assert (tmp_path / f"many.{suffix}").read_bytes() == (
                 tmp_path / f"one.{suffix}"
             ).read_bytes()
+
+    def test_one_cpu_of_many_runs_in_process(self, tmp_path, monkeypatch, fake_pool):
+        # a process that may run on one CPU of a 64-CPU host searches
+        # in-process, however many workers it asks for
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(search, "POOL_MIN_WORK", 1)
+        run_search(make_config(tmp_path, "pinned", p_max=40, worker_count=64))
+        assert fake_pool.sizes == []
 
     def test_checkpoint_written_by_work(self, tmp_path, monkeypatch):
         written = []
@@ -1252,7 +1271,7 @@ class TestPlantedRoot:
     def workers(self, request, monkeypatch):
         if request.param == "pool":
             monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
-            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            monkeypatch.setattr(search, "available_cpus", lambda: 2)
             return 2
         return 1
 
