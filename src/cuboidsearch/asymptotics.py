@@ -4,9 +4,10 @@ The polynomial, written as a sum A_{m,r}(p) q^r t^m, has a Newton polygon
 whose upper-boundary slopes give the growth exponents of its roots in q.
 For q >= 59 p the five roots in the upper half plane (three real, two purely
 imaginary) lie in five explicit disjoint open intervals with endpoints in
-the rationals or in the sqrt(2) field; each interval is certified to hold
-exactly one root by exact endpoint sign evaluation (plus a Sturm count on
-the real axis), done on the degree-5 R with Q(t) = R(t^2).
+the rationals or in the sqrt(2) field.  Each interval is certified to hold
+exactly one root, and Q to have no root outside them and their mirror
+images, by a degree count: the exact order of the ends and exact endpoint
+signs of the degree-5 R with Q(t) = R(t^2) account for all five roots of R.
 """
 
 from __future__ import annotations
@@ -15,15 +16,14 @@ from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .exact_arith import (
+    QUAD_ZERO,
     Poly,
     QuadRational,
     quad_sign,
     quad_sqrt,
     sign_at_sqrt2,
-    sign_variations,
-    sign_vector,
 )
-from .cuboid_eqs import PQPair, qpq_coefficients
+from .cuboid_eqs import PQPair, build_rpq, qpq_coefficients
 
 
 class PreconditionViolated(ValueError):
@@ -250,30 +250,48 @@ def asymptotic_intervals(pair: PQPair) -> List[AsymptoticInterval]:
 
 
 class DisjointnessReport(NamedTuple):
-    ok: bool
+    ok: bool  # every link of the order holds
+    broken: Optional[str]  # the first link that fails, as "T2.hi < T3.lo"
     real_gap: QuadRational  # T3.lo - T2.hi (must be > 0)
-    adjacency_ok: bool  # T1.hi == T2.lo == p^2, open so disjoint
     imaginary_gap: QuadRational  # T4.lo - T5.hi (must be > 0)
 
 
+# The order of the ends that the degree count of certify_roots needs, one
+# link (left, relation, right) at a time: 0 < T1.lo < T1.hi = T2.lo < T2.hi
+# < T3.lo < T3.hi on the real axis and 0 < T5.lo < T5.hi < T4.lo < T4.hi on
+# the imaginary one.
+_ORDER = (
+    ("0", "<", "T1.lo"), ("T1.lo", "<", "T1.hi"), ("T1.hi", "=", "T2.lo"),
+    ("T2.lo", "<", "T2.hi"), ("T2.hi", "<", "T3.lo"), ("T3.lo", "<", "T3.hi"),
+    ("0", "<", "T5.lo"), ("T5.lo", "<", "T5.hi"), ("T5.hi", "<", "T4.lo"),
+    ("T4.lo", "<", "T4.hi"),
+)
+
+
 def check_disjoint(intervals: List[AsymptoticInterval]) -> DisjointnessReport:
-    """Exact pairwise disjointness of the five intervals, with margins."""
-    by = {iv.label: iv for iv in intervals}
-    positive = all(quad_sign(iv.lo) > 0 for iv in intervals)
-    adjacency_ok = by["T1"].hi == by["T2"].lo
-    real_gap = by["T3"].lo - by["T2"].hi
-    imaginary_gap = by["T4"].lo - by["T5"].hi
-    ok = (
-        positive
-        and adjacency_ok
-        and quad_sign(real_gap) > 0
-        and quad_sign(imaginary_gap) > 0
+    """Exact order of the five intervals' ends, with the two gaps as margins.
+
+    Under that order the five intervals are positive and disjoint, so their
+    images (lo^2, hi^2) on the real axis and (-hi^2, -lo^2) on the
+    imaginary one are disjoint too; T1 and T2 are open, so sharing an end
+    they share no point.
+    """
+    ends = {"0": QUAD_ZERO}
+    for iv in intervals:
+        ends[iv.label + ".lo"], ends[iv.label + ".hi"] = iv.lo, iv.hi
+    broken = next(
+        (
+            f"{a} {rel} {b}"
+            for a, rel, b in _ORDER
+            if not (ends[a] == ends[b] if rel == "=" else ends[a] < ends[b])
+        ),
+        None,
     )
     return DisjointnessReport(
-        ok=ok,
-        real_gap=real_gap,
-        adjacency_ok=adjacency_ok,
-        imaginary_gap=imaginary_gap,
+        ok=broken is None,
+        broken=broken,
+        real_gap=ends["T3.lo"] - ends["T2.hi"],
+        imaginary_gap=ends["T4.lo"] - ends["T5.hi"],
     )
 
 
@@ -282,71 +300,52 @@ class RootCertificate(NamedTuple):
     axis: str  # "REAL" or "IMAGINARY"
     sign_lo: int
     sign_hi: int
-    sturm_roots: Optional[int]  # real axis only
 
 
-def _sign_on_imaginary_axis(rpoly: Poly, y: QuadRational) -> int:
-    """Sign of Q(iy) = R(-y^2), with y squared in integers."""
-    A, B, D = y
-    return sign_at_sqrt2(rpoly, -(A * A + 2 * B * B), -2 * A * B, D * D)
+def _sign_at_square(rpoly: Poly, axis: str, x: QuadRational) -> int:
+    """Sign of Q(x) = R(x^2) on the real axis, of Q(ix) = R(-x^2) on the
+    imaginary one; x = (A + B sqrt(2))/D has x^2 = (A^2 + 2B^2 + 2AB
+    sqrt(2))/D^2, squared in integers."""
+    A, B, D = x
+    s = 1 if axis == "REAL" else -1
+    return sign_at_sqrt2(rpoly, s * (A * A + 2 * B * B), s * 2 * A * B, D * D)
 
 
 def certify_roots(
-    pair: PQPair, intervals: List[AsymptoticInterval], sturm: List[Poly]
+    pair: PQPair, intervals: List[AsymptoticInterval]
 ) -> List[RootCertificate]:
-    """Certify one root per interval by exact endpoint signs.
+    """Certify exactly one root of Q in each interval, and none elsewhere,
+    by counting against the degree of R.
 
-    Every check runs on the degree-5 R with Q(t) = R(t^2) (build_rpq).
-    t -> t^2 is strictly increasing on t >= 0, so for a real interval
-    (lo, hi) with lo >= 0, Q has the signs of R at lo^2 and hi^2 and as
-    many roots in (lo, hi) as R has in (lo^2, hi^2); a real interval with
-    lo < 0 is refused.  Real intervals additionally get a Sturm count of
-    exactly 1, all three from one Sturm sequence of R, whose sign vector is
-    evaluated once per distinct squared endpoint (T1.hi = T2.lo = p^2).  On
-    the imaginary axis Q(iy) = R(-y^2), and for y = (A + B sqrt(2))/D,
-    -y^2 = (-(A^2 + 2B^2) - 2AB sqrt(2))/D^2 has an exactly decidable sign.
-    `intervals` and `sturm` are the pair's asymptotic_intervals and the
-    sturm_sequence of its R (build_rpq).  Raises CertificationFailed naming
-    the interval and check if anything fails, so every certificate it
-    returns has passed.
+    Every check runs on the degree-5 R with Q(t) = R(t^2) (build_rpq).  Put
+    u = t^2 on the real axis and u = -y^2 on the imaginary one, where
+    Q(iy) = R(-y^2): a real interval (lo, hi) with 0 < lo maps onto
+    (lo^2, hi^2), an imaginary one onto (-hi^2, -lo^2).  In the order that
+    check_disjoint checks, the five images are disjoint open intervals.  If
+    R changes sign across each, each image holds an odd number of roots, so
+    at least one: five roots for a polynomial of degree 5.  So each image
+    holds exactly one simple root and R has no other, real or complex, and
+    each interval holds exactly one root of Q (on the imaginary axis, i
+    times it), the rest of Q's roots being their negatives.
+
+    `intervals` are the pair's asymptotic_intervals.  Raises
+    CertificationFailed naming each interval whose signs do not change or,
+    when all of them do, the first link of the order that fails, so every
+    certificate it returns has passed.
     """
-    rpoly = sturm[0]  # R's primitive part: R itself, which is monic
-    if len(rpoly) - 1 != 5:
-        raise ValueError("sturm must be the Sturm sequence of the degree-5 R")
-    vectors = {}  # (A, D) of a real endpoint A/D -> sign vector
-
-    def signs_at_square(A: int, D: int) -> list:
-        signs = vectors.get((A, D))
-        if signs is None:
-            signs = vectors[A, D] = sign_vector(sturm, A * A, D * D)
-        return signs
-
+    rpoly = build_rpq(pair)
     certs = []
     failures = []
     for iv in intervals:
-        if iv.axis == "REAL":
-            (lo_A, lo_B, lo_D), (hi_A, hi_B, hi_D) = iv.lo, iv.hi
-            if lo_B or hi_B:
-                raise ValueError(f"{iv.label} has an endpoint with a sqrt(2) part")
-            if lo_A < 0:
-                failures.append(f"{iv.label}: lo = {iv.lo} < 0")
-                continue
-            v_lo, v_hi = signs_at_square(lo_A, lo_D), signs_at_square(hi_A, hi_D)
-            s_lo, s_hi = v_lo[0], v_hi[0]
-            count = None
-            if s_lo != 0 and s_hi != 0:
-                count = sign_variations(v_lo) - sign_variations(v_hi)
-            if s_lo * s_hi != -1 or count != 1:
-                failures.append(
-                    f"{iv.label}: sign({s_lo},{s_hi}), sturm={count}"
-                )
-            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, count))
-        else:
-            s_lo = _sign_on_imaginary_axis(rpoly, iv.lo)
-            s_hi = _sign_on_imaginary_axis(rpoly, iv.hi)
-            if s_lo * s_hi != -1:
-                failures.append(f"{iv.label}: sign({s_lo},{s_hi})")
-            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, None))
+        s_lo = _sign_at_square(rpoly, iv.axis, iv.lo)
+        s_hi = _sign_at_square(rpoly, iv.axis, iv.hi)
+        if s_lo * s_hi != -1:
+            failures.append(f"{iv.label}: sign({s_lo},{s_hi})")
+        certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi))
+    if not failures:
+        broken = check_disjoint(intervals).broken
+        if broken:
+            failures.append(f"order fails at {broken}")
     if failures:
         raise CertificationFailed(
             f"(p={pair.p}, q={pair.q}): " + "; ".join(failures)

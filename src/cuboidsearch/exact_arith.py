@@ -1,11 +1,10 @@
 """Exact arithmetic substrate, in integers only.
 
 The real quadratic field of numbers (A + B*sqrt(2))/D held as three
-integers, univariate integer polynomials held as tuples of coefficients
-(P[i] is the coefficient of t^i, no trailing zero, () for the zero
-polynomial), and Sturm-sequence real-root counting.
-Polynomial signs at rational and sqrt(2)-field points, square roots in the
-field, and Sturm sequences are computed in integers only.
+integers, and univariate integer polynomials held as tuples of
+coefficients (P[i] is the coefficient of t^i, no trailing zero, () for the
+zero polynomial).  Signs in the field, square roots in it, and polynomial
+signs at its points are computed in integers only.
 Everything here is an immutable value and every operation is a pure
 function, so all of it is safe to use from parallel workers.  No floating
 point is used in any decision procedure.
@@ -14,13 +13,9 @@ point is used in any decision procedure.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 Poly = Tuple[int, ...]  # coefficients, lowest power first
-
-
-class EndpointIsRoot(ValueError):
-    """An interval endpoint is a root of the polynomial."""
 
 
 class _QuadFields(NamedTuple):
@@ -186,9 +181,10 @@ def quad_sqrt(x: QuadRational) -> Optional[QuadRational]:
 def sign_at_sqrt2(P: Poly, A: int, B: int, D: int) -> int:
     """Exact sign of P((A + B*sqrt(2))/D) for integers A, B and D > 0.
 
-    The homogeneous Horner pass of sign_vector runs over integer pairs (u, v)
-    standing for u + v*sqrt(2); the sign of the final pair is decided as in
-    quad_sign.
+    With k = deg P, P(x) has the sign of D^k P(x) = sum c_i (A + B*sqrt(2))^i
+    D^(k-i), which one homogeneous Horner pass computes over integer pairs
+    (u, v) standing for u + v*sqrt(2), without a division; the sign of the
+    final pair is decided as in quad_sign.
     """
     u = v = 0
     d_pow = 1
@@ -196,128 +192,3 @@ def sign_at_sqrt2(P: Poly, A: int, B: int, D: int) -> int:
         u, v = u * A + 2 * v * B + c * d_pow, u * B + v * A
         d_pow *= D
     return _sqrt2_sign(u, v)
-
-
-def _primitive(coeffs: Sequence[int], sign: int = 1) -> Poly:
-    """Divide by sign times the positive content, giving the primitive
-    polynomial as a coefficient tuple.
-
-    With sign = 1 the positive scale preserves signs everywhere, which
-    Sturm's theorem relies on; it also keeps coefficient growth under
-    control along the remainder sequence.  `coeffs` has no trailing zero,
-    so neither has the result.
-    """
-    g = math.gcd(*coeffs) * sign
-    if g == 1:
-        return tuple(coeffs)
-    return tuple([c // g for c in coeffs]) if g else ()
-
-
-def _neg_pseudo_rem(f: Sequence[int], g: Sequence[int]) -> Tuple[list, int]:
-    """(r, sign) with sign * r a positive multiple of -rem(f, g), in integer
-    arithmetic.
-
-    Each elimination step replaces r by (lc(g)/h) r - (lc(r)/h) t^k g with
-    h = gcd(lc(g), lc(r)) > 0, which scales the remainder by lc(g)/h; the
-    signs of those scales are multiplied up so that sign * r is a
-    *positive* multiple of the rational remainder, negated.
-    """
-    r = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    sign = -1
-    while len(r) - 1 >= dg:
-        lr = r.pop()
-        h = math.gcd(lg, lr)
-        mg, mr = lg // h, lr // h
-        k = len(r) - dg
-        if mg != 1:
-            r = [mg * c for c in r]
-            if mg < 0:
-                sign = -sign
-        for i in range(dg):
-            r[k + i] -= mr * g[i]
-        while r and r[-1] == 0:
-            r.pop()
-    return r, sign
-
-
-def sturm_sequence(P: Poly) -> list:
-    """Signed remainder sequence of P, with primitive-part reduction, as a
-    list of coefficient tuples.
-
-    Each term is the primitive integer polynomial that is a positive
-    multiple of the negated remainder of the two before it, computed as an
-    integer pseudo-remainder (Collins; Brown and Traub), so no rational
-    arithmetic is needed and every term keeps the signs Sturm's theorem
-    counts.
-    """
-    seq = [_primitive(P)]
-    if len(P) < 2:  # P is constant: its derivative is zero
-        return seq
-    seq.append(_primitive([i * P[i] for i in range(1, len(P))]))
-    while len(seq[-1]) > 1:  # the last term is not constant
-        rem, sign = _neg_pseudo_rem(seq[-2], seq[-1])
-        if not rem:
-            break
-        seq.append(_primitive(rem, sign))
-    return seq
-
-
-def sign_vector(seq: Sequence[Poly], n: int, d: int) -> list:
-    """Signs of every polynomial of `seq` at n/d, for integers n and d > 0.
-
-    With k = deg P, P(n/d) has the sign of d^k P(n/d) = sum c_i n^i d^(k-i),
-    which one homogeneous Horner pass computes without a single division.
-    The powers of d are built once, for the first polynomial, which has the
-    highest degree in a Sturm sequence, and shared by the rest.
-    """
-    d_pows = [1]
-    for _ in range(len(seq[0]) - 1):
-        d_pows.append(d_pows[-1] * d)
-    signs = []
-    for cs in seq:
-        k = len(cs) - 1
-        acc = cs[k] if cs else 0
-        for i in range(1, k + 1):
-            acc = acc * n + cs[k - i] * d_pows[i]
-        signs.append((acc > 0) - (acc < 0))
-    return signs
-
-
-def sign_variations(signs: Sequence[int]) -> int:
-    """Sign changes along a sign vector, zeros skipped."""
-    changes = 0
-    last = 0
-    for s in signs:
-        if s:
-            if last and s != last:
-                changes += 1
-            last = s
-    return changes
-
-
-def sturm_count(
-    P: Poly, lo: int, hi: int, seq: Optional[Sequence[Poly]] = None
-) -> int:
-    """Number of distinct real roots of P in the open interval (lo, hi),
-    whose ends are integers or Fractions.
-
-    Requires P(lo) != 0 and P(hi) != 0; an endpoint that is a root fails
-    with EndpointIsRoot.  `seq` is P's sturm_sequence when the caller has
-    built it already, so that several intervals share one sequence.  Its
-    first term is P's primitive part, a positive multiple of P, so the
-    first entry of an endpoint's sign vector is the sign of P there.
-    """
-    if not P:
-        raise ValueError("zero polynomial")
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    if seq is None:
-        seq = sturm_sequence(P)
-    v_lo = sign_vector(seq, lo.numerator, lo.denominator)
-    v_hi = sign_vector(seq, hi.numerator, hi.denominator)
-    for end, signs in ((lo, v_lo), (hi, v_hi)):
-        if signs[0] == 0:
-            raise EndpointIsRoot(f"P({end}) = 0")
-    return sign_variations(v_lo) - sign_variations(v_hi)

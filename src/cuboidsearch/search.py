@@ -656,7 +656,7 @@ def run_search(
     try:
         emit(hits)
 
-        todo = list(range(resume_from, config.p_max + 1))
+        todo = range(resume_from, config.p_max + 1)
         if use_pool(config.worker_count, todo):
             # imported here: only pool runs need it, and it takes about a
             # third of the CLI's import time

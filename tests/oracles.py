@@ -12,7 +12,7 @@ the obstruction sieve done pair by pair, by evaluating Q at every residue
 obstruction sieve by slice assignment alone (`slice_sieve_pairs`).  Beside
 them stand the certificate's earlier arithmetic: Horner evaluation over
 Fraction and over the sqrt(2) field, the Sturm sequence built from
-Fraction remainders, the sqrt(2) field held as two Fractions
+Fraction remainders and the root count over it, the sqrt(2) field held as two Fractions
 (`FractionQuad`), with its sign and square root, and the rational view
 of the integer field (`quad` from two rationals, `quad_parts` and
 `to_fraction` back, `rational_sqrt`, `sqrt2_approx`).  Then the
@@ -64,9 +64,6 @@ from cuboidsearch.exact_arith import (
     QUAD_ZERO,
     quad_sign,
     sign_at_sqrt2,
-    sign_vector,
-    sturm_count,
-    sturm_sequence,
 )
 from cuboidsearch.search import _prime_factors, t_bounds
 
@@ -215,8 +212,9 @@ def is_even(P: Poly) -> bool:
 
 
 def sign_at(P: Poly, x: RatLike) -> int:
-    """Exact sign of P(x) for rational x, in integers only (sign_vector)."""
-    return sign_vector((P,), x.numerator, x.denominator)[0]
+    """Exact sign of P(x) for rational x, by Horner's scheme over Fraction."""
+    value = eval_poly(P, x)
+    return (value > 0) - (value < 0)
 
 
 def sign_at_quad(P: Poly, x: QuadRational) -> int:
@@ -287,6 +285,23 @@ def fraction_sturm_sequence(P: Poly) -> list:
             break
         seq.append(_frac_primitive([-c for c in rem]))
     return seq
+
+
+def fraction_sturm_count(P: Poly, lo: RatLike, hi: RatLike, seq=None) -> int:
+    """Number of distinct real roots of P in (lo, hi) by Sturm's theorem,
+    for rational ends that are not roots of P (ValueError otherwise).
+    `seq` is P's fraction_sturm_sequence when the caller has built it."""
+    if seq is None:
+        seq = fraction_sturm_sequence(P)
+
+    def variations(x) -> int:
+        signs = [s for s in (sign_at(f, x) for f in seq) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    for end in (lo, hi):
+        if sign_at(P, end) == 0:
+            raise ValueError(f"P({end}) = 0")
+    return variations(lo) - variations(hi)
 
 
 def rational_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -743,13 +758,14 @@ def asymptotic_intervals_by_sums(pair: PQPair) -> List[AsymptoticInterval]:
 
 def q_certify_roots(pair: PQPair, intervals=None) -> List[RootCertificate]:
     """The root certificate computed on the degree-10 Q itself: endpoint
-    signs of Q on the real axis, a Sturm count from one Sturm sequence of
-    Q, and signs of the imaginary-axis restriction of Q for T4 and T5.
-    Raises CertificationFailed in the same words as certify_roots."""
+    signs of Q on the real axis, each interval with a Sturm count of 1 from
+    one Fraction Sturm sequence of Q, and signs of the imaginary-axis
+    restriction of Q for T4 and T5.  Raises CertificationFailed in the
+    words of certify_roots, with the Sturm count added on the real axis."""
     if intervals is None:
         intervals = asymptotic_intervals(pair)
     qpoly = build_qpq(pair)
-    sturm = sturm_sequence(qpoly)
+    sturm = fraction_sturm_sequence(qpoly)
     ipoly = imaginary_axis_poly(qpoly)
     certs = []
     failures = []
@@ -759,18 +775,18 @@ def q_certify_roots(pair: PQPair, intervals=None) -> List[RootCertificate]:
             s_lo, s_hi = sign_at(qpoly, lo), sign_at(qpoly, hi)
             count = None
             if s_lo != 0 and s_hi != 0:
-                count = sturm_count(qpoly, lo, hi, sturm)
+                count = fraction_sturm_count(qpoly, lo, hi, sturm)
             if s_lo * s_hi != -1 or count != 1:
                 failures.append(
                     f"{iv.label}: sign({s_lo},{s_hi}), sturm={count}"
                 )
-            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, count))
+            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi))
         else:
             s_lo = sign_at_quad(ipoly, iv.lo)
             s_hi = sign_at_quad(ipoly, iv.hi)
             if s_lo * s_hi != -1:
                 failures.append(f"{iv.label}: sign({s_lo},{s_hi})")
-            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi, None))
+            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi))
     if failures:
         raise CertificationFailed(
             f"(p={pair.p}, q={pair.q}): " + "; ".join(failures)

@@ -22,12 +22,11 @@ from cuboidsearch.asymptotics import (
 from cuboidsearch.cli import GOLDEN_HULL, GOLDEN_EXPONENTS, _golden_leading_terms
 from cuboidsearch.cuboid_eqs import (
     PQPair,
-    build_rpq,
     compute_z,
     factorization_check,
     param_ratios,
 )
-from cuboidsearch.exact_arith import QuadRational, sturm_count, sturm_sequence
+from cuboidsearch.exact_arith import QuadRational
 from cuboidsearch import search
 from cuboidsearch.search import (
     SearchConfig,
@@ -35,6 +34,8 @@ from cuboidsearch.search import (
 )
 from oracles import (
     build_qpq,
+    fraction_sturm_count,
+    fraction_sturm_sequence,
     imaginary_axis_poly,
     integer_point_report,
     oracle_hits,
@@ -43,6 +44,7 @@ from oracles import (
     refine_interval,
     scan_pair,
     sqrt2_approx,
+    to_fraction,
 )
 
 
@@ -93,16 +95,22 @@ def test_criterion_3_certified_root_intervals():
         pair = PQPair(p, q)
         intervals = asymptotic_intervals(pair)
         assert check_disjoint(intervals).ok
-        certs = certify_roots(pair, intervals, sturm_sequence(build_rpq(pair)))
+        certs = certify_roots(pair, intervals)
         assert all(c.sign_lo * c.sign_hi == -1 for c in certs)
-        assert all(c.sturm_roots == 1 for c in certs if c.axis == "REAL")
+        # the degree count's one root per real interval, recounted on Q
+        qpoly = build_qpq(pair)
+        seq = fraction_sturm_sequence(qpoly)
+        for iv in intervals[:3]:
+            lo, hi = to_fraction(iv.lo), to_fraction(iv.hi)
+            assert fraction_sturm_count(qpoly, lo, hi, seq) == 1
         assert sum(1 for c in certs if c.axis == "REAL") == 3
         assert sum(1 for c in certs if c.axis == "IMAGINARY") == 2
     # exact global root counts for the boundary pair
     P = build_qpq(PQPair(1, 59))
     B = 10**6
-    assert sturm_count(P, 0, B) == 3
-    assert sturm_count(P, -B, B) == 6
+    seq = fraction_sturm_sequence(P)
+    assert fraction_sturm_count(P, 0, B, seq) == 3
+    assert fraction_sturm_count(P, -B, B, seq) == 6
     print(f"criterion 3 (certified disjoint root intervals, {len(pairs)} pairs): PASS")
 
 

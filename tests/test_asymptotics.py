@@ -19,12 +19,14 @@ from cuboidsearch.asymptotics import (
     upper_hull,
 )
 from cuboidsearch.cuboid_eqs import PQPair, build_rpq
-from cuboidsearch.exact_arith import QuadRational, quad_sign, sturm_sequence
+from cuboidsearch.exact_arith import QuadRational, quad_sign
 from oracles import (
     QPQ_TERMS,
     asymptotic_intervals_by_sums,
     build_qpq,
     eval_int,
+    fraction_sturm_count,
+    fraction_sturm_sequence,
     imaginary_axis_poly,
     integer_point_report,
     integers_in_open_interval,
@@ -224,7 +226,7 @@ class TestDisjointness:
         for p, q in ((1, 59), (2, 121), (3, 178)):
             report = check_disjoint(asymptotic_intervals(PQPair(p, q)))
             assert report.ok
-            assert report.adjacency_ok
+            assert report.broken is None
             assert quad_sign(report.real_gap) > 0
             assert quad_sign(report.imaginary_gap) > 0
 
@@ -242,7 +244,21 @@ class TestDisjointness:
                 broken.append(iv)
         report = check_disjoint(broken)
         assert not report.ok
+        assert report.broken == "T2.hi < T3.lo"
         assert quad_sign(report.real_gap) < 0
+
+    @pytest.mark.parametrize("label", ["T1", "T2", "T3", "T4", "T5"])
+    def test_swapped_ends_detected(self, label):
+        # the degree count needs every end in order, not only the gaps
+        pair = PQPair(1, 59)
+        ivs = asymptotic_intervals(pair)
+        iv = ivs[int(label[1]) - 1]
+        swapped = _replaced(ivs, label, iv.hi, iv.lo)
+        report = check_disjoint(swapped)
+        assert not report.ok
+        assert label in report.broken
+        with pytest.raises(CertificationFailed, match=f"order fails at .*{label}"):
+            certify_roots(pair, swapped)
 
 
 class TestImaginaryAxisPoly:
@@ -271,8 +287,6 @@ class TestCertificates:
     def test_p1_q59(self):
         certs = _certify(PQPair(1, 59))
         assert len(certs) == 5
-        real = [c for c in certs if c.axis == "REAL"]
-        assert all(c.sturm_roots == 1 for c in real)
         assert all(c.sign_lo * c.sign_hi == -1 for c in certs)
 
     def test_p3_q178(self):
@@ -287,21 +301,15 @@ class TestCertificates:
             _certify(PQPair(3, 177))
 
     def test_total_root_counts(self):
-        from cuboidsearch.exact_arith import sturm_count
-
         P = build_qpq(PQPair(1, 59))
         B = 10**6
-        assert sturm_count(P, 0, B) == 3
-        assert sturm_count(P, -B, B) == 6
-
-
-def _r_sturm(pair):
-    """The Sturm sequence of the pair's degree-5 R, as cmd_roots builds it."""
-    return sturm_sequence(build_rpq(pair))
+        seq = fraction_sturm_sequence(P)
+        assert fraction_sturm_count(P, 0, B, seq) == 3
+        assert fraction_sturm_count(P, -B, B, seq) == 6
 
 
 def _certify(pair):
-    return certify_roots(pair, asymptotic_intervals(pair), _r_sturm(pair))
+    return certify_roots(pair, asymptotic_intervals(pair))
 
 
 def _audit_range_pairs(count, seed):
@@ -316,6 +324,11 @@ def _audit_range_pairs(count, seed):
     return pairs
 
 
+# q = 59p is coprime to p only for p = 1; for p > 1 the smallest admissible
+# q is 59p + 1
+BOUNDARY_PAIRS = [PQPair(1, 59)] + [PQPair(p, 59 * p + 1) for p in range(2, 51)]
+
+
 def _replaced(intervals, label, lo, hi):
     return [
         AsymptoticInterval(iv.label, iv.axis, lo, hi) if iv.label == label else iv
@@ -327,14 +340,27 @@ class TestCertificateOnR:
     """certify_roots runs on R(u) with Q(t) = R(t^2); the oracle runs on Q."""
 
     def test_equals_q_oracle(self):
-        # q = 59p is coprime to p only for p = 1; for p > 1 the smallest
-        # admissible q is 59p + 1
-        boundary = [PQPair(1, 59)] + [PQPair(p, 59 * p + 1) for p in range(2, 51)]
-        for pair in _audit_range_pairs(200, 808) + boundary:
+        for pair in _audit_range_pairs(200, 808) + BOUNDARY_PAIRS:
             intervals = asymptotic_intervals(pair)
-            certs = certify_roots(pair, intervals, _r_sturm(pair))
+            certs = certify_roots(pair, intervals)
             assert certs == q_certify_roots(pair, intervals)
             assert all(c.sign_lo * c.sign_hi == -1 for c in certs)
+
+    def test_degree_count_agrees_with_sturm(self):
+        # what the degree count concludes, recounted by Sturm's theorem: one
+        # root of Q in each real interval, and five real roots of R in all,
+        # below the Cauchy bound 1 + max |c_i| of the monic R
+        for pair in _audit_range_pairs(200, 808) + BOUNDARY_PAIRS:
+            intervals = asymptotic_intervals(pair)
+            certify_roots(pair, intervals)
+            qpoly = build_qpq(pair)
+            seq = fraction_sturm_sequence(qpoly)
+            for iv in intervals[:3]:
+                lo, hi = to_fraction(iv.lo), to_fraction(iv.hi)
+                assert fraction_sturm_count(qpoly, lo, hi, seq) == 1
+            rpoly = build_rpq(pair)
+            bound = 1 + max(abs(c) for c in rpoly)
+            assert fraction_sturm_count(rpoly, -bound, bound) == 5
 
     @pytest.mark.parametrize("p, q", [(1, 59), (7, 500), (13, 1000), (50, 5901)])
     def test_shifted_intervals_fail_alike(self, p, q):
@@ -343,31 +369,37 @@ class TestCertificateOnR:
         t1, t2, t3, _, t5 = ivs
         shifted = [
             # T1 and T2 merged: both roots near p^2
-            (_replaced(ivs, "T1", t1.lo, t2.hi), "T1: sign(-1,-1), sturm=2"),
+            (_replaced(ivs, "T1", t1.lo, t2.hi), "T1: sign(-1,-1)", ", sturm=2"),
             # T3 moved up by its width, past its root
-            (_replaced(ivs, "T3", t3.hi, t3.hi * 2 - t3.lo), "T3: sign(1,1), sturm=0"),
+            (_replaced(ivs, "T3", t3.hi, t3.hi * 2 - t3.lo), "T3: sign(1,1)", ", sturm=0"),
             # T5 moved down, below its root
-            (_replaced(ivs, "T5", t5.lo * QuadRational(1, 0, 2), t5.lo), "T5: sign(-1,-1)"),
+            (
+                _replaced(ivs, "T5", t5.lo * QuadRational(1, 0, 2), t5.lo),
+                "T5: sign(-1,-1)",
+                "",
+            ),
         ]
-        for intervals, failure in shifted:
+        for intervals, failure, sturm in shifted:
             with pytest.raises(CertificationFailed) as on_r:
-                certify_roots(pair, intervals, _r_sturm(pair))
+                certify_roots(pair, intervals)
             with pytest.raises(CertificationFailed) as on_q:
                 q_certify_roots(pair, intervals)
-            assert str(on_r.value) == str(on_q.value) == f"(p={p}, q={q}): {failure}"
-
-    def test_sequence_of_q_rejected(self):
-        pair = PQPair(1, 59)
-        with pytest.raises(ValueError, match="degree-5 R"):
-            certify_roots(pair, asymptotic_intervals(pair), sturm_sequence(build_qpq(pair)))
+            assert str(on_r.value) == f"(p={p}, q={q}): {failure}"
+            assert str(on_q.value) == f"(p={p}, q={q}): {failure}{sturm}"
 
     def test_negative_real_lower_end_refused(self):
+        # at lo = -1 = -hi the two ends have one square, so the signs fail;
+        # at lo = -1/3 they change, and the order 0 < T1.lo is what fails
         pair = PQPair(1, 59)
         ivs = asymptotic_intervals(pair)
-        for lo in (quad(-1), quad(Fraction(-1, 3))):
+        for lo, failure in (
+            (quad(-1), "T1: sign(1,1)"),
+            (quad(Fraction(-1, 3)), "order fails at 0 < T1.lo"),
+        ):
             bad = _replaced(ivs, "T1", lo, ivs[0].hi)
-            with pytest.raises(CertificationFailed, match=r"T1: lo = -1(/3)? < 0"):
-                certify_roots(pair, bad, _r_sturm(pair))
+            with pytest.raises(CertificationFailed) as failed:
+                certify_roots(pair, bad)
+            assert str(failed.value) == f"(p=1, q=59): {failure}"
 
 
 class TestIntegerPoints:

@@ -13,10 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from cuboidsearch import asymptotics, cli, exact_arith, search
-from cuboidsearch.cuboid_eqs import PQPair, build_rpq
-from cuboidsearch.exact_arith import sturm_count
-from oracles import build_qpq, fraction_approx_str, quad, to_fraction
+from cuboidsearch import asymptotics, cli, search
+from cuboidsearch.cuboid_eqs import PQPair
+from oracles import (
+    build_qpq,
+    fraction_approx_str,
+    fraction_sturm_count,
+    fraction_sturm_sequence,
+    quad,
+    to_fraction,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -386,8 +392,8 @@ class TestRootsCommand:
 
     @pytest.mark.parametrize("p, q", [(1, 59), (7, 500), (13, 1000), (50, 5901)])
     def test_golden_stdout(self, capsys, p, q):
-        # the full output, byte for byte: certificate signs, Sturm counts,
-        # real-root totals and the decimal renderings
+        # the full output, byte for byte: certificate signs, real-root totals
+        # and the decimal renderings
         golden = (GOLDEN_DIR / f"roots_p{p}_q{q}.txt").read_text()
         code, out, _ = run_cli(capsys, "roots", "--p", str(p), "--q", str(q))
         assert code == cli.EXIT_OK
@@ -412,38 +418,10 @@ class TestRootsCommand:
         finally:
             getcontext().prec = before
 
-    def test_one_sturm_sequence_per_call(self, capsys, monkeypatch):
-        built = []
-        original = exact_arith.sturm_sequence
-
-        def counting(P):
-            built.append(P)
-            return original(P)
-
-        for module in (exact_arith, asymptotics, cli):
-            if hasattr(module, "sturm_sequence"):
-                monkeypatch.setattr(module, "sturm_sequence", counting)
-        code, _, _ = run_cli(capsys, "roots", "--p", "7", "--q", "500")
-        assert code == cli.EXIT_OK
-        assert len(built) == 1
-
-    def test_the_one_sequence_is_of_r(self, capsys, monkeypatch):
-        built = []
-        original = exact_arith.sturm_sequence
-
-        def recording(P):
-            built.append(P)
-            return original(P)
-
-        monkeypatch.setattr(cli, "sturm_sequence", recording)
-        code, _, _ = run_cli(capsys, "roots", "--p", "7", "--q", "500")
-        assert code == cli.EXIT_OK
-        assert built == [build_rpq(PQPair(7, 500))]
-        assert len(built[0]) - 1 == 5
-
     def test_totals_equal_sturm_counts_on_q(self, capsys):
-        # the printed totals come from R on (0, B^2), doubled by evenness;
-        # here they are recounted on Q itself over (0, B) and (-B, B)
+        # the printed totals come from the degree count on R, doubled by
+        # evenness; here they are recounted by Sturm's theorem on Q itself
+        # over (0, B) and (-B, B)
         rng = random.Random(4242)
         checked = 0
         while checked < 50:
@@ -457,7 +435,9 @@ class TestRootsCommand:
             t3_hi = to_fraction(asymptotics.asymptotic_intervals(PQPair(p, q))[2].hi)
             B = math.ceil(t3_hi) + 1
             qpoly = build_qpq(PQPair(p, q))
-            pos, total = sturm_count(qpoly, 0, B), sturm_count(qpoly, -B, B)
+            seq = fraction_sturm_sequence(qpoly)
+            pos = fraction_sturm_count(qpoly, 0, B, seq)
+            total = fraction_sturm_count(qpoly, -B, B, seq)
             assert line == f"real roots in (0, {B}): {pos}; in (-{B}, {B}): {total}"
             checked += 1
 

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuboidsearch.exact_arith import (
-    EndpointIsRoot,
     QUAD_ZERO,
     QuadRational,
     quad_sign,
     quad_sqrt,
-    sturm_count,
-    sturm_sequence,
+    sign_at_sqrt2,
 )
 from cuboidsearch.cuboid_eqs import PQPair
 from oracles import (
@@ -23,13 +21,13 @@ from oracles import (
     eval_poly_quad,
     fraction_quad_sign,
     fraction_quad_sqrt,
+    fraction_sturm_count,
     fraction_sturm_sequence,
     is_even,
     poly,
     quad,
     quad_parts,
     rational_sqrt,
-    sign_at,
     sign_at_quad,
     sqrt2_approx,
     to_fraction,
@@ -245,15 +243,17 @@ class TestEvalPolyQuad:
 
 
 class TestSturm:
+    """The Fraction Sturm count that the certificate tests check against."""
+
     def test_single_root(self):
-        assert sturm_count(poly([-2, 0, 1]), 0, 2) == 1
+        assert fraction_sturm_count(poly([-2, 0, 1]), 0, 2) == 1
 
     def test_no_real_roots(self):
-        assert sturm_count(poly([1, 0, 1]), -10, 10) == 0
+        assert fraction_sturm_count(poly([1, 0, 1]), -10, 10) == 0
 
     def test_q159_three_positive_roots(self):
         # independently confirmed by the numpy root finder below
-        assert sturm_count(build_qpq(PQPair(1, 59)), 0, 10**6) == 3
+        assert fraction_sturm_count(build_qpq(PQPair(1, 59)), 0, 10**6) == 3
 
     def test_q159_numpy_oracle(self):
         numpy = pytest.importorskip("numpy")
@@ -263,39 +263,38 @@ class TestSturm:
         assert sum(1 for r in real if 0 < r < 10**6) == 3
 
     def test_endpoint_is_root_refused(self):
-        with pytest.raises(EndpointIsRoot):
-            sturm_count(poly([-1, 0, 1]), 1, 2)
+        with pytest.raises(ValueError):
+            fraction_sturm_count(poly([-1, 0, 1]), 1, 2)
 
     def test_rational_endpoint_root_refused_with_shared_sequence(self):
         # (3t - 2)(7t + 5), one sequence for both counts
         P = poly([-10, 1, 21])
-        seq = sturm_sequence(P)
-        assert sturm_count(P, -1, 1, seq) == 2
-        with pytest.raises(EndpointIsRoot):
-            sturm_count(P, Fraction(2, 3), 1, seq)
-        with pytest.raises(EndpointIsRoot):
-            sturm_count(P, -1, Fraction(-5, 7), seq)
+        seq = fraction_sturm_sequence(P)
+        assert fraction_sturm_count(P, -1, 1, seq) == 2
+        with pytest.raises(ValueError):
+            fraction_sturm_count(P, Fraction(2, 3), 1, seq)
+        with pytest.raises(ValueError):
+            fraction_sturm_count(P, -1, Fraction(-5, 7), seq)
 
     def test_even_polynomial_rational_root_refused_with_shared_sequence(self):
-        # (4t^2 - 9)(t^2 + 1): the root 3/2 is planted in an even polynomial;
-        # the endpoint check reads the first entry of the shared sign vector
+        # (4t^2 - 9)(t^2 + 1): the root 3/2 is planted in an even polynomial
         P = poly([-9, 0, -5, 0, 4])
-        seq = sturm_sequence(P)
-        assert sturm_count(P, 0, 2, seq) == 1
-        assert sturm_count(P, -2, 2, seq) == 2
+        seq = fraction_sturm_sequence(P)
+        assert fraction_sturm_count(P, 0, 2, seq) == 1
+        assert fraction_sturm_count(P, -2, 2, seq) == 2
         for lo, hi in ((Fraction(3, 2), 2), (-2, Fraction(-3, 2)), (0, Fraction(3, 2))):
-            with pytest.raises(EndpointIsRoot, match="3/2"):
-                sturm_count(P, lo, hi, seq)
+            with pytest.raises(ValueError, match="3/2"):
+                fraction_sturm_count(P, lo, hi, seq)
         # the same root as u = 9/4 of R(u) = (4u - 9)(u + 1), with Q(t) = R(t^2)
         R = poly([-9, -5, 4])
-        with pytest.raises(EndpointIsRoot, match="9/4"):
-            sturm_count(R, Fraction(9, 4), 4, sturm_sequence(R))
+        with pytest.raises(ValueError, match="9/4"):
+            fraction_sturm_count(R, Fraction(9, 4), 4)
 
     def test_shared_sequence_gives_same_counts(self):
         P = build_qpq(PQPair(3, 178))
-        seq = sturm_sequence(P)
+        seq = fraction_sturm_sequence(P)
         for lo, hi in ((0, 10**7), (-(10**7), 10**7), (Fraction(1, 3), 9)):
-            assert sturm_count(P, lo, hi, seq) == sturm_count(P, lo, hi)
+            assert fraction_sturm_count(P, lo, hi, seq) == fraction_sturm_count(P, lo, hi)
 
     def test_additivity(self):
         rng = random.Random(7)
@@ -305,73 +304,39 @@ class TestSturm:
                 continue
             pts = [Fraction(-17, 3), Fraction(1, 7), Fraction(23, 2)]
             try:
-                parts = sturm_count(P, pts[0], pts[1]) + sturm_count(P, pts[1], pts[2])
-                whole = sturm_count(P, pts[0], pts[2])
-            except EndpointIsRoot:
+                parts = fraction_sturm_count(P, pts[0], pts[1]) + fraction_sturm_count(
+                    P, pts[1], pts[2]
+                )
+                whole = fraction_sturm_count(P, pts[0], pts[2])
+            except ValueError:
                 continue
             assert parts == whole
 
     def test_multiple_roots_counted_once(self):
         # (t - 1)^2 (t + 2)
         P = poly([2, -3, 0, 1])
-        assert sturm_count(P, 0, 5) == 1
-        assert sturm_count(P, -5, 5) == 2
+        assert fraction_sturm_count(P, 0, 5) == 1
+        assert fraction_sturm_count(P, -5, 5) == 2
+
+    def test_non_squarefree_ends_in_gcd(self):
+        # the last term is the gcd of P and P', up to a positive scale
+        seq = fraction_sturm_sequence(poly([2, -3, 0, 1]))
+        assert seq[-1] == poly([-1, 1])
 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-# zeros are drawn often, so that sparse polynomials, whose remainder
-# sequences skip degrees, are common
+def _rational_sign(P, x) -> int:
+    """The production sign of P at a rational x: sign_at_sqrt2 with B = 0."""
+    return sign_at_sqrt2(P, x.numerator, 0, x.denominator)
+
+
+# zeros are drawn often, so that sparse polynomials are common
 int_polys = st.lists(
     st.one_of(st.just(0), st.integers(-1000, 1000)), min_size=1, max_size=12
 ).map(poly).filter(bool)
-
-
-class TestIntegerSturmSequence:
-    """The integer pseudo-remainder sequence equals the Fraction one."""
-
-    # t^5 + t + 1: the remainder by 5t^4 + 1 drops from degree 4 to 1.
-    # -t^3 + t: negative leading coefficients along the whole sequence.
-    # (t - 1)^2 (t + 2) and (t^2 - 2)^2 t: not squarefree.
-    SPECIAL = (
-        poly([1, 1, 0, 0, 0, 1]),
-        poly([0, 1, 0, -1]),
-        poly([-7, 0, 3, 0, -2, 0, -5]),
-        poly([2, -3, 0, 1]),
-        poly([0, 4, 0, -4, 0, 1]),
-    )
-
-    def test_special_cases(self):
-        drops = negative_divisor = 0
-        for P in self.SPECIAL:
-            seq = sturm_sequence(P)
-            assert seq == fraction_sturm_sequence(P)
-            degrees = [len(f) - 1 for f in seq]
-            drops += any(a - b > 1 for a, b in zip(degrees, degrees[1:]))
-            negative_divisor += any(f[-1] < 0 for f in seq[1:-1])
-        # the cases above do exercise what they are there for
-        assert drops and negative_divisor
-
-    def test_non_squarefree_ends_in_gcd(self):
-        # the last term is the gcd of P and P', up to a positive scale
-        seq = sturm_sequence(poly([2, -3, 0, 1]))
-        assert seq[-1] == poly([-1, 1])
-
-    @settings(max_examples=200)
-    @given(int_polys)
-    def test_matches_fraction_sequence(self, P):
-        assert sturm_sequence(P) == fraction_sturm_sequence(P)
-
-    def test_matches_on_cuboid_polynomials(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            p = rng.randint(1, 50)
-            q = rng.randint(59 * p, 118 * p)
-            if math.gcd(p, q) == 1:
-                P = build_qpq(PQPair(p, q))
-                assert sturm_sequence(P) == fraction_sturm_sequence(P)
 
 
 class TestSignAt:
@@ -381,19 +346,19 @@ class TestSignAt:
         st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
     )
     def test_rational_matches_eval(self, P, x):
-        assert sign_at(P, x) == _sign(eval_poly(P, x))
+        assert _rational_sign(P, x) == _sign(eval_poly(P, x))
 
     def test_rational_roots_are_zero(self):
         # (3t - 2)(7t + 5)
         P = poly([-10, 1, 21])
-        assert sign_at(P, Fraction(2, 3)) == 0
-        assert sign_at(P, Fraction(-5, 7)) == 0
-        assert sign_at(P, 0) == -1
+        assert _rational_sign(P, Fraction(2, 3)) == 0
+        assert _rational_sign(P, Fraction(-5, 7)) == 0
+        assert _rational_sign(P, 0) == -1
 
     def test_integer_argument(self):
-        assert sign_at(poly([-1, 0, 1]), 3) == 1
-        assert sign_at(poly([5]), -4) == 1
-        assert sign_at(poly([]), 2) == 0
+        assert _rational_sign(poly([-1, 0, 1]), 3) == 1
+        assert _rational_sign(poly([5]), -4) == 1
+        assert _rational_sign(poly([]), 2) == 0
 
     @settings(max_examples=200)
     @given(

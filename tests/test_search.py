@@ -3,6 +3,7 @@ import math
 import os
 import random
 import signal
+import tracemalloc
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -783,6 +784,18 @@ class TestRunSearch:
             "candidates_evaluated": report.candidates_evaluated,
             "hits": 0,
         }
+
+    def test_pending_p_not_held_in_memory(self, tmp_path):
+        # the p still to search are a range, not a list of a million ints
+        config = SearchConfig(1, 10**6, 1, None, str(tmp_path / "a.jsonl"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_search(config, abort_after_p=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_checkpoint_file_format(self, tmp_path):
         config = make_config(tmp_path)
