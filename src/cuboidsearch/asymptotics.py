@@ -312,7 +312,8 @@ def _sign_at_square(rpoly: Poly, axis: str, x: QuadRational) -> int:
 
 
 def certify_roots(
-    pair: PQPair, intervals: List[AsymptoticInterval]
+    pair: PQPair, intervals: List[AsymptoticInterval],
+    disjoint: Optional[DisjointnessReport] = None,
 ) -> List[RootCertificate]:
     """Certify exactly one root of Q in each interval, and none elsewhere,
     by counting against the degree of R.
@@ -328,7 +329,10 @@ def certify_roots(
     each interval holds exactly one root of Q (on the imaginary axis, i
     times it), the rest of Q's roots being their negatives.
 
-    `intervals` are the pair's asymptotic_intervals.  Raises
+    `intervals` are the pair's asymptotic_intervals; `disjoint`, if given,
+    is their check_disjoint report, which is then not made again.  An end
+    that an interval shares with the one before it on its axis (T1.hi =
+    T2.lo) has its sign evaluated once, so nine signs in all.  Raises
     CertificationFailed naming each interval whose signs do not change or,
     when all of them do, the first link of the order that fails, so every
     certificate it returns has passed.
@@ -336,14 +340,16 @@ def certify_roots(
     rpoly = build_rpq(pair)
     certs = []
     failures = []
+    last = s_hi = None  # the previous interval's (axis, hi) and its sign
     for iv in intervals:
-        s_lo = _sign_at_square(rpoly, iv.axis, iv.lo)
+        s_lo = s_hi if (iv.axis, iv.lo) == last else _sign_at_square(rpoly, iv.axis, iv.lo)
         s_hi = _sign_at_square(rpoly, iv.axis, iv.hi)
+        last = iv.axis, iv.hi
         if s_lo * s_hi != -1:
             failures.append(f"{iv.label}: sign({s_lo},{s_hi})")
         certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi))
     if not failures:
-        broken = check_disjoint(intervals).broken
+        broken = (check_disjoint(intervals) if disjoint is None else disjoint).broken
         if broken:
             failures.append(f"order fails at {broken}")
     if failures:

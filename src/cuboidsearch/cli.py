@@ -168,7 +168,7 @@ def cmd_roots(args) -> int:
         f"  imaginary gap T4.lo - T5.hi = {disjoint.imaginary_gap}",
     )
     try:
-        certs = asymptotics.certify_roots(pair, intervals)
+        certs = asymptotics.certify_roots(pair, intervals, disjoint)
     except asymptotics.CertificationFailed as exc:
         lines.append(f"certification FAILED: {exc}")
         print("\n".join(lines))

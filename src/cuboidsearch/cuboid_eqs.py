@@ -76,9 +76,10 @@ def qpq_coefficients(p: int, q: int) -> Tuple[int, int, int, int, int]:
     p2, q2 = p * p, q * q
     p4, q4, m = p2 * p2, q2 * q2, p2 * q2
     m2 = m * m
+    base, mq, mp = q4 * q4 + 4 * m2 + p4 * p4, m * q4, m * p4  # in c6 and c4
     c8 = (2 * q2 + p2) * (3 * q2 - 2 * p2)
-    c6 = q4 * q4 + 10 * m * q4 + 4 * m2 - 14 * m * p4 + p4 * p4
-    c4 = -m * (q4 * q4 - 14 * m * q4 + 4 * m2 + 10 * m * p4 + p4 * p4)
+    c6 = base + 10 * mq - 14 * mp
+    c4 = -m * (base - 14 * mq + 10 * mp)
     c2 = -m * m2 * (q2 + 2 * p2) * (3 * p2 - 2 * q2)
     c0 = -m2 * m2 * m
     return c0, c2, c4, c6, c8
@@ -109,16 +110,18 @@ def full_eq_coefficients(a: int, b: int, u: int) -> Tuple[int, ...]:
 
     The single source of its coefficient formulas.  They depend on a and b
     only through s = a^2 + b^2 and ab = a^2 b^2, so swapping a and b gives
-    the same polynomial.
+    the same polynomial.  They are written over the shared products ab^2,
+    ab*s and s^2, for example e2 = 2u^2 (3 ab^2 - u^2 ab s) and
+    e6 = 2 (u^2 (3 s^2 - 10 ab - u^2 s) - ab s).
     """
     a2, b2, u2 = a * a, b * b, u * u
     s, ab, u4 = a2 + b2, a2 * b2, u2 * u2
-    s2 = s * s
+    s2, ab2, sab = s * s, ab * ab, ab * s
     return (
-        u4 * ab * ab,
-        6 * u2 * ab * ab - 2 * u4 * ab * s,
-        4 * u2 * ab * s + u4 * s2 - 14 * u4 * ab + ab * ab,
-        6 * u2 * s2 - 20 * u2 * ab - 2 * u4 * s - 2 * ab * s,
+        u4 * ab2,
+        2 * u2 * (3 * ab2 - u2 * sab),
+        4 * u2 * sab + u4 * s2 - 14 * u4 * ab + ab2,
+        2 * (u2 * (3 * s2 - 10 * ab - u2 * s) - sab),
         u4 + s2 - 14 * ab + 4 * u2 * s,
         6 * u2 - 2 * s,
         1,

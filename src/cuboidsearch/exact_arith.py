@@ -33,7 +33,8 @@ class QuadRational(_QuadFields):
     one representation: Z[sqrt(2)] is its ring of integers, so D is the
     least integer that takes the number into that ring.  The arithmetic
     operators are the field's own, `*` also by an int; none falls through
-    to tuple concatenation or repetition.
+    to tuple concatenation or repetition.  So is the order: one sign of the
+    cross-multiplied difference (A D2 - A2 D) + (B D2 - B2 D) sqrt(2).
     """
 
     __slots__ = ()
@@ -78,25 +79,31 @@ class QuadRational(_QuadFields):
     __rmul__ = __mul__
 
     def __lt__(self, other: "QuadRational") -> bool:
-        return quad_sign(self - other) < 0
+        return _order(self, other) < 0
 
     def __le__(self, other: "QuadRational") -> bool:
-        return quad_sign(self - other) <= 0
+        return _order(self, other) <= 0
 
     def __gt__(self, other: "QuadRational") -> bool:
-        return quad_sign(self - other) > 0
+        return _order(self, other) > 0
 
     def __ge__(self, other: "QuadRational") -> bool:
-        return quad_sign(self - other) >= 0
+        return _order(self, other) >= 0
 
     def __str__(self) -> str:
         A, B, D = self
-        if not B:
-            return _ratio_text(A, D)
+        if not B:  # (A, 0, D) is reduced, so A/D is in lowest terms
+            return str(A) if D == 1 else f"{A}/{D}"
         if not A:
             return f"{_ratio_text(B, D)}*sqrt(2)"
         op = "+" if B > 0 else "-"
         return f"{_ratio_text(A, D)} {op} {_ratio_text(abs(B), D)}*sqrt(2)"
+
+
+def _order(x: QuadRational, y: QuadRational) -> int:
+    """The sign of x - y, with no gcd: both denominators are positive."""
+    (A, B, D), (A2, B2, D2) = x, y
+    return _sqrt2_sign(A * D2 - A2 * D, B * D2 - B2 * D)
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -184,10 +191,16 @@ def sign_at_sqrt2(P: Poly, A: int, B: int, D: int) -> int:
     With k = deg P, P(x) has the sign of D^k P(x) = sum c_i (A + B*sqrt(2))^i
     D^(k-i), which one homogeneous Horner pass computes over integer pairs
     (u, v) standing for u + v*sqrt(2), without a division; the sign of the
-    final pair is decided as in quad_sign.
+    final pair is decided as in quad_sign.  At a rational point (B = 0) v
+    stays 0, so the pass runs on u alone; the zero polynomial has sign 0.
     """
     u = v = 0
     d_pow = 1
+    if not B:
+        for c in reversed(P):
+            u = u * A + c * d_pow
+            d_pow *= D
+        return (u > 0) - (u < 0)
     for c in reversed(P):
         u, v = u * A + 2 * v * B + c * d_pow, u * B + v * A
         d_pow *= D

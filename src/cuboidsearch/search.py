@@ -66,6 +66,7 @@ import json
 import math
 import os
 import time
+from collections import deque
 from typing import (
     Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -102,6 +103,11 @@ POOL_MIN_WORK = 10_000_000
 # inter-process traffic than most p cost to search: p 1..3000 took 1.3 s on
 # two workers that way, against 0.32 s in runs of up to 128.
 POOL_CHUNK = 128
+
+# Runs submitted to a pool and not yet merged, per worker: one running and
+# one queued, so no worker waits on the merge and the futures held stay few
+# however many p the run covers.
+POOL_WINDOW = 2
 
 # Work merged between two checkpoint writes, in the same units: about a
 # quarter second on one core of that host at small p (p 1..3000 took
@@ -519,6 +525,24 @@ def _scan_p(p: int) -> Tuple[int, Tuple[int, int, int, int], tuple]:
     return p, counts, tuple(hits)
 
 
+def _scan_run(ps: range) -> list:
+    """Worker on a pool: _scan_p for each p of a run of consecutive p."""
+    return [_scan_p(p) for p in ps]
+
+
+def _pool_results(executor, todo: range, chunk: int, window: int):
+    """The _scan_p results of `todo` in p order, searched on `executor` in
+    runs of `chunk` consecutive p, with at most `window` runs submitted and
+    not yet merged (Executor.map would submit every run up front)."""
+    pending = deque()
+    for start in range(0, len(todo), chunk):
+        if len(pending) == window:
+            yield from pending.popleft().result()
+        pending.append(executor.submit(_scan_run, todo[start:start + chunk]))
+    while pending:
+        yield from pending.popleft().result()
+
+
 def available_cpus() -> int:
     """The number of CPUs this process may run on: its affinity set where
     the platform has one, else the host's CPU count."""
@@ -672,7 +696,7 @@ def run_search(
                 initargs=(signal.SIGINT, signal.SIG_IGN),
             )
             chunk = min(POOL_CHUNK, max(1, len(todo) // (4 * workers)))
-            results = executor.map(_scan_p, todo, chunksize=chunk)
+            results = _pool_results(executor, todo, chunk, POOL_WINDOW * workers)
         else:
             executor = None
             results = map(_scan_p, todo)

@@ -370,6 +370,22 @@ class TestRootsCommand:
         assert code == cli.EXIT_OK
         assert "disjoint: True" in out
         assert out.count("PASS") == 5
+
+    def test_one_order_check_and_nine_signs(self, capsys, monkeypatch):
+        # the report that roots prints is the one certify_roots checks, and
+        # the shared end T1.hi = T2.lo has its sign evaluated once
+        counted = {"check_disjoint": 0, "sign_at_sqrt2": 0}
+        for name in counted:
+            real = getattr(asymptotics, name)
+
+            def spy(*args, real=real, name=name):
+                counted[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(asymptotics, name, spy)
+        code, out, _ = run_cli(capsys, "roots", "--p", "7", "--q", "500")
+        assert code == cli.EXIT_OK and out.count("PASS") == 5
+        assert counted == {"check_disjoint": 1, "sign_at_sqrt2": 9}
         assert "approx" in out
         assert "T4" in out and "sqrt(2)" in out
 
@@ -390,10 +406,14 @@ class TestRootsCommand:
         assert ": 3; " in totals[0]
         assert totals[0].rstrip().endswith("6")
 
-    @pytest.mark.parametrize("p, q", [(1, 59), (7, 500), (13, 1000), (50, 5901)])
+    @pytest.mark.parametrize(
+        "p, q",
+        [(1, 59), (7, 500), (13, 1000), (50, 5901), (10**12, 59 * 10**12 + 1)],
+    )
     def test_golden_stdout(self, capsys, p, q):
         # the full output, byte for byte: certificate signs, real-root totals
-        # and the decimal renderings
+        # and the decimal renderings; at p = 10^12 the endpoint integers run
+        # to 54 digits and D^10 to about 10^130
         golden = (GOLDEN_DIR / f"roots_p{p}_q{q}.txt").read_text()
         code, out, _ = run_cli(capsys, "roots", "--p", str(p), "--q", str(q))
         assert code == cli.EXIT_OK

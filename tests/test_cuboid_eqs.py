@@ -152,6 +152,29 @@ class TestFullEq:
             assert len(polys) == 1
 
 
+# signed integers, with 0 and +-1 drawn often
+signed = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10**12, 10**12))
+
+
+class TestCoefficientFormulas:
+    """The factored formulas against the term-by-term forms of tests/oracles:
+    both are polynomial identities, so they hold on any integers, zero and
+    negative ones included, not only on the pairs and parameters the
+    package passes."""
+
+    @settings(max_examples=300)
+    @given(signed, signed)
+    def test_qpq_matches_term_table(self, p, q):
+        assert qpq_coefficients(p, q) == tuple(
+            sum(c * p**i * q**j for i, j, c in QPQ_TERMS[m]) for m in range(0, 10, 2)
+        )
+
+    @settings(max_examples=300)
+    @given(signed, signed, signed)
+    def test_full_eq_matches_literal(self, a, b, u):
+        assert full_eq_coefficients(a, b, u) == literal_full_eq(a, b, u)[::2]
+
+
 class TestFactorization:
     def test_small_pairs(self):
         for p, q in ((1, 2), (2, 3), (1, 59), (3, 178)):

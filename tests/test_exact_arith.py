@@ -108,6 +108,25 @@ class TestQuadArithmetic:
         assert not (zero < small or zero <= small)
         assert tuple(small) > tuple(zero)
 
+    def test_order_of_a_value_with_itself(self):
+        # one cross-multiplied sign per operator: zero for the same value
+        for x in (QUAD_ZERO, quad(1, -1), QuadRational(-7, 3, 5), QuadRational(4, 0, 9)):
+            assert not x < x and x <= x and not x > x and x >= x
+
+    def test_order_of_unreduced_triples(self):
+        # _make skips the reduction, so one value may come as two triples;
+        # the order compares values, not triples
+        for x, y in (
+            (QuadRational(1, -2, 3), QuadRational._make((5, -10, 15))),
+            (QuadRational(7), QuadRational._make((14, 0, 2))),
+            (QUAD_ZERO, QuadRational._make((0, 0, 9))),
+        ):
+            assert tuple(x) != tuple(y)
+            for a, b in ((x, y), (y, x), (y, y)):
+                assert not a < b and a <= b and not a > b and a >= b
+        below = QuadRational._make((-2, 2, 2))  # -1 + sqrt(2) < 1/2
+        assert below < QuadRational(1, 0, 2) and not below >= QuadRational(1, 0, 2)
+
     def test_rational_sqrt(self):
         assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
         assert rational_sqrt(Fraction(2)) is None
@@ -359,6 +378,27 @@ class TestSignAt:
         assert _rational_sign(poly([-1, 0, 1]), 3) == 1
         assert _rational_sign(poly([5]), -4) == 1
         assert _rational_sign(poly([]), 2) == 0
+
+    def test_zero_polynomial_and_constants(self):
+        # on both passes: B = 0 and B != 0
+        for A, B, D in ((0, 0, 1), (3, 0, 7), (-3, 0, 7), (1, 1, 1), (-5, 2, 3)):
+            assert sign_at_sqrt2((), A, B, D) == 0
+            for c in (-9, 1, 4):
+                assert sign_at_sqrt2((c,), A, B, D) == _sign(c)
+
+    @settings(max_examples=200)
+    @given(
+        int_polys,
+        st.integers(-10**15, 10**15),
+        st.integers(1, 10**13),
+        st.integers(1, 50),
+    )
+    def test_rational_pass_matches_fraction_oracle(self, P, A, D, k):
+        # the single-integer pass at B = 0, at sizes like those of the roots
+        # certificate at p = 10^12 (D^10 near 10^130), unreduced (kA, kD) too
+        expected = _sign(eval_poly(P, Fraction(A, D)))
+        assert sign_at_sqrt2(P, A, 0, D) == expected
+        assert sign_at_sqrt2(P, k * A, 0, k * D) == expected
 
     @settings(max_examples=200)
     @given(

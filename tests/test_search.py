@@ -901,18 +901,31 @@ class TestRunSearch:
     @pytest.fixture
     def fake_pool(self, monkeypatch):
         """ProcessPoolExecutor replaced by a fake that records each pool's
-        size and chunk size and maps in-process."""
+        size, the runs of p submitted to it and the most futures held at
+        once (submitted, result not yet taken), and runs each task
+        in-process as it is submitted."""
         import concurrent.futures
 
-        record = SimpleNamespace(sizes=[], chunks=[])
+        record = SimpleNamespace(sizes=[], runs=[], held=0, peak=0)
+
+        class Done:
+            def __init__(self, value):
+                self.value = value
+
+            def result(self):
+                record.held -= 1
+                return self.value
 
         class FakePool:
             def __init__(self, max_workers, initializer=None, initargs=()):
                 record.sizes.append(max_workers)
+                record.runs.append([])
 
-            def map(self, fn, iterable, chunksize=1):
-                record.chunks.append(chunksize)
-                return map(fn, iterable)
+            def submit(self, fn, ps):
+                record.runs[-1].append(ps)
+                record.held += 1
+                record.peak = max(record.peak, record.held)
+                return Done(fn(ps))
 
             def shutdown(self, cancel_futures=False):
                 pass
@@ -934,11 +947,12 @@ class TestRunSearch:
             run_search(resumed, abort_after_p=5)
         run_search(resumed)
         assert fake_pool.sizes == [3, 2, 8, 3]
-        assert fake_pool.chunks == [1, 1, 1, 1]
+        assert [len(runs[0]) for runs in fake_pool.runs] == [1, 1, 1, 1]
         # about four runs of consecutive p per worker, at most POOL_CHUNK long
         run_search(make_config(tmp_path, "runs", p_max=40, worker_count=2))
         run_search(make_config(tmp_path, "long", p_max=1100, worker_count=2))
-        assert fake_pool.chunks[4:] == [5, search.POOL_CHUNK]
+        assert [len(runs[0]) for runs in fake_pool.runs[4:]] == [5, search.POOL_CHUNK]
+        assert [p for run in fake_pool.runs[5] for p in run] == list(range(1, 1101))
         for name in ("two", "resumed"):
             assert (tmp_path / f"{name}.jsonl").read_bytes() == (
                 tmp_path / "serial.jsonl"
@@ -956,6 +970,21 @@ class TestRunSearch:
             assert (tmp_path / f"many.{suffix}").read_bytes() == (
                 tmp_path / f"one.{suffix}"
             ).read_bytes()
+
+    def test_pool_futures_bounded(self, tmp_path, monkeypatch, fake_pool):
+        # a pool holds at most POOL_WINDOW runs per worker submitted and not
+        # yet merged, not one future per run of the whole range, and the p
+        # still merge in order
+        monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
+        monkeypatch.setattr(search, "available_cpus", lambda: 2)
+        monkeypatch.setattr(search, "_scan_p", lambda p: (p, (0, 0, 0, 0), ()))
+        merged = []
+        config = SearchConfig(1, 10**4, 2, None, str(tmp_path / "a.jsonl"))
+        run_search(config, progress=lambda p, *counts: merged.append(p))
+        assert merged == list(range(1, 10**4 + 1))
+        assert len(fake_pool.runs[0]) == math.ceil(10**4 / search.POOL_CHUNK)
+        assert fake_pool.peak == search.POOL_WINDOW * 2
+        assert fake_pool.held == 0
 
     def test_one_cpu_of_many_runs_in_process(self, tmp_path, monkeypatch, fake_pool):
         # a process that may run on one CPU of a 64-CPU host searches
