@@ -256,32 +256,33 @@ class DisjointnessReport(NamedTuple):
     imaginary_gap: QuadRational  # T4.lo - T5.hi (must be > 0)
 
 
-# The order of the ends that the degree count of certify_roots needs, one
-# link (left, relation, right) at a time: 0 < T1.lo < T1.hi = T2.lo < T2.hi
-# < T3.lo < T3.hi on the real axis and 0 < T5.lo < T5.hi < T4.lo < T4.hi on
-# the imaginary one.
+# The ends (0, then each interval's lo and hi, T1 to T5), and the order of
+# them that the degree count of certify_roots needs, one link (left,
+# relation, right) of positions at a time: 0 < T1.lo < T1.hi = T2.lo <
+# T2.hi < T3.lo < T3.hi on the real axis and 0 < T5.lo < T5.hi < T4.lo <
+# T4.hi on the imaginary one.
+_ENDS = ("0",) + tuple(f"T{k}.{end}" for k in range(1, 6) for end in ("lo", "hi"))
 _ORDER = (
-    ("0", "<", "T1.lo"), ("T1.lo", "<", "T1.hi"), ("T1.hi", "=", "T2.lo"),
-    ("T2.lo", "<", "T2.hi"), ("T2.hi", "<", "T3.lo"), ("T3.lo", "<", "T3.hi"),
-    ("0", "<", "T5.lo"), ("T5.lo", "<", "T5.hi"), ("T5.hi", "<", "T4.lo"),
-    ("T4.lo", "<", "T4.hi"),
+    (0, "<", 1), (1, "<", 2), (2, "=", 3), (3, "<", 4), (4, "<", 5), (5, "<", 6),
+    (0, "<", 9), (9, "<", 10), (10, "<", 7), (7, "<", 8),
 )
 
 
 def check_disjoint(intervals: List[AsymptoticInterval]) -> DisjointnessReport:
     """Exact order of the five intervals' ends, with the two gaps as margins.
 
-    Under that order the five intervals are positive and disjoint, so their
-    images (lo^2, hi^2) on the real axis and (-hi^2, -lo^2) on the
-    imaginary one are disjoint too; T1 and T2 are open, so sharing an end
-    they share no point.
+    `intervals` are T1 to T5, as asymptotic_intervals lists them.  Under
+    the order the five intervals are positive and disjoint, so their images
+    (lo^2, hi^2) on the real axis and (-hi^2, -lo^2) on the imaginary one
+    are disjoint too; T1 and T2 are open, so sharing an end they share no
+    point.
     """
-    ends = {"0": QUAD_ZERO}
+    ends = [QUAD_ZERO]
     for iv in intervals:
-        ends[iv.label + ".lo"], ends[iv.label + ".hi"] = iv.lo, iv.hi
+        ends += iv.lo, iv.hi
     broken = next(
         (
-            f"{a} {rel} {b}"
+            f"{_ENDS[a]} {rel} {_ENDS[b]}"
             for a, rel, b in _ORDER
             if not (ends[a] == ends[b] if rel == "=" else ends[a] < ends[b])
         ),
@@ -290,8 +291,8 @@ def check_disjoint(intervals: List[AsymptoticInterval]) -> DisjointnessReport:
     return DisjointnessReport(
         ok=broken is None,
         broken=broken,
-        real_gap=ends["T3.lo"] - ends["T2.hi"],
-        imaginary_gap=ends["T4.lo"] - ends["T5.hi"],
+        real_gap=ends[5] - ends[4],
+        imaginary_gap=ends[7] - ends[10],
     )
 
 
@@ -329,13 +330,14 @@ def certify_roots(
     each interval holds exactly one root of Q (on the imaginary axis, i
     times it), the rest of Q's roots being their negatives.
 
-    `intervals` are the pair's asymptotic_intervals; `disjoint`, if given,
-    is their check_disjoint report, which is then not made again.  An end
-    that an interval shares with the one before it on its axis (T1.hi =
-    T2.lo) has its sign evaluated once, so nine signs in all.  Raises
+    `intervals` are the pair's asymptotic_intervals.  `disjoint`, if given,
+    must be check_disjoint(intervals) for these same intervals (cmd_roots
+    prints the report it passes); the order is then not checked again.  An
+    end that an interval shares with the one before it on its axis (T1.hi
+    = T2.lo) has its sign evaluated once, so nine signs in all.  Raises
     CertificationFailed naming each interval whose signs do not change or,
     when all of them do, the first link of the order that fails, so every
-    certificate it returns has passed.
+    certificate it returns has passed, given that report.
     """
     rpoly = build_rpq(pair)
     certs = []

@@ -260,6 +260,22 @@ class TestDisjointness:
         with pytest.raises(CertificationFailed, match=f"order fails at .*{label}"):
             certify_roots(pair, swapped)
 
+    def test_passed_report_is_the_intervals_own(self):
+        # certify_roots reads the order off the check_disjoint report it is
+        # given, which must be the report of the same intervals: then it
+        # certifies and refuses exactly as when it makes the report itself
+        pair = PQPair(7, 500)
+        ivs = asymptotic_intervals(pair)
+        assert certify_roots(pair, ivs, check_disjoint(ivs)) == certify_roots(pair, ivs)
+        for iv in ivs:
+            swapped = _replaced(ivs, iv.label, iv.hi, iv.lo)
+            failures = []
+            for report in (None, check_disjoint(swapped)):
+                with pytest.raises(CertificationFailed) as failed:
+                    certify_roots(pair, swapped, report)
+                failures.append(str(failed.value))
+            assert failures[0] == failures[1] and iv.label in failures[0]
+
 
 class TestImaginaryAxisPoly:
     def test_alternating_signs(self):

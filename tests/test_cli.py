@@ -370,6 +370,8 @@ class TestRootsCommand:
         assert code == cli.EXIT_OK
         assert "disjoint: True" in out
         assert out.count("PASS") == 5
+        assert "approx" in out
+        assert "T4" in out and "sqrt(2)" in out
 
     def test_one_order_check_and_nine_signs(self, capsys, monkeypatch):
         # the report that roots prints is the one certify_roots checks, and
