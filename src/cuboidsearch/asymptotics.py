@@ -12,8 +12,7 @@ signs of the degree-5 R with Q(t) = R(t^2) account for all five roots of R.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exact_arith import (
     QUAD_ZERO,
@@ -24,6 +23,9 @@ from .exact_arith import (
     sign_at_sqrt2,
 )
 from .cuboid_eqs import PQPair, build_rpq, qpq_coefficients
+
+if TYPE_CHECKING:  # imported where used: only `newton` builds a Fraction
+    from fractions import Fraction
 
 
 class PreconditionViolated(ValueError):
@@ -97,6 +99,8 @@ def upper_hull(nodes) -> NewtonPolygon:
     Monotone chain over points sorted by (m, r); exact integer cross
     products only.
     """
+    from fractions import Fraction
+
     points = sorted({(n.m, n.r) for n in nodes})
     if len({m for m, _ in points}) < 2:
         raise DegenerateHull("all nodes share one t-power")
@@ -183,6 +187,8 @@ def leading_coefficients(polygon: NewtonPolygon, exponent: Fraction) -> List[Lea
     polynomial in gamma^2, and solves it exactly over the sqrt(2) field.
     Roots with gamma < 0, or below the real axis, are discarded.
     """
+    from fractions import Fraction
+
     exponent = Fraction(exponent)
     if exponent not in polygon.exponents:
         raise ValueError(f"exponent {exponent} is not a hull exponent")

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from decimal import Context, Decimal
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import asymptotics, cuboid_eqs, search
@@ -34,28 +32,75 @@ EXIT_INTERRUPTED = 130
 
 APPROX_DIGITS = 30
 
-# sqrt(2) rounded down to 50 decimals as one fraction, built once; the
-# display rounds to 30 digits in a decimal context of its own.
+# sqrt(2) rounded down to 50 decimals as one fraction, built once, and the
+# powers of ten that scale a quotient to 30 digits in the common case.
 _SQRT2_DEN = 10**50
 _SQRT2_NUM = math.isqrt(2 * _SQRT2_DEN**2)
-_APPROX_CONTEXT = Context(prec=APPROX_DIGITS)
+_POW10 = tuple(10**i for i in range(2 * APPROX_DIGITS + 1))
+_DIGITS_LO, _DIGITS_HI = _POW10[APPROX_DIGITS - 1], _POW10[APPROX_DIGITS]
+
+
+def _pow10(k: int) -> int:
+    return _POW10[k] if k < len(_POW10) else 10**k
+
+
+def _decimal_text(n: int, d: int) -> str:
+    """n/d for d > 0 as `str(Context(prec=30).divide(Decimal(n), Decimal(d)))`
+    prints it, in integers (see `approx_str`)."""
+    if not n:
+        return "0"
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    # the scale 10^k that puts floor(n 10^k / d) in [10^29, 10^30); the bit
+    # lengths give log10(n/d) to within a digit, and a miss moves k by one
+    k = APPROX_DIGITS - 1 - (n.bit_length() - d.bit_length()) * 30103 // 100000
+    while True:
+        num, den = (n * _pow10(k), d) if k >= 0 else (n, d * _pow10(-k))
+        digits, rest = divmod(num, den)
+        if digits >= _DIGITS_HI:
+            k -= 1
+        elif digits < _DIGITS_LO:
+            k += 1
+        else:
+            break
+    if 2 * rest > den or (2 * rest == den and digits & 1):  # half to even
+        digits += 1
+        if digits == _DIGITS_HI:
+            digits, k = _DIGITS_LO, k - 1
+    text = str(digits)
+    if not rest and k > 0:  # exact: trailing zeros go, down to exponent 0
+        kept = max(len(text.rstrip("0")), len(text) - k)
+        k -= len(text) - kept
+        text = text[:kept]
+    left = len(text) - k  # digits before the point
+    if k >= 0 and left > -6:
+        if left <= 0:
+            return f"{sign}0.{'0' * -left}{text}"
+        return f"{sign}{text[:left]}.{text[left:]}" if k else sign + text
+    point = f".{text[1:]}" if len(text) > 1 else ""
+    return f"{sign}{text[0]}{point}E{left - 1:+d}"
 
 
 def approx_str(x: QuadRational) -> str:
     """Decimal rendering, 30 significant digits, always tagged approximate.
 
-    (A + B*sqrt(2))/D becomes the integer A*s_den + B*s_num over D*s_den,
-    with s_num/s_den the 50-decimal sqrt(2), divided once.  Decimal
-    division is correctly rounded and has ideal exponent 0 for integer
-    operands, so the text does not depend on whether that fraction is
-    reduced.  The division runs in a decimal context of the module's own,
-    so the caller's decimal precision is left as it was.
+    (A + B*sqrt(2))/D becomes the fraction (A*s_den + B*s_num)/(D*s_den),
+    with s_num/s_den the 50-decimal sqrt(2); when B == 0 it is A/D, the
+    same value.  The text is byte for byte what decimal prints for that
+    fraction divided in `Context(prec=30)`:
+      - the value correctly rounded, half to even, to 30 significant digits;
+      - an exact result with its trailing zeros stripped, down to exponent
+        0 (so 2500 and 0.125, but 1.00000000000000000000000000000E+30);
+      - plain notation when the exponent is at most 0 and the leading
+        digit's power of ten is at least -6 (0.0000012); otherwise one
+        digit, a point if more digits follow, and `E` with a signed
+        exponent (1E-7, 2.5E-30).
+    It depends only on the value, so not on whether the fraction is
+    reduced, and it is worked out in integers: no decimal context is read.
     """
     A, B, D = x
-    value = _APPROX_CONTEXT.divide(
-        Decimal(A * _SQRT2_DEN + B * _SQRT2_NUM), Decimal(D * _SQRT2_DEN)
-    )
-    return f"approx {value}"
+    if B:
+        A, D = A * _SQRT2_DEN + B * _SQRT2_NUM, D * _SQRT2_DEN
+    return "approx " + _decimal_text(A, D)
 
 
 def _usage() -> str:
@@ -189,20 +234,19 @@ def cmd_roots(args) -> int:
 
 
 GOLDEN_HULL = ((0, 10), (4, 10), (6, 8), (10, 0))
-GOLDEN_EXPONENTS = (Fraction(0), Fraction(1), Fraction(2))
 
 
-def _golden_leading_terms():
+def cmd_newton(args) -> int:
+    from fractions import Fraction  # only newton's golden data needs it
+
+    golden_exponents = (Fraction(0), Fraction(1), Fraction(2))
     one = QuadRational(1)
-    return {
+    golden_terms = {
         (Fraction(0), one, 2, "REAL", 2),
         (Fraction(1), one, 1, "REAL", 1),
         (Fraction(2), QuadRational(1, 1), 0, "IMAGINARY", 1),
         (Fraction(2), QuadRational(-1, 1), 0, "IMAGINARY", 1),
     }
-
-
-def cmd_newton(args) -> int:
     grid = asymptotics.build_newton_grid()
     polygon = asymptotics.upper_hull(grid)
     print("Grid nodes (m, r, coefficient in p):")
@@ -223,8 +267,8 @@ def cmd_newton(args) -> int:
             found.add(term)
     ok = (
         polygon.upper_hull == GOLDEN_HULL
-        and polygon.exponents == GOLDEN_EXPONENTS
-        and found == _golden_leading_terms()
+        and polygon.exponents == golden_exponents
+        and found == golden_terms
     )
     print(f"golden-data match: {ok}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -17,8 +17,10 @@ cuboid equations have been checked.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
+
+if TYPE_CHECKING:  # imported where used: only a hit's reconstruction needs it
+    from fractions import Fraction
 
 
 class DegenerateDenominator(ArithmeticError):
@@ -236,6 +238,8 @@ def reconstruct_cuboid(p: int, q: int, t: int, case: str) -> CuboidWitness:
     NotARoot for non-roots, and VerificationFailed (abort-worthy) if the
     scaled septuple does not satisfy the equations.
     """
+    from fractions import Fraction
+
     if case not in CASES:
         raise ValueError(f"case must be one of {', '.join(CASES)}, not {case!r}")
     PQPair(p, q)  # checks the pair

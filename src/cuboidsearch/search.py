@@ -62,7 +62,6 @@ processes is searched in-process whatever the worker count (`use_pool`).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -560,7 +559,19 @@ def use_pool(worker_count: int, todo: Sequence[int]) -> bool:
 
 
 def _json_line(obj: dict) -> str:
+    import json  # only hit lines are written through json
+
     return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _summary_line(counts: Sequence[int], hits: int) -> str:
+    """The output's last line, byte for byte what `_json_line` makes of
+    {"summary": True, <counter>: <count>, ..., "hits": hits}, formatted from
+    the integers: the counter names need no escaping and json writes an int
+    as its repr."""
+    names = SearchCheckpoint._fields[5:]
+    fields = "".join(f',"{name}":{count}' for name, count in zip(names, counts))
+    return f'{{"summary":true{fields},"hits":{hits}}}\n'
 
 
 def _kept_witness(obj: dict, line: str, where: str) -> CuboidWitness:
@@ -586,7 +597,8 @@ def _load_resume_state(
     and checked against its line.  Lines for p beyond the checkpoint
     (interrupted mid-p), any stale summary line and an unparsable final line
     (torn by the interruption) are dropped, so the final file is
-    byte-identical to an uninterrupted run.
+    byte-identical to an uninterrupted run.  `json` is imported only when
+    the output has a line to parse; an interrupted hitless run leaves none.
     """
     path = config.checkpoint_path
     ckpt = SearchCheckpoint.read(path)
@@ -610,6 +622,8 @@ def _load_resume_state(
     kept = []
     if os.path.exists(config.output_path):
         lines = _read_lines(config.output_path)
+        if lines:
+            import json  # an interrupted hitless run leaves no line to parse
         for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
@@ -656,7 +670,9 @@ def run_search(
     run makes no fsync.  The report's wall time is that of this call alone.
     `progress(p, pairs, nonempty, obstructed, evaluated, hits)` is called
     per completed p.  `abort_after_p` simulates an interruption right after
-    that p completes (test hook for the resume contract).
+    that p completes (test hook for the resume contract).  The summary line
+    is formatted from its integer counters; `json` is imported only for the
+    first hit line, or by a resume over an output that has lines.
     """
     start = time.monotonic()
     counts: Tuple[int, ...] = (0, 0, 0, 0)
@@ -742,10 +758,7 @@ def run_search(
             if executor is not None:
                 executor.shutdown(cancel_futures=True)
 
-        names = SearchCheckpoint._fields[5:]
-        out.write(_json_line(
-            {"summary": True, **dict(zip(names, counts)), "hits": len(hits)}
-        ))
+        out.write(_summary_line(counts, len(hits)))
     finally:
         try:
             out.close()  # it flushes the summary line

@@ -19,7 +19,7 @@ from cuboidsearch.asymptotics import (
     leading_coefficients,
     upper_hull,
 )
-from cuboidsearch.cli import GOLDEN_HULL, GOLDEN_EXPONENTS, _golden_leading_terms
+from cuboidsearch.cli import GOLDEN_HULL
 from cuboidsearch.cuboid_eqs import (
     PQPair,
     compute_z,
@@ -76,6 +76,16 @@ def test_criterion_1_factorization_identity():
     print(f"criterion 1 (factorization identity, {checked} pairs): PASS")
 
 
+# The exponents and leading terms that `newton` checks its output against.
+GOLDEN_EXPONENTS = (Fraction(0), Fraction(1), Fraction(2))
+GOLDEN_LEADING_TERMS = {
+    (Fraction(0), QuadRational(1), 2, "REAL", 2),
+    (Fraction(1), QuadRational(1), 1, "REAL", 1),
+    (Fraction(2), QuadRational(1, 1), 0, "IMAGINARY", 1),
+    (Fraction(2), QuadRational(-1, 1), 0, "IMAGINARY", 1),
+}
+
+
 def test_criterion_2_newton_polygon():
     polygon = upper_hull(build_newton_grid())
     assert polygon.upper_hull == GOLDEN_HULL
@@ -84,7 +94,7 @@ def test_criterion_2_newton_polygon():
     for exponent in polygon.exponents:
         for t in leading_coefficients(polygon, exponent):
             found.add((t.exponent, t.magnitude, t.p_power, t.axis, t.multiplicity))
-    assert found == _golden_leading_terms()
+    assert found == GOLDEN_LEADING_TERMS
     print("criterion 2 (Newton polygon and leading terms): PASS")
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from cuboidsearch import asymptotics, cli, search
 from cuboidsearch.cuboid_eqs import PQPair
+from cuboidsearch.exact_arith import QuadRational
 from oracles import (
     build_qpq,
     fraction_approx_str,
@@ -486,10 +487,35 @@ class TestApproxStr:
         (3, -2, "approx 0.171572875253809902396622551581"),
         (0, 1, "approx 1.41421356237309504880168872421"),
         (0, Fraction(-7, 3), "approx -3.29983164553722178053727368982"),
+        (2500, 0, "approx 2500"),
+        (Fraction(1, 8), 0, "approx 0.125"),
+        (10**30, 0, "approx 1.00000000000000000000000000000E+30"),
+        (10**30 + 15, 0, "approx 1.00000000000000000000000000002E+30"),
+        (-(10**30 + 25), 0, "approx -1.00000000000000000000000000002E+30"),
+        (Fraction(1, 10**7), 0, "approx 1E-7"),
+        (Fraction(5, 2 * 10**30), 0, "approx 2.5E-30"),
     ])
     def test_hand_cases(self, a, b, text):
         x = quad(a, b)
         assert cli.approx_str(x) == fraction_approx_str(x) == text
+
+    def test_matches_fraction_oracle_on_seeded_values(self):
+        # every endpoint of 100 pairs with p up to 10^14, then triples of
+        # either sign up to 10^60, a third of them rational
+        rng = random.Random(2903)
+        values = []
+        while len(values) < 1000:
+            p = rng.randint(1, 10**14)
+            q = rng.randint(59 * p, 118 * p)
+            if math.gcd(p, q) == 1:
+                for iv in asymptotics.asymptotic_intervals(PQPair(p, q)):
+                    values += (iv.lo, iv.hi)
+        for _ in range(10000):
+            A, B, D = (rng.randint(-10**60, 10**60) // 10**rng.randint(0, 59)
+                       for _ in range(3))
+            values.append(QuadRational(A, B if rng.randrange(3) else 0, abs(D) or 1))
+        for x in values:
+            assert cli.approx_str(x) == fraction_approx_str(x)
 
 
 class TestNewtonCommand:

@@ -37,6 +37,7 @@ ALLOWED = {
     "cuboid_eqs.reconstruct_cuboid": HIT_PATH,
     "search.pair_candidates": HIT_PATH,
     "search._kept_witness": HIT_PATH,
+    "search._json_line": HIT_PATH,
     "search._scan_run": "a pool worker's task; the commands' searches are too small for a pool, test_pool_output_matches_in_process runs one",
     "search._pool_results": "feeds a pool; the commands' searches are too small for one, test_pool_futures_bounded drives it",
     "search._named": "names the file when a write fails; test_write_error_names_the_file fills /dev/full",

@@ -117,19 +117,60 @@ def test_pickle_round_trip(record):
     assert copy == record
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cuboidsearch.__file__)))
+
+# Imported on first use only: json by a hit line or a resume over an output
+# with lines, fractions (and numbers) by `newton` and a hit's reconstruction;
+# decimal by nothing.
+LAZY = {"json", "decimal", "fractions", "numbers"}
+
+
+def loaded_after(code, *args):
+    """The last stdout line of `code` run in a fresh interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return result.stdout.splitlines()[-1]
+
+
 def test_cli_import_loads_no_startup_heavy_module():
     """Importing the CLI builds its records without the dataclasses module
-    and what it imports, and leaves the worker pool's module to pool runs:
-    each process pays these imports at start-up."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cuboidsearch.__file__)))
-    heavy = {"dataclasses", "inspect", "ast", "dis", "concurrent.futures", "hashlib"}
+    and what it imports, leaves the worker pool's module to pool runs and
+    the lazy modules to their first use: each process pays these imports
+    at start-up."""
+    heavy = {"dataclasses", "inspect", "ast", "dis", "concurrent.futures", "hashlib"} | LAZY
     code = (
         "import sys, cuboidsearch.cli; "
         f"print(sorted({heavy!r} & set(sys.modules)))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=60, check=True,
-    )
-    assert result.stdout.strip() == "[]"
+    assert loaded_after(code) == "[]"
+
+
+def test_benchmarked_commands_load_no_lazy_module(tmp_path):
+    """A hitless search, a resume over an interrupted run's empty output,
+    `roots` and `identity-check` (the benchmark's calls) run through
+    `cli.main` without importing any of LAZY."""
+    code = f"""
+import os, sys
+from cuboidsearch import cli, search
+out, ckpt, fresh = sys.argv[1:]
+config = search.SearchConfig(1, 40, 1, ckpt, out)
+try:
+    search.run_search(config, abort_after_p=25)
+except KeyboardInterrupt:
+    pass
+assert os.path.getsize(out) == 0 and os.path.exists(ckpt)
+calls = (
+    ["search", "--p-max", "40", "--threads", "1", "--out", fresh],
+    ["search", "--p-max", "40", "--threads", "1", "--out", out, "--checkpoint", ckpt],
+    ["roots", "--p", "7", "--q", "500"],
+    ["identity-check", "--max-pq", "40"],
+)
+codes = [cli.main(argv) for argv in calls]
+print(codes, sorted({LAZY!r} & set(sys.modules)))
+"""
+    files = (str(tmp_path / name) for name in ("r.jsonl", "r.ckpt", "f.jsonl"))
+    assert loaded_after(code, *files) == "[0, 0, 0, 0] []"
+    assert (tmp_path / "r.jsonl").read_bytes() == (tmp_path / "f.jsonl").read_bytes()

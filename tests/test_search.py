@@ -785,6 +785,19 @@ class TestRunSearch:
             "hits": 0,
         }
 
+    def test_summary_line_is_the_json_of_its_counters(self):
+        # formatted without json, it must keep json's compact bytes
+        rng = random.Random(2904)
+        names = SearchCheckpoint._fields[5:]
+        for _ in range(200):
+            counts = [rng.choice((0, rng.randint(1, 10**6), rng.randint(2**64, 2**200)))
+                      for _ in names]
+            hits = rng.choice((0, 1, 2**64 + rng.randint(0, 10**9)))
+            obj = {"summary": True, **dict(zip(names, counts)), "hits": hits}
+            line = search._summary_line(counts, hits)
+            assert line == json.dumps(obj, separators=(",", ":")) + "\n"
+            assert json.loads(line) == obj
+
     def test_pending_p_not_held_in_memory(self, tmp_path):
         # the p still to search are a range, not a list of a million ints
         config = SearchConfig(1, 10**6, 1, None, str(tmp_path / "a.jsonl"))
