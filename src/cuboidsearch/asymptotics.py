@@ -12,7 +12,8 @@ signs of the degree-5 R with Q(t) = R(t^2) account for all five roots of R.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Tuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .exact_arith import (
     QUAD_ZERO,
@@ -24,6 +25,7 @@ from .exact_arith import (
 )
 from .cuboid_eqs import PQPair, build_rpq, qpq_coefficients
 
+TYPE_CHECKING = False  # true for type checkers, which read the import below
 if TYPE_CHECKING:  # imported where used: only `newton` builds a Fraction
     from fractions import Fraction
 
@@ -40,26 +42,27 @@ class CertificationFailed(RuntimeError):
     """An interval failed its root certificate; names the interval and check."""
 
 
-class NewtonNode(NamedTuple):
+class NewtonNode(namedtuple("NewtonNode", "m r c e")):
     """Grid node (m, r) whose coefficient of t^m q^r is the monomial c*p^e.
 
     The polynomial is homogeneous in (p, q, t), so each node has a single
     power of p."""
 
-    m: int
-    r: int
-    c: int
-    e: int
+    __slots__ = ()
 
 
-class NewtonPolygon(NamedTuple):
-    nodes: tuple  # all NewtonNode, sorted by (m, r)
-    upper_hull: tuple  # ordered (m, r) vertices, increasing m
-    segment_slopes: tuple  # Fraction slope per hull segment
-    exponents: tuple  # -slope per hull segment, ascending
+class NewtonPolygon(
+    namedtuple("NewtonPolygon", "nodes upper_hull segment_slopes exponents")
+):
+    """The grid's upper hull: `nodes` are all NewtonNode, sorted by (m, r);
+    `upper_hull` the (m, r) vertices in increasing m; `segment_slopes` the
+    Fraction slope of each hull segment and `exponents` their negatives,
+    ascending."""
+
+    __slots__ = ()
 
 
-def balanced_digits(n: int, base: int) -> Iterator[Tuple[int, int]]:
+def balanced_digits(n: int, base: int) -> Iterator[tuple[int, int]]:
     """(position, digit) for each nonzero digit of n in balanced base
     `base`, lowest first; every digit lies in [-base/2, base/2)."""
     position, half = 0, base // 2
@@ -104,7 +107,7 @@ def upper_hull(nodes) -> NewtonPolygon:
     points = sorted({(n.m, n.r) for n in nodes})
     if len({m for m, _ in points}) < 2:
         raise DegenerateHull("all nodes share one t-power")
-    hull: List[Tuple[int, int]] = []
+    hull: list[tuple[int, int]] = []
     for pt in reversed(points):  # right to left builds the upper boundary
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) <= 0:
             hull.pop()
@@ -123,25 +126,24 @@ def upper_hull(nodes) -> NewtonPolygon:
     )
 
 
-class LeadingTerm(NamedTuple):
+class LeadingTerm(
+    namedtuple("LeadingTerm", "exponent magnitude p_power axis multiplicity")
+):
     """Leading factor of one root expansion: magnitude * p^p_power * q^exponent,
-    on the real or imaginary axis (axis "REAL" or "IMAGINARY")."""
+    on the real or imaginary axis (axis "REAL" or "IMAGINARY"), with a
+    Fraction exponent and a QuadRational magnitude > 0."""
 
-    exponent: Fraction
-    magnitude: QuadRational  # > 0
-    p_power: int
-    axis: str
-    multiplicity: int
+    __slots__ = ()
 
 
-def _solve_even_gamma(coeffs: List[int]) -> List[Tuple[QuadRational, str, int]]:
+def _solve_even_gamma(coeffs: list[int]) -> list[tuple[QuadRational, str, int]]:
     """Admissible roots of an even integer polynomial in gamma.
 
     coeffs are in s = gamma^2, degree <= 2.  Returns (magnitude, axis,
     multiplicity) triples keeping only roots with gamma > 0 (real) or with
     positive imaginary part (imaginary axis).
     """
-    s_roots: List[Tuple[QuadRational, int]] = []
+    s_roots: list[tuple[QuadRational, int]] = []
     if len(coeffs) == 2:
         c0, c1 = coeffs
         s_roots.append((QuadRational(-c0, 0, c1), 1))
@@ -179,7 +181,7 @@ def _solve_even_gamma(coeffs: List[int]) -> List[Tuple[QuadRational, str, int]]:
     return out
 
 
-def leading_coefficients(polygon: NewtonPolygon, exponent: Fraction) -> List[LeadingTerm]:
+def leading_coefficients(polygon: NewtonPolygon, exponent: Fraction) -> list[LeadingTerm]:
     """Admissible leading terms for the hull segment of slope -exponent.
 
     Collects the grid nodes on that segment, substitutes C = gamma * p^w
@@ -211,18 +213,15 @@ def leading_coefficients(polygon: NewtonPolygon, exponent: Fraction) -> List[Lea
     ]
 
 
-class AsymptoticInterval(NamedTuple):
-    """Exact open interval certified to contain one root (or, for the
-    imaginary axis, one root's imaginary part).  label is "T1".."T5", axis
-    "REAL" or "IMAGINARY"."""
+class AsymptoticInterval(namedtuple("AsymptoticInterval", "label axis lo hi")):
+    """Exact open interval (lo, hi) of QuadRationals certified to contain one
+    root (or, for the imaginary axis, one root's imaginary part).  label is
+    "T1".."T5", axis "REAL" or "IMAGINARY"."""
 
-    label: str
-    axis: str
-    lo: QuadRational
-    hi: QuadRational
+    __slots__ = ()
 
 
-def asymptotic_intervals(pair: PQPair) -> List[AsymptoticInterval]:
+def asymptotic_intervals(pair: PQPair) -> list[AsymptoticInterval]:
     """The five exact root intervals, valid only for q >= 59 p.
 
     Each endpoint is built from closed-form integers as (A + B*sqrt(2))/D:
@@ -255,11 +254,15 @@ def asymptotic_intervals(pair: PQPair) -> List[AsymptoticInterval]:
     ]
 
 
-class DisjointnessReport(NamedTuple):
-    ok: bool  # every link of the order holds
-    broken: Optional[str]  # the first link that fails, as "T2.hi < T3.lo"
-    real_gap: QuadRational  # T3.lo - T2.hi (must be > 0)
-    imaginary_gap: QuadRational  # T4.lo - T5.hi (must be > 0)
+class DisjointnessReport(
+    namedtuple("DisjointnessReport", "ok broken real_gap imaginary_gap")
+):
+    """check_disjoint's verdict: `ok` when every link of the order holds,
+    else `broken` names the first that fails, as "T2.hi < T3.lo" (None
+    when none does); the margins real_gap = T3.lo - T2.hi and
+    imaginary_gap = T4.lo - T5.hi must be > 0."""
+
+    __slots__ = ()
 
 
 # The ends (0, then each interval's lo and hi, T1 to T5), and the order of
@@ -274,7 +277,7 @@ _ORDER = (
 )
 
 
-def check_disjoint(intervals: List[AsymptoticInterval]) -> DisjointnessReport:
+def check_disjoint(intervals: list[AsymptoticInterval]) -> DisjointnessReport:
     """Exact order of the five intervals' ends, with the two gaps as margins.
 
     `intervals` are T1 to T5, as asymptotic_intervals lists them.  Under
@@ -302,11 +305,11 @@ def check_disjoint(intervals: List[AsymptoticInterval]) -> DisjointnessReport:
     )
 
 
-class RootCertificate(NamedTuple):
-    label: str  # "T1".."T5"
-    axis: str  # "REAL" or "IMAGINARY"
-    sign_lo: int
-    sign_hi: int
+class RootCertificate(namedtuple("RootCertificate", "label axis sign_lo sign_hi")):
+    """The signs of Q at the ends of the interval `label` ("T1".."T5"), on
+    the imaginary axis at i times them (`axis` "REAL" or "IMAGINARY")."""
+
+    __slots__ = ()
 
 
 def _sign_at_square(rpoly: Poly, axis: str, x: QuadRational) -> int:
@@ -319,9 +322,9 @@ def _sign_at_square(rpoly: Poly, axis: str, x: QuadRational) -> int:
 
 
 def certify_roots(
-    pair: PQPair, intervals: List[AsymptoticInterval],
-    disjoint: Optional[DisjointnessReport] = None,
-) -> List[RootCertificate]:
+    pair: PQPair, intervals: list[AsymptoticInterval],
+    disjoint: DisjointnessReport | None = None,
+) -> list[RootCertificate]:
     """Certify exactly one root of Q in each interval, and none elsewhere,
     by counting against the degree of R.
 

@@ -17,8 +17,9 @@ cuboid equations have been checked.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Tuple
+from collections import namedtuple
 
+TYPE_CHECKING = False  # true for type checkers, which read the import below
 if TYPE_CHECKING:  # imported where used: only a hit's reconstruction needs it
     from fractions import Fraction
 
@@ -40,14 +41,7 @@ class VerificationFailed(RuntimeError):
     """
 
 
-# A NamedTuple class may not define __new__, so each record that checks its
-# values is a subclass of its fields' NamedTuple, with the checks in __new__.
-class _PQPairFields(NamedTuple):
-    p: int
-    q: int
-
-
-class PQPair(_PQPairFields):
+class PQPair(namedtuple("PQPair", "p q")):
     """Coprime positive integers p != q selecting one polynomial instance."""
 
     __slots__ = ()
@@ -67,7 +61,7 @@ class PQPair(_PQPairFields):
 CASES = ("BU_EQ_A2", "AU_EQ_B2")
 
 
-def qpq_coefficients(p: int, q: int) -> Tuple[int, int, int, int, int]:
+def qpq_coefficients(p: int, q: int) -> tuple[int, int, int, int, int]:
     """Coefficients (c0, c2, c4, c6, c8) of the polynomial for (p, q):
     Q(t) = t^10 + c8 t^8 + c6 t^6 + c4 t^4 + c2 t^2 + c0, that is
     Q(t) = R(t^2) with R(u) = u^5 + c8 u^4 + c6 u^3 + c4 u^2 + c2 u + c0.
@@ -99,14 +93,14 @@ def qpq_value(p: int, q: int, t: int) -> int:
     return ((((u + c8) * u + c6) * u + c4) * u + c2) * u + c0
 
 
-def build_rpq(pair: PQPair) -> Tuple[int, ...]:
+def build_rpq(pair: PQPair) -> tuple[int, ...]:
     """The monic degree-5 polynomial R with Q(t) = R(t^2) for the pair, as
     its coefficient tuple (c0, c2, c4, c6, c8, 1), lowest power first:
     R(u) = u^5 + c8 u^4 + c6 u^3 + c4 u^2 + c2 u + c0."""
     return qpq_coefficients(pair.p, pair.q) + (1,)
 
 
-def full_eq_coefficients(a: int, b: int, u: int) -> Tuple[int, ...]:
+def full_eq_coefficients(a: int, b: int, u: int) -> tuple[int, ...]:
     """Coefficients (e0, e2, ..., e12) of the even, monic, degree-12
     equation for parameters (a, b, u).
 
@@ -152,7 +146,7 @@ def factorization_check(p: int, q: int) -> bool:
 
 def param_ratios(
     upsilon: Fraction, z: Fraction, alpha: Fraction, beta: Fraction
-) -> Tuple[Fraction, ...]:
+) -> tuple[Fraction, ...]:
     """Exact cuboid ratios (x1, x2, x3, d1, d2, d3), each over L, from the
     four rational parameters.
 
@@ -180,21 +174,13 @@ def compute_z(upsilon: Fraction, alpha: Fraction, beta: Fraction) -> Fraction:
     return (1 + upsilon * upsilon) * (1 - beta * beta) * (1 + alpha * alpha) / den
 
 
-class CuboidWitness(NamedTuple):
-    """An integer cuboid reconstructed from a root candidate; only
-    `reconstruct_cuboid`, after checking the cuboid equations, makes one."""
+class CuboidWitness(namedtuple("CuboidWitness", "p q t case x1 x2 x3 d1 d2 d3 L")):
+    """An integer cuboid reconstructed from the root t of the pair (p, q)
+    under `case`, one of CASES: edges x1, x2, x3, face diagonals d1, d2,
+    d3 and space diagonal L.  Only `reconstruct_cuboid`, after checking
+    the cuboid equations, makes one."""
 
-    p: int
-    q: int
-    t: int
-    case: str  # one of CASES
-    x1: int
-    x2: int
-    x3: int
-    d1: int
-    d2: int
-    d3: int
-    L: int
+    __slots__ = ()
 
     def septuple(self) -> tuple:
         return (self.x1, self.x2, self.x3, self.d1, self.d2, self.d3, self.L)

@@ -13,18 +13,12 @@ point is used in any decision procedure.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Tuple
+from collections import namedtuple
 
-Poly = Tuple[int, ...]  # coefficients, lowest power first
-
-
-class _QuadFields(NamedTuple):
-    A: int
-    B: int
-    D: int
+Poly = tuple[int, ...]  # coefficients, lowest power first
 
 
-class QuadRational(_QuadFields):
+class QuadRational(namedtuple("QuadRational", "A B D")):
     """The number (A + B*sqrt(2))/D with integers A, B and D > 0.
 
     The constructor divides by gcd(A, B, D) and moves the sign onto A and B,
@@ -145,7 +139,7 @@ def _sqrt2_sign(a: int, b: int) -> int:
     return (cmp < 0) - (cmp > 0)
 
 
-def _square_root(n: int) -> Optional[int]:
+def _square_root(n: int) -> int | None:
     """The integer square root of n if n is a perfect square, else None."""
     if n < 0:
         return None
@@ -153,7 +147,7 @@ def _square_root(n: int) -> Optional[int]:
     return r if r * r == n else None
 
 
-def quad_sqrt(x: QuadRational) -> Optional[QuadRational]:
+def quad_sqrt(x: QuadRational) -> QuadRational | None:
     """Positive square root of x inside the field, or None if it does not
     stay in the field.  Requires x >= 0.
 

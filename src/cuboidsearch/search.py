@@ -65,10 +65,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import deque
-from typing import (
-    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
-)
+from collections import deque, namedtuple
+from collections.abc import Callable, Iterable, Sequence
 
 from .cuboid_eqs import CASES, CuboidWitness, qpq_value, reconstruct_cuboid
 
@@ -126,15 +124,9 @@ class ResumeMismatch(RuntimeError):
     is damaged."""
 
 
-class _SearchConfigFields(NamedTuple):
-    p_min: int
-    p_max: int
-    worker_count: int
-    checkpoint_path: Optional[str]
-    output_path: str
-
-
-class SearchConfig(_SearchConfigFields):
+class SearchConfig(
+    namedtuple("SearchConfig", "p_min p_max worker_count checkpoint_path output_path")
+):
     __slots__ = ()
 
     def __new__(
@@ -142,7 +134,7 @@ class SearchConfig(_SearchConfigFields):
         p_min: int,
         p_max: int,
         worker_count: int = 1,
-        checkpoint_path: Optional[str] = None,
+        checkpoint_path: str | None = None,
         output_path: str = "cuboids.jsonl",
     ) -> "SearchConfig":
         if p_min < 1 or p_min > p_max:
@@ -189,7 +181,7 @@ def _named(exc: OSError, path: str) -> OSError:
     return exc
 
 
-def _read_lines(path: str) -> List[str]:
+def _read_lines(path: str) -> list[str]:
     """All lines of a text file the search wrote; bytes that are not UTF-8
     mean the file is damaged."""
     with open(path, encoding="utf-8") as fh:
@@ -199,21 +191,20 @@ def _read_lines(path: str) -> List[str]:
             raise ResumeMismatch(f"{path} is damaged: {exc.reason}") from None
 
 
-class SearchCheckpoint(NamedTuple):
+class SearchCheckpoint(
+    namedtuple(
+        "SearchCheckpoint",
+        "version p_min p_max last_completed_p candidates_found pairs_examined"
+        " pairs_nonempty pairs_obstructed candidates_evaluated",
+    )
+):
     """The state of a run after its last merged p: its p range and the
-    summary counters so far.  The file holds one `field=value` line per
-    field, in this order, so equal states give equal bytes.  Worker count
-    and file paths are left out; they do not affect the result."""
+    summary counters so far, all integers.  The file holds one
+    `field=value` line per field, in this order, so equal states give equal
+    bytes.  Worker count and file paths are left out; they do not affect
+    the result."""
 
-    version: int
-    p_min: int
-    p_max: int
-    last_completed_p: int
-    candidates_found: int
-    pairs_examined: int
-    pairs_nonempty: int
-    pairs_obstructed: int
-    candidates_evaluated: int
+    __slots__ = ()
 
     def text(self) -> str:
         """The file's contents: one `field=value` line per field, in order."""
@@ -234,7 +225,7 @@ class SearchCheckpoint(NamedTuple):
         missing or non-integer field, or any text other than what `write`
         makes of the parsed state raises ResumeMismatch."""
         lines = _read_lines(path)
-        fields: Dict[str, str] = {}
+        fields: dict[str, str] = {}
         for line in lines:
             key, _, value = line.strip().partition("=")
             fields[key] = value
@@ -261,18 +252,20 @@ class SearchCheckpoint(NamedTuple):
         return ckpt
 
 
-class SearchReport(NamedTuple):
-    """Counters, hits and wall time of one run_search call."""
+class SearchReport(
+    namedtuple(
+        "SearchReport",
+        "pairs_examined pairs_nonempty pairs_obstructed candidates_evaluated"
+        " hits wall_time",
+    )
+):
+    """Counters, hits (a list of CuboidWitness) and wall time in seconds of
+    one run_search call."""
 
-    pairs_examined: int
-    pairs_nonempty: int
-    pairs_obstructed: int
-    candidates_evaluated: int
-    hits: List[CuboidWitness]
-    wall_time: float
+    __slots__ = ()
 
 
-def t_bounds(p: int, q: int) -> Optional[Tuple[int, int]]:
+def t_bounds(p: int, q: int) -> tuple[int, int] | None:
     """Inclusive candidate range (lo, hi) for t, or None when it is empty.
 
     lo = max(p^2, pq, q^2) + 1 and hi is the largest t < r(q), that is with
@@ -292,8 +285,8 @@ def t_bounds(p: int, q: int) -> Optional[Tuple[int, int]]:
     return (lo, hi) if lo <= hi else None
 
 
-def _prime_factors(n: int) -> Dict[int, int]:
-    out: Dict[int, int] = {}
+def _prime_factors(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
         while n % d == 0:
@@ -305,7 +298,7 @@ def _prime_factors(n: int) -> Dict[int, int]:
     return out
 
 
-def pair_candidates(p: int, q: int, lo: int, hi: int) -> List[int]:
+def pair_candidates(p: int, q: int, lo: int, hi: int) -> list[int]:
     """The valuation candidates in [lo, hi] of a coprime pair, unsorted: the
     products of one factor from {1, l^e, l^(2e)} per l^e exactly dividing
     p or q.  A product above hi is dropped as soon as it is formed."""
@@ -317,7 +310,7 @@ def pair_candidates(p: int, q: int, lo: int, hi: int) -> List[int]:
     return [t for t in out if t >= lo]
 
 
-def pair_count(p: int, primes: Optional[Iterable[int]] = None) -> int:
+def pair_count(p: int, primes: Iterable[int] | None = None) -> int:
     """The number of admissible pairs for p, in closed form: q runs over
     1 <= q <= 59p - 1 with q != p and q coprime to p, so there are
     59 phi(p) of them, or 57 for p = 1.  `primes`, the prime factors of p,
@@ -384,7 +377,7 @@ def q_limit(p: int) -> int:
 # by evaluating R(u; 1, x) at every nonzero square u mod l for every x in
 # 1..l-1 (tests/oracles.py, `brute_ratio_table`, which the tests check this
 # against and print the literal from).
-_RATIO_MASKS: Dict[int, int] = {
+_RATIO_MASKS: dict[int, int] = {
     3: 0x0,
     5: 0x0,
     7: 0x0,
@@ -432,10 +425,10 @@ _RATIO_MASKS: Dict[int, int] = {
     199: 0x1e9d61ec7fd3b729baabb452e74a2dd55d94edcbfe3786b978,
 }
 
-_RATIO_TABLES: Dict[int, Tuple[int, ...]] = {}
+_RATIO_TABLES: dict[int, tuple[int, ...]] = {}
 
 
-def ratio_table(l: int) -> Tuple[int, ...]:
+def ratio_table(l: int) -> tuple[int, ...]:
     """B_l for l in OBSTRUCTION_PRIMES: the x in 1..l-1, ascending, for
     which R(u; 1, x) has no root among the nonzero squares u mod l, that is
     Q(tau; 1, x) has no root mod l.  Read off the l bits of its stored mask
@@ -459,8 +452,8 @@ def _tile(pattern: int, l: int, n: int) -> int:
 
 
 def sieve_pairs(
-    p: int, primes: Optional[Iterable[int]] = None
-) -> Tuple[int, List[int]]:
+    p: int, primes: Iterable[int] | None = None
+) -> tuple[int, list[int]]:
     """(n, survivors): the number n of coprime q != p with a nonempty t
     range, and those of them, ascending, that no prime in
     OBSTRUCTION_PRIMES rules out.  `primes`, the prime factors of p, saves
@@ -494,7 +487,7 @@ def sieve_pairs(
     return nonempty, survivors
 
 
-def _scan_p(p: int) -> Tuple[int, Tuple[int, int, int, int], tuple]:
+def _scan_p(p: int) -> tuple[int, tuple[int, int, int, int], tuple]:
     """Worker: search every pair for one p.  Returns (p, counts, hits), with
     counts the summary counters of p in the order of the checkpoint's
     fields: pairs_examined, pairs_nonempty, pairs_obstructed and
@@ -508,7 +501,7 @@ def _scan_p(p: int) -> Tuple[int, Tuple[int, int, int, int], tuple]:
     primes = _prime_factors(p)
     nonempty, survivors = sieve_pairs(p, primes)
     evaluated = 0
-    hits: List[CuboidWitness] = []
+    hits: list[CuboidWitness] = []
     for q in survivors:
         candidates = pair_candidates(p, q, *t_bounds(p, q))
         evaluated += len(candidates)
@@ -588,7 +581,7 @@ def _kept_witness(obj: dict, line: str, where: str) -> CuboidWitness:
 
 def _load_resume_state(
     config: SearchConfig,
-) -> Tuple[SearchCheckpoint, List[CuboidWitness]]:
+) -> tuple[SearchCheckpoint, list[CuboidWitness]]:
     """Validate the checkpoint and salvage the hits of completed p.
 
     The checkpoint must be for the configured p range, and its last
@@ -653,8 +646,8 @@ ProgressFn = Callable[[int, int, int, int, int, int], None]
 
 def run_search(
     config: SearchConfig,
-    progress: Optional[ProgressFn] = None,
-    abort_after_p: Optional[int] = None,
+    progress: ProgressFn | None = None,
+    abort_after_p: int | None = None,
 ) -> SearchReport:
     """Run the full search over [p_min, p_max].
 
@@ -675,8 +668,8 @@ def run_search(
     first hit line, or by a resume over an output that has lines.
     """
     start = time.monotonic()
-    counts: Tuple[int, ...] = (0, 0, 0, 0)
-    hits: List[CuboidWitness] = []
+    counts: tuple[int, ...] = (0, 0, 0, 0)
+    hits: list[CuboidWitness] = []
     resume_from = config.p_min
 
     if config.checkpoint_path and os.path.exists(config.checkpoint_path):

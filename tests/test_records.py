@@ -1,8 +1,9 @@
-"""The package's records are tuples (`typing.NamedTuple`).  These tests pin
-what a tuple could get wrong: arithmetic falling through to tuple
-concatenation or repetition, validation skipped, the repr text, pickling
-for the worker pool, and the import cost that the records were chosen
-for."""
+"""The package's records are tuples: subclasses of `collections.namedtuple`
+classes with `__slots__ = ()`.  These tests pin what a tuple could get
+wrong: arithmetic falling through to tuple concatenation or repetition,
+validation skipped, a per-instance `__dict__`, the repr text, pickling for
+the worker pool, and the import cost that the records were chosen for (no
+`typing`, `dataclasses` or what they import)."""
 
 import os
 import pickle
@@ -13,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import cuboidsearch
+from cuboidsearch import asymptotics, cuboid_eqs, exact_arith, search
 from cuboidsearch.cuboid_eqs import CuboidWitness, PQPair
 from cuboidsearch.exact_arith import QuadRational
 from cuboidsearch.search import SearchConfig
@@ -65,6 +67,32 @@ class TestIntPolyOperators:
         assert value == expected
 
 
+def _records():
+    """One instance of each record class in the package, as the code makes
+    them where it can; PQPair and SearchConfig first, so that the test ids
+    record0 and record1 keep naming them."""
+    pair = PQPair(7, 500)
+    intervals = asymptotics.asymptotic_intervals(pair)
+    polygon = asymptotics.upper_hull(asymptotics.build_newton_grid())
+    return [
+        pair,
+        SearchConfig(1, 2),
+        QuadRational(3, -2, 6),
+        polygon.nodes[0],
+        polygon,
+        asymptotics.leading_coefficients(polygon, polygon.exponents[0])[0],
+        intervals[3],
+        asymptotics.check_disjoint(intervals),
+        asymptotics.certify_roots(pair, intervals)[0],
+        CuboidWitness(1, 2, 5, "AU_EQ_B2", 3, 4, 12, 13, 15, 5, 13),
+        search.SearchCheckpoint(5, 1, 2, 2, 0, 57, 1, 1, 0),
+        search.SearchReport(57, 1, 1, 0, [], 0.0),
+    ]
+
+
+RECORDS = _records()
+
+
 class TestValidatingRecords:
     @pytest.mark.parametrize("build, message", [
         (lambda: PQPair(p=3, q=3), "p and q must differ"),
@@ -87,12 +115,21 @@ class TestValidatingRecords:
             output_path="cuboids.jsonl",
         )
 
-    @pytest.mark.parametrize("record", [PQPair(1, 2), SearchConfig(1, 2)])
+    @pytest.mark.parametrize("record", RECORDS)
     def test_immutable_and_without_instance_dict(self, record):
         with pytest.raises(AttributeError):
             record.extra = 1
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], 9)
+
+    def test_one_record_of_each_class(self):
+        classes = {
+            value for module in (asymptotics, cuboid_eqs, exact_arith, search)
+            for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, tuple)
+        }
+        assert len(RECORDS) == len(classes) == 12
+        assert {type(record) for record in RECORDS} == classes
 
 
 def test_repr():
@@ -126,9 +163,10 @@ LAZY = {"json", "decimal", "fractions", "numbers"}
 
 
 def loaded_after(code, *args):
-    """The last stdout line of `code` run in a fresh interpreter."""
+    """The last stdout line of `code` run in a fresh interpreter without
+    `site`, whose start-up hooks may import some of the modules looked for."""
     result = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, "-S", "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True, text=True, timeout=60, check=True,
     )
@@ -136,11 +174,14 @@ def loaded_after(code, *args):
 
 
 def test_cli_import_loads_no_startup_heavy_module():
-    """Importing the CLI builds its records without the dataclasses module
-    and what it imports, leaves the worker pool's module to pool runs and
-    the lazy modules to their first use: each process pays these imports
-    at start-up."""
-    heavy = {"dataclasses", "inspect", "ast", "dis", "concurrent.futures", "hashlib"} | LAZY
+    """Importing the CLI builds its records without the typing and
+    dataclasses modules and what they import, leaves the worker pool's
+    module to pool runs and the lazy modules to their first use: each
+    process pays these imports at start-up."""
+    heavy = {
+        "typing", "re", "enum", "functools", "contextlib",
+        "dataclasses", "inspect", "ast", "dis", "concurrent.futures", "hashlib",
+    } | LAZY
     code = (
         "import sys, cuboidsearch.cli; "
         f"print(sorted({heavy!r} & set(sys.modules)))"
