@@ -653,14 +653,14 @@ def run_search(
 
     Results are merged in p order and the JSONL output (hit lines plus one
     final summary line of counters) is deterministic for any worker count.
-    The checkpoint, a snapshot of the p range and the summary counters taken
-    right after each p is merged and flushed, is rewritten atomically after
-    the p that brings the work merged since its last write to
-    CHECKPOINT_MIN_WORK, after the last p, and when the run is interrupted
-    or fails.  The output is fsynced before each write that follows a new
-    hit line (on a resume, the kept hit lines it rewrites count as new), so
-    the checkpoint never counts a hit line that is not on disk; a hitless
-    run makes no fsync.  The report's wall time is that of this call alone.
+    A p counts as merged only once its hit lines are written, flushed and,
+    when a checkpoint is kept, fsynced; the kept hit lines of a resume are
+    written the same way, and a hitless run makes no fsync.  The
+    checkpoint, the p range and the summary counters as of the last merged
+    p, is built and rewritten atomically after the p that brings the work
+    merged since its last write to CHECKPOINT_MIN_WORK, after the last p,
+    and when the run is interrupted or fails, so it never counts a hit line
+    that is not on disk.  The report's wall time is that of this call alone.
     `progress(p, pairs, nonempty, obstructed, evaluated, hits)` is called
     per completed p.  `abort_after_p` simulates an interruption right after
     that p completes (test hook for the resume contract).  The summary line
@@ -670,11 +670,11 @@ def run_search(
     start = time.monotonic()
     counts: tuple[int, ...] = (0, 0, 0, 0)
     hits: list[CuboidWitness] = []
-    resume_from = config.p_min
+    done = config.p_min - 1  # the last merged p
 
     if config.checkpoint_path and os.path.exists(config.checkpoint_path):
         ckpt, hits = _load_resume_state(config)
-        resume_from = ckpt.last_completed_p + 1
+        done = ckpt.last_completed_p
         counts = ckpt[5:]
 
     out = open(config.output_path, "w", encoding="utf-8")
@@ -683,13 +683,21 @@ def run_search(
         try:
             out.writelines(_json_line(w.to_json_dict()) for w in witnesses)
             out.flush()
+            if config.checkpoint_path and witnesses:
+                os.fsync(out.fileno())
         except OSError as exc:
             raise _named(exc, config.output_path)
+
+    def save() -> None:
+        SearchCheckpoint(
+            CHECKPOINT_VERSION, config.p_min, config.p_max, done, len(hits),
+            *counts,
+        ).write(config.checkpoint_path)
 
     try:
         emit(hits)
 
-        todo = range(resume_from, config.p_max + 1)
+        todo = range(done + 1, config.p_max + 1)
         if use_pool(config.worker_count, todo):
             # imported here: only pool runs need it, and it takes about a
             # third of the CLI's import time
@@ -709,33 +717,17 @@ def run_search(
         else:
             executor = None
             results = map(_scan_p, todo)
-        last = None  # checkpoint for the last merged p
-        unsaved = 0  # work merged since `last` was written
-        synced = 0  # hit lines on disk as of the output's last fsync
-
-        def save() -> None:
-            # an fsync only when `last` counts a hit line that may not be
-            # on disk yet; the kept hits of a resume were rewritten too
-            nonlocal synced
-            if last.candidates_found > synced:
-                try:
-                    os.fsync(out.fileno())
-                except OSError as exc:
-                    raise _named(exc, config.output_path)
-                synced = last.candidates_found
-            last.write(config.checkpoint_path)
+        unsaved = 0  # work merged since the checkpoint was last written
 
         try:
             for p, p_counts, p_hits in results:
-                counts = tuple(a + b for a, b in zip(counts, p_counts))
+                # p is merged once its hit lines are written
                 if p_hits:
-                    hits.extend(p_hits)
                     emit(p_hits)
+                    hits.extend(p_hits)
+                counts = tuple(a + b for a, b in zip(counts, p_counts))
+                done = p
                 if config.checkpoint_path:
-                    last = SearchCheckpoint(
-                        CHECKPOINT_VERSION, config.p_min, config.p_max, p,
-                        len(hits), *counts,
-                    )
                     unsaved += p
                     if unsaved >= CHECKPOINT_MIN_WORK:
                         save()

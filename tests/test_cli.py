@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cuboidsearch import asymptotics, cli, search
+from cuboidsearch import asymptotics, cli, cuboid_eqs, search
 from cuboidsearch.cuboid_eqs import PQPair
 from cuboidsearch.exact_arith import QuadRational
 from oracles import (
@@ -256,6 +256,25 @@ class TestSearchCommand:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "pairs_examined=5," in err
 
+    def test_hit_count_checked_on_resume(self, tmp_path, capsys):
+        # a checkpoint that counts a hit the output does not hold is refused
+        out = str(tmp_path / "h.jsonl")
+        ckpt = tmp_path / "h.ckpt"
+        config = search.SearchConfig(1, 40, 1, str(ckpt), out)
+        with pytest.raises(KeyboardInterrupt):
+            search.run_search(config, abort_after_p=10)
+        text = ckpt.read_text()
+        assert "candidates_found=0\n" in text
+        ckpt.write_text(text.replace("candidates_found=0\n", "candidates_found=1\n"))
+        code, _, err = run_cli(
+            capsys, "search", "--p-max", "40", "--out", out,
+            "--checkpoint", str(ckpt), "--threads", "1",
+        )
+        assert code == cli.EXIT_RESUME_MISMATCH
+        assert err == (
+            "error: output holds 0 hits for p <= 10 but checkpoint recorded 1\n"
+        )
+
     def test_torn_output_line(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
         argv = ("search", "--p-max", "3", "--out", str(out), "--checkpoint",
@@ -392,6 +411,35 @@ class TestRootsCommand:
         assert "approx" in out
         assert "T4" in out and "sqrt(2)" in out
 
+    def test_certification_failed(self, capsys, monkeypatch):
+        # T3 with its ends swapped: the report is printed as far as it got,
+        # then the failed check, and the exit code says a check failed
+        real = asymptotics.asymptotic_intervals
+
+        def swapped(pair):
+            intervals = real(pair)
+            t3 = intervals[2]
+            intervals[2] = t3._replace(lo=t3.hi, hi=t3.lo)
+            return intervals
+
+        monkeypatch.setattr(asymptotics, "asymptotic_intervals", swapped)
+        code, out, _ = run_cli(capsys, "roots", "--p", "1", "--q", "59")
+        golden = (GOLDEN_DIR / "roots_p1_q59.txt").read_text().splitlines()
+        lo, hi = golden[8:10]
+        assert lo.startswith("    lo = ") and hi.startswith("    hi = ")
+        expected = [
+            *golden[:8],
+            hi.replace("hi =", "lo ="),
+            lo.replace("lo =", "hi ="),
+            *golden[10:16],
+            "disjoint: False",
+            "  real gap T3.lo - T2.hi = 200664/3481",
+            golden[18],
+            "certification FAILED: (p=1, q=59): order fails at T3.lo < T3.hi",
+        ]
+        assert code == cli.EXIT_CHECK_FAILED
+        assert out == "\n".join(expected) + "\n"
+
     def test_q_too_small(self, capsys):
         code, _, err = run_cli(capsys, "roots", "--p", "1", "--q", "58")
         assert code == cli.EXIT_BAD_FLAGS
@@ -494,6 +542,10 @@ class TestApproxStr:
         (-(10**30 + 25), 0, "approx -1.00000000000000000000000000002E+30"),
         (Fraction(1, 10**7), 0, "approx 1E-7"),
         (Fraction(5, 2 * 10**30), 0, "approx 2.5E-30"),
+        # 30 nines and a half round up to a 31st digit, which is carried
+        (Fraction(10**31 - 5, 10**30), 0, "approx 10.0000000000000000000000000000"),
+        (Fraction(5 - 10**31, 10**30), 0, "approx -10.0000000000000000000000000000"),
+        (Fraction(2 * 10**30 - 1, 2), 0, "approx 1.00000000000000000000000000000E+30"),
     ])
     def test_hand_cases(self, a, b, text):
         x = quad(a, b)
@@ -549,6 +601,23 @@ class TestVerifyCommand:
             )
             out.append(f"$ verify --p {p} --q {q} --t {t}\n{text}exit {code}\n")
         assert "".join(out) == (GOLDEN_DIR / "verify_seeded.txt").read_text()
+
+    def test_perfect_cuboid(self, capsys, monkeypatch, planted):
+        # the planted root of (3, 2), with the cuboid equations waived: each
+        # case's septuple and its primitive form, then the verdict
+        monkeypatch.setattr(cuboid_eqs, "_check_cuboid_equations", lambda *e: True)
+        code, out, _ = run_cli(capsys, "verify", "--p", "3", "--q", "2", "--t", "12")
+        assert code == cli.EXIT_CUBOID_FOUND
+        assert out == (
+            "Q(t) = 0\n"
+            "lower bounds t > p^2, pq, q^2: pass\n"
+            "(p^2 + t)(pq + t) > 2 t^2: pass\n"
+            "verified cuboid (BU_EQ_A2): (156, 80, 192, 208, 255, 226, 260)\n"
+            "  primitive form: (156, 80, 192, 208, 255, 226, 260)\n"
+            "verified cuboid (AU_EQ_B2): (636, 720, 448, 848, 890, 1131, 1060)\n"
+            "  primitive form: (636, 720, 448, 848, 890, 1131, 1060)\n"
+            "verdict: PERFECT CUBOID\n"
+        )
 
     def test_bad_flags(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--p", "2", "--q", "4", "--t", "30")

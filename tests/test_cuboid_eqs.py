@@ -10,9 +10,11 @@ from cuboidsearch import cli, cuboid_eqs
 from cuboidsearch.asymptotics import balanced_digits
 from cuboidsearch.cuboid_eqs import (
     CASES,
+    CuboidWitness,
     DegenerateDenominator,
     NotARoot,
     PQPair,
+    VerificationFailed,
     build_rpq,
     compute_z,
     factorization_check,
@@ -344,6 +346,25 @@ class TestReconstruct:
         # checked before the root (NotARoot is a ValueError too)
         with pytest.raises(ValueError, match="case must be one of"):
             reconstruct_cuboid(3, 2, 12, case)
+
+    @pytest.mark.parametrize("t", [0, -12])
+    def test_positive_t_required(self, t):
+        with pytest.raises(ValueError, match="^t must be positive$"):
+            reconstruct_cuboid(3, 2, t, "BU_EQ_A2")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_failed_equations_refused(self, monkeypatch, planted, case):
+        # a root whose scaled septuple fails the cuboid equations
+        monkeypatch.setattr(cuboid_eqs, "_check_cuboid_equations", lambda *e: False)
+        message = rf"^septuple for \(p=3, q=2, t=12, {case}\) violates the cuboid"
+        with pytest.raises(VerificationFailed, match=message):
+            reconstruct_cuboid(3, 2, 12, case)
+
+    def test_reduced_divides_out_the_common_factor(self):
+        witness = CuboidWitness(3, 2, 12, "BU_EQ_A2", 6, 12, 18, 24, 30, 36, 42)
+        assert witness.septuple() == (6, 12, 18, 24, 30, 36, 42)
+        assert witness.reduced() == (1, 2, 3, 4, 5, 6, 7)
+        assert witness._replace(x1=5).reduced() == (5, 12, 18, 24, 30, 36, 42)
 
     def test_checker_detects_fake_septuple(self):
         from cuboidsearch.cuboid_eqs import _check_cuboid_equations

@@ -19,7 +19,8 @@ import cuboidsearch
 
 PACKAGE_DIR = Path(cuboidsearch.__file__).resolve().parent
 
-HIT_PATH = "no real hit exists; TestPlantedRoot and TestReconstruct drive it"
+HIT_PATH = ("no real hit exists; TestPlantedRoot, TestReconstruct and "
+            "TestVerifyCommand drive it")
 TUPLE_ORDER = "stops comparisons falling back to tuple order; test_ordering pins it"
 
 # function (module.qualname) -> why no command reaches it

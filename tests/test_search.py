@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -9,13 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from cuboidsearch import cli, cuboid_eqs, search
-from cuboidsearch.cuboid_eqs import (
-    CASES,
-    CuboidWitness,
-    PQPair,
-    qpq_coefficients,
-)
+from cuboidsearch import cli, search
+from cuboidsearch.cuboid_eqs import CASES, PQPair, qpq_coefficients
 from cuboidsearch.search import (
     CHECKPOINT_VERSION,
     OBSTRUCTION_PRIMES,
@@ -1137,6 +1133,31 @@ class TestRunSearch:
         assert saves.events == [("replace", 0), ("replace", 0), ("replace", 0)]
         assert written("broken") == written("periodic")
 
+    def test_failed_fsync_merges_no_hit(self, tmp_path, monkeypatch, planted):
+        # the hit lines of p = 3 cannot be fsynced, so p = 3 is not merged:
+        # the checkpoint written on the way out stops at p = 2, and a rerun
+        # with fsync working gives the bytes of an uninterrupted run
+        real_fsync = os.fsync
+
+        def failing(fd):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        config = make_config(tmp_path)
+        monkeypatch.setattr(os, "fsync", failing)
+        with pytest.raises(OSError) as info:
+            run_search(config)
+        assert info.value.errno == errno.EIO
+        assert info.value.filename == config.output_path
+        ckpt = SearchCheckpoint.read(config.checkpoint_path)
+        assert (ckpt.last_completed_p, ckpt.candidates_found) == (2, 0)
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        run_search(config)
+        run_search(make_config(tmp_path, "base"))
+        for suffix in ("jsonl", "ckpt"):
+            assert (tmp_path / f"a.{suffix}").read_bytes() == (
+                tmp_path / f"base.{suffix}"
+            ).read_bytes()
+
     def test_failure_writes_checkpoint(self, tmp_path):
         config = make_config(tmp_path, p_max=6)
 
@@ -1232,6 +1253,9 @@ class TestRunSearch:
         # p 1..2 have 57 + 59 pairs; the count is checked in closed form
         (lambda text: text.replace("pairs_examined=116\n", "pairs_examined=5\n"),
          r"pairs_examined=5, but p 1\.\.2 has 116 pairs"),
+        # the output holds no hit line
+        (lambda text: text.replace("candidates_found=0\n", "candidates_found=1\n"),
+         r"^output holds 0 hits for p <= 2 but checkpoint recorded 1$"),
         (lambda text: text.replace("last_completed_p=2", "last_completed_p=0"),
          r"last_completed_p=0 lies outside p 1\.\.5"),
         (lambda text: text.replace("last_completed_p=2", "last_completed_p=6"),
@@ -1252,10 +1276,10 @@ class TestRunSearch:
         (lambda text: text.replace("pairs_examined=116", "pairs_examined=0116"),
          EXTRA),
     ], ids=["missing-field", "bad-number", "old-version", "version-2", "version-3",
-            "version-4", "pairs-examined", "last-p-0", "last-p-past-range",
-            "last-p-400", "empty", "not-utf8", "duplicate", "duplicate-altered",
-            "unknown", "reordered", "blank-line", "spaced-number",
-            "leading-zero"])
+            "version-4", "pairs-examined", "hits-found", "last-p-0",
+            "last-p-past-range", "last-p-400", "empty", "not-utf8", "duplicate",
+            "duplicate-altered", "unknown", "reordered", "blank-line",
+            "spaced-number", "leading-zero"])
     def test_damaged_checkpoint(self, tmp_path, edit, message):
         config = make_config(tmp_path)
         with pytest.raises(KeyboardInterrupt):
@@ -1283,40 +1307,6 @@ class TestRunSearch:
         path.write_text(line + "\n" + path.read_text())
         with pytest.raises(ResumeMismatch):
             run_search(config)
-
-
-@pytest.fixture
-def planted(monkeypatch):
-    """Plant an integer root t = 12 for the pair (3, 2), the only valuation
-    candidate of its range (10, 17), and a witness for it in each case.
-    The search evaluates Q(t) = R(t^2) by cuboid_eqs.qpq_value from R's
-    coefficients; for (3, 2) they become those of R(u) = (u - 144)(u + 1)^4,
-    none of them zero, so a Horner step taken out of order would miss the
-    root.  A root has a root mod every prime, so the ratio 2 / 3 mod l
-    leaves every ratio table B_l, and (3, 2) passes the real sieve."""
-    real_coefficients = cuboid_eqs.qpq_coefficients
-    real_reconstruct = search.reconstruct_cuboid
-    real_table = search.ratio_table
-
-    def table(l):
-        if l == 3:  # B_3 is empty, and 3 has no inverse mod 3
-            return real_table(l)
-        ratio = 2 * pow(3, -1, l) % l
-        return tuple(x for x in real_table(l) if x != ratio)
-
-    def coefficients(p, q):
-        if (p, q) == (3, 2):
-            return (-144, -575, -860, -570, -140)
-        return real_coefficients(p, q)
-
-    def reconstruct(p, q, t, case):
-        if (p, q, t) != (3, 2, 12) or case not in CASES:
-            return real_reconstruct(p, q, t, case)
-        return CuboidWitness(p, q, t, case, 1, 2, 3, 4, 5, 6, 7)
-
-    monkeypatch.setattr(cuboid_eqs, "qpq_coefficients", coefficients)
-    monkeypatch.setattr(search, "reconstruct_cuboid", reconstruct)
-    monkeypatch.setattr(search, "ratio_table", table)
 
 
 class TestPlantedRoot:
