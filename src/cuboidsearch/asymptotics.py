@@ -255,12 +255,12 @@ def asymptotic_intervals(pair: PQPair) -> list[AsymptoticInterval]:
 
 
 class DisjointnessReport(
-    namedtuple("DisjointnessReport", "ok broken real_gap imaginary_gap")
+    namedtuple("DisjointnessReport", "broken real_gap imaginary_gap")
 ):
-    """check_disjoint's verdict: `ok` when every link of the order holds,
-    else `broken` names the first that fails, as "T2.hi < T3.lo" (None
-    when none does); the margins real_gap = T3.lo - T2.hi and
-    imaginary_gap = T4.lo - T5.hi must be > 0."""
+    """check_disjoint's verdict: `broken` names the first link of the order
+    that fails, as "T2.hi < T3.lo", or is None when every link holds; the
+    margins real_gap = T3.lo - T2.hi and imaginary_gap = T4.lo - T5.hi must
+    be > 0."""
 
     __slots__ = ()
 
@@ -298,7 +298,6 @@ def check_disjoint(intervals: list[AsymptoticInterval]) -> DisjointnessReport:
         None,
     )
     return DisjointnessReport(
-        ok=broken is None,
         broken=broken,
         real_gap=ends[5] - ends[4],
         imaginary_gap=ends[7] - ends[10],
@@ -322,8 +321,7 @@ def _sign_at_square(rpoly: Poly, axis: str, x: QuadRational) -> int:
 
 
 def certify_roots(
-    pair: PQPair, intervals: list[AsymptoticInterval],
-    disjoint: DisjointnessReport | None = None,
+    pair: PQPair, intervals: list[AsymptoticInterval], disjoint: DisjointnessReport
 ) -> list[RootCertificate]:
     """Certify exactly one root of Q in each interval, and none elsewhere,
     by counting against the degree of R.
@@ -339,11 +337,11 @@ def certify_roots(
     each interval holds exactly one root of Q (on the imaginary axis, i
     times it), the rest of Q's roots being their negatives.
 
-    `intervals` are the pair's asymptotic_intervals.  `disjoint`, if given,
-    must be check_disjoint(intervals) for these same intervals (cmd_roots
-    prints the report it passes); the order is then not checked again.  An
-    end that an interval shares with the one before it on its axis (T1.hi
-    = T2.lo) has its sign evaluated once, so nine signs in all.  Raises
+    `intervals` are the pair's asymptotic_intervals and `disjoint` is
+    check_disjoint(intervals) for these same intervals (cmd_roots prints
+    the report it passes); the order is not checked again.  An end that an
+    interval shares with the one before it on its axis (T1.hi = T2.lo) has
+    its sign evaluated once, so nine signs in all.  Raises
     CertificationFailed naming each interval whose signs do not change or,
     when all of them do, the first link of the order that fails, so every
     certificate it returns has passed, given that report.
@@ -359,10 +357,8 @@ def certify_roots(
         if s_lo * s_hi != -1:
             failures.append(f"{iv.label}: sign({s_lo},{s_hi})")
         certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi))
-    if not failures:
-        broken = (check_disjoint(intervals) if disjoint is None else disjoint).broken
-        if broken:
-            failures.append(f"order fails at {broken}")
+    if not failures and disjoint.broken:
+        failures.append(f"order fails at {disjoint.broken}")
     if failures:
         raise CertificationFailed(
             f"(p={pair.p}, q={pair.q}): " + "; ".join(failures)

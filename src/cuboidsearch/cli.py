@@ -208,7 +208,7 @@ def cmd_roots(args) -> int:
             f"    hi = {iv.hi}  [{approx_str(iv.hi)}]",
         )
     lines += (
-        f"disjoint: {disjoint.ok}",
+        f"disjoint: {disjoint.broken is None}",
         f"  real gap T3.lo - T2.hi = {disjoint.real_gap}",
         f"  imaginary gap T4.lo - T5.hi = {disjoint.imaginary_gap}",
     )

@@ -72,15 +72,6 @@ from .cuboid_eqs import CASES, CuboidWitness, qpq_value, reconstruct_cuboid
 
 CHECKPOINT_VERSION = 5
 
-# The moduli of the obstruction sieve, the odd primes below 200, tried in
-# this order.  Set to () the search sends every nonempty pair to the
-# valuation candidates.
-OBSTRUCTION_PRIMES = (
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
-    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
-    157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
-)
-
 # Below this much work, the sum of the p still to search, the search runs
 # in-process.  A p costs about 50 us plus 7 ns times p (0.76 ms at
 # p = 10^5), and two workers pay off from about here (2-vCPU host, Python
@@ -310,15 +301,14 @@ def pair_candidates(p: int, q: int, lo: int, hi: int) -> list[int]:
     return [t for t in out if t >= lo]
 
 
-def pair_count(p: int, primes: Iterable[int] | None = None) -> int:
+def pair_count(p: int, primes: Iterable[int]) -> int:
     """The number of admissible pairs for p, in closed form: q runs over
     1 <= q <= 59p - 1 with q != p and q coprime to p, so there are
-    59 phi(p) of them, or 57 for p = 1.  `primes`, the prime factors of p,
-    saves factoring p again when the caller has them."""
+    59 phi(p) of them, or 57 for p = 1.  `primes` are p's prime factors."""
     if p == 1:
         return 57
     phi = p
-    for prime in _prime_factors(p) if primes is None else primes:
+    for prime in primes:
         phi -= phi // prime
     return 59 * phi
 
@@ -373,10 +363,11 @@ def q_limit(p: int) -> int:
     return q
 
 
-# B_l for each l in OBSTRUCTION_PRIMES, bit x set for x in B_l.  Computed
-# by evaluating R(u; 1, x) at every nonzero square u mod l for every x in
-# 1..l-1 (tests/oracles.py, `brute_ratio_table`, which the tests check this
-# against and print the literal from).
+# B_l for each odd prime l below 200, in the order the sieve tries them,
+# bit x set for x in B_l.  Computed by evaluating R(u; 1, x) at every
+# nonzero square u mod l for every x in 1..l-1 (tests/oracles.py,
+# `brute_ratio_table`, which the tests check this against and print the
+# literal from).
 _RATIO_MASKS: dict[int, int] = {
     3: 0x0,
     5: 0x0,
@@ -425,6 +416,11 @@ _RATIO_MASKS: dict[int, int] = {
     199: 0x1e9d61ec7fd3b729baabb452e74a2dd55d94edcbfe3786b978,
 }
 
+# The moduli of the obstruction sieve, the odd primes below 200, tried in
+# the order of the table above.  Set to () the search sends every nonempty
+# pair to the valuation candidates.
+OBSTRUCTION_PRIMES = tuple(_RATIO_MASKS)
+
 _RATIO_TABLES: dict[int, tuple[int, ...]] = {}
 
 
@@ -451,13 +447,10 @@ def _tile(pattern: int, l: int, n: int) -> int:
     return pattern
 
 
-def sieve_pairs(
-    p: int, primes: Iterable[int] | None = None
-) -> tuple[int, list[int]]:
+def sieve_pairs(p: int, primes: Iterable[int]) -> tuple[int, list[int]]:
     """(n, survivors): the number n of coprime q != p with a nonempty t
     range, and those of them, ascending, that no prime in
-    OBSTRUCTION_PRIMES rules out.  `primes`, the prime factors of p, saves
-    factoring p again when the caller has them.
+    OBSTRUCTION_PRIMES rules out.  `primes` are p's prime factors.
 
     Bit q of the int `live` stays set while q may still have a root.  It
     starts as bits 1..q_limit(p) without bit p, the class q = 0 mod each
@@ -469,7 +462,7 @@ def sieve_pairs(
     q_limit(p))."""
     n = q_limit(p) + 1
     live = (1 << n) - 2 - (1 << p)
-    for prime in _prime_factors(p) if primes is None else primes:
+    for prime in primes:
         live &= ~_tile(1, prime, n)
     nonempty = live.bit_count()
     for l in OBSTRUCTION_PRIMES:

@@ -104,8 +104,9 @@ def test_criterion_3_certified_root_intervals():
     for p, q in pairs:
         pair = PQPair(p, q)
         intervals = asymptotic_intervals(pair)
-        assert check_disjoint(intervals).ok
-        certs = certify_roots(pair, intervals)
+        disjoint = check_disjoint(intervals)
+        assert disjoint.broken is None
+        certs = certify_roots(pair, intervals, disjoint)
         assert all(c.sign_lo * c.sign_hi == -1 for c in certs)
         # the degree count's one root per real interval, recounted on Q
         qpoly = build_qpq(pair)

@@ -221,11 +221,27 @@ class TestIntervals:
             assert gap_45 > quad(6957 * p2)
 
 
+class TestSolveEvenGamma:
+    @pytest.mark.parametrize("coeffs, message", [
+        ([1], "expected degree 1 or 2"),
+        ([1, 2, 3, 4], "expected degree 1 or 2"),
+        ([-3, 1], "real root magnitude outside"),
+        ([3, 1], "imaginary root magnitude outside"),
+        ([-1, 1, 1], "discriminant outside"),  # discriminant 5
+    ], ids=["degree-0", "degree-3", "real-sqrt3", "imaginary-sqrt3", "disc-5"])
+    def test_refused(self, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            asymptotics._solve_even_gamma(coeffs)
+
+    def test_zero_root_dropped(self):
+        # gamma^2 = 0 gives no leading term
+        assert asymptotics._solve_even_gamma([0, 1]) == []
+
+
 class TestDisjointness:
     def test_valid_pairs(self):
         for p, q in ((1, 59), (2, 121), (3, 178)):
             report = check_disjoint(asymptotic_intervals(PQPair(p, q)))
-            assert report.ok
             assert report.broken is None
             assert quad_sign(report.real_gap) > 0
             assert quad_sign(report.imaginary_gap) > 0
@@ -243,7 +259,6 @@ class TestDisjointness:
             else:
                 broken.append(iv)
         report = check_disjoint(broken)
-        assert not report.ok
         assert report.broken == "T2.hi < T3.lo"
         assert quad_sign(report.real_gap) < 0
 
@@ -255,26 +270,23 @@ class TestDisjointness:
         iv = ivs[int(label[1]) - 1]
         swapped = _replaced(ivs, label, iv.hi, iv.lo)
         report = check_disjoint(swapped)
-        assert not report.ok
         assert label in report.broken
         with pytest.raises(CertificationFailed, match=f"order fails at .*{label}"):
-            certify_roots(pair, swapped)
+            certify_roots(pair, swapped, check_disjoint(swapped))
 
     def test_passed_report_is_the_intervals_own(self):
         # certify_roots reads the order off the check_disjoint report it is
-        # given, which must be the report of the same intervals: then it
-        # certifies and refuses exactly as when it makes the report itself
+        # given, the report of the same intervals: each swapped list, passed
+        # its own report, is refused by name
         pair = PQPair(7, 500)
         ivs = asymptotic_intervals(pair)
-        assert certify_roots(pair, ivs, check_disjoint(ivs)) == certify_roots(pair, ivs)
         for iv in ivs:
             swapped = _replaced(ivs, iv.label, iv.hi, iv.lo)
-            failures = []
-            for report in (None, check_disjoint(swapped)):
-                with pytest.raises(CertificationFailed) as failed:
-                    certify_roots(pair, swapped, report)
-                failures.append(str(failed.value))
-            assert failures[0] == failures[1] and iv.label in failures[0]
+            report = check_disjoint(swapped)
+            with pytest.raises(CertificationFailed) as failed:
+                certify_roots(pair, swapped, report)
+            assert iv.label in report.broken
+            assert str(failed.value) == f"(p=7, q=500): order fails at {report.broken}"
 
 
 class TestImaginaryAxisPoly:
@@ -325,7 +337,8 @@ class TestCertificates:
 
 
 def _certify(pair):
-    return certify_roots(pair, asymptotic_intervals(pair))
+    intervals = asymptotic_intervals(pair)
+    return certify_roots(pair, intervals, check_disjoint(intervals))
 
 
 def _audit_range_pairs(count, seed):
@@ -358,7 +371,7 @@ class TestCertificateOnR:
     def test_equals_q_oracle(self):
         for pair in _audit_range_pairs(200, 808) + BOUNDARY_PAIRS:
             intervals = asymptotic_intervals(pair)
-            certs = certify_roots(pair, intervals)
+            certs = certify_roots(pair, intervals, check_disjoint(intervals))
             assert certs == q_certify_roots(pair, intervals)
             assert all(c.sign_lo * c.sign_hi == -1 for c in certs)
 
@@ -368,7 +381,7 @@ class TestCertificateOnR:
         # below the Cauchy bound 1 + max |c_i| of the monic R
         for pair in _audit_range_pairs(200, 808) + BOUNDARY_PAIRS:
             intervals = asymptotic_intervals(pair)
-            certify_roots(pair, intervals)
+            certify_roots(pair, intervals, check_disjoint(intervals))
             qpoly = build_qpq(pair)
             seq = fraction_sturm_sequence(qpoly)
             for iv in intervals[:3]:
@@ -397,7 +410,7 @@ class TestCertificateOnR:
         ]
         for intervals, failure, sturm in shifted:
             with pytest.raises(CertificationFailed) as on_r:
-                certify_roots(pair, intervals)
+                certify_roots(pair, intervals, check_disjoint(intervals))
             with pytest.raises(CertificationFailed) as on_q:
                 q_certify_roots(pair, intervals)
             assert str(on_r.value) == f"(p={p}, q={q}): {failure}"
@@ -414,7 +427,7 @@ class TestCertificateOnR:
         ):
             bad = _replaced(ivs, "T1", lo, ivs[0].hi)
             with pytest.raises(CertificationFailed) as failed:
-                certify_roots(pair, bad)
+                certify_roots(pair, bad, check_disjoint(bad))
             assert str(failed.value) == f"(p=1, q=59): {failure}"
 
 

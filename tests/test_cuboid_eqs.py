@@ -370,5 +370,30 @@ class TestReconstruct:
         from cuboidsearch.cuboid_eqs import _check_cuboid_equations
 
         assert _check_cuboid_equations(44, 117, 240, 267, 244, 125, 270) is False
-        # the classic body cuboid: all but the space diagonal hold
+        # the smallest Euler brick: all but the space diagonal hold
         assert _check_cuboid_equations(44, 117, 240, 267, 244, 125, 271) is False
+
+    # The perfect body cuboid: edges 104, 153 and 672, space diagonal 697,
+    # face diagonals 185 (104, 153) and 680 (104, 672).  Its 153-672 face
+    # diagonal, about 689.2, is irrational, so a septuple that gives it as
+    # 689 fails that face's equation, and only that one.  The Euler brick
+    # above fails the first equation alone.
+    @pytest.mark.parametrize("septuple, clause", [
+        ((104, 153, 672, 689, 680, 185, 698), 1),
+        ((104, 153, 672, 689, 680, 185, 697), 2),
+        ((153, 104, 672, 680, 689, 185, 697), 3),
+        ((153, 672, 104, 680, 185, 689, 697), 4),
+    ], ids=["space-diagonal", "d1", "d2", "d3"])
+    def test_checker_fails_at_each_clause(self, septuple, clause):
+        x1, x2, x3, d1, d2, d3, L = septuple
+        holds = [
+            x1**2 + x2**2 + x3**2 == L**2,
+            x2**2 + x3**2 == d1**2,
+            x3**2 + x1**2 == d2**2,
+            x1**2 + x2**2 == d3**2,
+        ]
+        assert holds.index(False) + 1 == clause
+        assert cuboid_eqs._check_cuboid_equations(*septuple) is False
+
+    def test_checker_passes_a_degenerate_cuboid(self):
+        assert cuboid_eqs._check_cuboid_equations(0, 3, 4, 5, 4, 3, 5) is True

@@ -127,6 +127,18 @@ class TestQuadArithmetic:
         below = QuadRational._make((-2, 2, 2))  # -1 + sqrt(2) < 1/2
         assert below < QuadRational(1, 0, 2) and not below >= QuadRational(1, 0, 2)
 
+    @pytest.mark.parametrize("expression", [
+        lambda x: x + 1,
+        lambda x: x - 1,
+        lambda x: x + (1, 0, 1),
+        lambda x: x - (1, 0, 1),
+    ], ids=["add-int", "sub-int", "add-tuple", "sub-tuple"])
+    def test_operand_outside_the_field_refused(self, expression):
+        # + and - take only field elements: an int is not converted, and a
+        # plain tuple is neither concatenated nor read as a triple
+        with pytest.raises(TypeError):
+            expression(quad(1, 1))
+
     def test_rational_sqrt(self):
         assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
         assert rational_sqrt(Fraction(2)) is None

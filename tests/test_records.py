@@ -83,7 +83,9 @@ def _records():
         asymptotics.leading_coefficients(polygon, polygon.exponents[0])[0],
         intervals[3],
         asymptotics.check_disjoint(intervals),
-        asymptotics.certify_roots(pair, intervals)[0],
+        asymptotics.certify_roots(
+            pair, intervals, asymptotics.check_disjoint(intervals)
+        )[0],
         CuboidWitness(1, 2, 5, "AU_EQ_B2", 3, 4, 12, 13, 15, 5, 13),
         search.SearchCheckpoint(5, 1, 2, 2, 0, 57, 1, 1, 0),
         search.SearchReport(57, 1, 1, 0, [], 0.0),

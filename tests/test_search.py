@@ -377,7 +377,6 @@ class TestObstruction:
         # the stored masks and the tables read off them against R evaluated
         # at every nonzero square for every x; on a mismatch the message is
         # the line to paste into search._RATIO_MASKS
-        assert tuple(search._RATIO_MASKS) == OBSTRUCTION_PRIMES
         for l in OBSTRUCTION_PRIMES:
             table = brute_ratio_table(l)
             mask = sum(1 << x for x in table)
@@ -520,7 +519,7 @@ class TestObstruction:
         monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", primes)
         survived = 0
         for p in range(1, 201):
-            nonempty, survivors = sieve_pairs(p)
+            nonempty, survivors = sieve_pairs(p, search._prime_factors(p))
             assert nonempty == len(capped_pairs(p))
             assert survivors == sieve_survivors(p, primes)
             assert (nonempty, survivors) == slice_sieve_pairs(p, primes)
@@ -533,12 +532,14 @@ class TestObstruction:
         rng = random.Random(1913)
         sample = sorted(rng.sample(range(1000, 100001), 12))
         for p in sample:
-            assert sieve_pairs(p) == slice_sieve_pairs(p, OBSTRUCTION_PRIMES)
+            assert sieve_pairs(p, search._prime_factors(p)) == slice_sieve_pairs(
+                p, OBSTRUCTION_PRIMES
+            )
         short = (3, 5, 7, 11, 13)
         monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", short)
         survived = []
         for p in sample:
-            nonempty, survivors = sieve_pairs(p)
+            nonempty, survivors = sieve_pairs(p, search._prime_factors(p))
             assert (nonempty, survivors) == slice_sieve_pairs(p, short)
             survived.append(len(survivors))
         assert min(survived) > 1000
@@ -549,7 +550,7 @@ class TestObstruction:
         primes = tuple(odd_primes_below(100))
         monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", primes)
         for p, q in [(6831, 7553), (7553, 6831)]:
-            nonempty, survivors = sieve_pairs(p)
+            nonempty, survivors = sieve_pairs(p, search._prime_factors(p))
             assert survivors == [q]
             assert (nonempty, survivors) == slice_sieve_pairs(p, primes)
             assert obstruction_witness(PQPair(p, q), OBSTRUCTION_PRIMES) == 101
@@ -572,7 +573,7 @@ class TestObstruction:
         ) > 0
 
     def test_every_pair_of_p_3_ruled_out(self):
-        assert sieve_pairs(3) == (len(capped_pairs(3)), [])
+        assert sieve_pairs(3, [3]) == (len(capped_pairs(3)), [])
 
     def test_no_table_fetched_once_no_q_is_left(self, monkeypatch):
         # the last l whose table is fetched is the one that leaves no q: a
@@ -582,28 +583,28 @@ class TestObstruction:
         monkeypatch.setattr(
             search, "ratio_table", lambda l: fetched.append(l) or real_table(l)
         )
-        assert sieve_pairs(1) == (0, []) and fetched == []
+        assert sieve_pairs(1, []) == (0, []) and fetched == []
         for p in range(2, 61):
             fetched.clear()
-            assert sieve_pairs(p)[1] == []
+            primes = search._prime_factors(p)
+            assert sieve_pairs(p, primes)[1] == []
             last = OBSTRUCTION_PRIMES.index(fetched[-1])
             for cut, left in ((last, True), (last + 1, False)):
                 monkeypatch.setattr(
                     search, "OBSTRUCTION_PRIMES", OBSTRUCTION_PRIMES[:cut]
                 )
-                assert bool(sieve_pairs(p)[1]) == left, (p, cut)
+                assert bool(sieve_pairs(p, primes)[1]) == left, (p, cut)
             monkeypatch.setattr(search, "OBSTRUCTION_PRIMES", OBSTRUCTION_PRIMES)
         fetched.clear()
         for p in range(27, 41):
-            sieve_pairs(p)
+            sieve_pairs(p, search._prime_factors(p))
         assert max(fetched) == 29
 
 
 class TestPairCount:
     def test_closed_form(self):
         for p in range(1, 201):
-            assert pair_count(p) == len(pairs_for_p(p))
-            assert pair_count(p, search._prime_factors(p)) == pair_count(p)
+            assert pair_count(p, search._prime_factors(p)) == len(pairs_for_p(p))
 
     def test_sum_matches_each_p(self):
         # the segmented totient sieve against pair_count p by p, on ranges
@@ -616,7 +617,7 @@ class TestPairCount:
             ranges.append((lo, lo + rng.randrange(0, 400)))
         for lo, hi in ranges:
             assert pair_count_sum(lo, hi) == sum(
-                map(pair_count, range(lo, hi + 1))
+                pair_count(p, search._prime_factors(p)) for p in range(lo, hi + 1)
             ), (lo, hi)
 
 
@@ -1209,7 +1210,9 @@ class TestRunSearch:
         monkeypatch.setattr(search, "_scan_p", recording)
         resumed = run_search(config)
         assert scanned == [5, 6]
-        assert resumed.pairs_examined == sum(pair_count(p) for p in range(1, 7))
+        assert resumed.pairs_examined == sum(
+            pair_count(p, search._prime_factors(p)) for p in range(1, 7)
+        )
 
     def test_resume_mismatch(self, tmp_path):
         config = make_config(tmp_path)
@@ -1323,7 +1326,7 @@ class TestPlantedRoot:
     def test_planted_pair_passes_the_real_sieve(self, planted):
         # without the fixture the sieve rules out every pair of p = 3; with
         # it, (3, 2) is the only pair of p = 3 left after every l
-        assert sieve_pairs(3) == (len(capped_pairs(3)), [2])
+        assert sieve_pairs(3, [3]) == (len(capped_pairs(3)), [2])
 
     def test_fresh_run(self, tmp_path, planted, workers, capsys):
         config = make_config(tmp_path, p_max=6, worker_count=workers)
@@ -1366,6 +1369,27 @@ class TestPlantedRoot:
         for name in ("lib", "cli"):
             assert (tmp_path / f"{name}.jsonl").read_bytes() == (
                 tmp_path / "fresh.jsonl"
+            ).read_bytes()
+
+    @pytest.mark.parametrize("abort_after_p", [None, 4], ids=["finished", "interrupted"])
+    def test_blank_lines_skipped_on_resume(self, tmp_path, planted, abort_after_p):
+        # a blank line after each line: between the hit lines, and before
+        # the summary line or where it would come
+        run_search(make_config(tmp_path, "fresh", p_max=6))
+        config = make_config(tmp_path, p_max=6)
+        if abort_after_p:
+            with pytest.raises(KeyboardInterrupt):
+                run_search(config, abort_after_p=abort_after_p)
+        else:
+            run_search(config)
+        path = tmp_path / "a.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == (2 if abort_after_p else 3)
+        path.write_text("".join(line + "\n" for line in lines))
+        run_search(config)
+        for suffix in ("jsonl", "ckpt"):
+            assert (tmp_path / f"a.{suffix}").read_bytes() == (
+                tmp_path / f"fresh.{suffix}"
             ).read_bytes()
 
     def test_altered_hit_line_refused(self, tmp_path, planted):
