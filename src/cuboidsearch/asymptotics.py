@@ -17,11 +17,11 @@ from collections.abc import Iterator
 
 from .exact_arith import (
     QUAD_ZERO,
-    Poly,
     QuadRational,
     quad_sign,
     quad_sqrt,
-    sign_at_sqrt2,
+    sqrt2_sign,
+    value_at_sqrt2,
 )
 from .cuboid_eqs import PQPair, build_rpq, qpq_coefficients
 
@@ -311,15 +311,6 @@ class RootCertificate(namedtuple("RootCertificate", "label axis sign_lo sign_hi"
     __slots__ = ()
 
 
-def _sign_at_square(rpoly: Poly, axis: str, x: QuadRational) -> int:
-    """Sign of Q(x) = R(x^2) on the real axis, of Q(ix) = R(-x^2) on the
-    imaginary one; x = (A + B sqrt(2))/D has x^2 = (A^2 + 2B^2 + 2AB
-    sqrt(2))/D^2, squared in integers."""
-    A, B, D = x
-    s = 1 if axis == "REAL" else -1
-    return sign_at_sqrt2(rpoly, s * (A * A + 2 * B * B), s * 2 * A * B, D * D)
-
-
 def certify_roots(
     pair: PQPair, intervals: list[AsymptoticInterval], disjoint: DisjointnessReport
 ) -> list[RootCertificate]:
@@ -339,21 +330,37 @@ def certify_roots(
 
     `intervals` are the pair's asymptotic_intervals and `disjoint` is
     check_disjoint(intervals) for these same intervals (cmd_roots prints
-    the report it passes); the order is not checked again.  An end that an
-    interval shares with the one before it on its axis (T1.hi = T2.lo) has
-    its sign evaluated once, so nine signs in all.  Raises
+    the report it passes); the order is not checked again.  The sign at an
+    end x is that of R at u = x^2 (u = -x^2 on the imaginary axis), with
+    x = (A + B sqrt(2))/D squared in integers as (A^2 + 2B^2 + 2AB
+    sqrt(2))/D^2.  One memo, keyed by that exact u, holds every sign found:
+    value_at_sqrt2 gives D^10 R(u) as a + b sqrt(2), and R has integer
+    coefficients, so R(conj u) = conj R(u) and the sign at the conjugate
+    point, sign(a - b sqrt(2)), comes with it.  T1.hi = T2.lo is one point,
+    and T5's ends, -conj(T4.hi) and -conj(T4.lo), square to the conjugates
+    of T4's: nine signs from seven Horner passes, five rational and two
+    irrational.  An end that is neither costs a pass of its own.  Raises
     CertificationFailed naming each interval whose signs do not change or,
     when all of them do, the first link of the order that fails, so every
     certificate it returns has passed, given that report.
     """
     rpoly = build_rpq(pair)
+    signs = {}  # the sign of R at each point u met, keyed by u's (A, B, D)
     certs = []
     failures = []
-    last = s_hi = None  # the previous interval's (axis, hi) and its sign
     for iv in intervals:
-        s_lo = s_hi if (iv.axis, iv.lo) == last else _sign_at_square(rpoly, iv.axis, iv.lo)
-        s_hi = _sign_at_square(rpoly, iv.axis, iv.hi)
-        last = iv.axis, iv.hi
+        s = 1 if iv.axis == "REAL" else -1
+        ends = []
+        for A, B, D in iv.lo, iv.hi:
+            u = s * (A * A + 2 * B * B), s * 2 * A * B, D * D
+            sign = signs.get(u)
+            if sign is None:
+                a, b = value_at_sqrt2(rpoly, *u)
+                sign = signs[u] = sqrt2_sign(a, b)
+                if u[1]:  # R(conj u) = a - b sqrt(2), over D^10
+                    signs[u[0], -u[1], u[2]] = sqrt2_sign(a, -b)
+            ends.append(sign)
+        s_lo, s_hi = ends
         if s_lo * s_hi != -1:
             failures.append(f"{iv.label}: sign({s_lo},{s_hi})")
         certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi))

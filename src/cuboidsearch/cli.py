@@ -5,7 +5,7 @@ Subcommands: search, roots, newton, verify, identity-check.  Machine output
 progress to stderr.  Exit codes: 0 success / nothing found, 10 a verified
 cuboid was found (so wrapper scripts can trap a discovery), 1 a self-check
 failed, 2 bad flags, 3 resume mismatch, 4 I/O error, 130 interrupted
-(Ctrl-C) during a search.
+(Ctrl-C) in any command, with one stderr line and no traceback.
 
 Flags follow the subcommand as `--flag value` or `--flag=value`, spelled in
 full; a repeated flag keeps its last value.  `-h`/`--help` anywhere prints
@@ -201,11 +201,16 @@ def cmd_roots(args) -> int:
     disjoint = asymptotics.check_disjoint(intervals)
     # the report is printed in one piece, as far as it got
     lines = [f"Root intervals for p={pair.p}, q={pair.q}:"]
+    last = hi = None  # the previous interval's hi end and its text
     for iv in intervals:
+        # an end shared with the interval before, as T2.lo is T1.hi, is
+        # shown by the text made for it there
+        lo = hi if iv.lo == last else f"{iv.lo}  [{approx_str(iv.lo)}]"
+        last, hi = iv.hi, f"{iv.hi}  [{approx_str(iv.hi)}]"
         lines += (
             f"  {iv.label} ({iv.axis.lower()} axis):",
-            f"    lo = {iv.lo}  [{approx_str(iv.lo)}]",
-            f"    hi = {iv.hi}  [{approx_str(iv.hi)}]",
+            f"    lo = {lo}",
+            f"    hi = {hi}",
         )
     lines += (
         f"disjoint: {disjoint.broken is None}",
@@ -304,11 +309,11 @@ def cmd_identity_check(args) -> int:
     if args.max_pq < 2:
         print("error: --max-pq must be at least 2", file=sys.stderr)
         return EXIT_BAD_FLAGS
-    check = cuboid_eqs.factorization_check
+    check, gcd = cuboid_eqs.factorization_check, math.gcd
     checked = 0
     for q in range(2, args.max_pq + 1):
         for p in range(1, q):
-            if math.gcd(p, q) != 1:
+            if gcd(p, q) != 1:
                 continue
             checked += 1
             if not check(p, q):
@@ -346,7 +351,11 @@ def main(argv=None) -> int:
     if args is None:
         print(_usage())
         return EXIT_OK
-    return COMMANDS[args.subcommand][2](args)
+    try:
+        return COMMANDS[args.subcommand][2](args)
+    except KeyboardInterrupt:  # search says how to resume in its own handler
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entry() -> None:

@@ -67,17 +67,25 @@ def qpq_coefficients(p: int, q: int) -> tuple[int, int, int, int, int]:
     Q(t) = R(t^2) with R(u) = u^5 + c8 u^4 + c6 u^3 + c4 u^2 + c2 u + c0.
 
     The package's one definition of Q, c0 = -p^10 q^10; asymptotics reads
-    the terms of its Newton grid off these formulas.
+    the terms of its Newton grid off these formulas.  In P = p^2, Q = q^2
+    and m = PQ, swapping P and Q takes c8 to -c2/m^3 and c6 to -c4/m:
+    c8 = 6Q^2 - m - 2P^2 and c2 = -m^3 (6P^2 - m - 2Q^2), and c6 = w + d
+    and c4 = -m (w - d) with w = (P^2 + Q^2 - m)^2 + m^2, which the swap
+    keeps, and d = 12 (m Q^2 - m P^2), which it negates.  So c6 and c4
+    share one square and m (Q^2 - P^2), formed once.
     """
-    p2, q2 = p * p, q * q
-    p4, q4, m = p2 * p2, q2 * q2, p2 * q2
+    P, Q = p * p, q * q
+    m, P2, Q2 = P * Q, P * P, Q * Q
     m2 = m * m
-    base, mq, mp = q4 * q4 + 4 * m2 + p4 * p4, m * q4, m * p4  # in c6 and c4
-    c8 = (2 * q2 + p2) * (3 * q2 - 2 * p2)
-    c6 = base + 10 * mq - 14 * mp
-    c4 = -m * (base - 14 * mq + 10 * mp)
-    c2 = -m * m2 * (q2 + 2 * p2) * (3 * p2 - 2 * q2)
-    c0 = -m2 * m2 * m
+    m3 = m * m2
+    w = P2 + Q2 - m
+    w = w * w + m2
+    d = 12 * m * (Q2 - P2)
+    c8 = 6 * Q2 - m - 2 * P2
+    c6 = w + d
+    c4 = -m * (w - d)
+    c2 = -m3 * (6 * P2 - m - 2 * Q2)
+    c0 = -m3 * m2
     return c0, c2, c4, c6, c8
 
 
@@ -107,18 +115,19 @@ def full_eq_coefficients(a: int, b: int, u: int) -> tuple[int, ...]:
     The single source of its coefficient formulas.  They depend on a and b
     only through s = a^2 + b^2 and ab = a^2 b^2, so swapping a and b gives
     the same polynomial.  They are written over the shared products ab^2,
-    ab*s and s^2, for example e2 = 2u^2 (3 ab^2 - u^2 ab s) and
-    e6 = 2 (u^2 (3 s^2 - 10 ab - u^2 s) - ab s).
+    u^2 ab s, u^2 s and k = s^2 - 14 ab, for example e2 = 2u^2 (3 ab^2 -
+    u^2 ab s), e4 = 4 u^2 ab s + u^4 k + ab^2 and e8 = u^4 + k + 4 u^2 s.
     """
     a2, b2, u2 = a * a, b * b, u * u
     s, ab, u4 = a2 + b2, a2 * b2, u2 * u2
-    s2, ab2, sab = s * s, ab * ab, ab * s
+    ab2, k, us = ab * ab, s * s - 14 * ab, u2 * s
+    usab = us * ab
     return (
         u4 * ab2,
-        2 * u2 * (3 * ab2 - u2 * sab),
-        4 * u2 * sab + u4 * s2 - 14 * u4 * ab + ab2,
-        2 * (u2 * (3 * s2 - 10 * ab - u2 * s) - sab),
-        u4 + s2 - 14 * ab + 4 * u2 * s,
+        2 * u2 * (3 * ab2 - usab),
+        4 * usab + u4 * k + ab2,
+        2 * (u2 * (3 * k + 32 * ab - us) - ab * s),
+        u4 + k + 4 * us,
         6 * u2 - 2 * s,
         1,
     )

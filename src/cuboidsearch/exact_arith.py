@@ -4,7 +4,7 @@ The real quadratic field of numbers (A + B*sqrt(2))/D held as three
 integers, and univariate integer polynomials held as tuples of
 coefficients (P[i] is the coefficient of t^i, no trailing zero, () for the
 zero polynomial).  Signs in the field, square roots in it, and polynomial
-signs at its points are computed in integers only.
+values at its points, scaled into Z[sqrt(2)], are computed in integers only.
 Everything here is an immutable value and every operation is a pure
 function, so all of it is safe to use from parallel workers.  No floating
 point is used in any decision procedure.
@@ -49,6 +49,14 @@ class QuadRational(namedtuple("QuadRational", "A B D")):
         A, B, D = self
         A2, B2, D2 = other
         return QuadRational(A * D2 + A2 * D, B * D2 + B2 * D, D * D2)
+
+    def __radd__(self, other):
+        # Python tries this before tuple.__add__, which would concatenate a
+        # plain tuple on the left, so it refuses rather than deferring
+        raise TypeError(
+            f"unsupported operand type(s) for +: {type(other).__name__!r}"
+            " and 'QuadRational'"
+        )
 
     def __sub__(self, other: "QuadRational") -> "QuadRational":
         if not isinstance(other, QuadRational):
@@ -97,7 +105,7 @@ class QuadRational(namedtuple("QuadRational", "A B D")):
 def _order(x: QuadRational, y: QuadRational) -> int:
     """The sign of x - y, with no gcd: both denominators are positive."""
     (A, B, D), (A2, B2, D2) = x, y
-    return _sqrt2_sign(A * D2 - A2 * D, B * D2 - B2 * D)
+    return sqrt2_sign(A * D2 - A2 * D, B * D2 - B2 * D)
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -118,10 +126,10 @@ def quad_sign(x: QuadRational) -> int:
     2 B^2 with a case split on the signs of A and B; sqrt(2) is never
     approximated.
     """
-    return _sqrt2_sign(x.A, x.B)
+    return sqrt2_sign(x.A, x.B)
 
 
-def _sqrt2_sign(a: int, b: int) -> int:
+def sqrt2_sign(a: int, b: int) -> int:
     """quad_sign for a + b*sqrt(2) given as two integers."""
     if b == 0:
         return (a > 0) - (a < 0)
@@ -175,18 +183,20 @@ def quad_sqrt(x: QuadRational) -> QuadRational | None:
         if 2 * u * v != b:  # (2uv)^2 = b^2 here, so only the sign differs
             v = -v
         root = QuadRational(u, v, D)
-        return root if _sqrt2_sign(u, v) > 0 else -root
+        return root if sqrt2_sign(u, v) > 0 else -root
     return None
 
 
-def sign_at_sqrt2(P: Poly, A: int, B: int, D: int) -> int:
-    """Exact sign of P((A + B*sqrt(2))/D) for integers A, B and D > 0.
+def value_at_sqrt2(P: Poly, A: int, B: int, D: int) -> tuple[int, int]:
+    """D^k P(x) at x = (A + B*sqrt(2))/D for integers A, B and D > 0, with
+    k = deg P, as the pair (u, v) standing for u + v*sqrt(2).
 
-    With k = deg P, P(x) has the sign of D^k P(x) = sum c_i (A + B*sqrt(2))^i
-    D^(k-i), which one homogeneous Horner pass computes over integer pairs
-    (u, v) standing for u + v*sqrt(2), without a division; the sign of the
-    final pair is decided as in quad_sign.  At a rational point (B = 0) v
-    stays 0, so the pass runs on u alone; the zero polynomial has sign 0.
+    D^k P(x) = sum c_i (A + B*sqrt(2))^i D^(k-i), which one homogeneous
+    Horner pass computes over integer pairs, without a division; D^k > 0,
+    so sqrt2_sign(u, v) is the sign of P(x).  P has integer coefficients,
+    so at the conjugate point (A - B*sqrt(2))/D the value is u - v*sqrt(2):
+    one pass gives the sign at both.  At a rational point (B = 0) v stays
+    0, so the pass runs on u alone; the zero polynomial gives (0, 0).
     """
     u = v = 0
     d_pow = 1
@@ -194,8 +204,8 @@ def sign_at_sqrt2(P: Poly, A: int, B: int, D: int) -> int:
         for c in reversed(P):
             u = u * A + c * d_pow
             d_pow *= D
-        return (u > 0) - (u < 0)
+        return u, 0
     for c in reversed(P):
         u, v = u * A + 2 * v * B + c * d_pow, u * B + v * A
         d_pow *= D
-    return _sqrt2_sign(u, v)
+    return u, v

@@ -63,7 +63,8 @@ from cuboidsearch.exact_arith import (
     QuadRational,
     QUAD_ZERO,
     quad_sign,
-    sign_at_sqrt2,
+    sqrt2_sign,
+    value_at_sqrt2,
 )
 from cuboidsearch.search import _prime_factors, t_bounds
 
@@ -218,8 +219,8 @@ def sign_at(P: Poly, x: RatLike) -> int:
 
 
 def sign_at_quad(P: Poly, x: QuadRational) -> int:
-    """Exact sign of P(x) for x in the sqrt(2) field; see sign_at_sqrt2."""
-    return sign_at_sqrt2(P, x.A, x.B, x.D)
+    """Exact sign of P(x) for x in the sqrt(2) field; see value_at_sqrt2."""
+    return sqrt2_sign(*value_at_sqrt2(P, x.A, x.B, x.D))
 
 
 def eval_poly(P: Poly, x) -> Fraction:

@@ -25,6 +25,7 @@ from oracles import (
     asymptotic_intervals_by_sums,
     build_qpq,
     eval_int,
+    eval_poly_quad,
     fraction_sturm_count,
     fraction_sturm_sequence,
     imaginary_axis_poly,
@@ -353,6 +354,44 @@ def _audit_range_pairs(count, seed):
     return pairs
 
 
+def _per_end_sign(pair, axis, x):
+    """The sign of R at x^2 (real axis) or -x^2 (imaginary axis), found for
+    that end alone by Horner's scheme over QuadRational."""
+    u = x * x if axis == "REAL" else -(x * x)
+    return quad_sign(eval_poly_quad(build_rpq(pair), u))
+
+
+def _per_end_certificates(pair, intervals):
+    """(label, axis, sign_lo, sign_hi) of each interval, from _per_end_sign."""
+    return [
+        (iv.label, iv.axis, _per_end_sign(pair, iv.axis, iv.lo),
+         _per_end_sign(pair, iv.axis, iv.hi))
+        for iv in intervals
+    ]
+
+
+def _outcome(pair, intervals):
+    """certify_roots's certificates as plain tuples, or its failure text."""
+    try:
+        certs = certify_roots(pair, intervals, check_disjoint(intervals))
+    except CertificationFailed as failed:
+        return str(failed)
+    return [tuple(c) for c in certs]
+
+
+def _per_end_outcome(pair, intervals):
+    """_outcome as the per-end signs and the order decide it."""
+    certs = _per_end_certificates(pair, intervals)
+    failures = [f"{label}: sign({lo},{hi})" for label, _, lo, hi in certs if lo * hi != -1]
+    broken = check_disjoint(intervals).broken
+    if not failures and broken:
+        failures.append(f"order fails at {broken}")
+    return f"(p={pair.p}, q={pair.q}): " + "; ".join(failures) if failures else certs
+
+
+# the p = 10^12 pair of the roots goldens
+GOLDEN_BIG = PQPair(10**12, 59 * 10**12 + 1)
+
 # q = 59p is coprime to p only for p = 1; for p > 1 the smallest admissible
 # q is 59p + 1
 BOUNDARY_PAIRS = [PQPair(1, 59)] + [PQPair(p, 59 * p + 1) for p in range(2, 51)]
@@ -390,6 +429,56 @@ class TestCertificateOnR:
             rpoly = build_rpq(pair)
             bound = 1 + max(abs(c) for c in rpoly)
             assert fraction_sturm_count(rpoly, -bound, bound) == 5
+
+    def test_t5_ends_are_conjugates_of_t4_ends(self):
+        # T5.lo = -conj(T4.hi) and T5.hi = -conj(T4.lo), as reduced triples
+        for pair in _audit_range_pairs(100, 4242) + BOUNDARY_PAIRS + [GOLDEN_BIG]:
+            t4, t5 = asymptotic_intervals(pair)[3:]
+            assert tuple(t5.lo) == (-t4.hi.A, t4.hi.B, t4.hi.D)
+            assert tuple(t5.hi) == (-t4.lo.A, t4.lo.B, t4.lo.D)
+
+    def test_memoised_signs_equal_per_end_signs(self):
+        # each of the nine ends evaluated on its own, by Horner's scheme in
+        # the field's own arithmetic, at x^2 or -x^2
+        for pair in _audit_range_pairs(40, 1717) + [GOLDEN_BIG]:
+            intervals = asymptotic_intervals(pair)
+            certs = certify_roots(pair, intervals, check_disjoint(intervals))
+            assert [tuple(c) for c in certs] == _per_end_certificates(pair, intervals)
+
+    @pytest.mark.parametrize("p, q", [(1, 59), (7, 500), (50, 5901)])
+    def test_memo_on_moved_t4_and_t5(self, p, q, monkeypatch):
+        # each end not met before, nor as a conjugate, costs one more Horner
+        # pass, and every sign, and so the verdict, is the end's own
+        pair = PQPair(p, q)
+        ivs = asymptotic_intervals(pair)
+        t4, t5 = ivs[3:]
+        width = t5.hi - t5.lo
+        mid4, mid5 = interval_midpoint(t4), interval_midpoint(t5)
+        assert tuple(mid5) == (-mid4.A, mid4.B, mid4.D)
+        # at the centres R's signs differ, so a sign carried over to the
+        # conjugate end unchanged would be wrong there
+        assert _per_end_sign(pair, "IMAGINARY", mid4) != _per_end_sign(pair, "IMAGINARY", mid5)
+        passes = []
+        real = asymptotics.value_at_sqrt2
+
+        def counted(*args):
+            passes.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(asymptotics, "value_at_sqrt2", counted)
+        for intervals, expected in (
+            (ivs, 7),
+            # widened on both sides: neither end a conjugate of a T4 end
+            (_replaced(ivs, "T5", t5.lo - width, t5.hi + width), 9),
+            # moved down below its root: only its upper end is one
+            (_replaced(ivs, "T5", t5.lo * QuadRational(1, 0, 2), t5.lo), 8),
+            # halves of T4 and T5 that are still conjugates, ends and centres
+            (_replaced(_replaced(ivs, "T4", t4.lo, mid4), "T5", mid5, t5.hi), 7),
+            (_replaced(_replaced(ivs, "T4", mid4, t4.hi), "T5", t5.lo, mid5), 7),
+        ):
+            passes.clear()
+            assert _outcome(pair, intervals) == _per_end_outcome(pair, intervals)
+            assert len(passes) == expected
 
     @pytest.mark.parametrize("p, q", [(1, 59), (7, 500), (13, 1000), (50, 5901)])
     def test_shifted_intervals_fail_alike(self, p, q):

@@ -394,9 +394,10 @@ class TestRootsCommand:
         assert "T4" in out and "sqrt(2)" in out
 
     def test_one_order_check_and_nine_signs(self, capsys, monkeypatch):
-        # the report that roots prints is the one certify_roots checks, and
-        # the shared end T1.hi = T2.lo has its sign evaluated once
-        counted = {"check_disjoint": 0, "sign_at_sqrt2": 0}
+        # the report that roots prints is the one certify_roots checks; the
+        # nine signs take seven Horner passes, as the shared end T1.hi =
+        # T2.lo is evaluated once and T5's ends are T4's conjugates
+        counted = {"check_disjoint": 0, "value_at_sqrt2": 0}
         for name in counted:
             real = getattr(asymptotics, name)
 
@@ -407,7 +408,7 @@ class TestRootsCommand:
             monkeypatch.setattr(asymptotics, name, spy)
         code, out, _ = run_cli(capsys, "roots", "--p", "7", "--q", "500")
         assert code == cli.EXIT_OK and out.count("PASS") == 5
-        assert counted == {"check_disjoint": 1, "sign_at_sqrt2": 9}
+        assert counted == {"check_disjoint": 1, "value_at_sqrt2": 7}
         assert "approx" in out
         assert "T4" in out and "sqrt(2)" in out
 
@@ -669,6 +670,23 @@ class TestIdentityCheckCommand:
         code, out, _ = run_cli(capsys, "identity-check", "--max-pq", "5")
         assert code == cli.EXIT_CHECK_FAILED
         assert "(p=1, q=2)" in out
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["roots", "--p", "1", "--q", "59"], asymptotics, "certify_roots"),
+    (["newton"], asymptotics, "build_newton_grid"),
+    (["verify", "--p", "1", "--q", "2", "--t", "5"], cuboid_eqs, "qpq_value"),
+    (["identity-check", "--max-pq", "5"], cuboid_eqs, "factorization_check"),
+], ids=["roots", "newton", "verify", "identity-check"])
+def test_interrupt_outside_search(capsys, monkeypatch, argv, module, name):
+    # Ctrl-C in every command but search, whose line says how to resume:
+    # one stderr line, no traceback and exit 130; each command is stopped
+    # before it prints
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(module, name, interrupted)
+    assert run_cli(capsys, *argv) == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
 
 
 class TestParser:

@@ -11,7 +11,8 @@ from cuboidsearch.exact_arith import (
     QuadRational,
     quad_sign,
     quad_sqrt,
-    sign_at_sqrt2,
+    sqrt2_sign,
+    value_at_sqrt2,
 )
 from cuboidsearch.cuboid_eqs import PQPair
 from oracles import (
@@ -132,10 +133,12 @@ class TestQuadArithmetic:
         lambda x: x - 1,
         lambda x: x + (1, 0, 1),
         lambda x: x - (1, 0, 1),
-    ], ids=["add-int", "sub-int", "add-tuple", "sub-tuple"])
+        lambda x: (1, 0, 1) + x,
+    ], ids=["add-int", "sub-int", "add-tuple", "sub-tuple", "add-tuple-left"])
     def test_operand_outside_the_field_refused(self, expression):
         # + and - take only field elements: an int is not converted, and a
-        # plain tuple is neither concatenated nor read as a triple
+        # plain tuple is neither concatenated, on either side, nor read as a
+        # triple
         with pytest.raises(TypeError):
             expression(quad(1, 1))
 
@@ -359,9 +362,14 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _sign_at_sqrt2(P, A, B, D) -> int:
+    """The production sign of P at (A + B*sqrt(2))/D."""
+    return sqrt2_sign(*value_at_sqrt2(P, A, B, D))
+
+
 def _rational_sign(P, x) -> int:
-    """The production sign of P at a rational x: sign_at_sqrt2 with B = 0."""
-    return sign_at_sqrt2(P, x.numerator, 0, x.denominator)
+    """The production sign of P at a rational x: the pass with B = 0."""
+    return _sign_at_sqrt2(P, x.numerator, 0, x.denominator)
 
 
 # zeros are drawn often, so that sparse polynomials are common
@@ -394,9 +402,9 @@ class TestSignAt:
     def test_zero_polynomial_and_constants(self):
         # on both passes: B = 0 and B != 0
         for A, B, D in ((0, 0, 1), (3, 0, 7), (-3, 0, 7), (1, 1, 1), (-5, 2, 3)):
-            assert sign_at_sqrt2((), A, B, D) == 0
+            assert value_at_sqrt2((), A, B, D) == (0, 0)
             for c in (-9, 1, 4):
-                assert sign_at_sqrt2((c,), A, B, D) == _sign(c)
+                assert _sign_at_sqrt2((c,), A, B, D) == _sign(c)
 
     @settings(max_examples=200)
     @given(
@@ -409,8 +417,8 @@ class TestSignAt:
         # the single-integer pass at B = 0, at sizes like those of the roots
         # certificate at p = 10^12 (D^10 near 10^130), unreduced (kA, kD) too
         expected = _sign(eval_poly(P, Fraction(A, D)))
-        assert sign_at_sqrt2(P, A, 0, D) == expected
-        assert sign_at_sqrt2(P, k * A, 0, k * D) == expected
+        assert _sign_at_sqrt2(P, A, 0, D) == expected
+        assert _sign_at_sqrt2(P, k * A, 0, k * D) == expected
 
     @settings(max_examples=200)
     @given(
@@ -421,6 +429,22 @@ class TestSignAt:
     def test_quad_matches_eval(self, P, a, b):
         x = quad(a, b)
         assert sign_at_quad(P, x) == quad_sign(eval_poly_quad(P, x))
+
+    @settings(max_examples=200)
+    @given(
+        int_polys,
+        st.integers(-10**15, 10**15),
+        st.integers(-10**15, 10**15),
+        st.integers(1, 10**13),
+    )
+    def test_conjugate_point_gives_conjugate_value(self, P, A, B, D):
+        # integer coefficients: P(conj x) = conj P(x), so one pass gives the
+        # sign at both points, the one that certify_roots reuses
+        u, v = value_at_sqrt2(P, A, B, D)
+        assert value_at_sqrt2(P, A, -B, D) == (u, -v)
+        x, y = QuadRational(A, B, D), QuadRational(A, -B, D)
+        assert sqrt2_sign(u, v) == quad_sign(eval_poly_quad(P, x))
+        assert sqrt2_sign(u, -v) == quad_sign(eval_poly_quad(P, y))
 
     def test_quad_roots_are_zero(self):
         assert sign_at_quad(poly([-2, 0, 1]), quad(0, 1)) == 0

@@ -26,6 +26,7 @@ TUPLE_ORDER = "stops comparisons falling back to tuple order; test_ordering pins
 # function (module.qualname) -> why no command reaches it
 ALLOWED = {
     "cli.entry": "the console-script wrapper, sys.exit(main()); the calls use main",
+    "exact_arith.QuadRational.__radd__": "stops a plain tuple on the left of + concatenating; test_operand_outside_the_field_refused pins it",
     "exact_arith.QuadRational.__le__": TUPLE_ORDER,
     "exact_arith.QuadRational.__gt__": TUPLE_ORDER,
     "exact_arith.QuadRational.__ge__": TUPLE_ORDER,
