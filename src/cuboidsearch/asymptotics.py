@@ -23,14 +23,14 @@ from .exact_arith import (
     sqrt2_sign,
     value_at_sqrt2,
 )
-from .cuboid_eqs import PQPair, build_rpq, qpq_coefficients
+from .cuboid_eqs import InvalidInput, PQPair, build_rpq, qpq_coefficients
 
 TYPE_CHECKING = False  # true for type checkers, which read the import below
 if TYPE_CHECKING:  # imported where used: only `newton` builds a Fraction
     from fractions import Fraction
 
 
-class PreconditionViolated(ValueError):
+class PreconditionViolated(InvalidInput):
     """The interval theorems require q >= 59 p."""
 
 

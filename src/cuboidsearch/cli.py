@@ -5,7 +5,12 @@ Subcommands: search, roots, newton, verify, identity-check.  Machine output
 progress to stderr.  Exit codes: 0 success / nothing found, 10 a verified
 cuboid was found (so wrapper scripts can trap a discovery), 1 a self-check
 failed, 2 bad flags, 3 resume mismatch, 4 I/O error, 130 interrupted
-(Ctrl-C) in any command, with one stderr line and no traceback.
+(Ctrl-C).  A handler returns the first three; `main` alone maps a failure
+to the rest, in any command, with one stderr line and no traceback:
+refused input (`cuboid_eqs.InvalidInput`, which `_parse`, the records and
+the handlers raise) to 2, `search.ResumeMismatch` to 3, an OSError, a
+failed write to stdout included, to 4, and Ctrl-C to 130.  Any other
+exception is a fault and keeps its traceback.
 
 Flags follow the subcommand as `--flag value` or `--flag=value`, spelled in
 full; a repeated flag keeps its last value.  `-h`/`--help` anywhere prints
@@ -19,7 +24,7 @@ import sys
 from types import SimpleNamespace
 
 from . import asymptotics, cuboid_eqs, search
-from .cuboid_eqs import PQPair
+from .cuboid_eqs import InvalidInput, PQPair
 from .exact_arith import QuadRational
 
 EXIT_OK = 0
@@ -115,50 +120,46 @@ def _usage() -> str:
 
 def _parse(argv):
     """`argv` as `subcommand` plus one attribute per flag (`--p-max` gives
-    `p_max`), or None for help; ValueError with a one-line message if bad."""
+    `p_max`), or None for help; InvalidInput with a one-line message if bad."""
     if "-h" in argv or "--help" in argv:
         return None
     if not argv or argv[0] not in COMMANDS:
-        raise ValueError(f"unknown subcommand {argv[0]!r}" if argv else "no subcommand")
+        raise InvalidInput(f"unknown subcommand {argv[0]!r}" if argv else "no subcommand")
     command, *rest = argv
     flags, given, tokens = COMMANDS[command][1], {}, iter(rest)
     for token in tokens:
         flag, eq, value = token.partition("=")
         if flag not in flags:
-            raise ValueError(f"unknown flag {flag!r} for {command}")
+            raise InvalidInput(f"unknown flag {flag!r} for {command}")
         if not eq:
             value = next(tokens, "")
             if value.startswith("--"):
                 value = ""
         if not value:  # missing, "--flag=" or an empty argument
-            raise ValueError(f"{flag} needs a value")
+            raise InvalidInput(f"{flag} needs a value")
         given[flag] = value
     args = SimpleNamespace(subcommand=command)
     for flag, default in flags.items():
         value = given.get(flag, default)
         if value is REQUIRED:
-            raise ValueError(f"{command} needs {flag}")
+            raise InvalidInput(f"{command} needs {flag}")
         if flag in given and flag not in ("--checkpoint", "--out"):
             try:
                 value = int(value)
             except ValueError:
-                raise ValueError(f"{flag} needs an integer, not {value!r}") from None
+                raise InvalidInput(f"{flag} needs an integer, not {value!r}") from None
         setattr(args, flag[2:].replace("-", "_"), value)
     return args
 
 
 def cmd_search(args) -> int:
-    try:
-        config = search.SearchConfig(
-            p_min=args.p_min,
-            p_max=args.p_max,
-            worker_count=args.threads,
-            checkpoint_path=args.checkpoint,
-            output_path=args.out,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+    config = search.SearchConfig(
+        p_min=args.p_min,
+        p_max=args.p_max,
+        worker_count=args.threads,
+        checkpoint_path=args.checkpoint,
+        output_path=args.out,
+    )
 
     def progress(p, pairs, nonempty, obstructed, evaluated, hits):
         # the line and its newline in one write, so that a Ctrl-C cannot
@@ -168,19 +169,7 @@ def cmd_search(args) -> int:
             f"evaluated={evaluated} hits={hits}\n"
         )
 
-    try:
-        report = search.run_search(config, progress=progress)
-    except search.ResumeMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESUME_MISMATCH
-    except OSError as exc:  # search names the file of a failed write
-        where = f" ({exc.filename})" if exc.filename else ""
-        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
-        return EXIT_IO
-    except KeyboardInterrupt:
-        resume = "; rerun the same command to resume" if config.checkpoint_path else ""
-        print(f"interrupted{resume}", file=sys.stderr)
-        return EXIT_INTERRUPTED
+    report = search.run_search(config, progress=progress)
     print(
         f"pairs={report.pairs_examined} nonempty={report.pairs_nonempty} "
         f"obstructed={report.pairs_obstructed} "
@@ -192,12 +181,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    try:
-        pair = PQPair(args.p, args.q)
-        intervals = asymptotics.asymptotic_intervals(pair)
-    except ValueError as exc:  # includes PreconditionViolated: q < 59p
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+    pair = PQPair(args.p, args.q)
+    intervals = asymptotics.asymptotic_intervals(pair)  # q >= 59p, or refused
     disjoint = asymptotics.check_disjoint(intervals)
     # the report is printed in one piece, as far as it got
     lines = [f"Root intervals for p={pair.p}, q={pair.q}:"]
@@ -281,13 +266,9 @@ def cmd_newton(args) -> int:
 
 def cmd_verify(args) -> int:
     p, q, t = args.p, args.q, args.t
-    try:
-        pair = PQPair(p, q)
-        if t < 1:
-            raise ValueError("t must be positive")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+    PQPair(p, q)  # refuses a pair outside the family
+    if t < 1:
+        raise InvalidInput("t must be positive")
     value = cuboid_eqs.qpq_value(p, q, t)
     print(f"Q(t) = {value}" + ("" if value == 0 else " (nonzero: not a root)"))
     lower = t > p * p and t > p * q and t > q * q
@@ -307,8 +288,7 @@ def cmd_verify(args) -> int:
 
 def cmd_identity_check(args) -> int:
     if args.max_pq < 2:
-        print("error: --max-pq must be at least 2", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        raise InvalidInput("--max-pq must be at least 2")
     check, gcd = cuboid_eqs.factorization_check, math.gcd
     checked = 0
     for q in range(2, args.max_pq + 1):
@@ -343,23 +323,45 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-    except ValueError as exc:
+        if args is None:
+            print(_usage())
+            code = EXIT_OK
+        else:
+            code = COMMANDS[args.subcommand][2](args)
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()  # a failed write to stdout surfaces here
+        return code
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS
-    if args is None:
-        print(_usage())
-        return EXIT_OK
-    try:
-        return COMMANDS[args.subcommand][2](args)
-    except KeyboardInterrupt:  # search says how to resume in its own handler
-        print("interrupted", file=sys.stderr)
+    except search.ResumeMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESUME_MISMATCH
+    except OSError as exc:  # search names the file of a failed write
+        where = f" ({exc.filename})" if exc.filename else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return EXIT_IO
+    except KeyboardInterrupt:
+        checkpoint = getattr(args, "checkpoint", None)
+        resume = "; rerun the same command to resume" if checkpoint else ""
+        print(f"interrupted{resume}", file=sys.stderr)
         return EXIT_INTERRUPTED
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # main has flushed stdout or reported why it could not.  Closed, stdout
+    # is not flushed again at exit, which would retry the bytes of a failed
+    # write and turn its exit 4 into 120 with a second message.
+    if sys.stdout is not None:
+        try:
+            sys.stdout.close()
+        except OSError:
+            pass
+    sys.exit(code)
 
 
 if __name__ == "__main__":

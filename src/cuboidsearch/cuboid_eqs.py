@@ -24,6 +24,12 @@ if TYPE_CHECKING:  # imported where used: only a hit's reconstruction needs it
     from fractions import Fraction
 
 
+class InvalidInput(ValueError):
+    """A value a caller chose was refused: a record's check or a command
+    line's.  The CLI exits 2 on it, so library-internal checks raise a
+    plain ValueError, which stays a traceback."""
+
+
 class DegenerateDenominator(ArithmeticError):
     """The z-formula denominator vanished (alpha^2 * upsilon^2 = 1)."""
 
@@ -48,11 +54,11 @@ class PQPair(namedtuple("PQPair", "p q")):
 
     def __new__(cls, p: int, q: int) -> "PQPair":
         if p < 1 or q < 1:
-            raise ValueError("p and q must be positive")
+            raise InvalidInput("p and q must be positive")
         if p == q:
-            raise ValueError("p and q must differ")
+            raise InvalidInput("p and q must differ")
         if math.gcd(p, q) != 1:
-            raise ValueError("p and q must be coprime")
+            raise InvalidInput("p and q must be coprime")
         return tuple.__new__(cls, (p, q))
 
 

@@ -28,7 +28,8 @@ class QuadRational(namedtuple("QuadRational", "A B D")):
     least integer that takes the number into that ring.  The arithmetic
     operators are the field's own, `*` also by an int; none falls through
     to tuple concatenation or repetition.  So is the order: one sign of the
-    cross-multiplied difference (A D2 - A2 D) + (B D2 - B2 D) sqrt(2).
+    cross-multiplied difference (A D2 - A2 D) + (B D2 - B2 D) sqrt(2), and
+    only against another QuadRational, on either side.
     """
 
     __slots__ = ()
@@ -103,7 +104,11 @@ class QuadRational(namedtuple("QuadRational", "A B D")):
 
 
 def _order(x: QuadRational, y: QuadRational) -> int:
-    """The sign of x - y, with no gcd: both denominators are positive."""
+    """The sign of x - y, with no gcd: both denominators are positive.
+    x is the QuadRational whose operator was called, on either side; y must
+    be one too, or a plain tuple would be read as a triple."""
+    if not isinstance(y, QuadRational):
+        raise TypeError(f"cannot order a QuadRational and a {type(y).__name__!r}")
     (A, B, D), (A2, B2, D2) = x, y
     return sqrt2_sign(A * D2 - A2 * D, B * D2 - B2 * D)
 

@@ -68,7 +68,7 @@ import time
 from collections import deque, namedtuple
 from collections.abc import Callable, Iterable, Sequence
 
-from .cuboid_eqs import CASES, CuboidWitness, qpq_value, reconstruct_cuboid
+from .cuboid_eqs import CASES, CuboidWitness, InvalidInput, qpq_value, reconstruct_cuboid
 
 CHECKPOINT_VERSION = 5
 
@@ -129,13 +129,13 @@ class SearchConfig(
         output_path: str = "cuboids.jsonl",
     ) -> "SearchConfig":
         if p_min < 1 or p_min > p_max:
-            raise ValueError("need 1 <= p_min <= p_max")
+            raise InvalidInput("need 1 <= p_min <= p_max")
         if worker_count < 1:
-            raise ValueError("worker_count must be positive")
+            raise InvalidInput("worker_count must be positive")
         if checkpoint_path is not None and _is_checkpoint(
             output_path, checkpoint_path
         ):
-            raise ValueError(
+            raise InvalidInput(
                 f"output {output_path} would be overwritten by the "
                 f"checkpoint {checkpoint_path}"
             )
@@ -652,8 +652,10 @@ def run_search(
     checkpoint, the p range and the summary counters as of the last merged
     p, is built and rewritten atomically after the p that brings the work
     merged since its last write to CHECKPOINT_MIN_WORK, after the last p,
-    and when the run is interrupted or fails, so it never counts a hit line
-    that is not on disk.  The report's wall time is that of this call alone.
+    and when the run is interrupted or fails, but not again after a failed
+    write; so it never counts a hit line that is not on disk.  The pool, if
+    any, is shut down after that last write, whether it failed or not.  The
+    report's wall time is that of this call alone.
     `progress(p, pairs, nonempty, obstructed, evaluated, hits)` is called
     per completed p.  `abort_after_p` simulates an interruption right after
     that p completes (test hook for the resume contract).  The summary line
@@ -723,18 +725,21 @@ def run_search(
                 if config.checkpoint_path:
                     unsaved += p
                     if unsaved >= CHECKPOINT_MIN_WORK:
+                        unsaved = 0  # a failed write is not tried again
                         save()
-                        unsaved = 0
                 if progress:
                     progress(p, *p_counts, len(p_hits))
                 if abort_after_p is not None and p >= abort_after_p:
                     raise KeyboardInterrupt("simulated interruption")
         finally:
-            # on completion, interruption or failure alike
-            if unsaved:
-                save()
-            if executor is not None:
-                executor.shutdown(cancel_futures=True)
+            # on completion, interruption or failure alike, the checkpoint
+            # first: a second Ctrl-C during the pool's wait cannot lose it
+            try:
+                if unsaved:
+                    save()
+            finally:
+                if executor is not None:
+                    executor.shutdown(cancel_futures=True)
 
         out.write(_summary_line(counts, len(hits)))
     finally:

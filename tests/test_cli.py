@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 
 from cuboidsearch import asymptotics, cli, cuboid_eqs, search
 from cuboidsearch.cuboid_eqs import PQPair
-from cuboidsearch.exact_arith import QuadRational
+from cuboidsearch.exact_arith import QuadRational, quad_sqrt
 from oracles import (
     build_qpq,
     fraction_approx_str,
@@ -687,6 +688,82 @@ def test_interrupt_outside_search(capsys, monkeypatch, argv, module, name):
 
     monkeypatch.setattr(module, name, interrupted)
     assert run_cli(capsys, *argv) == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
+
+
+class FailingStdout:
+    """A stdout whose flush fails with `error`, and its write too when
+    `at` is "write"."""
+
+    def __init__(self, error, at):
+        self.error, self.at = error, at
+
+    def write(self, text):
+        if self.at == "write":
+            raise self.error
+        return len(text)
+
+    def flush(self):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [
+    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+], ids=["ENOSPC", "EPIPE"])
+@pytest.mark.parametrize("at", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["roots", "--p", "1", "--q", "59"],
+    ["newton"],
+    ["verify", "--p", "1", "--q", "2", "--t", "5"],
+    ["identity-check", "--max-pq", "40"],
+    ["--help"],
+], ids=["roots", "newton", "verify", "identity-check", "help"])
+def test_failed_stdout_is_an_io_error(capsys, monkeypatch, argv, at, error):
+    # stdout on a full disk or a closed pipe, failing at a print or at the
+    # flush that ends every command: exit 4 and one stderr line naming the
+    # reason, as for any other I/O error, and no traceback
+    monkeypatch.setattr(sys, "stdout", FailingStdout(error, at))
+    assert cli.main(argv) == cli.EXIT_IO
+    assert capsys.readouterr().err == f"error: {error.strerror}\n"
+
+
+def test_library_fault_is_not_bad_flags(capsys, monkeypatch):
+    # only refused input exits 2: a plain ValueError from inside a command
+    # is a fault and leaves cli.main as it was raised
+    def broken():
+        raise ValueError("term breaks homogeneity")
+
+    monkeypatch.setattr(asymptotics, "build_newton_grid", broken)
+    with pytest.raises(ValueError, match="homogeneity") as raised:
+        cli.main(["newton"])
+    assert type(raised.value) is ValueError
+    assert capsys.readouterr() == ("", "")
+
+
+def test_refusals_share_one_type():
+    # every refusal a command line reaches is an InvalidInput, which is a
+    # ValueError; the library's internal checks raise a plain ValueError
+    refusals = [
+        lambda: PQPair(2, 4),
+        lambda: search.SearchConfig(5, 1),
+        lambda: search.SearchConfig(1, 5, 0),
+        lambda: asymptotics.asymptotic_intervals(PQPair(1, 58)),
+        lambda: cli._parse(["roots", "--p", "one"]),
+    ]
+    for refusal in refusals:
+        with pytest.raises(cuboid_eqs.InvalidInput):
+            refusal()
+    assert issubclass(asymptotics.PreconditionViolated, cuboid_eqs.InvalidInput)
+    assert issubclass(cuboid_eqs.InvalidInput, ValueError)
+    faults = [
+        lambda: quad_sqrt(QuadRational(-1)),
+        lambda: cuboid_eqs.reconstruct_cuboid(1, 2, 5, "XX"),
+        lambda: cuboid_eqs.reconstruct_cuboid(1, 2, 0, cuboid_eqs.CASES[0]),
+    ]
+    for fault in faults:
+        with pytest.raises(ValueError) as raised:
+            fault()
+        assert not isinstance(raised.value, cuboid_eqs.InvalidInput)
 
 
 class TestParser:

@@ -134,11 +134,22 @@ class TestQuadArithmetic:
         lambda x: x + (1, 0, 1),
         lambda x: x - (1, 0, 1),
         lambda x: (1, 0, 1) + x,
-    ], ids=["add-int", "sub-int", "add-tuple", "sub-tuple", "add-tuple-left"])
+        lambda x: x < (2, 0, -1),
+        lambda x: (2, 0, -1) > x,
+        lambda x: x >= (2, 0, -1),
+        lambda x: (2, 0, -1) <= x,
+        lambda x: x <= 2,
+        lambda x: 2 > x,
+    ], ids=[
+        "add-int", "sub-int", "add-tuple", "sub-tuple", "add-tuple-left",
+        "lt-tuple", "gt-tuple-left", "ge-tuple", "le-tuple-left", "le-int",
+        "gt-int-left",
+    ])
     def test_operand_outside_the_field_refused(self, expression):
-        # + and - take only field elements: an int is not converted, and a
-        # plain tuple is neither concatenated, on either side, nor read as a
-        # triple
+        # the arithmetic and the order take only field elements: an int is
+        # not converted, and a plain tuple is neither concatenated, on
+        # either side, nor read as a triple (as one, (2, 0, -1) is -2, yet
+        # as a tuple it lies above 1 + sqrt(2))
         with pytest.raises(TypeError):
             expression(quad(1, 1))
 

@@ -911,12 +911,12 @@ class TestRunSearch:
     @pytest.fixture
     def fake_pool(self, monkeypatch):
         """ProcessPoolExecutor replaced by a fake that records each pool's
-        size, the runs of p submitted to it and the most futures held at
-        once (submitted, result not yet taken), and runs each task
-        in-process as it is submitted."""
+        size, the runs of p submitted to it, the most futures held at once
+        (submitted, result not yet taken) and each shutdown's
+        cancel_futures, and runs each task in-process as it is submitted."""
         import concurrent.futures
 
-        record = SimpleNamespace(sizes=[], runs=[], held=0, peak=0)
+        record = SimpleNamespace(sizes=[], runs=[], held=0, peak=0, shutdowns=[])
 
         class Done:
             def __init__(self, value):
@@ -938,7 +938,7 @@ class TestRunSearch:
                 return Done(fn(ps))
 
             def shutdown(self, cancel_futures=False):
-                pass
+                record.shutdowns.append(cancel_futures)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         return record
@@ -1004,6 +1004,27 @@ class TestRunSearch:
         monkeypatch.setattr(search, "POOL_MIN_WORK", 1)
         run_search(make_config(tmp_path, "pinned", p_max=40, worker_count=64))
         assert fake_pool.sizes == []
+
+    def test_failed_checkpoint_write_shuts_the_pool(
+        self, tmp_path, monkeypatch, fake_pool
+    ):
+        # a periodic checkpoint write that fails is not tried again on the
+        # way out, and the pool is shut down all the same
+        attempts = []
+
+        def full(self, path):
+            attempts.append(self.last_completed_p)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path + ".tmp")
+
+        monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
+        monkeypatch.setattr(search, "CHECKPOINT_MIN_WORK", 0)
+        monkeypatch.setattr(search, "available_cpus", lambda: 2)
+        monkeypatch.setattr(SearchCheckpoint, "write", full)
+        with pytest.raises(OSError) as raised:
+            run_search(make_config(tmp_path, p_max=8, worker_count=2))
+        assert raised.value.errno == errno.ENOSPC
+        assert attempts == [1]
+        assert fake_pool.sizes == [2] and fake_pool.shutdowns == [True]
 
     def test_checkpoint_written_by_work(self, tmp_path, monkeypatch):
         written = []
