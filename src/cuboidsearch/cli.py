@@ -9,8 +9,12 @@ failed, 2 bad flags, 3 resume mismatch, 4 I/O error, 130 interrupted
 to the rest, in any command, with one stderr line and no traceback:
 refused input (`cuboid_eqs.InvalidInput`, which `_parse`, the records and
 the handlers raise) to 2, `search.ResumeMismatch` to 3, an OSError, a
-failed write to stdout included, to 4, and Ctrl-C to 130.  Any other
-exception is a fault and keeps its traceback.
+failed write to stdout or stderr included, to 4, and Ctrl-C to 130.  The
+code holds when stderr cannot take that line, and a process started with
+fd 2 closed drops its stderr lines.  Any other exception is a fault and
+keeps its traceback.  `search` writes a line per p from the SearchTally
+that `run_search` passes to its progress callback, and a totals line from
+the one it returns, with the wall time of that call.
 
 Flags follow the subcommand as `--flag value` or `--flag=value`, spelled in
 full; a repeated flag keeps its last value.  `-h`/`--help` anywhere prints
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
+import time
 from types import SimpleNamespace
 
 from . import asymptotics, cuboid_eqs, search
@@ -152,6 +157,14 @@ def _parse(argv):
     return args
 
 
+def _stderr_line(line: str) -> None:
+    # the line and its newline in one write, so that a Ctrl-C cannot fall
+    # between them and put "interrupted" on the end of this line; nothing
+    # when started with fd 2 closed, as print drops what goes to a None stdout
+    if sys.stderr is not None:
+        sys.stderr.write(f"{line}\n")
+
+
 def cmd_search(args) -> int:
     config = search.SearchConfig(
         p_min=args.p_min,
@@ -161,23 +174,18 @@ def cmd_search(args) -> int:
         output_path=args.out,
     )
 
-    def progress(p, pairs, nonempty, obstructed, evaluated, hits):
-        # the line and its newline in one write, so that a Ctrl-C cannot
-        # fall between them and put "interrupted" on the end of this line
-        sys.stderr.write(
-            f"p={p} pairs={pairs} nonempty={nonempty} obstructed={obstructed} "
-            f"evaluated={evaluated} hits={hits}\n"
+    def counters(tally) -> str:
+        return "pairs={} nonempty={} obstructed={} evaluated={} hits={}".format(
+            *tally.counts()
         )
 
-    report = search.run_search(config, progress=progress)
-    print(
-        f"pairs={report.pairs_examined} nonempty={report.pairs_nonempty} "
-        f"obstructed={report.pairs_obstructed} "
-        f"evaluated={report.candidates_evaluated} hits={len(report.hits)} "
-        f"wall={report.wall_time:.2f}s",
-        file=sys.stderr,
-    )
-    return EXIT_CUBOID_FOUND if report.hits else EXIT_OK
+    def progress(p, tally):
+        _stderr_line(f"p={p} {counters(tally)}")
+
+    start = time.monotonic()
+    tally = search.run_search(config, progress=progress)
+    _stderr_line(f"{counters(tally)} wall={time.monotonic() - start:.2f}s")
+    return EXIT_CUBOID_FOUND if tally.hits else EXIT_OK
 
 
 def cmd_roots(args) -> int:
@@ -335,32 +343,34 @@ def main(argv=None) -> int:
             sys.stdout.flush()  # a failed write to stdout surfaces here
         return code
     except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        line, code = f"error: {exc}", EXIT_BAD_FLAGS
     except search.ResumeMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESUME_MISMATCH
+        line, code = f"error: {exc}", EXIT_RESUME_MISMATCH
     except OSError as exc:  # search names the file of a failed write
         where = f" ({exc.filename})" if exc.filename else ""
-        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
-        return EXIT_IO
+        line, code = f"error: {exc.strerror or exc}{where}", EXIT_IO
     except KeyboardInterrupt:
         checkpoint = getattr(args, "checkpoint", None)
         resume = "; rerun the same command to resume" if checkpoint else ""
-        print(f"interrupted{resume}", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        line, code = f"interrupted{resume}", EXIT_INTERRUPTED
+    try:
+        _stderr_line(line)
+    except OSError:  # a stderr that cannot be written keeps the exit code
+        pass
+    return code
 
 
 def entry() -> None:
     code = main()
-    # main has flushed stdout or reported why it could not.  Closed, stdout
-    # is not flushed again at exit, which would retry the bytes of a failed
-    # write and turn its exit 4 into 120 with a second message.
-    if sys.stdout is not None:
-        try:
-            sys.stdout.close()
-        except OSError:
-            pass
+    # main has flushed stdout and written to stderr, or met why it could
+    # not.  Closed, neither is flushed again at exit, which would retry the
+    # bytes of a failed write and turn the exit code into 120.
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.close()
+            except OSError:
+                pass
     sys.exit(code)
 
 

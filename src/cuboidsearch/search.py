@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from collections import deque, namedtuple
 from collections.abc import Callable, Iterable, Sequence
 
@@ -172,21 +171,39 @@ def _named(exc: OSError, path: str) -> OSError:
     return exc
 
 
-def _read_lines(path: str) -> list[str]:
-    """All lines of a text file the search wrote; bytes that are not UTF-8
-    mean the file is damaged."""
+def _read_lines(kind: str, path: str) -> list[str]:
+    """All lines of a text file the search wrote, its `kind` ("checkpoint"
+    or "output") naming it in messages; bytes that are not UTF-8 mean the
+    file is damaged."""
     with open(path, encoding="utf-8") as fh:
         try:
             return fh.readlines()
         except UnicodeDecodeError as exc:
-            raise ResumeMismatch(f"{path} is damaged: {exc.reason}") from None
+            raise ResumeMismatch(f"{kind} {path} is damaged: {exc.reason}") from None
+
+
+class SearchTally(
+    namedtuple(
+        "SearchTally",
+        "pairs_examined pairs_nonempty pairs_obstructed candidates_evaluated hits",
+    )
+):
+    """What a search counts, for one p or for a whole run: the summary
+    line's counters in its order, and `hits`, the list of CuboidWitness
+    found, in p order."""
+
+    __slots__ = ()
+
+    def counts(self) -> tuple[int, ...]:
+        """The summary line's five integers: the counters and the hit count."""
+        return (*self[:4], len(self.hits))
 
 
 class SearchCheckpoint(
     namedtuple(
         "SearchCheckpoint",
-        "version p_min p_max last_completed_p candidates_found pairs_examined"
-        " pairs_nonempty pairs_obstructed candidates_evaluated",
+        "version p_min p_max last_completed_p candidates_found "
+        + " ".join(SearchTally._fields[:4]),
     )
 ):
     """The state of a run after its last merged p: its p range and the
@@ -215,14 +232,15 @@ class SearchCheckpoint(
         """Parse a checkpoint of the current version; another version, a
         missing or non-integer field, or any text other than what `write`
         makes of the parsed state raises ResumeMismatch."""
-        lines = _read_lines(path)
+        lines = _read_lines("checkpoint", path)
         fields: dict[str, str] = {}
         for line in lines:
             key, _, value = line.strip().partition("=")
             fields[key] = value
-        if fields.get("version") != str(CHECKPOINT_VERSION):
+        # a file with no version line is damaged: a missing field, below
+        if "version" in fields and fields["version"] != str(CHECKPOINT_VERSION):
             raise ResumeMismatch(
-                f"checkpoint {path} has version {fields.get('version')}, "
+                f"checkpoint {path} has version {fields['version']}, "
                 f"expected {CHECKPOINT_VERSION}"
             )
         try:
@@ -241,19 +259,6 @@ class SearchCheckpoint(
                 f"out of order or not as written"
             )
         return ckpt
-
-
-class SearchReport(
-    namedtuple(
-        "SearchReport",
-        "pairs_examined pairs_nonempty pairs_obstructed candidates_evaluated"
-        " hits wall_time",
-    )
-):
-    """Counters, hits (a list of CuboidWitness) and wall time in seconds of
-    one run_search call."""
-
-    __slots__ = ()
 
 
 def t_bounds(p: int, q: int) -> tuple[int, int] | None:
@@ -480,11 +485,8 @@ def sieve_pairs(p: int, primes: Iterable[int]) -> tuple[int, list[int]]:
     return nonempty, survivors
 
 
-def _scan_p(p: int) -> tuple[int, tuple[int, int, int, int], tuple]:
-    """Worker: search every pair for one p.  Returns (p, counts, hits), with
-    counts the summary counters of p in the order of the checkpoint's
-    fields: pairs_examined, pairs_nonempty, pairs_obstructed and
-    candidates_evaluated.
+def _scan_p(p: int) -> tuple[int, SearchTally]:
+    """Worker: search every pair for one p.  Returns p and its SearchTally.
 
     p is factored once, for the sieve and for pair_count.  Only the pairs
     `sieve_pairs` leaves get valuation candidates.  A root goes straight to
@@ -506,8 +508,7 @@ def _scan_p(p: int) -> tuple[int, tuple[int, int, int, int], tuple]:
     if hits:
         hits.sort(key=lambda w: (w.p, w.q, w.t, w.case))
     obstructed = nonempty - len(survivors)
-    counts = (pair_count(p, primes), nonempty, obstructed, evaluated)
-    return p, counts, tuple(hits)
+    return p, SearchTally(pair_count(p, primes), nonempty, obstructed, evaluated, hits)
 
 
 def _scan_run(ps: range) -> list:
@@ -550,14 +551,14 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-def _summary_line(counts: Sequence[int], hits: int) -> str:
+def _summary_line(counts: Sequence[int]) -> str:
     """The output's last line, byte for byte what `_json_line` makes of
-    {"summary": True, <counter>: <count>, ..., "hits": hits}, formatted from
-    the integers: the counter names need no escaping and json writes an int
-    as its repr."""
-    names = SearchCheckpoint._fields[5:]
-    fields = "".join(f',"{name}":{count}' for name, count in zip(names, counts))
-    return f'{{"summary":true{fields},"hits":{hits}}}\n'
+    {"summary": True, <name>: <count>, ...}, with the names of SearchTally's
+    fields and `counts` its five integers (`SearchTally.counts`), formatted
+    from the integers: the names need no escaping and json writes an int as
+    its repr."""
+    fields = "".join(f',"{k}":{v}' for k, v in zip(SearchTally._fields, counts))
+    return f'{{"summary":true{fields}}}\n'
 
 
 def _kept_witness(obj: dict, line: str, where: str) -> CuboidWitness:
@@ -607,7 +608,7 @@ def _load_resume_state(
         )
     kept = []
     if os.path.exists(config.output_path):
-        lines = _read_lines(config.output_path)
+        lines = _read_lines("output", config.output_path)
         if lines:
             import json  # an interrupted hitless run leaves no line to parse
         for number, line in enumerate(lines, start=1):
@@ -634,15 +635,12 @@ def _load_resume_state(
     return ckpt, kept
 
 
-ProgressFn = Callable[[int, int, int, int, int, int], None]
-
-
 def run_search(
     config: SearchConfig,
-    progress: ProgressFn | None = None,
+    progress: Callable[[int, SearchTally], None] | None = None,
     abort_after_p: int | None = None,
-) -> SearchReport:
-    """Run the full search over [p_min, p_max].
+) -> SearchTally:
+    """Run the full search over [p_min, p_max] and return its SearchTally.
 
     Results are merged in p order and the JSONL output (hit lines plus one
     final summary line of counters) is deterministic for any worker count.
@@ -654,23 +652,22 @@ def run_search(
     merged since its last write to CHECKPOINT_MIN_WORK, after the last p,
     and when the run is interrupted or fails, but not again after a failed
     write; so it never counts a hit line that is not on disk.  The pool, if
-    any, is shut down after that last write, whether it failed or not.  The
-    report's wall time is that of this call alone.
-    `progress(p, pairs, nonempty, obstructed, evaluated, hits)` is called
-    per completed p.  `abort_after_p` simulates an interruption right after
+    any, is shut down after that last write, whether it failed or not.
+    The run's tally starts at zero, or on a resume at the checkpoint's
+    counters and the kept hits, and each merged p's tally is added to it
+    field by field.  `progress(p, tally)` is called per merged p with that
+    p's own tally.  `abort_after_p` simulates an interruption right after
     that p completes (test hook for the resume contract).  The summary line
     is formatted from its integer counters; `json` is imported only for the
     first hit line, or by a resume over an output that has lines.
     """
-    start = time.monotonic()
-    counts: tuple[int, ...] = (0, 0, 0, 0)
-    hits: list[CuboidWitness] = []
+    tally = SearchTally(0, 0, 0, 0, [])
     done = config.p_min - 1  # the last merged p
 
     if config.checkpoint_path and os.path.exists(config.checkpoint_path):
-        ckpt, hits = _load_resume_state(config)
+        ckpt, kept = _load_resume_state(config)
         done = ckpt.last_completed_p
-        counts = ckpt[5:]
+        tally = SearchTally(*ckpt[5:], kept)
 
     out = open(config.output_path, "w", encoding="utf-8")
 
@@ -685,12 +682,12 @@ def run_search(
 
     def save() -> None:
         SearchCheckpoint(
-            CHECKPOINT_VERSION, config.p_min, config.p_max, done, len(hits),
-            *counts,
+            CHECKPOINT_VERSION, config.p_min, config.p_max, done,
+            len(tally.hits), *tally[:4],
         ).write(config.checkpoint_path)
 
     try:
-        emit(hits)
+        emit(tally.hits)
 
         todo = range(done + 1, config.p_max + 1)
         if use_pool(config.worker_count, todo):
@@ -715,12 +712,13 @@ def run_search(
         unsaved = 0  # work merged since the checkpoint was last written
 
         try:
-            for p, p_counts, p_hits in results:
-                # p is merged once its hit lines are written
-                if p_hits:
-                    emit(p_hits)
-                    hits.extend(p_hits)
-                counts = tuple(a + b for a, b in zip(counts, p_counts))
+            for p, p_tally in results:
+                # p is merged once its hit lines are written; the run's hit
+                # list grows in place, so a hitless p copies nothing
+                if p_tally.hits:
+                    emit(p_tally.hits)
+                    tally.hits.extend(p_tally.hits)
+                tally = SearchTally(*map(sum, zip(tally[:4], p_tally)), tally.hits)
                 done = p
                 if config.checkpoint_path:
                     unsaved += p
@@ -728,7 +726,7 @@ def run_search(
                         unsaved = 0  # a failed write is not tried again
                         save()
                 if progress:
-                    progress(p, *p_counts, len(p_hits))
+                    progress(p, p_tally)
                 if abort_after_p is not None and p >= abort_after_p:
                     raise KeyboardInterrupt("simulated interruption")
         finally:
@@ -741,10 +739,10 @@ def run_search(
                 if executor is not None:
                     executor.shutdown(cancel_futures=True)
 
-        out.write(_summary_line(counts, len(hits)))
+        out.write(_summary_line(tally.counts()))
     finally:
         try:
             out.close()  # it flushes the summary line
         except OSError as exc:
             raise _named(exc, config.output_path)
-    return SearchReport(*counts, hits, time.monotonic() - start)
+    return tally

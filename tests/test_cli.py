@@ -83,6 +83,23 @@ class TestSearchCommand:
         assert summary["summary"] is True
         assert summary["hits"] == 0
 
+    def test_totals_line(self, tmp_path, capsys):
+        # the last stderr line: the run's totals, as the summary line has
+        # them, and the wall time of the search
+        code, _, err = run_cli(
+            capsys, "search", "--p-max", "40", "--threads", "1",
+            "--out", str(tmp_path / "t.jsonl"),
+        )
+        assert code == cli.EXIT_OK
+        assert err.endswith("\n")
+        lines = err.splitlines()
+        assert len(lines) == 41 and all(l.startswith("p=") for l in lines[:40])
+        assert re.fullmatch(
+            r"pairs=28908 nonempty=899 obstructed=899 evaluated=0 hits=0 "
+            r"wall=\d+\.\d\ds",
+            lines[-1],
+        )
+
     def test_bad_range(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -690,9 +707,9 @@ def test_interrupt_outside_search(capsys, monkeypatch, argv, module, name):
     assert run_cli(capsys, *argv) == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
 
 
-class FailingStdout:
-    """A stdout whose flush fails with `error`, and its write too when
-    `at` is "write"."""
+class FailingStream:
+    """A stdout or stderr whose flush fails with `error`, and its write too
+    when `at` is "write"."""
 
     def __init__(self, error, at):
         self.error, self.at = error, at
@@ -722,9 +739,84 @@ def test_failed_stdout_is_an_io_error(capsys, monkeypatch, argv, at, error):
     # stdout on a full disk or a closed pipe, failing at a print or at the
     # flush that ends every command: exit 4 and one stderr line naming the
     # reason, as for any other I/O error, and no traceback
-    monkeypatch.setattr(sys, "stdout", FailingStdout(error, at))
+    monkeypatch.setattr(sys, "stdout", FailingStream(error, at))
     assert cli.main(argv) == cli.EXIT_IO
     assert capsys.readouterr().err == f"error: {error.strerror}\n"
+
+
+@pytest.mark.parametrize("error", [
+    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    OSError(errno.EBADF, os.strerror(errno.EBADF)),
+    BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+], ids=["ENOSPC", "EBADF", "EPIPE"])
+@pytest.mark.parametrize("failure, code", [
+    ("refused", cli.EXIT_BAD_FLAGS),
+    ("resume-mismatch", cli.EXIT_RESUME_MISMATCH),
+    ("io", cli.EXIT_IO),
+    ("interrupt", cli.EXIT_INTERRUPTED),
+])
+def test_failure_code_holds_without_stderr(tmp_path, monkeypatch, failure, code, error):
+    # stderr on a full disk, closed or a closed pipe cannot take the
+    # failure's line, and the failure keeps its exit code; the I/O error
+    # is the failed write of search's first progress line to that stderr
+    search_argv = ["search", "--p-max", "3", "--threads", "1",
+                   "--out", str(tmp_path / "a.jsonl")]
+    argv = ["roots", "--p", "1", "--q", "2"]
+    if failure == "resume-mismatch":
+        (tmp_path / "a.ckpt").write_text("garbage\n")
+        argv = search_argv + ["--checkpoint", str(tmp_path / "a.ckpt")]
+    elif failure == "io":
+        argv = search_argv
+    elif failure == "interrupt":
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(asymptotics, "certify_roots", interrupted)
+        argv = ["roots", "--p", "1", "--q", "59"]
+    monkeypatch.setattr(sys, "stderr", FailingStream(error, "write"))
+    assert cli.main(argv) == code
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr, command, code", [
+    ("full", "roots", cli.EXIT_BAD_FLAGS),
+    ("full", "search", cli.EXIT_IO),
+    ("pipe", "roots", cli.EXIT_BAD_FLAGS),
+    ("pipe", "search", cli.EXIT_IO),
+    ("closed", "roots", cli.EXIT_BAD_FLAGS),
+    ("closed", "search", cli.EXIT_OK),
+])
+def test_failure_code_holds_without_stderr_as_a_process(
+    tmp_path, stderr, command, code, unbuffered
+):
+    # stderr on a full disk, on a pipe whose read end is closed, or fd 2
+    # closed at start (sys.stderr is None, and stderr's lines are dropped):
+    # the interpreter's exit does not write a failed line again, which
+    # would make the code 120, and no line goes to stdout instead
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    argv = [sys.executable, "-m", "cuboidsearch.cli"] + (
+        ["roots", "--p", "1", "--q", "2"] if command == "roots" else
+        ["search", "--p-max", "3", "--threads", "1", "--out", str(tmp_path / "a.jsonl")]
+    )
+    run = dict(env=env, stdout=subprocess.PIPE, timeout=60)
+    if stderr == "full":
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stderr=full, **run)
+    elif stderr == "pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(argv, stderr=write_end, **run)
+        finally:
+            os.close(write_end)
+    else:  # the shell closes fd 2 and starts the interpreter in its place
+        proc = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh"] + argv, **run)
+    assert (proc.returncode, proc.stdout) == (code, b"")
 
 
 def test_library_fault_is_not_bad_flags(capsys, monkeypatch):

@@ -88,7 +88,7 @@ def _records():
         )[0],
         CuboidWitness(1, 2, 5, "AU_EQ_B2", 3, 4, 12, 13, 15, 5, 13),
         search.SearchCheckpoint(5, 1, 2, 2, 0, 57, 1, 1, 0),
-        search.SearchReport(57, 1, 1, 0, [], 0.0),
+        search.SearchTally(57, 1, 1, 0, []),
     ]
 
 

@@ -18,6 +18,7 @@ from cuboidsearch.search import (
     ResumeMismatch,
     SearchCheckpoint,
     SearchConfig,
+    SearchTally,
     pair_candidates,
     pair_count,
     pair_count_sum,
@@ -80,8 +81,8 @@ def hit_key(w):
 def kernel_counts(p):
     """(pairs_examined, pairs_nonempty, pairs_obstructed,
     candidates_evaluated, hits) of the search kernel for one p."""
-    _, counts, hits = search._scan_p(p)
-    return (*counts, hits)
+    _, tally = search._scan_p(p)
+    return (*tally[:4], tuple(tally.hits))
 
 
 def capped_pairs(p):
@@ -785,13 +786,12 @@ class TestRunSearch:
     def test_summary_line_is_the_json_of_its_counters(self):
         # formatted without json, it must keep json's compact bytes
         rng = random.Random(2904)
-        names = SearchCheckpoint._fields[5:]
+        names = SearchTally._fields
         for _ in range(200):
             counts = [rng.choice((0, rng.randint(1, 10**6), rng.randint(2**64, 2**200)))
                       for _ in names]
-            hits = rng.choice((0, 1, 2**64 + rng.randint(0, 10**9)))
-            obj = {"summary": True, **dict(zip(names, counts)), "hits": hits}
-            line = search._summary_line(counts, hits)
+            obj = {"summary": True, **dict(zip(names, counts))}
+            line = search._summary_line(counts)
             assert line == json.dumps(obj, separators=(",", ":")) + "\n"
             assert json.loads(line) == obj
 
@@ -981,16 +981,50 @@ class TestRunSearch:
                 tmp_path / f"one.{suffix}"
             ).read_bytes()
 
+    @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])
+    @pytest.mark.parametrize("abort_after_p", [None, 4], ids=["fresh", "resumed"])
+    def test_tallies_add_up(self, tmp_path, monkeypatch, fake_pool, planted,
+                            pooled, abort_after_p):
+        # the tallies that progress gets, one per p, add up field by field
+        # to the run's tally and its summary line, with the hits in p order,
+        # across an interruption after p = 4 and its resume as well
+        if pooled:
+            monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
+            monkeypatch.setattr(search, "available_cpus", lambda: 2)
+        config = make_config(tmp_path, p_max=6, worker_count=2 if pooled else 1)
+        tallies = []
+
+        def progress(p, tally):
+            tallies.append((p, tally))
+
+        if abort_after_p:
+            with pytest.raises(KeyboardInterrupt):
+                run_search(config, progress=progress, abort_after_p=abort_after_p)
+        total = run_search(config, progress=progress)
+        assert [p for p, _ in tallies] == list(range(1, 7))
+        assert total == SearchTally(
+            *(sum(tally[i] for _, tally in tallies) for i in range(4)),
+            [w for _, tally in tallies for w in tally.hits],
+        )
+        assert [(w.p, w.q, w.t) for w in total.hits] == [(3, 2, 12)] * 2
+        summary = json.loads((tmp_path / "a.jsonl").read_text().splitlines()[-1])
+        assert summary == {
+            "summary": True, **dict(zip(SearchTally._fields, total.counts()))
+        }
+        assert fake_pool.sizes == ([2] * (1 + bool(abort_after_p)) if pooled else [])
+
     def test_pool_futures_bounded(self, tmp_path, monkeypatch, fake_pool):
         # a pool holds at most POOL_WINDOW runs per worker submitted and not
         # yet merged, not one future per run of the whole range, and the p
         # still merge in order
         monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
         monkeypatch.setattr(search, "available_cpus", lambda: 2)
-        monkeypatch.setattr(search, "_scan_p", lambda p: (p, (0, 0, 0, 0), ()))
+        monkeypatch.setattr(
+            search, "_scan_p", lambda p: (p, SearchTally(0, 0, 0, 0, []))
+        )
         merged = []
         config = SearchConfig(1, 10**4, 2, None, str(tmp_path / "a.jsonl"))
-        run_search(config, progress=lambda p, *counts: merged.append(p))
+        run_search(config, progress=lambda p, tally: merged.append(p))
         assert merged == list(range(1, 10**4 + 1))
         assert len(fake_pool.runs[0]) == math.ceil(10**4 / search.POOL_CHUNK)
         assert fake_pool.peak == search.POOL_WINDOW * 2
@@ -1286,8 +1320,9 @@ class TestRunSearch:
          r"last_completed_p=6 lies outside p 1\.\.5"),
         (lambda text: text.replace("last_completed_p=2", "last_completed_p=400"),
          r"last_completed_p=400 lies outside p 1\.\.5"),
-        (lambda text: "", "has version None"),
-        (lambda text: "\udcff" + text, "damaged"),
+        (lambda text: "", r"^checkpoint .* is damaged: missing field 'version'$"),
+        (lambda text: "\udcff" + text,
+         r"^checkpoint .* is damaged: invalid start byte$"),
         # each field is read, but the text is not what the state writes
         (lambda text: text.replace("p_max=5\n", "p_max=5\np_max=5\n"), EXTRA),
         (lambda text: text.replace("p_max=5\n", "p_max=5\np_max=9\n"), EXTRA),
@@ -1322,6 +1357,16 @@ class TestRunSearch:
         path.write_bytes(path.read_bytes()[:-7])
         run_search(config)
         assert path.read_bytes() == (tmp_path / "base.jsonl").read_bytes()
+
+    def test_output_not_utf8_named(self, tmp_path):
+        # the message says which file is damaged, as every resume message does
+        config = make_config(tmp_path)
+        run_search(config)
+        (tmp_path / "a.jsonl").write_bytes(b"\xff\n")
+        with pytest.raises(
+            ResumeMismatch, match=r"^output .*a\.jsonl is damaged: invalid start byte$"
+        ):
+            run_search(config)
 
     @pytest.mark.parametrize("line", ['{"p":1,', "[1]", '{"q":2}'])
     def test_unparsable_inner_line_refused(self, tmp_path, line):
