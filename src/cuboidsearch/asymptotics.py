@@ -2,6 +2,9 @@
 
 The polynomial, written as a sum A_{m,r}(p) q^r t^m, has a Newton polygon
 whose upper-boundary slopes give the growth exponents of its roots in q.
+The paper's upper hull and the leading terms of the roots are claims here,
+certified exactly against the grid read off qpq_coefficients, as the root
+intervals are: nothing is solved.
 For q >= 59 p the five roots in the upper half plane (three real, two purely
 imaginary) lie in five explicit disjoint open intervals with endpoints in
 the rationals or in the sqrt(2) field.  Each interval is certified to hold
@@ -18,28 +21,19 @@ from collections.abc import Iterator
 from .exact_arith import (
     QUAD_ZERO,
     QuadRational,
-    quad_sign,
-    quad_sqrt,
     sqrt2_sign,
     value_at_sqrt2,
 )
 from .cuboid_eqs import InvalidInput, PQPair, build_rpq, qpq_coefficients
-
-TYPE_CHECKING = False  # true for type checkers, which read the import below
-if TYPE_CHECKING:  # imported where used: only `newton` builds a Fraction
-    from fractions import Fraction
 
 
 class PreconditionViolated(InvalidInput):
     """The interval theorems require q >= 59 p."""
 
 
-class DegenerateHull(ValueError):
-    """All nodes share one t-power; no slope is defined."""
-
-
 class CertificationFailed(RuntimeError):
-    """An interval failed its root certificate; names the interval and check."""
+    """A claim failed its certificate: a root interval, named with the check
+    that failed, or the Newton hull or a leading term."""
 
 
 class NewtonNode(namedtuple("NewtonNode", "m r c e")):
@@ -47,17 +41,6 @@ class NewtonNode(namedtuple("NewtonNode", "m r c e")):
 
     The polynomial is homogeneous in (p, q, t), so each node has a single
     power of p."""
-
-    __slots__ = ()
-
-
-class NewtonPolygon(
-    namedtuple("NewtonPolygon", "nodes upper_hull segment_slopes exponents")
-):
-    """The grid's upper hull: `nodes` are all NewtonNode, sorted by (m, r);
-    `upper_hull` the (m, r) vertices in increasing m; `segment_slopes` the
-    Fraction slope of each hull segment and `exponents` their negatives,
-    ascending."""
 
     __slots__ = ()
 
@@ -92,125 +75,111 @@ def build_newton_grid() -> tuple:
     return tuple(sorted(nodes))
 
 
-def _cross(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def upper_hull(nodes) -> NewtonPolygon:
-    """Upper convex hull of the node set, with slopes and root exponents.
-
-    Monotone chain over points sorted by (m, r); exact integer cross
-    products only.
-    """
-    from fractions import Fraction
-
-    points = sorted({(n.m, n.r) for n in nodes})
-    if len({m for m, _ in points}) < 2:
-        raise DegenerateHull("all nodes share one t-power")
-    hull: list[tuple[int, int]] = []
-    for pt in reversed(points):  # right to left builds the upper boundary
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) <= 0:
-            hull.pop()
-        hull.append(pt)
-    hull.reverse()
-    slopes = tuple(
-        Fraction(b[1] - a[1], b[0] - a[0]) for a, b in zip(hull, hull[1:])
-    )
-    # the slopes of a strict upper hull fall from left to right
-    exponents = tuple(-k for k in slopes)
-    return NewtonPolygon(
-        nodes=tuple(sorted(nodes, key=lambda n: (n.m, n.r))),
-        upper_hull=tuple(hull),
-        segment_slopes=slopes,
-        exponents=exponents,
-    )
-
-
 class LeadingTerm(
     namedtuple("LeadingTerm", "exponent magnitude p_power axis multiplicity")
 ):
     """Leading factor of one root expansion: magnitude * p^p_power * q^exponent,
     on the real or imaginary axis (axis "REAL" or "IMAGINARY"), with a
-    Fraction exponent and a QuadRational magnitude > 0."""
+    rational exponent and a QuadRational magnitude > 0."""
 
     __slots__ = ()
 
 
-def _solve_even_gamma(coeffs: list[int]) -> list[tuple[QuadRational, str, int]]:
-    """Admissible roots of an even integer polynomial in gamma.
+# The paper's claims for Q: the upper hull of its grid, vertices (m, r) in
+# increasing m, and the leading term of each upper-half-plane root, one per
+# distinct root s = gamma^2 (real axis) or s = -mu^2 (imaginary axis) of a
+# hull segment's equation.  certify_newton checks them against the grid.
+NEWTON_HULL = ((0, 10), (4, 10), (6, 8), (10, 0))
+LEADING_TERMS = (
+    LeadingTerm(0, QuadRational(1), 2, "REAL", 2),
+    LeadingTerm(1, QuadRational(1), 1, "REAL", 1),
+    LeadingTerm(2, QuadRational(-1, 1), 0, "IMAGINARY", 1),
+    LeadingTerm(2, QuadRational(1, 1), 0, "IMAGINARY", 1),
+)
 
-    coeffs are in s = gamma^2, degree <= 2.  Returns (magnitude, axis,
-    multiplicity) triples keeping only roots with gamma > 0 (real) or with
-    positive imaginary part (imaginary axis).
+
+def certify_newton(nodes, hull, terms) -> None:
+    """Certify `hull` as the upper hull of the grid `nodes`, and `terms` as
+    the leading terms of the roots, or raise CertificationFailed naming the
+    first claim that fails.
+
+    The hull holds when every vertex is a node, its m increase from the
+    least m of the nodes to the greatest, each inner vertex is a strict
+    corner and no node lies above it: it is then the nodes' upper hull.
+    A segment (m1, r1) - (m2, r2) has the exponent (r1 - r2)/(m2 - m1).
+    Put C = gamma p^w into its nodes, with w = (e1 - e2)/(m2 - m1) the
+    p-weight of its ends (homogeneity leaves one power of p on the
+    segment): their coefficients make an integer equation in s = gamma^2
+    of degree (m2 - m1)/2.  Each term's exponent must be a segment's, its
+    magnitude and multiplicity positive, and its p_power w.  A segment's
+    terms must sit at distinct points s = gamma^2 (real axis) or -mu^2
+    (imaginary axis), where value_at_sqrt2 of the equation and of its
+    derivatives vanishes through the claimed multiplicity, and those sum
+    to the degree: so the terms account for every root, once each.
     """
-    s_roots: list[tuple[QuadRational, int]] = []
-    if len(coeffs) == 2:
-        c0, c1 = coeffs
-        s_roots.append((QuadRational(-c0, 0, c1), 1))
-    elif len(coeffs) == 3:
-        c0, c1, c2 = coeffs
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc == 0:
-            s_roots.append((QuadRational(-c1, 0, 2 * c2), 2))
-        else:
-            sq = quad_sqrt(QuadRational(disc))
-            if sq is None:
-                raise ValueError("discriminant outside the sqrt(2) field")
-            half = QuadRational(1, 0, 2 * c2)
-            base = QuadRational(-c1)
-            s_roots.append(((base + sq) * half, 1))
-            s_roots.append(((base - sq) * half, 1))
-    else:
-        raise ValueError("expected degree 1 or 2 in gamma^2")
-
-    out = []
-    for s, mult in s_roots:
-        sgn = quad_sign(s)
-        if sgn == 0:
-            continue  # gamma = 0 is divided out beforehand
-        if sgn > 0:
-            gamma = quad_sqrt(s)
-            if gamma is None:
-                raise ValueError("real root magnitude outside the sqrt(2) field")
-            out.append((gamma, "REAL", mult))
-        else:
-            mag = quad_sqrt(-s)
-            if mag is None:
-                raise ValueError("imaginary root magnitude outside the sqrt(2) field")
-            out.append((mag, "IMAGINARY", mult))
-    return out
-
-
-def leading_coefficients(polygon: NewtonPolygon, exponent: Fraction) -> list[LeadingTerm]:
-    """Admissible leading terms for the hull segment of slope -exponent.
-
-    Collects the grid nodes on that segment, substitutes C = gamma * p^w
-    with the p-weight w read off the segment, reduces to an integer
-    polynomial in gamma^2, and solves it exactly over the sqrt(2) field.
-    Roots with gamma < 0, or below the real axis, are discarded.
-    """
-    from fractions import Fraction
-
-    exponent = Fraction(exponent)
-    if exponent not in polygon.exponents:
-        raise ValueError(f"exponent {exponent} is not a hull exponent")
-    seg = polygon.exponents.index(exponent)
-    (m1, r1), (m2, r2) = polygon.upper_hull[seg:seg + 2]
-    on_segment = {
-        n.m: n for n in polygon.nodes
-        if m1 <= n.m <= m2 and (n.r - r1) * (m2 - m1) == (n.m - m1) * (r2 - r1)
-    }
-    w = Fraction(on_segment[m1].e - on_segment[m2].e, m2 - m1)
-    if w.denominator != 1:
-        raise ValueError("fractional p-weight on hull segment")
-    shifted = {m - m1: n.c for m, n in on_segment.items()}
-    if any(m % 2 for m in shifted):
-        raise ValueError("segment equation is not even in gamma")
-    s_coeffs = [shifted.get(2 * i, 0) for i in range(max(shifted) // 2 + 1)]
-    return [
-        LeadingTerm(exponent, mag, int(w), axis, mult)
-        for mag, axis, mult in _solve_even_gamma(s_coeffs)
-    ]
+    at = {(n.m, n.r): n for n in nodes}
+    ms = [m for m, _ in hull]
+    ends = min(n.m for n in nodes), max(n.m for n in nodes)
+    segments = list(zip(hull, hull[1:]))
+    for vertex in hull:
+        if vertex not in at:
+            raise CertificationFailed(f"hull vertex {vertex} is not a grid node")
+    if len(hull) < 2 or ms != sorted(set(ms)) or (ms[0], ms[-1]) != ends:
+        raise CertificationFailed(
+            f"hull does not run from m = {ends[0]} to m = {ends[1]} in increasing m"
+        )
+    for (m1, r1), (m2, r2), (m3, r3) in zip(hull, hull[1:], hull[2:]):
+        if (r2 - r1) * (m3 - m2) <= (r3 - r2) * (m2 - m1):
+            raise CertificationFailed(f"hull vertex {(m2, r2)} is not a strict corner")
+    for n in nodes:
+        for (m1, r1), (m2, r2) in segments:
+            if m1 <= n.m <= m2 and (n.r - r1) * (m2 - m1) > (n.m - m1) * (r2 - r1):
+                raise CertificationFailed(f"grid node {(n.m, n.r)} lies above the hull")
+    for t in terms:
+        if not any(t.exponent * (m2 - m1) == r1 - r2 for (m1, r1), (m2, r2) in segments):
+            raise CertificationFailed(f"exponent {t.exponent} is not a hull exponent")
+        if not (QUAD_ZERO < t.magnitude and t.multiplicity > 0):
+            raise CertificationFailed(
+                f"term {t.magnitude} of multiplicity {t.multiplicity} at exponent "
+                f"{t.exponent} is not positive"
+            )
+    for (m1, r1), (m2, r2) in segments:
+        segment = f"segment {(m1, r1)} - {(m2, r2)}"
+        on = {
+            n.m - m1: n.c for n in nodes
+            if m1 <= n.m <= m2 and (n.r - r1) * (m2 - m1) == (n.m - m1) * (r2 - r1)
+        }
+        if any(k % 2 for k in on):
+            raise CertificationFailed(f"{segment} is not even in gamma")
+        equation = tuple(on.get(k, 0) for k in range(0, m2 - m1 + 1, 2))
+        claimed = [t for t in terms if t.exponent * (m2 - m1) == r1 - r2]
+        points = [
+            -(t.magnitude * t.magnitude) if t.axis == "IMAGINARY"
+            else t.magnitude * t.magnitude
+            for t in claimed
+        ]
+        if len(set(points)) != len(points):
+            raise CertificationFailed(f"{segment} has two terms at one point s")
+        for t, s in zip(claimed, points):
+            derivative = equation
+            for _ in range(t.multiplicity):
+                if value_at_sqrt2(derivative, *s) != (0, 0):
+                    raise CertificationFailed(
+                        f"{segment} has no root of multiplicity {t.multiplicity}"
+                        f" at s = {s}"
+                    )
+                derivative = tuple(i * c for i, c in enumerate(derivative))[1:]
+        total = sum(t.multiplicity for t in claimed)
+        if total != len(equation) - 1:
+            raise CertificationFailed(
+                f"{segment} has multiplicities summing to {total}, not its degree"
+            )
+        weight = at[m1, r1].e - at[m2, r2].e  # times m2 - m1
+        for t in claimed:
+            if t.p_power * (m2 - m1) != weight:
+                raise CertificationFailed(
+                    f"{segment} has a p-weight other than p_power {t.p_power}"
+                )
 
 
 class AsymptoticInterval(namedtuple("AsymptoticInterval", "label axis lo hi")):

@@ -231,45 +231,33 @@ def cmd_roots(args) -> int:
     return EXIT_OK
 
 
-GOLDEN_HULL = ((0, 10), (4, 10), (6, 8), (10, 0))
-
-
 def cmd_newton(args) -> int:
-    from fractions import Fraction  # only newton's golden data needs it
+    from fractions import Fraction  # only newton's slopes need it
 
-    golden_exponents = (Fraction(0), Fraction(1), Fraction(2))
-    one = QuadRational(1)
-    golden_terms = {
-        (Fraction(0), one, 2, "REAL", 2),
-        (Fraction(1), one, 1, "REAL", 1),
-        (Fraction(2), QuadRational(1, 1), 0, "IMAGINARY", 1),
-        (Fraction(2), QuadRational(-1, 1), 0, "IMAGINARY", 1),
-    }
     grid = asymptotics.build_newton_grid()
-    polygon = asymptotics.upper_hull(grid)
+    hull, terms = asymptotics.NEWTON_HULL, asymptotics.LEADING_TERMS
     print("Grid nodes (m, r, coefficient in p):")
     for node in grid:
         term = f"{node.c}*p^{node.e}" if node.e else str(node.c)
         print(f"  ({node.m}, {node.r}): {term}")
-    print(f"Upper hull: {' - '.join(str(v) for v in polygon.upper_hull)}")
-    print(f"Slopes: {list(polygon.segment_slopes)}")
-    print(f"Exponents: {list(polygon.exponents)}")
-    found = set()
-    for exponent in polygon.exponents:
-        for term in asymptotics.leading_coefficients(polygon, exponent):
-            axis = "i*" if term.axis == "IMAGINARY" else ""
-            print(
-                f"  exponent {term.exponent}: {axis}({term.magnitude})"
-                f" * p^{term.p_power}, multiplicity {term.multiplicity}"
-            )
-            found.add(term)
-    ok = (
-        polygon.upper_hull == GOLDEN_HULL
-        and polygon.exponents == golden_exponents
-        and found == golden_terms
-    )
-    print(f"golden-data match: {ok}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    print(f"Upper hull: {' - '.join(str(v) for v in hull)}")
+    try:
+        asymptotics.certify_newton(grid, hull, terms)
+    except asymptotics.CertificationFailed as exc:
+        print(f"certification FAILED: {exc}")
+        print("golden-data match: False")
+        return EXIT_CHECK_FAILED
+    slopes = [Fraction(r2 - r1, m2 - m1) for (m1, r1), (m2, r2) in zip(hull, hull[1:])]
+    print(f"Slopes: {slopes}")
+    print(f"Exponents: {[-k for k in slopes]}")
+    for term in terms:
+        axis = "i*" if term.axis == "IMAGINARY" else ""
+        print(
+            f"  exponent {term.exponent}: {axis}({term.magnitude})"
+            f" * p^{term.p_power}, multiplicity {term.multiplicity}"
+        )
+    print("golden-data match: True")
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:

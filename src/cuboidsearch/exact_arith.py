@@ -3,8 +3,9 @@
 The real quadratic field of numbers (A + B*sqrt(2))/D held as three
 integers, and univariate integer polynomials held as tuples of
 coefficients (P[i] is the coefficient of t^i, no trailing zero, () for the
-zero polynomial).  Signs in the field, square roots in it, and polynomial
-values at its points, scaled into Z[sqrt(2)], are computed in integers only.
+zero polynomial).  The field's arithmetic, signs and order, and polynomial
+values at its points, scaled into Z[sqrt(2)] by one Horner pass, are
+computed in integers only.
 Everything here is an immutable value and every operation is a pure
 function, so all of it is safe to use from parallel workers.  No floating
 point is used in any decision procedure.
@@ -124,18 +125,11 @@ def _ratio_text(n: int, d: int) -> str:
 QUAD_ZERO = QuadRational(0, 0, 1)
 
 
-def quad_sign(x: QuadRational) -> int:
-    """Exact sign of (A + B*sqrt(2))/D, by integer comparisons only.
-
-    D > 0, so the sign is that of A + B*sqrt(2).  Compares A^2 against
-    2 B^2 with a case split on the signs of A and B; sqrt(2) is never
-    approximated.
-    """
-    return sqrt2_sign(x.A, x.B)
-
-
 def sqrt2_sign(a: int, b: int) -> int:
-    """quad_sign for a + b*sqrt(2) given as two integers."""
+    """Exact sign of a + b*sqrt(2) for integers a and b, by integer
+    comparisons only: a^2 against 2 b^2 when the signs of a and b differ;
+    sqrt(2) is never approximated.  A QuadRational x has the sign of
+    sqrt2_sign(x.A, x.B), as its D is positive."""
     if b == 0:
         return (a > 0) - (a < 0)
     if a == 0:
@@ -150,46 +144,6 @@ def sqrt2_sign(a: int, b: int) -> int:
         return (cmp > 0) - (cmp < 0)
     # a < 0, b > 0
     return (cmp < 0) - (cmp > 0)
-
-
-def _square_root(n: int) -> int | None:
-    """The integer square root of n if n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def quad_sqrt(x: QuadRational) -> QuadRational | None:
-    """Positive square root of x inside the field, or None if it does not
-    stay in the field.  Requires x >= 0.
-
-    Z[sqrt(2)] is the field's ring of integers, so a root in the field of
-    the element (A + B*sqrt(2))*D of that ring lies in it too: the root of
-    x = (A + B*sqrt(2))/D is (u + v*sqrt(2))/D with integers u and v,
-    u^2 + 2v^2 = AD and 2uv = BD.  Then u^2 and 2v^2 are (AD + s)/2 and
-    (AD - s)/2 in some order, where s^2 = (AD)^2 - 2(BD)^2, so integer
-    square roots decide it.
-    """
-    sign = quad_sign(x)
-    if sign < 0:
-        raise ValueError("square root of a negative value")
-    if not sign:
-        return QUAD_ZERO
-    A, B, D = x
-    a, b = A * D, B * D
-    s = _square_root(a * a - 2 * b * b)
-    if s is None:
-        return None
-    for u2 in ((a + s) // 2, (a - s) // 2):  # a and s have one parity
-        u, v = _square_root(u2), _square_root((a - u2) // 2)
-        if u is None or v is None or u2 + 2 * v * v != a:
-            continue
-        if 2 * u * v != b:  # (2uv)^2 = b^2 here, so only the sign differs
-            v = -v
-        root = QuadRational(u, v, D)
-        return root if sqrt2_sign(u, v) > 0 else -root
-    return None
 
 
 def value_at_sqrt2(P: Poly, A: int, B: int, D: int) -> tuple[int, int]:

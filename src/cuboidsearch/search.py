@@ -238,10 +238,11 @@ class SearchCheckpoint(
             key, _, value = line.strip().partition("=")
             fields[key] = value
         # a file with no version line is damaged: a missing field, below
-        if "version" in fields and fields["version"] != str(CHECKPOINT_VERSION):
+        version = fields.get("version")
+        if version is not None and version != str(CHECKPOINT_VERSION):
             raise ResumeMismatch(
-                f"checkpoint {path} has version {fields['version']}, "
-                f"expected {CHECKPOINT_VERSION}"
+                f"checkpoint {path} has version {version}, expected {CHECKPOINT_VERSION}"
+                if version else f"checkpoint {path} is damaged: empty field 'version'"
             )
         try:
             ckpt = SearchCheckpoint(

@@ -12,8 +12,8 @@ the obstruction sieve done pair by pair, by evaluating Q at every residue
 obstruction sieve by slice assignment alone (`slice_sieve_pairs`).  Beside
 them stand the certificate's earlier arithmetic: Horner evaluation over
 Fraction and over the sqrt(2) field, the Sturm sequence built from
-Fraction remainders and the root count over it, the sqrt(2) field held as two Fractions
-(`FractionQuad`), with its sign and square root, and the rational view
+Fraction remainders and the root count over it, the sqrt(2) field held as
+two Fractions (`FractionQuad`) with its sign, and the rational view
 of the integer field (`quad` from two rationals, `quad_parts` and
 `to_fraction` back, `rational_sqrt`, `sqrt2_approx`).  Then the
 audit path's earlier forms: the degree-12 identity checked as a polynomial
@@ -27,8 +27,9 @@ tuple of integer coefficients with no trailing zero (`poly`), its integer
 value by Horner's scheme, the difference and product of two polynomials,
 Q as its 11 coefficients (`build_qpq`), the expanded-grid build of Q, the
 degree-12 polynomial built from its closed-form coefficients, modular Horner
-evaluation, the covered pair set, the hull dominance check, interval
-bisection, interval width and midpoint, the evenness test, the signs of one
+evaluation, the covered pair set, the check that no grid node lies above a
+claimed Newton hull (`node_dominance_holds`), interval bisection, interval
+width and midpoint, the evenness test, the signs of one
 polynomial at a rational or sqrt(2)-field point, and the integer-point
 exclusion report for the real root intervals.
 """
@@ -45,7 +46,6 @@ from cuboidsearch import cuboid_eqs
 from cuboidsearch.asymptotics import (
     AsymptoticInterval,
     CertificationFailed,
-    NewtonPolygon,
     PreconditionViolated,
     RootCertificate,
     asymptotic_intervals,
@@ -62,7 +62,6 @@ from cuboidsearch.exact_arith import (
     Poly,
     QuadRational,
     QUAD_ZERO,
-    quad_sign,
     sqrt2_sign,
     value_at_sqrt2,
 )
@@ -413,33 +412,6 @@ def fraction_quad_sign(x: FractionQuad) -> int:
     return sa if cmp > 0 else -sa if cmp < 0 else 0
 
 
-def fraction_quad_sqrt(x: FractionQuad) -> Optional[FractionQuad]:
-    """Positive square root of x >= 0 inside the field, or None."""
-    if fraction_quad_sign(x) < 0:
-        raise ValueError("square root of a negative value")
-    if fraction_quad_sign(x) == 0:
-        return FractionQuad.of(0)
-    A, B = x.a, x.b
-    if B == 0:
-        r = rational_sqrt(A)
-        if r is not None:
-            return FractionQuad.of(r)
-        r = rational_sqrt(A / 2)
-        return None if r is None else FractionQuad.of(0, r)
-    disc = A * A - 2 * B * B
-    s = rational_sqrt(disc) if disc >= 0 else None
-    if s is None:
-        return None
-    for u2 in ((A + s) / 2, (A - s) / 2):
-        u = rational_sqrt(u2)
-        if u is None or u == 0:
-            continue
-        for cand in (FractionQuad(u, B / (2 * u)), FractionQuad(-u, -B / (2 * u))):
-            if cand * cand == x and fraction_quad_sign(cand) > 0:
-                return cand
-    return None
-
-
 def eval_mod(P: Poly, x: int, m: int) -> int:
     """P(x) mod m by Horner's scheme, reducing after every step."""
     acc = 0
@@ -673,10 +645,10 @@ def fraction_approx_str(x: QuadRational) -> str:
     return f"approx {value}"
 
 
-def node_dominance_holds(polygon: NewtonPolygon) -> bool:
+def node_dominance_holds(nodes, hull) -> bool:
     """Every node lies on or below the upper hull (checked segment-wise)."""
-    for (m1, r1), (m2, r2) in zip(polygon.upper_hull, polygon.upper_hull[1:]):
-        for n in polygon.nodes:
+    for (m1, r1), (m2, r2) in zip(hull, hull[1:]):
+        for n in nodes:
             if m1 <= n.m <= m2:
                 # r <= r1 + k (m - m1), cleared of denominators
                 if (n.r - r1) * (m2 - m1) > (n.m - m1) * (r2 - r1):
@@ -707,7 +679,7 @@ def refine_interval(
     s_lo = sign_at_quad(P, lo)
     if s_lo == 0:
         return lo
-    while quad_sign((hi - lo) - quad(rel_width) * ((lo + hi) * HALF)) > 0:
+    while (hi - lo) - quad(rel_width) * ((lo + hi) * HALF) > QUAD_ZERO:
         mid = (lo + hi) * HALF
         s_mid = sign_at_quad(P, mid)
         if s_mid == 0:

@@ -12,14 +12,14 @@ from fractions import Fraction
 import pytest
 
 from cuboidsearch.asymptotics import (
+    LEADING_TERMS,
+    NEWTON_HULL,
     asymptotic_intervals,
     build_newton_grid,
+    certify_newton,
     certify_roots,
     check_disjoint,
-    leading_coefficients,
-    upper_hull,
 )
-from cuboidsearch.cli import GOLDEN_HULL
 from cuboidsearch.cuboid_eqs import (
     PQPair,
     compute_z,
@@ -38,6 +38,7 @@ from oracles import (
     fraction_sturm_sequence,
     imaginary_axis_poly,
     integer_point_report,
+    node_dominance_holds,
     oracle_hits,
     pairs_for_p,
     quad_parts,
@@ -76,7 +77,8 @@ def test_criterion_1_factorization_identity():
     print(f"criterion 1 (factorization identity, {checked} pairs): PASS")
 
 
-# The exponents and leading terms that `newton` checks its output against.
+# The hull, exponents and leading terms that `newton` certifies.
+GOLDEN_HULL = ((0, 10), (4, 10), (6, 8), (10, 0))
 GOLDEN_EXPONENTS = (Fraction(0), Fraction(1), Fraction(2))
 GOLDEN_LEADING_TERMS = {
     (Fraction(0), QuadRational(1), 2, "REAL", 2),
@@ -87,14 +89,15 @@ GOLDEN_LEADING_TERMS = {
 
 
 def test_criterion_2_newton_polygon():
-    polygon = upper_hull(build_newton_grid())
-    assert polygon.upper_hull == GOLDEN_HULL
-    assert polygon.exponents == GOLDEN_EXPONENTS
-    found = set()
-    for exponent in polygon.exponents:
-        for t in leading_coefficients(polygon, exponent):
-            found.add((t.exponent, t.magnitude, t.p_power, t.axis, t.multiplicity))
-    assert found == GOLDEN_LEADING_TERMS
+    grid = build_newton_grid()
+    certify_newton(grid, NEWTON_HULL, LEADING_TERMS)
+    assert NEWTON_HULL == GOLDEN_HULL
+    assert node_dominance_holds(grid, NEWTON_HULL)
+    exponents = tuple(
+        Fraction(r1 - r2, m2 - m1) for (m1, r1), (m2, r2) in zip(GOLDEN_HULL, GOLDEN_HULL[1:])
+    )
+    assert exponents == GOLDEN_EXPONENTS
+    assert set(LEADING_TERMS) == GOLDEN_LEADING_TERMS
     print("criterion 2 (Newton polygon and leading terms): PASS")
 
 

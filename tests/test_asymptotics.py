@@ -6,20 +6,21 @@ import pytest
 
 from cuboidsearch import asymptotics
 from cuboidsearch.asymptotics import (
+    LEADING_TERMS,
+    NEWTON_HULL,
     AsymptoticInterval,
     CertificationFailed,
-    DegenerateHull,
+    LeadingTerm,
     NewtonNode,
     PreconditionViolated,
     asymptotic_intervals,
     build_newton_grid,
+    certify_newton,
     certify_roots,
     check_disjoint,
-    leading_coefficients,
-    upper_hull,
 )
 from cuboidsearch.cuboid_eqs import PQPair, build_rpq
-from cuboidsearch.exact_arith import QuadRational, quad_sign
+from cuboidsearch.exact_arith import QUAD_ZERO, QuadRational, sqrt2_sign
 from oracles import (
     QPQ_TERMS,
     asymptotic_intervals_by_sums,
@@ -76,44 +77,63 @@ class TestNewtonGrid:
             build_newton_grid()
 
     def test_hull_matches_golden(self):
-        polygon = upper_hull(build_newton_grid())
-        assert polygon.upper_hull == GOLDEN_HULL
-        assert polygon.segment_slopes == GOLDEN_SLOPES
-        assert polygon.exponents == GOLDEN_EXPONENTS
+        # the claimed hull is certified, with the paper's slopes
+        certify_newton(build_newton_grid(), NEWTON_HULL, LEADING_TERMS)
+        assert NEWTON_HULL == GOLDEN_HULL
+        slopes = tuple(
+            Fraction(r2 - r1, m2 - m1)
+            for (m1, r1), (m2, r2) in zip(NEWTON_HULL, NEWTON_HULL[1:])
+        )
+        assert slopes == GOLDEN_SLOPES
+        assert tuple(-k for k in slopes) == GOLDEN_EXPONENTS
+        assert {t.exponent for t in LEADING_TERMS} == set(GOLDEN_EXPONENTS)
 
     def test_dominance(self):
-        assert node_dominance_holds(upper_hull(build_newton_grid()))
+        assert node_dominance_holds(build_newton_grid(), NEWTON_HULL)
 
     def test_two_node_hull(self):
-        nodes = (
-            NewtonNode(0, 0, 1, 0),
-            NewtonNode(1, 1, 1, 0),
-        )
-        polygon = upper_hull(nodes)
-        assert polygon.upper_hull == ((0, 0), (1, 1))
-        assert polygon.segment_slopes == (Fraction(1),)
-        assert polygon.exponents == (Fraction(-1),)
+        # -4 + s: one real root gamma = 2 on the segment of exponent -1
+        nodes = (NewtonNode(0, 0, -4, 0), NewtonNode(2, 2, 1, 0))
+        certify_newton(nodes, ((0, 0), (2, 2)), (LeadingTerm(-1, quad(2), 0, "REAL", 1),))
+        with pytest.raises(CertificationFailed, match="does not run from m = 0 to m = 2"):
+            certify_newton(nodes, ((0, 0),), ())
 
     def test_three_node_tent(self):
-        nodes = (
-            NewtonNode(0, 0, 1, 0),
-            NewtonNode(1, 5, 1, 0),
-            NewtonNode(2, 0, 1, 0),
-        )
-        polygon = upper_hull(nodes)
-        assert polygon.upper_hull == ((0, 0), (1, 5), (2, 0))
-        assert set(polygon.segment_slopes) == {Fraction(5), Fraction(-5)}
-        assert polygon.exponents == (Fraction(-5), Fraction(5))
+        # -1 + s on the left segment and 1 - s on the right: gamma = 1 on each
+        nodes = (NewtonNode(0, 0, -1, 0), NewtonNode(2, 10, 1, 0), NewtonNode(4, 0, -1, 0))
+        terms = (LeadingTerm(-5, quad(1), 0, "REAL", 1), LeadingTerm(5, quad(1), 0, "REAL", 1))
+        certify_newton(nodes, ((0, 0), (2, 10), (4, 0)), terms)
+        assert node_dominance_holds(nodes, ((0, 0), (2, 10), (4, 0)))
+        with pytest.raises(CertificationFailed, match=r"node \(2, 10\) lies above"):
+            certify_newton(nodes, ((0, 0), (4, 0)), terms)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateHull):
-            upper_hull((NewtonNode(3, 0, 1, 0), NewtonNode(3, 7, 1, 0)))
+        # all nodes share one t-power: no claimed hull has a segment
+        nodes = (NewtonNode(3, 0, 1, 0), NewtonNode(3, 7, 1, 0))
+        for hull in (((3, 7),), ((3, 0), (3, 7))):
+            with pytest.raises(CertificationFailed, match="does not run from m = 3 to m = 3"):
+                certify_newton(nodes, hull, ())
+
+
+def _terms_at(exponent):
+    return [t for t in LEADING_TERMS if t.exponent == exponent]
+
+
+def _refusal(nodes, hull, terms):
+    """certify_newton's failure text for these claims, or None if they hold."""
+    try:
+        certify_newton(nodes, hull, terms)
+    except CertificationFailed as failed:
+        return str(failed)
+    return None
 
 
 class TestLeadingTerms:
+    """The claimed terms of each hull segment, which the certificate needs
+    all of: without them the segment's roots are not accounted for."""
+
     def test_exponent_two(self):
-        polygon = upper_hull(build_newton_grid())
-        terms = leading_coefficients(polygon, Fraction(2))
+        terms = _terms_at(2)
         assert len(terms) == 2
         assert all(t.axis == "IMAGINARY" for t in terms)
         assert all(t.p_power == 0 for t in terms)
@@ -124,46 +144,120 @@ class TestLeadingTerms:
             quad(3, 2),
             quad(3, -2),
         }
+        for term in terms:
+            rest = [t for t in LEADING_TERMS if t != term]
+            assert "(6, 8) - (10, 0) has multiplicities summing to 1" in _refusal(
+                build_newton_grid(), NEWTON_HULL, rest
+            )
 
     def test_exponent_one(self):
-        polygon = upper_hull(build_newton_grid())
-        terms = leading_coefficients(polygon, Fraction(1))
+        terms = _terms_at(1)
         assert len(terms) == 1
         (term,) = terms
         assert term.axis == "REAL"
         assert term.magnitude == quad(1)
         assert term.p_power == 1
         assert term.multiplicity == 1
+        rest = [t for t in LEADING_TERMS if t != term]
+        assert "(4, 10) - (6, 8) has multiplicities summing to 0" in _refusal(
+            build_newton_grid(), NEWTON_HULL, rest
+        )
 
     def test_exponent_zero(self):
-        polygon = upper_hull(build_newton_grid())
-        terms = leading_coefficients(polygon, Fraction(0))
+        terms = _terms_at(0)
         assert len(terms) == 1
         (term,) = terms
         assert term.axis == "REAL"
         assert term.magnitude == quad(1)
         assert term.p_power == 2
         assert term.multiplicity == 2
+        rest = [t for t in LEADING_TERMS if t != term]
+        assert "(0, 10) - (4, 10) has multiplicities summing to 0" in _refusal(
+            build_newton_grid(), NEWTON_HULL, rest
+        )
 
     def test_bad_exponent(self):
-        polygon = upper_hull(build_newton_grid())
-        with pytest.raises(ValueError):
-            leading_coefficients(polygon, Fraction(3))
+        off = LeadingTerm(3, quad(1), 0, "REAL", 1)
+        assert _refusal(build_newton_grid(), NEWTON_HULL, LEADING_TERMS + (off,)) == (
+            "exponent 3 is not a hull exponent"
+        )
 
     def test_fractional_p_weight(self):
-        # the ends' powers of p differ by 1 over a segment two t-powers wide
-        polygon = upper_hull((NewtonNode(0, 0, 1, 1), NewtonNode(2, 2, 1, 0)))
-        with pytest.raises(ValueError, match="fractional p-weight"):
-            leading_coefficients(polygon, Fraction(-1))
+        # the ends' powers of p differ by 1 over a segment two t-powers wide,
+        # so no integer p_power is the segment's p-weight
+        nodes = (NewtonNode(0, 0, 1, 1), NewtonNode(2, 2, -1, 0))
+        for p_power in (0, 1):
+            term = LeadingTerm(-1, quad(1), p_power, "REAL", 1)
+            assert _refusal(nodes, ((0, 0), (2, 2)), (term,)).endswith(
+                f"has a p-weight other than p_power {p_power}"
+            )
 
     def test_odd_offset(self):
         # a node one t-power from the segment's left end: not even in gamma
-        polygon = upper_hull((
-            NewtonNode(0, 0, 1, 2), NewtonNode(1, 1, 1, 1), NewtonNode(2, 2, 1, 0),
-        ))
-        assert polygon.upper_hull == ((0, 0), (2, 2))
-        with pytest.raises(ValueError, match="not even in gamma"):
-            leading_coefficients(polygon, Fraction(-1))
+        nodes = (NewtonNode(0, 0, 1, 2), NewtonNode(1, 1, 1, 1), NewtonNode(2, 2, -1, 0))
+        term = LeadingTerm(-1, quad(1), 1, "REAL", 1)
+        assert _refusal(nodes, ((0, 0), (2, 2)), (term,)).endswith("is not even in gamma")
+
+
+def _with(index, **fields):
+    """LEADING_TERMS with the term at `index` changed in `fields`."""
+    terms = list(LEADING_TERMS)
+    terms[index] = terms[index]._replace(**fields)
+    return tuple(terms)
+
+
+class TestNewtonCertificate:
+    """Each claim the certificate checks, broken alone, is refused by name."""
+
+    @pytest.mark.parametrize("hull, message", [
+        (((0, 10), (6, 8), (10, 0)), "grid node (2, 10) lies above the hull"),
+        (((0, 10), (2, 10), (4, 10), (6, 8), (10, 0)),
+         "hull vertex (2, 10) is not a strict corner"),
+        (((0, 10), (4, 10), (6, 8), (8, 4)),
+         "hull does not run from m = 0 to m = 10 in increasing m"),
+        (((0, 10), (4, 10), (6, 8), (10, 1)), "hull vertex (10, 1) is not a grid node"),
+        (((0, 10), (2, 10), (6, 8), (10, 0)), "grid node (4, 10) lies above the hull"),
+        (((0, 10), (4, 10), (10, 0)), "grid node (6, 8) lies above the hull"),
+    ], ids=["dropped-vertex", "non-corner-vertex", "moved-end", "end-off-grid",
+            "node-above", "dropped-last-corner"])
+    def test_hull_mutation_refused(self, hull, message):
+        assert _refusal(build_newton_grid(), hull, LEADING_TERMS) == (
+            message
+        )
+
+    @pytest.mark.parametrize("terms, message", [
+        (LEADING_TERMS[:3], "segment (6, 8) - (10, 0) has multiplicities summing to 1, "
+         "not its degree"),
+        (LEADING_TERMS + LEADING_TERMS[1:2],
+         "segment (4, 10) - (6, 8) has two terms at one point s"),
+        (LEADING_TERMS + (LeadingTerm(1, quad(2), 1, "REAL", 1),),
+         "segment (4, 10) - (6, 8) has no root of multiplicity 1 at s = 4"),
+        (_with(1, magnitude=quad(2)),
+         "segment (4, 10) - (6, 8) has no root of multiplicity 1 at s = 4"),
+        (_with(3, magnitude=quad(1, -1)),
+         "term 1 - 1*sqrt(2) of multiplicity 1 at exponent 2 is not positive"),
+        (_with(1, magnitude=quad(-1)),
+         "term -1 of multiplicity 1 at exponent 1 is not positive"),
+        (_with(1, p_power=2), "segment (4, 10) - (6, 8) has a p-weight other than p_power 2"),
+        (_with(1, axis="IMAGINARY"),
+         "segment (4, 10) - (6, 8) has no root of multiplicity 1 at s = -1"),
+        (_with(2, axis="REAL"),
+         "segment (6, 8) - (10, 0) has no root of multiplicity 1 at s = 3 - 2*sqrt(2)"),
+        (_with(0, multiplicity=1),
+         "segment (0, 10) - (4, 10) has multiplicities summing to 1, not its degree"),
+        (_with(1, multiplicity=2),
+         "segment (4, 10) - (6, 8) has no root of multiplicity 2 at s = 1"),
+        (_with(0, multiplicity=0), "term 1 of multiplicity 0 at exponent 0 is not positive"),
+        (_with(1, exponent=3), "exponent 3 is not a hull exponent"),
+        (_with(1, exponent=Fraction(1, 2)), "exponent 1/2 is not a hull exponent"),
+    ], ids=["dropped", "extra-same-point", "extra-off-root", "magnitude",
+            "magnitude-conjugate", "negative-magnitude", "p-power", "axis-real",
+            "axis-imaginary", "multiplicity-low", "multiplicity-high",
+            "multiplicity-zero", "exponent-off-hull", "exponent-fractional"])
+    def test_term_mutation_refused(self, terms, message):
+        assert _refusal(build_newton_grid(), NEWTON_HULL, terms) == (
+            message
+        )
 
 
 class TestIntervals:
@@ -214,7 +308,7 @@ class TestIntervals:
             )
             assert ivs["T3"].lo > quad(58 * p2)
             gap_23 = ivs["T3"].lo - ivs["T2"].hi
-            assert quad_sign(gap_23) > 0
+            assert gap_23 > QUAD_ZERO
             assert ivs["T5"].lo > quad(1445 * p2)
             assert ivs["T4"].lo > quad(8403 * p2)
             gap_45 = ivs["T4"].lo - ivs["T5"].hi
@@ -222,30 +316,13 @@ class TestIntervals:
             assert gap_45 > quad(6957 * p2)
 
 
-class TestSolveEvenGamma:
-    @pytest.mark.parametrize("coeffs, message", [
-        ([1], "expected degree 1 or 2"),
-        ([1, 2, 3, 4], "expected degree 1 or 2"),
-        ([-3, 1], "real root magnitude outside"),
-        ([3, 1], "imaginary root magnitude outside"),
-        ([-1, 1, 1], "discriminant outside"),  # discriminant 5
-    ], ids=["degree-0", "degree-3", "real-sqrt3", "imaginary-sqrt3", "disc-5"])
-    def test_refused(self, coeffs, message):
-        with pytest.raises(ValueError, match=message):
-            asymptotics._solve_even_gamma(coeffs)
-
-    def test_zero_root_dropped(self):
-        # gamma^2 = 0 gives no leading term
-        assert asymptotics._solve_even_gamma([0, 1]) == []
-
-
 class TestDisjointness:
     def test_valid_pairs(self):
         for p, q in ((1, 59), (2, 121), (3, 178)):
             report = check_disjoint(asymptotic_intervals(PQPair(p, q)))
             assert report.broken is None
-            assert quad_sign(report.real_gap) > 0
-            assert quad_sign(report.imaginary_gap) > 0
+            assert report.real_gap > QUAD_ZERO
+            assert report.imaginary_gap > QUAD_ZERO
 
     def test_fabricated_overlap_detected(self):
         ivs = asymptotic_intervals(PQPair(1, 59))
@@ -261,7 +338,7 @@ class TestDisjointness:
                 broken.append(iv)
         report = check_disjoint(broken)
         assert report.broken == "T2.hi < T3.lo"
-        assert quad_sign(report.real_gap) < 0
+        assert report.real_gap < QUAD_ZERO
 
     @pytest.mark.parametrize("label", ["T1", "T2", "T3", "T4", "T5"])
     def test_swapped_ends_detected(self, label):
@@ -358,7 +435,8 @@ def _per_end_sign(pair, axis, x):
     """The sign of R at x^2 (real axis) or -x^2 (imaginary axis), found for
     that end alone by Horner's scheme over QuadRational."""
     u = x * x if axis == "REAL" else -(x * x)
-    return quad_sign(eval_poly_quad(build_rpq(pair), u))
+    value = eval_poly_quad(build_rpq(pair), u)
+    return sqrt2_sign(value.A, value.B)
 
 
 def _per_end_certificates(pair, intervals):

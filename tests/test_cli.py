@@ -16,7 +16,7 @@ import pytest
 
 from cuboidsearch import asymptotics, cli, cuboid_eqs, search
 from cuboidsearch.cuboid_eqs import PQPair
-from cuboidsearch.exact_arith import QuadRational, quad_sqrt
+from cuboidsearch.exact_arith import QuadRational
 from oracles import (
     build_qpq,
     fraction_approx_str,
@@ -593,9 +593,25 @@ class TestNewtonCommand:
     def test_golden(self, capsys):
         code, out, _ = run_cli(capsys, "newton")
         assert code == cli.EXIT_OK
-        assert "golden-data match: True" in out
-        assert "(0, 10)" in out
-        assert "exponent 2" in out
+        assert out == (GOLDEN_DIR / "newton.txt").read_text()
+
+    @pytest.mark.parametrize("name, claim, failure", [
+        ("NEWTON_HULL", ((0, 10), (4, 10), (10, 0)), "grid node (6, 8) lies above the hull"),
+        ("LEADING_TERMS", asymptotics.LEADING_TERMS[1:],
+         "segment (0, 10) - (4, 10) has multiplicities summing to 0, not its degree"),
+    ], ids=["hull", "terms"])
+    def test_mutated_claim_fails(self, capsys, monkeypatch, name, claim, failure):
+        # the report as far as the claimed hull, the failure, and exit 1
+        monkeypatch.setattr(asymptotics, name, claim)
+        code, out, err = run_cli(capsys, "newton")
+        assert (code, err) == (cli.EXIT_CHECK_FAILED, "")
+        hull = " - ".join(map(str, asymptotics.NEWTON_HULL))
+        assert out.endswith(
+            f"Upper hull: {hull}\n"
+            f"certification FAILED: {failure}\n"
+            "golden-data match: False\n"
+        )
+        assert out.startswith("Grid nodes (m, r, coefficient in p):\n")
 
 
 class TestVerifyCommand:
@@ -848,7 +864,6 @@ def test_refusals_share_one_type():
     assert issubclass(asymptotics.PreconditionViolated, cuboid_eqs.InvalidInput)
     assert issubclass(cuboid_eqs.InvalidInput, ValueError)
     faults = [
-        lambda: quad_sqrt(QuadRational(-1)),
         lambda: cuboid_eqs.reconstruct_cuboid(1, 2, 5, "XX"),
         lambda: cuboid_eqs.reconstruct_cuboid(1, 2, 0, cuboid_eqs.CASES[0]),
     ]

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from cuboidsearch.exact_arith import (
     QUAD_ZERO,
     QuadRational,
-    quad_sign,
-    quad_sqrt,
     sqrt2_sign,
     value_at_sqrt2,
 )
@@ -21,7 +19,6 @@ from oracles import (
     eval_poly,
     eval_poly_quad,
     fraction_quad_sign,
-    fraction_quad_sqrt,
     fraction_sturm_count,
     fraction_sturm_sequence,
     is_even,
@@ -35,27 +32,34 @@ from oracles import (
 )
 
 
+def sign_of(x: QuadRational) -> int:
+    """The sign of x, read off its A and B: its D is positive."""
+    return sqrt2_sign(x.A, x.B)
+
+
 def naive_eval(P: tuple, x: Fraction) -> Fraction:
     return sum(Fraction(c) * x**i for i, c in enumerate(P))
 
 
 class TestQuadSign:
+    """sqrt2_sign(A, B) is the sign of the QuadRational (A + B*sqrt(2))/D."""
+
     def test_zero(self):
-        assert quad_sign(quad(0, 0)) == 0
+        assert sqrt2_sign(0, 0) == 0
 
     def test_sqrt2_minus_one(self):
-        assert quad_sign(quad(-1, 1)) == 1
+        assert sqrt2_sign(-1, 1) == 1
 
     def test_three_minus_two_sqrt2(self):
         # 3^2 = 9 beats 2 * 2^2 = 8
-        assert quad_sign(quad(3, -2)) == 1
+        assert sqrt2_sign(3, -2) == 1
 
     def test_two_sqrt2_minus_three(self):
-        assert quad_sign(quad(-3, 2)) == -1
+        assert sqrt2_sign(-3, 2) == -1
 
     def test_same_sign_quadrants(self):
-        assert quad_sign(quad(1, 1)) == 1
-        assert quad_sign(quad(-1, -1)) == -1
+        assert sqrt2_sign(1, 1) == 1
+        assert sqrt2_sign(-1, -1) == -1
 
     def test_against_decimal_oracle(self):
         # 50-digit rational approximation of sqrt(2) as an independent check
@@ -68,34 +72,13 @@ class TestQuadSign:
             est = a + b * approx
             if est == 0:
                 continue
-            assert quad_sign(x) == (1 if est > 0 else -1)
+            assert sign_of(x) == (1 if est > 0 else -1)
 
 
 class TestQuadArithmetic:
     def test_square_closure(self):
         x = quad(1, 1)
         assert x * x == quad(3, 2)
-
-    def test_sqrt_of_three_minus_two_sqrt2(self):
-        root = quad_sqrt(quad(3, -2))
-        assert root == quad(-1, 1)
-
-    def test_sqrt_of_rational_square(self):
-        assert quad_sqrt(quad(Fraction(9, 4), 0)) == quad(
-            Fraction(3, 2), 0
-        )
-
-    def test_sqrt_of_two(self):
-        assert quad_sqrt(quad(2, 0)) == quad(0, 1)
-
-    def test_sqrt_outside_field(self):
-        assert quad_sqrt(quad(3, 0)) is None
-
-    def test_sqrt_of_zero_and_of_negatives(self):
-        assert quad_sqrt(QUAD_ZERO) == QUAD_ZERO
-        for negative in (QuadRational(-1), QuadRational(1, -1), QuadRational(-9, 0, 4)):
-            with pytest.raises(ValueError, match="negative"):
-                quad_sqrt(negative)
 
     def test_ordering(self):
         assert quad(0, 1) > quad(Fraction(7, 5), 0)
@@ -169,14 +152,6 @@ def as_reference(x: QuadRational) -> FractionQuad:
     return FractionQuad(*quad_parts(x))
 
 
-# elements (A + B*sqrt(2))/D with D > 1, whose squares are the inputs that
-# quad_sqrt must find a root of; random (a, b) pairs are rarely squares
-integer_quads = st.builds(
-    QuadRational, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
-    st.integers(2, 10**4),
-).filter(lambda r: r.D > 1)
-
-
 class TestQuadRationalAgainstFractionPair:
     """The integer triple (A, B, D) against the Fraction pair it replaced."""
 
@@ -195,7 +170,7 @@ class TestQuadRationalAgainstFractionPair:
         assert as_reference(x * 3) == rx * 3
         assert as_reference(3 * x) == 3 * rx
         assert (x < y, x <= y, x > y, x >= y) == (rx < ry, rx <= ry, rx > ry, rx >= ry)
-        assert quad_sign(x) == fraction_quad_sign(rx)
+        assert sign_of(x) == fraction_quad_sign(rx)
         assert str(x) == str(rx)
         if x.B:
             with pytest.raises(ValueError):
@@ -205,29 +180,9 @@ class TestQuadRationalAgainstFractionPair:
         with pytest.raises(TypeError):
             x * f
 
-    @settings(max_examples=300)
-    @given(integer_quads, quads)
-    def test_sqrt_matches(self, r, xy):
-        # r^2 and 2 r^2 are squares in the field, with the roots |r| and
-        # |r| sqrt(2); 3 r^2 is not, as 3 is no square in the field; x is
-        # a random element, rarely a square
-        x = quad(*xy)
-        positive = r if quad_sign(r) > 0 else -r
-        assert quad_sqrt(r * r) == positive
-        assert quad_sqrt(r * r * 2) == positive * QuadRational(0, 1)
-        assert quad_sqrt(r * r * 3) is None
-        for value in (r * r, r * r * 2, r * r * 3, x):
-            if quad_sign(value) < 0:
-                continue
-            root = quad_sqrt(value)
-            ref_root = fraction_quad_sqrt(as_reference(value))
-            assert (root is None) is (ref_root is None)
-            if root is not None:
-                assert as_reference(root) == ref_root
-
     def test_one_minus_sqrt2_below_zero(self):
         small, zero = quad(1, -1), quad(0)
-        assert quad_sign(small) == fraction_quad_sign(FractionQuad.of(1, -1)) == -1
+        assert sign_of(small) == fraction_quad_sign(FractionQuad.of(1, -1)) == -1
         assert small < zero and zero > small
         assert str(small) == str(FractionQuad.of(1, -1)) == "1 - 1*sqrt(2)"
 
@@ -439,7 +394,7 @@ class TestSignAt:
     )
     def test_quad_matches_eval(self, P, a, b):
         x = quad(a, b)
-        assert sign_at_quad(P, x) == quad_sign(eval_poly_quad(P, x))
+        assert sign_at_quad(P, x) == sign_of(eval_poly_quad(P, x))
 
     @settings(max_examples=200)
     @given(
@@ -454,8 +409,8 @@ class TestSignAt:
         u, v = value_at_sqrt2(P, A, B, D)
         assert value_at_sqrt2(P, A, -B, D) == (u, -v)
         x, y = QuadRational(A, B, D), QuadRational(A, -B, D)
-        assert sqrt2_sign(u, v) == quad_sign(eval_poly_quad(P, x))
-        assert sqrt2_sign(u, -v) == quad_sign(eval_poly_quad(P, y))
+        assert sqrt2_sign(u, v) == sign_of(eval_poly_quad(P, x))
+        assert sqrt2_sign(u, -v) == sign_of(eval_poly_quad(P, y))
 
     def test_quad_roots_are_zero(self):
         assert sign_at_quad(poly([-2, 0, 1]), quad(0, 1)) == 0
@@ -473,7 +428,7 @@ class TestSignAt:
         ipoly = imaginary_axis_poly(build_qpq(pair))
         for iv in asymptotic_intervals(pair)[3:]:
             for end in (iv.lo, iv.hi):
-                assert sign_at_quad(ipoly, end) == quad_sign(eval_poly_quad(ipoly, end))
+                assert sign_at_quad(ipoly, end) == sign_of(eval_poly_quad(ipoly, end))
 
 
 class TestQpqEvenness:

@@ -73,14 +73,12 @@ def _records():
     record0 and record1 keep naming them."""
     pair = PQPair(7, 500)
     intervals = asymptotics.asymptotic_intervals(pair)
-    polygon = asymptotics.upper_hull(asymptotics.build_newton_grid())
     return [
         pair,
         SearchConfig(1, 2),
         QuadRational(3, -2, 6),
-        polygon.nodes[0],
-        polygon,
-        asymptotics.leading_coefficients(polygon, polygon.exponents[0])[0],
+        asymptotics.build_newton_grid()[0],
+        asymptotics.LEADING_TERMS[0],
         intervals[3],
         asymptotics.check_disjoint(intervals),
         asymptotics.certify_roots(
@@ -130,7 +128,7 @@ class TestValidatingRecords:
             for value in vars(module).values()
             if isinstance(value, type) and issubclass(value, tuple)
         }
-        assert len(RECORDS) == len(classes) == 12
+        assert len(RECORDS) == len(classes) == 11
         assert {type(record) for record in RECORDS} == classes
 
 

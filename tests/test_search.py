@@ -1321,6 +1321,8 @@ class TestRunSearch:
         (lambda text: text.replace("last_completed_p=2", "last_completed_p=400"),
          r"last_completed_p=400 lies outside p 1\.\.5"),
         (lambda text: "", r"^checkpoint .* is damaged: missing field 'version'$"),
+        (lambda text: text.replace(f"version={CHECKPOINT_VERSION}", "version="),
+         r"^checkpoint .* is damaged: empty field 'version'$"),
         (lambda text: "\udcff" + text,
          r"^checkpoint .* is damaged: invalid start byte$"),
         # each field is read, but the text is not what the state writes
@@ -1336,8 +1338,8 @@ class TestRunSearch:
          EXTRA),
     ], ids=["missing-field", "bad-number", "old-version", "version-2", "version-3",
             "version-4", "pairs-examined", "hits-found", "last-p-0",
-            "last-p-past-range", "last-p-400", "empty", "not-utf8", "duplicate",
-            "duplicate-altered", "unknown", "reordered", "blank-line",
+            "last-p-past-range", "last-p-400", "empty", "empty-version", "not-utf8",
+            "duplicate", "duplicate-altered", "unknown", "reordered", "blank-line",
             "spaced-number", "leading-zero"])
     def test_damaged_checkpoint(self, tmp_path, edit, message):
         config = make_config(tmp_path)
