@@ -24,7 +24,7 @@ from .exact_arith import (
     sqrt2_sign,
     value_at_sqrt2,
 )
-from .cuboid_eqs import InvalidInput, PQPair, build_rpq, qpq_coefficients
+from .cuboid_eqs import InvalidInput, PQPair, qpq_coefficients
 
 
 class PreconditionViolated(InvalidInput):
@@ -223,17 +223,6 @@ def asymptotic_intervals(pair: PQPair) -> list[AsymptoticInterval]:
     ]
 
 
-class DisjointnessReport(
-    namedtuple("DisjointnessReport", "broken real_gap imaginary_gap")
-):
-    """check_disjoint's verdict: `broken` names the first link of the order
-    that fails, as "T2.hi < T3.lo", or is None when every link holds; the
-    margins real_gap = T3.lo - T2.hi and imaginary_gap = T4.lo - T5.hi must
-    be > 0."""
-
-    __slots__ = ()
-
-
 # The ends (0, then each interval's lo and hi, T1 to T5), and the order of
 # them that the degree count of certify_roots needs, one link (left,
 # relation, right) of positions at a time: 0 < T1.lo < T1.hi = T2.lo <
@@ -246,8 +235,9 @@ _ORDER = (
 )
 
 
-def check_disjoint(intervals: list[AsymptoticInterval]) -> DisjointnessReport:
-    """Exact order of the five intervals' ends, with the two gaps as margins.
+def check_disjoint(intervals: list[AsymptoticInterval]) -> str | None:
+    """The first link of the exact order of the five intervals' ends that
+    fails, as "T2.hi < T3.lo", or None when every link holds.
 
     `intervals` are T1 to T5, as asymptotic_intervals lists them.  Under
     the order the five intervals are positive and disjoint, so their images
@@ -258,7 +248,7 @@ def check_disjoint(intervals: list[AsymptoticInterval]) -> DisjointnessReport:
     ends = [QUAD_ZERO]
     for iv in intervals:
         ends += iv.lo, iv.hi
-    broken = next(
+    return next(
         (
             f"{_ENDS[a]} {rel} {_ENDS[b]}"
             for a, rel, b in _ORDER
@@ -266,41 +256,29 @@ def check_disjoint(intervals: list[AsymptoticInterval]) -> DisjointnessReport:
         ),
         None,
     )
-    return DisjointnessReport(
-        broken=broken,
-        real_gap=ends[5] - ends[4],
-        imaginary_gap=ends[7] - ends[10],
-    )
-
-
-class RootCertificate(namedtuple("RootCertificate", "label axis sign_lo sign_hi")):
-    """The signs of Q at the ends of the interval `label` ("T1".."T5"), on
-    the imaginary axis at i times them (`axis` "REAL" or "IMAGINARY")."""
-
-    __slots__ = ()
 
 
 def certify_roots(
-    pair: PQPair, intervals: list[AsymptoticInterval], disjoint: DisjointnessReport
-) -> list[RootCertificate]:
+    pair: PQPair, intervals: list[AsymptoticInterval]
+) -> list[tuple[int, int]]:
     """Certify exactly one root of Q in each interval, and none elsewhere,
-    by counting against the degree of R.
+    by counting against the degree of R; return the signs (sign_lo,
+    sign_hi) at each interval's ends, in the order of `intervals`.
 
-    Every check runs on the degree-5 R with Q(t) = R(t^2) (build_rpq).  Put
-    u = t^2 on the real axis and u = -y^2 on the imaginary one, where
-    Q(iy) = R(-y^2): a real interval (lo, hi) with 0 < lo maps onto
-    (lo^2, hi^2), an imaginary one onto (-hi^2, -lo^2).  In the order that
-    check_disjoint checks, the five images are disjoint open intervals.  If
-    R changes sign across each, each image holds an odd number of roots, so
-    at least one: five roots for a polynomial of degree 5.  So each image
-    holds exactly one simple root and R has no other, real or complex, and
-    each interval holds exactly one root of Q (on the imaginary axis, i
-    times it), the rest of Q's roots being their negatives.
+    Every check runs on the degree-5 R with Q(t) = R(t^2), whose
+    coefficients are qpq_coefficients and a leading 1.  Put u = t^2 on the
+    real axis and u = -y^2 on the imaginary one, where Q(iy) = R(-y^2): a
+    real interval (lo, hi) with 0 < lo maps onto (lo^2, hi^2), an imaginary
+    one onto (-hi^2, -lo^2).  In the order that check_disjoint checks, the
+    five images are disjoint open intervals.  If R changes sign across
+    each, each image holds an odd number of roots, so at least one: five
+    roots for a polynomial of degree 5.  So each image holds exactly one
+    simple root and R has no other, real or complex, and each interval
+    holds exactly one root of Q (on the imaginary axis, i times it), the
+    rest of Q's roots being their negatives.
 
-    `intervals` are the pair's asymptotic_intervals and `disjoint` is
-    check_disjoint(intervals) for these same intervals (cmd_roots prints
-    the report it passes); the order is not checked again.  The sign at an
-    end x is that of R at u = x^2 (u = -x^2 on the imaginary axis), with
+    `intervals` are the pair's asymptotic_intervals.  The sign at an end x
+    is that of R at u = x^2 (u = -x^2 on the imaginary axis), with
     x = (A + B sqrt(2))/D squared in integers as (A^2 + 2B^2 + 2AB
     sqrt(2))/D^2.  One memo, keyed by that exact u, holds every sign found:
     value_at_sqrt2 gives D^10 R(u) as a + b sqrt(2), and R has integer
@@ -310,33 +288,35 @@ def certify_roots(
     of T4's: nine signs from seven Horner passes, five rational and two
     irrational.  An end that is neither costs a pass of its own.  Raises
     CertificationFailed naming each interval whose signs do not change or,
-    when all of them do, the first link of the order that fails, so every
-    certificate it returns has passed, given that report.
+    when all of them do, the first link of the order (check_disjoint) that
+    fails, so the signs it returns are those of a certificate that passed.
     """
-    rpoly = build_rpq(pair)
-    signs = {}  # the sign of R at each point u met, keyed by u's (A, B, D)
-    certs = []
+    rpoly = qpq_coefficients(pair.p, pair.q) + (1,)
+    memo = {}  # the sign of R at each point u met, keyed by u's (A, B, D)
+    signs = []
     failures = []
     for iv in intervals:
         s = 1 if iv.axis == "REAL" else -1
         ends = []
         for A, B, D in iv.lo, iv.hi:
             u = s * (A * A + 2 * B * B), s * 2 * A * B, D * D
-            sign = signs.get(u)
+            sign = memo.get(u)
             if sign is None:
                 a, b = value_at_sqrt2(rpoly, *u)
-                sign = signs[u] = sqrt2_sign(a, b)
+                sign = memo[u] = sqrt2_sign(a, b)
                 if u[1]:  # R(conj u) = a - b sqrt(2), over D^10
-                    signs[u[0], -u[1], u[2]] = sqrt2_sign(a, -b)
+                    memo[u[0], -u[1], u[2]] = sqrt2_sign(a, -b)
             ends.append(sign)
         s_lo, s_hi = ends
         if s_lo * s_hi != -1:
             failures.append(f"{iv.label}: sign({s_lo},{s_hi})")
-        certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi))
-    if not failures and disjoint.broken:
-        failures.append(f"order fails at {disjoint.broken}")
+        signs.append((s_lo, s_hi))
+    if not failures:
+        broken = check_disjoint(intervals)
+        if broken:
+            failures.append(f"order fails at {broken}")
     if failures:
         raise CertificationFailed(
             f"(p={pair.p}, q={pair.q}): " + "; ".join(failures)
         )
-    return certs
+    return signs

@@ -191,7 +191,7 @@ def cmd_search(args) -> int:
 def cmd_roots(args) -> int:
     pair = PQPair(args.p, args.q)
     intervals = asymptotics.asymptotic_intervals(pair)  # q >= 59p, or refused
-    disjoint = asymptotics.check_disjoint(intervals)
+    t2, t3, t4, t5 = intervals[1:]
     # the report is printed in one piece, as far as it got
     lines = [f"Root intervals for p={pair.p}, q={pair.q}:"]
     last = hi = None  # the previous interval's hi end and its text
@@ -205,27 +205,29 @@ def cmd_roots(args) -> int:
             f"    lo = {lo}",
             f"    hi = {hi}",
         )
-    lines += (
-        f"disjoint: {disjoint.broken is None}",
-        f"  real gap T3.lo - T2.hi = {disjoint.real_gap}",
-        f"  imaginary gap T4.lo - T5.hi = {disjoint.imaginary_gap}",
-    )
+    failed = broken = None  # a passing certificate has checked the order
     try:
-        certs = asymptotics.certify_roots(pair, intervals, disjoint)
+        signs = asymptotics.certify_roots(pair, intervals)
     except asymptotics.CertificationFailed as exc:
-        lines.append(f"certification FAILED: {exc}")
+        failed, broken = exc, asymptotics.check_disjoint(intervals)
+    lines += (
+        f"disjoint: {broken is None}",
+        f"  real gap T3.lo - T2.hi = {t3.lo - t2.hi}",
+        f"  imaginary gap T4.lo - T5.hi = {t4.lo - t5.hi}",
+    )
+    if failed is not None:
+        lines.append(f"certification FAILED: {failed}")
         print("\n".join(lines))
         return EXIT_CHECK_FAILED
-    for cert in certs:
-        lines.append(f"  {cert.label}: PASS (signs {cert.sign_lo}/{cert.sign_hi})")
-    t3_hi = intervals[2].hi  # rational: its B is 0
-    bound = -(-t3_hi.A // t3_hi.D) + 1  # ceil(T3.hi) + 1
+    for iv, (sign_lo, sign_hi) in zip(intervals, signs):
+        lines.append(f"  {iv.label}: PASS (signs {sign_lo}/{sign_hi})")
+    bound = -(-t3.hi.A // t3.hi.D) + 1  # ceil(T3.hi) + 1, as its B is 0
     # The certificate accounts for all five roots of the degree-5 R with
     # Q(t) = R(t^2): one in the image of each interval.  So Q's positive
     # real roots are the one in each real interval, all below T3.hi < B.
     # Q is even and Q(0) = -p^10 q^10 != 0, so its real roots in (-B, B)
     # are those in (0, B) and their negatives: twice as many.
-    pos = sum(cert.axis == "REAL" for cert in certs)
+    pos = sum(iv.axis == "REAL" for iv in intervals)
     lines.append(f"real roots in (0, {bound}): {pos}; in (-{bound}, {bound}): {2 * pos}")
     print("\n".join(lines))
     return EXIT_OK

@@ -107,13 +107,6 @@ def qpq_value(p: int, q: int, t: int) -> int:
     return ((((u + c8) * u + c6) * u + c4) * u + c2) * u + c0
 
 
-def build_rpq(pair: PQPair) -> tuple[int, ...]:
-    """The monic degree-5 polynomial R with Q(t) = R(t^2) for the pair, as
-    its coefficient tuple (c0, c2, c4, c6, c8, 1), lowest power first:
-    R(u) = u^5 + c8 u^4 + c6 u^3 + c4 u^2 + c2 u + c0."""
-    return qpq_coefficients(pair.p, pair.q) + (1,)
-
-
 def full_eq_coefficients(a: int, b: int, u: int) -> tuple[int, ...]:
     """Coefficients (e0, e2, ..., e12) of the even, monic, degree-12
     equation for parameters (a, b, u).

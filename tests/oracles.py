@@ -15,7 +15,7 @@ Fraction and over the sqrt(2) field, the Sturm sequence built from
 Fraction remainders and the root count over it, the sqrt(2) field held as
 two Fractions (`FractionQuad`) with its sign, and the rational view
 of the integer field (`quad` from two rationals, `quad_parts` and
-`to_fraction` back, `rational_sqrt`, `sqrt2_approx`).  Then the
+`to_fraction` back, `sqrt2_approx`).  Then the
 audit path's earlier forms: the degree-12 identity checked as a polynomial
 product against the literal expansion of the degree-12 equation, the
 decimal display computed through Fraction, the root certificate computed
@@ -47,7 +47,6 @@ from cuboidsearch.asymptotics import (
     AsymptoticInterval,
     CertificationFailed,
     PreconditionViolated,
-    RootCertificate,
     asymptotic_intervals,
 )
 from cuboidsearch.cli import APPROX_DIGITS
@@ -302,17 +301,6 @@ def fraction_sturm_count(P: Poly, lo: RatLike, hi: RatLike, seq=None) -> int:
         if sign_at(P, end) == 0:
             raise ValueError(f"P({end}) = 0")
     return variations(lo) - variations(hi)
-
-
-def rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 def sqrt2_approx(digits: int = 50) -> Fraction:
@@ -729,18 +717,19 @@ def asymptotic_intervals_by_sums(pair: PQPair) -> List[AsymptoticInterval]:
     ]
 
 
-def q_certify_roots(pair: PQPair, intervals=None) -> List[RootCertificate]:
+def q_certify_roots(pair: PQPair, intervals=None) -> List[Tuple[int, int]]:
     """The root certificate computed on the degree-10 Q itself: endpoint
     signs of Q on the real axis, each interval with a Sturm count of 1 from
     one Fraction Sturm sequence of Q, and signs of the imaginary-axis
-    restriction of Q for T4 and T5.  Raises CertificationFailed in the
-    words of certify_roots, with the Sturm count added on the real axis."""
+    restriction of Q for T4 and T5.  Returns the (sign_lo, sign_hi) pairs
+    or raises CertificationFailed in the words of certify_roots, with the
+    Sturm count added on the real axis."""
     if intervals is None:
         intervals = asymptotic_intervals(pair)
     qpoly = build_qpq(pair)
     sturm = fraction_sturm_sequence(qpoly)
     ipoly = imaginary_axis_poly(qpoly)
-    certs = []
+    signs = []
     failures = []
     for iv in intervals:
         if iv.axis == "REAL":
@@ -753,18 +742,17 @@ def q_certify_roots(pair: PQPair, intervals=None) -> List[RootCertificate]:
                 failures.append(
                     f"{iv.label}: sign({s_lo},{s_hi}), sturm={count}"
                 )
-            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi))
         else:
             s_lo = sign_at_quad(ipoly, iv.lo)
             s_hi = sign_at_quad(ipoly, iv.hi)
             if s_lo * s_hi != -1:
                 failures.append(f"{iv.label}: sign({s_lo},{s_hi})")
-            certs.append(RootCertificate(iv.label, iv.axis, s_lo, s_hi))
+        signs.append((s_lo, s_hi))
     if failures:
         raise CertificationFailed(
             f"(p={pair.p}, q={pair.q}): " + "; ".join(failures)
         )
-    return certs
+    return signs
 
 
 def integers_in_open_interval(lo: Fraction, hi: Fraction) -> List[int]:

@@ -107,18 +107,17 @@ def test_criterion_3_certified_root_intervals():
     for p, q in pairs:
         pair = PQPair(p, q)
         intervals = asymptotic_intervals(pair)
-        disjoint = check_disjoint(intervals)
-        assert disjoint.broken is None
-        certs = certify_roots(pair, intervals, disjoint)
-        assert all(c.sign_lo * c.sign_hi == -1 for c in certs)
+        assert check_disjoint(intervals) is None
+        signs = certify_roots(pair, intervals)
+        assert len(signs) == 5 and all(lo * hi == -1 for lo, hi in signs)
         # the degree count's one root per real interval, recounted on Q
         qpoly = build_qpq(pair)
         seq = fraction_sturm_sequence(qpoly)
         for iv in intervals[:3]:
             lo, hi = to_fraction(iv.lo), to_fraction(iv.hi)
             assert fraction_sturm_count(qpoly, lo, hi, seq) == 1
-        assert sum(1 for c in certs if c.axis == "REAL") == 3
-        assert sum(1 for c in certs if c.axis == "IMAGINARY") == 2
+        assert sum(1 for iv in intervals if iv.axis == "REAL") == 3
+        assert sum(1 for iv in intervals if iv.axis == "IMAGINARY") == 2
     # exact global root counts for the boundary pair
     P = build_qpq(PQPair(1, 59))
     B = 10**6

@@ -19,7 +19,7 @@ from cuboidsearch.asymptotics import (
     certify_roots,
     check_disjoint,
 )
-from cuboidsearch.cuboid_eqs import PQPair, build_rpq
+from cuboidsearch.cuboid_eqs import PQPair
 from cuboidsearch.exact_arith import QUAD_ZERO, QuadRational, sqrt2_sign
 from oracles import (
     QPQ_TERMS,
@@ -319,10 +319,10 @@ class TestIntervals:
 class TestDisjointness:
     def test_valid_pairs(self):
         for p, q in ((1, 59), (2, 121), (3, 178)):
-            report = check_disjoint(asymptotic_intervals(PQPair(p, q)))
-            assert report.broken is None
-            assert report.real_gap > QUAD_ZERO
-            assert report.imaginary_gap > QUAD_ZERO
+            t1, t2, t3, t4, t5 = asymptotic_intervals(PQPair(p, q))
+            assert check_disjoint([t1, t2, t3, t4, t5]) is None
+            assert t3.lo - t2.hi > QUAD_ZERO
+            assert t4.lo - t5.hi > QUAD_ZERO
 
     def test_fabricated_overlap_detected(self):
         ivs = asymptotic_intervals(PQPair(1, 59))
@@ -336,9 +336,8 @@ class TestDisjointness:
                 )
             else:
                 broken.append(iv)
-        report = check_disjoint(broken)
-        assert report.broken == "T2.hi < T3.lo"
-        assert report.real_gap < QUAD_ZERO
+        assert check_disjoint(broken) == "T2.hi < T3.lo"
+        assert broken[2].lo - broken[1].hi < QUAD_ZERO
 
     @pytest.mark.parametrize("label", ["T1", "T2", "T3", "T4", "T5"])
     def test_swapped_ends_detected(self, label):
@@ -347,24 +346,34 @@ class TestDisjointness:
         ivs = asymptotic_intervals(pair)
         iv = ivs[int(label[1]) - 1]
         swapped = _replaced(ivs, label, iv.hi, iv.lo)
-        report = check_disjoint(swapped)
-        assert label in report.broken
+        assert label in check_disjoint(swapped)
         with pytest.raises(CertificationFailed, match=f"order fails at .*{label}"):
-            certify_roots(pair, swapped, check_disjoint(swapped))
+            certify_roots(pair, swapped)
 
-    def test_passed_report_is_the_intervals_own(self):
-        # certify_roots reads the order off the check_disjoint report it is
-        # given, the report of the same intervals: each swapped list, passed
-        # its own report, is refused by name
+    def test_certify_roots_checks_the_order(self):
+        # the order is certify_roots' own check: each swapped list, whose
+        # signs all change, is refused at a link naming that interval
         pair = PQPair(7, 500)
         ivs = asymptotic_intervals(pair)
-        for iv in ivs:
+        links = ["T1.lo < T1.hi", "T1.hi = T2.lo", "T3.lo < T3.hi",
+                 "T4.lo < T4.hi", "T5.lo < T5.hi"]
+        for iv, link in zip(ivs, links):
             swapped = _replaced(ivs, iv.label, iv.hi, iv.lo)
-            report = check_disjoint(swapped)
             with pytest.raises(CertificationFailed) as failed:
-                certify_roots(pair, swapped, report)
-            assert iv.label in report.broken
-            assert str(failed.value) == f"(p=7, q=500): order fails at {report.broken}"
+                certify_roots(pair, swapped)
+            assert str(failed.value) == f"(p=7, q=500): order fails at {link}"
+            assert iv.label in link and check_disjoint(swapped) == link
+
+    def test_swapped_t3_refused_with_no_report(self):
+        # once certify_roots took the order from a report its caller built,
+        # and a report of the valid intervals let T3 swapped pass
+        pair = PQPair(7, 500)
+        ivs = asymptotic_intervals(pair)
+        t3 = ivs[2]
+        swapped = _replaced(ivs, "T3", t3.hi, t3.lo)
+        with pytest.raises(CertificationFailed) as failed:
+            certify_roots(pair, swapped)
+        assert str(failed.value) == "(p=7, q=500): order fails at T3.lo < T3.hi"
 
 
 class TestImaginaryAxisPoly:
@@ -391,14 +400,14 @@ class TestImaginaryAxisPoly:
 
 class TestCertificates:
     def test_p1_q59(self):
-        certs = _certify(PQPair(1, 59))
-        assert len(certs) == 5
-        assert all(c.sign_lo * c.sign_hi == -1 for c in certs)
+        signs = _certify(PQPair(1, 59))
+        assert len(signs) == 5
+        assert all(lo * hi == -1 for lo, hi in signs)
 
     def test_p3_q178(self):
-        certs = _certify(PQPair(3, 178))
-        assert len(certs) == 5
-        assert all(c.sign_lo * c.sign_hi == -1 for c in certs)
+        signs = _certify(PQPair(3, 178))
+        assert len(signs) == 5
+        assert all(lo * hi == -1 for lo, hi in signs)
 
     def test_invalid_pairs_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -415,8 +424,12 @@ class TestCertificates:
 
 
 def _certify(pair):
-    intervals = asymptotic_intervals(pair)
-    return certify_roots(pair, intervals, check_disjoint(intervals))
+    return certify_roots(pair, asymptotic_intervals(pair))
+
+
+def _rpoly(pair):
+    """R with Q(t) = R(t^2), read off Q's even coefficients."""
+    return build_qpq(pair)[::2]
 
 
 def _audit_range_pairs(count, seed):
@@ -435,36 +448,37 @@ def _per_end_sign(pair, axis, x):
     """The sign of R at x^2 (real axis) or -x^2 (imaginary axis), found for
     that end alone by Horner's scheme over QuadRational."""
     u = x * x if axis == "REAL" else -(x * x)
-    value = eval_poly_quad(build_rpq(pair), u)
+    value = eval_poly_quad(_rpoly(pair), u)
     return sqrt2_sign(value.A, value.B)
 
 
-def _per_end_certificates(pair, intervals):
-    """(label, axis, sign_lo, sign_hi) of each interval, from _per_end_sign."""
+def _per_end_signs(pair, intervals):
+    """(sign_lo, sign_hi) of each interval, from _per_end_sign."""
     return [
-        (iv.label, iv.axis, _per_end_sign(pair, iv.axis, iv.lo),
-         _per_end_sign(pair, iv.axis, iv.hi))
+        (_per_end_sign(pair, iv.axis, iv.lo), _per_end_sign(pair, iv.axis, iv.hi))
         for iv in intervals
     ]
 
 
 def _outcome(pair, intervals):
-    """certify_roots's certificates as plain tuples, or its failure text."""
+    """certify_roots's signs, or its failure text."""
     try:
-        certs = certify_roots(pair, intervals, check_disjoint(intervals))
+        return certify_roots(pair, intervals)
     except CertificationFailed as failed:
         return str(failed)
-    return [tuple(c) for c in certs]
 
 
 def _per_end_outcome(pair, intervals):
     """_outcome as the per-end signs and the order decide it."""
-    certs = _per_end_certificates(pair, intervals)
-    failures = [f"{label}: sign({lo},{hi})" for label, _, lo, hi in certs if lo * hi != -1]
-    broken = check_disjoint(intervals).broken
+    signs = _per_end_signs(pair, intervals)
+    failures = [
+        f"{iv.label}: sign({lo},{hi})"
+        for iv, (lo, hi) in zip(intervals, signs) if lo * hi != -1
+    ]
+    broken = check_disjoint(intervals)
     if not failures and broken:
         failures.append(f"order fails at {broken}")
-    return f"(p={pair.p}, q={pair.q}): " + "; ".join(failures) if failures else certs
+    return f"(p={pair.p}, q={pair.q}): " + "; ".join(failures) if failures else signs
 
 
 # the p = 10^12 pair of the roots goldens
@@ -488,9 +502,9 @@ class TestCertificateOnR:
     def test_equals_q_oracle(self):
         for pair in _audit_range_pairs(200, 808) + BOUNDARY_PAIRS:
             intervals = asymptotic_intervals(pair)
-            certs = certify_roots(pair, intervals, check_disjoint(intervals))
-            assert certs == q_certify_roots(pair, intervals)
-            assert all(c.sign_lo * c.sign_hi == -1 for c in certs)
+            signs = certify_roots(pair, intervals)
+            assert signs == q_certify_roots(pair, intervals)
+            assert all(lo * hi == -1 for lo, hi in signs)
 
     def test_degree_count_agrees_with_sturm(self):
         # what the degree count concludes, recounted by Sturm's theorem: one
@@ -498,13 +512,13 @@ class TestCertificateOnR:
         # below the Cauchy bound 1 + max |c_i| of the monic R
         for pair in _audit_range_pairs(200, 808) + BOUNDARY_PAIRS:
             intervals = asymptotic_intervals(pair)
-            certify_roots(pair, intervals, check_disjoint(intervals))
+            certify_roots(pair, intervals)
             qpoly = build_qpq(pair)
             seq = fraction_sturm_sequence(qpoly)
             for iv in intervals[:3]:
                 lo, hi = to_fraction(iv.lo), to_fraction(iv.hi)
                 assert fraction_sturm_count(qpoly, lo, hi, seq) == 1
-            rpoly = build_rpq(pair)
+            rpoly = _rpoly(pair)
             bound = 1 + max(abs(c) for c in rpoly)
             assert fraction_sturm_count(rpoly, -bound, bound) == 5
 
@@ -520,8 +534,7 @@ class TestCertificateOnR:
         # the field's own arithmetic, at x^2 or -x^2
         for pair in _audit_range_pairs(40, 1717) + [GOLDEN_BIG]:
             intervals = asymptotic_intervals(pair)
-            certs = certify_roots(pair, intervals, check_disjoint(intervals))
-            assert [tuple(c) for c in certs] == _per_end_certificates(pair, intervals)
+            assert certify_roots(pair, intervals) == _per_end_signs(pair, intervals)
 
     @pytest.mark.parametrize("p, q", [(1, 59), (7, 500), (50, 5901)])
     def test_memo_on_moved_t4_and_t5(self, p, q, monkeypatch):
@@ -577,7 +590,7 @@ class TestCertificateOnR:
         ]
         for intervals, failure, sturm in shifted:
             with pytest.raises(CertificationFailed) as on_r:
-                certify_roots(pair, intervals, check_disjoint(intervals))
+                certify_roots(pair, intervals)
             with pytest.raises(CertificationFailed) as on_q:
                 q_certify_roots(pair, intervals)
             assert str(on_r.value) == f"(p={p}, q={q}): {failure}"
@@ -594,7 +607,7 @@ class TestCertificateOnR:
         ):
             bad = _replaced(ivs, "T1", lo, ivs[0].hi)
             with pytest.raises(CertificationFailed) as failed:
-                certify_roots(pair, bad, check_disjoint(bad))
+                certify_roots(pair, bad)
             assert str(failed.value) == f"(p=1, q=59): {failure}"
 
 

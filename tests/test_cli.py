@@ -412,7 +412,7 @@ class TestRootsCommand:
         assert "T4" in out and "sqrt(2)" in out
 
     def test_one_order_check_and_nine_signs(self, capsys, monkeypatch):
-        # the report that roots prints is the one certify_roots checks; the
+        # a passing roots checks the order once, inside certify_roots; the
         # nine signs take seven Horner passes, as the shared end T1.hi =
         # T2.lo is evaluated once and T5's ends are T4's conjugates
         counted = {"check_disjoint": 0, "value_at_sqrt2": 0}
@@ -431,22 +431,14 @@ class TestRootsCommand:
         assert "T4" in out and "sqrt(2)" in out
 
     def test_certification_failed(self, capsys, monkeypatch):
-        # T3 with its ends swapped: the report is printed as far as it got,
-        # then the failed check, and the exit code says a check failed
-        real = asymptotics.asymptotic_intervals
-
-        def swapped(pair):
-            intervals = real(pair)
-            t3 = intervals[2]
-            intervals[2] = t3._replace(lo=t3.hi, hi=t3.lo)
-            return intervals
-
-        monkeypatch.setattr(asymptotics, "asymptotic_intervals", swapped)
-        code, out, _ = run_cli(capsys, "roots", "--p", "1", "--q", "59")
+        # T3 with its ends swapped fails the order, and T3 moved up by its
+        # width, past its root, fails its signs with the order holding: the
+        # report is printed as far as it got, then the failed check, and the
+        # exit code says a check failed
         golden = (GOLDEN_DIR / "roots_p1_q59.txt").read_text().splitlines()
         lo, hi = golden[8:10]
         assert lo.startswith("    lo = ") and hi.startswith("    hi = ")
-        expected = [
+        swapped = [
             *golden[:8],
             hi.replace("hi =", "lo ="),
             lo.replace("lo =", "hi ="),
@@ -456,8 +448,30 @@ class TestRootsCommand:
             golden[18],
             "certification FAILED: (p=1, q=59): order fails at T3.lo < T3.hi",
         ]
-        assert code == cli.EXIT_CHECK_FAILED
-        assert out == "\n".join(expected) + "\n"
+        moved = [
+            *golden[:8],
+            hi.replace("hi =", "lo ="),
+            "    hi = 204450/3481  [approx 58.7331226659006032749209997127]",
+            *golden[10:16],
+            "disjoint: True",
+            "  real gap T3.lo - T2.hi = 200664/3481",
+            golden[18],
+            "certification FAILED: (p=1, q=59): T3: sign(1,1)",
+        ]
+        real = asymptotics.asymptotic_intervals
+        for move, expected in (
+            (lambda t3: t3._replace(lo=t3.hi, hi=t3.lo), swapped),
+            (lambda t3: t3._replace(lo=t3.hi, hi=t3.hi * 2 - t3.lo), moved),
+        ):
+            def changed(pair, move=move):
+                intervals = real(pair)
+                intervals[2] = move(intervals[2])
+                return intervals
+
+            monkeypatch.setattr(asymptotics, "asymptotic_intervals", changed)
+            code, out, _ = run_cli(capsys, "roots", "--p", "1", "--q", "59")
+            assert code == cli.EXIT_CHECK_FAILED
+            assert out == "\n".join(expected) + "\n"
 
     def test_q_too_small(self, capsys):
         code, _, err = run_cli(capsys, "roots", "--p", "1", "--q", "58")

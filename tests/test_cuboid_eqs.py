@@ -15,7 +15,6 @@ from cuboidsearch.cuboid_eqs import (
     NotARoot,
     PQPair,
     VerificationFailed,
-    build_rpq,
     compute_z,
     factorization_check,
     full_eq_coefficients,
@@ -95,7 +94,7 @@ class TestBuildQpq:
 
     def test_r_of_t_squared(self):
         for p, q in ((1, 2), (5, 7), (3, 178), (50, 5901)):
-            P, R = build_qpq(PQPair(p, q)), build_rpq(PQPair(p, q))
+            P, R = build_qpq(PQPair(p, q)), qpq_coefficients(p, q) + (1,)
             assert len(R) - 1 == 5
             assert R == P[::2]
             for t in (1, 3, p * q):

@@ -25,7 +25,6 @@ from oracles import (
     poly,
     quad,
     quad_parts,
-    rational_sqrt,
     sign_at_quad,
     sqrt2_approx,
     to_fraction,
@@ -135,10 +134,6 @@ class TestQuadArithmetic:
         # as a tuple it lies above 1 + sqrt(2))
         with pytest.raises(TypeError):
             expression(quad(1, 1))
-
-    def test_rational_sqrt(self):
-        assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
-        assert rational_sqrt(Fraction(2)) is None
 
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)

@@ -80,10 +80,6 @@ def _records():
         asymptotics.build_newton_grid()[0],
         asymptotics.LEADING_TERMS[0],
         intervals[3],
-        asymptotics.check_disjoint(intervals),
-        asymptotics.certify_roots(
-            pair, intervals, asymptotics.check_disjoint(intervals)
-        )[0],
         CuboidWitness(1, 2, 5, "AU_EQ_B2", 3, 4, 12, 13, 15, 5, 13),
         search.SearchCheckpoint(5, 1, 2, 2, 0, 57, 1, 1, 0),
         search.SearchTally(57, 1, 1, 0, []),
@@ -128,7 +124,7 @@ class TestValidatingRecords:
             for value in vars(module).values()
             if isinstance(value, type) and issubclass(value, tuple)
         }
-        assert len(RECORDS) == len(classes) == 11
+        assert len(RECORDS) == len(classes) == 9
         assert {type(record) for record in RECORDS} == classes
 
 
